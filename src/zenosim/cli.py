@@ -68,6 +68,13 @@ def _check_keys(block: dict, allowed: dict, path: str, errors: list):
             errors.append(f"missing key '{path}{key}'")
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(block: dict, key: str, errors: list, path: str,
             positive=False, nonnegative=False):
     if key not in block:
@@ -75,6 +82,9 @@ def _number(block: dict, key: str, errors: list, path: str,
     val = block[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"'{path}{key}' must be a number")
+        return None
+    if not _finite(val):
+        errors.append(f"'{path}{key}' must be a finite number")
         return None
     val = float(val)
     if positive and val <= 0:
@@ -152,8 +162,9 @@ def parse_config(text: str) -> ExperimentConfig:
         levels = system.get("levels")
         if levels is not None:
             if (not isinstance(levels, list) or len(levels) != 2
-                    or not all(isinstance(x, (int, float)) for x in levels)):
-                errors.append("'system.levels' must be a list of two numbers")
+                    or not all(isinstance(x, (int, float)) and _finite(x)
+                               for x in levels)):
+                errors.append("'system.levels' must be a list of two finite numbers")
             elif omega is not None:
                 want = [-hbar * omega / 2.0, hbar * omega / 2.0]
                 if any(abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(sorted(levels), want)):

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .model import DetectorModel, SystemSpec, correlation, strength
 from .qmat import trace_sum_rule_defect
-from .superop import SECOND_ORDER, MeasurementChannel
+from .superop import SECOND_ORDER, MeasurementChannel, _dyson_second_order, build_unperturbed
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,10 @@ class ReservoirSpectrum:
     width: float = 0.0
     tab_omega: np.ndarray | None = field(default=None, repr=False)
     tab_g: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not np.isfinite([self.hbar, self.g0, self.b, self.omega_r, self.width]).all():
+            raise ValueError("reservoir parameters must be finite")
 
     @classmethod
     def flat(cls, g0: float, hbar: float = 1.0):
@@ -88,6 +92,8 @@ class ReservoirSpectrum:
         g = np.asarray(g, dtype=float)
         if omega.ndim != 1 or omega.shape != g.shape or omega.size < 3:
             raise ValueError("tabulated G needs matching 1-d arrays, length >= 3")
+        if not (np.isfinite(omega).all() and np.isfinite(g).all()):
+            raise ValueError("tabulated G must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("tabulated G grid must be increasing")
         if np.any(g < 0):
@@ -556,12 +562,10 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
                        mode_energies=modes, delta_e=float(de))
 
 
-def _effective_steps(sys: SystemSpec, det: DetectorModel) -> int:
-    e_alpha = np.asarray(sys.alpha_energies[0], dtype=float)
+def _effective_steps(det: DetectorModel, e_alpha: np.ndarray, w_at: np.ndarray, hbar: float) -> int:
     max_e = float(np.abs(e_alpha).max())
-    periods = max_e * det.tau / (2.0 * math.pi * sys.hbar)
-    w_at = np.abs(np.subtract.outer(sys.levels, sys.levels)) / sys.hbar
-    wmax = float(w_at.max())
+    periods = max_e * det.tau / (2.0 * math.pi * hbar)
+    wmax = float(np.abs(w_at).max())
     if det.kind == "gaussian" and det.lam * wmax > 0:
         t_f = det.sigma / (det.lam * wmax)
     else:
@@ -599,113 +603,35 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     k_lvl = sys.n_levels
     n_alpha = len(alphas[0])
     e_alpha = np.asarray(alphas[0], dtype=float)
-    v = sys.v_at(0.0)
-    hbar, tau, lam = sys.hbar, det.tau, det.lam
-    levels = np.asarray(sys.levels, dtype=float)
-    w_at = (levels[:, None] - levels[None, :]) / hbar
-
+    hbar, tau = sys.hbar, det.tau
+    atom = SystemSpec(levels=sys.levels, hbar=hbar)
+    w_at = atom.omega_level()
     if steps is None:
-        steps = _effective_steps(sys, det)
+        steps = _effective_steps(det, e_alpha, w_at, hbar)
     t = np.linspace(0.0, tau, steps + 1)
     nt = t.size
-    h = t[1] - t[0]
-    w1 = np.full(nt, h)
-    w1[0] = w1[-1] = h / 2.0
-    tri = np.zeros((nt, nt))
-    for i in range(1, nt):
-        tri[i, : i + 1] = h
-        tri[i, 0] = tri[i, i] = h / 2.0
-    tri *= w1[:, None]
 
-    u_grid = np.linspace(-tau, tau, 2 * nt - 1)
-    e_mat = np.exp(1j * np.outer(u_grid, e_alpha) / hbar)
-    idx = np.subtract.outer(np.arange(nt), np.arange(nt)) + nt - 1  # u = t_i - t_j
+    e_mat = np.exp(1j * np.outer(np.linspace(-tau, tau, 2 * nt - 1), e_alpha) / hbar)
+    lag = np.subtract.outer(np.arange(nt), np.arange(nt)) + nt - 1  # u = t_i - t_j
+    # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
+    blocks = sys.v_at(0.0).reshape(k_lvl, n_alpha, k_lvl, n_alpha)
+    osc = np.exp(1j * w_at[:, :, None] * t)
 
-    def f_of(args):
-        return correlation(det, args)
+    def first(a, b):
+        v_ab = blocks[a, 0, b, 0]
+        return v_ab * osc[a, b] if v_ab != 0 else None
 
-    def vac(n):
-        return n * n_alpha
+    def path(into, out):
+        # vacuum of b -> modes of a, then modes of e -> vacuum of c; the sum over
+        # modes becomes a correlation of the couplings on the time-difference grid
+        (a, b), (c, e) = into, out
+        coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
+        if not np.any(coeff):
+            return None
+        return osc[a, b], osc[c, e], (e_mat @ coeff)[lag]
 
-    phase_out = np.exp(1j * w_at.T * tau)
-    s_ef = np.zeros((k_lvl,) * 4, dtype=complex)
-
-    # unperturbed vacuum-sector channel on the atom
-    for p in range(k_lvl):
-        for r in range(k_lvl):
-            s_ef[p, r, p, r] = phase_out[p, r] * f_of(lam * tau * w_at[r, p])
-
-    # first-order vacuum terms (vanish for a pure emission coupling)
-    for p in range(k_lvl):
-        for n in range(k_lvl):
-            vpn = v[vac(p), vac(n)]
-            if vpn != 0:
-                x = vpn * np.exp(1j * w_at[p, n] * t)
-                for r in range(k_lvl):
-                    val = (w1 * x) @ f_of(lam * (w_at[r, p] * tau + w_at[p, n] * t))
-                    s_ef[p, r, n, r] += phase_out[p, r] * val / (1j * hbar)
-    for m in range(k_lvl):
-        for r in range(k_lvl):
-            vmr = v[vac(m), vac(r)]
-            if vmr != 0:
-                x = vmr * np.exp(1j * w_at[m, r] * t)
-                for p in range(k_lvl):
-                    val = (w1 * x) @ f_of(lam * (w_at[r, p] * tau + w_at[m, r] * t))
-                    s_ef[p, r, p, m] -= phase_out[p, r] * val / (1j * hbar)
-
-    hb2 = hbar ** 2
-    # emission term: sum over modes becomes a correlation of the couplings
-    for p in range(k_lvl):
-        for n in range(k_lvl):
-            col = v[p * n_alpha:(p + 1) * n_alpha, vac(n)]
-            if not np.any(col):
-                continue
-            x1 = np.exp(1j * w_at[p, n] * t)
-            for m in range(k_lvl):
-                for r in range(k_lvl):
-                    row = v[vac(m), r * n_alpha:(r + 1) * n_alpha]
-                    coeff = col * row
-                    if not np.any(coeff):
-                        continue
-                    g2 = (e_mat @ coeff)[idx]
-                    x2 = np.exp(1j * w_at[m, r] * t)
-                    kern = f_of(lam * (w_at[r, p] * tau
-                                       + np.add.outer(w_at[p, n] * t, w_at[m, r] * t)))
-                    val = (w1 * x1) @ (kern * g2) @ (w1 * x2)
-                    s_ef[p, r, n, m] += phase_out[p, r] * val / hb2
-    # loss terms (vacuum-diagonal), r = m branch then p = n branch
-    for p in range(k_lvl):
-        for n in range(k_lvl):
-            for s in range(k_lvl):
-                row = v[vac(p), s * n_alpha:(s + 1) * n_alpha]
-                col = v[s * n_alpha:(s + 1) * n_alpha, vac(n)]
-                coeff = row * col
-                if not np.any(coeff):
-                    continue
-                g2 = (e_mat @ coeff)[idx.T]  # phases carry E_beta (t2 - t1)
-                x1 = np.exp(1j * w_at[p, s] * t)
-                x2 = np.exp(1j * w_at[s, n] * t)
-                for r in range(k_lvl):
-                    kern = f_of(lam * (w_at[r, p] * tau
-                                       + np.add.outer(w_at[p, s] * t, w_at[s, n] * t)))
-                    val = x1 @ (tri * kern * g2) @ x2
-                    s_ef[p, r, n, r] -= phase_out[p, r] * val / hb2
-    for m in range(k_lvl):
-        for r in range(k_lvl):
-            for s in range(k_lvl):
-                row = v[vac(m), s * n_alpha:(s + 1) * n_alpha]
-                col = v[s * n_alpha:(s + 1) * n_alpha, vac(r)]
-                coeff = row * col
-                if not np.any(coeff):
-                    continue
-                g2 = (e_mat @ coeff)[idx]  # phases carry E_beta (t1 - t2)
-                x1 = np.exp(1j * w_at[s, r] * t)
-                x2 = np.exp(1j * w_at[m, s] * t)
-                for p in range(k_lvl):
-                    kern = f_of(lam * (w_at[r, p] * tau
-                                       + np.add.outer(w_at[s, r] * t, w_at[m, s] * t)))
-                    val = x1 @ (tri * kern * g2) @ x2
-                    s_ef[p, r, p, m] -= phase_out[p, r] * val / hb2
+    s_ef = build_unperturbed(atom, det).tensor + _dyson_second_order(
+        np.exp(1j * w_at.T * tau), w_at, det, hbar, t, first, path)
 
     channel = MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=tau,
                                  certified_trace_err=trace_sum_rule_defect(s_ef),

@@ -22,12 +22,7 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
-
-
-def _trap_weights(nt: int, h: float) -> np.ndarray:
-    w = np.full(nt, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+from .superop import _trapezoid_weights, _v_samples
 
 
 def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
@@ -54,12 +49,6 @@ def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
     raise QuadratureNotConverged(f"{what} still moving at {nt} grid points")
 
 
-def _v_samples(sys: SystemSpec, t0: float, t: np.ndarray) -> np.ndarray:
-    if sys.constant_v or sys.v is None:
-        return np.broadcast_to(sys.v_at(0.0), (t.size, sys.dim, sys.dim))
-    return np.stack([sys.v_at(t0 + ti) for ti in t])
-
-
 def jump_probability_general(sys: SystemSpec, det: DetectorModel,
                              i: int, alpha: int, f: int, alpha1: int,
                              t0: float = 0.0, rel_tol: float = 1e-6) -> float:
@@ -80,7 +69,7 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
 
     def evaluate(nt: int) -> float:
         t = np.linspace(0.0, det.tau, nt)
-        w = _trap_weights(nt, t[1] - t[0])
+        w = _trapezoid_weights(t)
         vs = _v_samples(sys, t0, t)
         v1 = vs[:, ff, ii]        # V(t1)[f, i]
         v2 = vs[:, ii, ff]        # V(t2)[i, f]
@@ -113,7 +102,7 @@ def jump_probability_timeindep(sys: SystemSpec, det: DetectorModel,
 
     def evaluate(nt: int) -> float:
         t = np.linspace(0.0, tau, nt)
-        w = _trap_weights(nt, t[1] - t[0])
+        w = _trapezoid_weights(t)
         integrand = (correlation(det, det.lam * w_fi * t)
                      * np.exp(1j * (w_fi + om_e) * t) * (tau - t))
         return float((2.0 * v2 / sys.hbar ** 2) * (w @ integrand).real)
@@ -233,7 +222,7 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
         iv = det.tau * np.abs(sys.v_at(0.0)) ** 2
     else:
         t = np.linspace(0.0, det.tau, 513)
-        wq = _trap_weights(t.size, t[1] - t[0])
+        wq = _trapezoid_weights(t)
         vs = _v_samples(sys, t0, t)
         iv = np.einsum("t,tjk->jk", wq, np.abs(vs) ** 2).real
     coupled = iv > 0.0

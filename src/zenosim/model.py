@@ -50,6 +50,9 @@ class DetectorModel:
     f_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        sigma = 1.0 if self.sigma is None else self.sigma
+        if not all(math.isfinite(x) for x in (self.lam, self.tau, sigma)):
+            raise ValueError("lambda, tau and sigma must be finite")
         if self.lam < 0:
             raise ValueError("coupling lambda must be >= 0")
         if self.tau <= 0:
@@ -64,6 +67,8 @@ class DetectorModel:
         fv = np.asarray(self.f_values, dtype=complex)
         if nu.ndim != 1 or nu.shape != fv.shape or nu.size < 3:
             raise ValueError("tabulated F needs matching 1-d arrays of length >= 3")
+        if not (np.isfinite(nu).all() and np.isfinite(fv).all()):
+            raise ValueError("tabulated F must be finite")
         if np.any(np.diff(nu) <= 0):
             raise ValueError("tabulated F grid must be strictly increasing")
         object.__setattr__(self, "f_nu", nu)
@@ -169,6 +174,8 @@ class SystemSpec:
                 raise ValueError("every level needs at least one auxiliary state")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "alpha_energies", alphas)
+        if not np.isfinite(levels + sum(alphas, ()) + (self.hbar,)).all():
+            raise ValueError("levels, auxiliary energies and hbar must be finite")
         if self.hbar <= 0:
             raise ValueError("hbar must be > 0")
         if self.v is not None and not callable(self.v):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -223,19 +224,91 @@ def build_unperturbed(sys: SystemSpec, det: DetectorModel) -> MeasurementChannel
                               certified_trace_err=err)
 
 
-def _triangular_weights(t: np.ndarray) -> np.ndarray:
+def _v_samples(sys: SystemSpec, t0: float, t: np.ndarray) -> np.ndarray:
+    if sys.constant_v or sys.v is None:
+        return np.broadcast_to(sys.v_at(0.0), (t.size, sys.dim, sys.dim))
+    return np.stack([sys.v_at(t0 + ti) for ti in t])
+
+
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    """Weights w so that w @ f(t) is the trapezoid rule on the uniform grid t."""
+    h = t[1] - t[0]
+    w = np.full(t.size, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
+def _triangle_weights(t: np.ndarray) -> np.ndarray:
     """Weights T[i, j] so that sum_ij T f(t_i, t_j) approximates the nested
     integral over 0 <= t2 <= t1 <= tau by iterated trapezoid on a shared grid."""
-    nt = t.size
     h = t[1] - t[0]
-    outer = np.full(nt, h)
-    outer[0] = outer[-1] = h / 2.0
-    tri = np.zeros((nt, nt))
-    for i in range(1, nt):
-        tri[i, : i + 1] = h
-        tri[i, 0] = h / 2.0
-        tri[i, i] = h / 2.0
-    return outer[:, None] * tri
+    tri = np.tril(np.full((t.size, t.size), h))
+    tri[:, 0] = h / 2.0
+    np.fill_diagonal(tri, h / 2.0)
+    tri[0, 0] = 0.0
+    return _trapezoid_weights(t)[:, None] * tri
+
+
+def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorModel,
+                        hbar: float, t: np.ndarray, first, path) -> np.ndarray:
+    """S1 + S2 of the Dyson expansion on k outer states.
+
+    phase_out[p, r] is the free output phase exp(i w_rp tau) and w_lvl the
+    level frequencies the detector sees.  first(a, b) returns the first-order
+    integrand of the jump a <- b on the grid t, or None when it vanishes.
+    path(into, out) returns (x_in, x_out, g) for a two-jump path through
+    intermediate states: x_in drives the jump into them, x_out the jump out
+    of them, and g[i, j] correlates the intermediate states outside the k
+    between the into-jump at t_i and the out-jump at t_j (None when there
+    are none); it returns None when the path carries no amplitude.
+    """
+    lam, tau = det.lam, det.tau
+    k = phase_out.shape[0]
+    w1 = _trapezoid_weights(t)
+    tri = _triangle_weights(t)
+    s = np.zeros((k,) * 4, dtype=complex)
+
+    def kernel(w_rp, w_t1, w_t2):
+        return correlation(det, lam * (w_rp * tau + np.add.outer(w_t1 * t, w_t2 * t)))
+
+    # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
+    for a, b in product(range(k), repeat=2):
+        x = first(a, b)
+        if x is None:
+            continue
+        wx = w1 * x
+        ket = correlation(det, lam * (w_lvl[:, a][:, None] * tau + w_lvl[a, b] * t)) @ wx
+        bra = correlation(det, lam * (w_lvl[b][:, None] * tau + w_lvl[a, b] * t)) @ wx
+        for c in range(k):
+            s[a, c, b, c] += phase_out[a, c] * ket[c] / (1j * hbar)
+            s[c, b, c, a] -= phase_out[c, b] * bra[c] / (1j * hbar)
+
+    hb2 = hbar ** 2
+    # gain: ket jump n -> p at t1, bra jump r -> m at t2
+    for p, n, m, r in product(range(k), repeat=4):
+        jumps = path((p, n), (m, r))
+        if jumps is None:
+            continue
+        x1, x2, g = jumps
+        kern = kernel(w_lvl[r, p], w_lvl[p, n], w_lvl[m, r])
+        if g is not None:
+            kern *= g
+        s[p, r, n, m] += phase_out[p, r] * ((w1 * x1) @ kern @ (w1 * x2)) / hb2
+    # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
+    # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
+    for a, b, q in product(range(k), repeat=3):
+        jumps = path((q, b), (a, q))
+        if jumps is None:
+            continue
+        x_in, x_out, g = jumps
+        ket = tri.T if g is None else tri.T * g
+        bra = tri if g is None else tri * g
+        for c in range(k):
+            val = x_in @ (ket * kernel(w_lvl[c, a], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            s[a, c, b, c] -= phase_out[a, c] * val / hb2
+            val = x_in @ (bra * kernel(w_lvl[b, c], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            s[c, b, c, a] -= phase_out[c, b] * val / hb2
+    return s
 
 
 def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -250,89 +323,22 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     """
     if steps < 16:
         raise StepCountTooSmall(f"steps = {steps} < 16")
-    tau, lam, hbar = det.tau, det.lam, sys.hbar
-    d = sys.dim
-    t = np.linspace(0.0, tau, steps + 1)
-    nt = t.size
-    h = t[1] - t[0]
-    w1 = np.full(nt, h)
-    w1[0] = w1[-1] = h / 2.0
-    tri = _triangular_weights(t)
-
+    t = np.linspace(0.0, det.tau, steps + 1)
     w_full = sys.omega_full()
-    w_lvl = sys.omega_level()
-    if sys.constant_v or sys.v is None:
-        vs = np.broadcast_to(sys.v_at(0.0), (nt, d, d))
-    else:
-        vs = np.stack([sys.v_at(t0 + ti) for ti in t])
+    # x[a, b] = V(t)[a, b] e^{i w_ab t}, contiguous in t
+    x = (np.ascontiguousarray(np.moveaxis(_v_samples(sys, t0, t), 0, -1))
+         * np.exp(1j * w_full[:, :, None] * t))
+    live = x.any(axis=2)
 
-    def f_of(args):
-        return correlation(det, args)
+    def first(a, b):
+        return x[a, b] if live[a, b] else None
 
-    phase_out = np.exp(1j * w_full.T * tau)  # phase_out[p, r] = exp(i w_full[r,p] tau)
+    def path(into, out):
+        return (x[into], x[out], None) if live[into] and live[out] else None
 
-    s1 = np.zeros((d, d, d, d), dtype=complex)
-    for p in range(d):
-        for n in range(d):
-            # first term: r = m, integrand V(t)[p,n] e^{i w_full[p,n] t}
-            x = vs[:, p, n] * np.exp(1j * w_full[p, n] * t)
-            if np.any(x):
-                args = lam * (w_lvl[:, p][:, None] * tau + w_lvl[p, n] * t[None, :])
-                a1 = f_of(args) @ (w1 * x)  # indexed by r
-                for r in range(d):
-                    s1[p, r, n, r] += phase_out[p, r] * a1[r] / (1j * hbar)
-    for m in range(d):
-        for r in range(d):
-            # second term: p = n, integrand V(t)[m,r] e^{i w_full[m,r] t}
-            x = vs[:, m, r] * np.exp(1j * w_full[m, r] * t)
-            if np.any(x):
-                args = lam * (w_lvl[r][:, None] * tau + w_lvl[m, r] * t[None, :])
-                a2 = f_of(args) @ (w1 * x)  # indexed by p
-                for p in range(d):
-                    s1[p, r, p, m] -= phase_out[p, r] * a2[p] / (1j * hbar)
-
-    s2 = np.zeros((d, d, d, d), dtype=complex)
-    hb2 = hbar ** 2
-    for p in range(d):
-        for n in range(d):
-            x1 = vs[:, p, n] * np.exp(1j * w_full[p, n] * t)
-            if not np.any(x1):
-                continue
-            for m in range(d):
-                for r in range(d):
-                    x2 = vs[:, m, r] * np.exp(1j * w_full[m, r] * t)
-                    if not np.any(x2):
-                        continue
-                    args = lam * (w_lvl[r, p] * tau
-                                  + np.add.outer(w_lvl[p, n] * t, w_lvl[m, r] * t))
-                    val = (w1 * x1) @ f_of(args) @ (w1 * x2)
-                    s2[p, r, n, m] += phase_out[p, r] * val / hb2
-    for p in range(d):
-        for n in range(d):
-            for s in range(d):
-                x1 = vs[:, p, s] * np.exp(1j * w_full[p, s] * t)
-                x2 = vs[:, s, n] * np.exp(1j * w_full[s, n] * t)
-                if not (np.any(x1) and np.any(x2)):
-                    continue
-                for r in range(d):
-                    args = lam * (w_lvl[r, p] * tau
-                                  + np.add.outer(w_lvl[p, s] * t, w_lvl[s, n] * t))
-                    val = x1 @ (tri * f_of(args)) @ x2
-                    s2[p, r, n, r] -= phase_out[p, r] * val / hb2
-    for m in range(d):
-        for r in range(d):
-            for s in range(d):
-                x1 = vs[:, s, r] * np.exp(1j * w_full[s, r] * t)  # t1 integrand
-                x2 = vs[:, m, s] * np.exp(1j * w_full[m, s] * t)  # t2 integrand
-                if not (np.any(x1) and np.any(x2)):
-                    continue
-                for p in range(d):
-                    args = lam * (w_lvl[r, p] * tau
-                                  + np.add.outer(w_lvl[s, r] * t, w_lvl[m, s] * t))
-                    val = x1 @ (tri * f_of(args)) @ x2
-                    s2[p, r, p, m] -= phase_out[p, r] * val / hb2
-
-    tensor = build_unperturbed(sys, det).tensor + s1 + s2
+    phase_out = np.exp(1j * w_full.T * det.tau)  # phase_out[p, r] = exp(i w_full[r,p] tau)
+    tensor = build_unperturbed(sys, det).tensor + _dyson_second_order(
+        phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=err, meta={"steps": steps})

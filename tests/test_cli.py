@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,32 @@ class TestSpectrumRunner:
         assert 2.0 < ratio < 4.0
 
 
+# (command, config, path of the number) for every numeric config field
+NON_FINITE_CASES = [
+    ("twolevel", FIG1_CONFIG, ("hbar",)),
+    ("twolevel", FIG1_CONFIG, ("t0",)),
+    ("twolevel", FIG1_CONFIG, ("detector", "sigma")),
+    ("twolevel", FIG1_CONFIG, ("detector", "lambda")),
+    ("twolevel", FIG1_CONFIG, ("detector", "tau")),
+    ("twolevel", FIG1_CONFIG, ("system", "V", "omega")),
+    ("twolevel", FIG1_CONFIG, ("system", "V", "v_re")),
+    ("twolevel", FIG1_CONFIG, ("system", "V", "v_im")),
+    ("twolevel", FIG1_CONFIG, ("system", "levels", 1)),
+    ("decay", decay_config(), ("reservoir", "B")),
+    ("decay", decay_config(), ("reservoir", "omega_R")),
+    ("decay", decay_config(), ("reservoir", "gamma")),
+    ("decay", decay_config(reservoir={"kind": "gaussian_peak", "B": 1e-3,
+                                      "omega_R": 2.0, "w": 0.4}), ("reservoir", "w")),
+    ("decay", decay_config(), ("transition", "omega_if")),
+    ("decay", decay_config(), ("sweep", "Lambda_min")),
+    ("decay", decay_config(), ("sweep", "Lambda_max")),
+    ("spectrum", spectrum_config(), ("reservoir", "g0")),
+    ("spectrum", spectrum_config(), ("transition", "v2")),
+    ("spectrum", spectrum_config(), ("grid", "e_min")),
+    ("spectrum", spectrum_config(), ("grid", "e_max")),
+]
+
+
 class TestMainEntry:
     def test_twolevel_roundtrip(self, tmp_path, capsys):
         cfg = dict(FIG1_CONFIG, n_measurements=10)
@@ -277,6 +304,26 @@ class TestMainEntry:
                               detector={"sigma": 1.0, "lambda": 50.0, "tau": 1.0})
         path = write_config(tmp_path, cfg)
         assert main(["spectrum", "--config", path, "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("command, cfg, where", NON_FINITE_CASES,
+                             ids=[".".join(map(str, w)) for _, _, w in NON_FINITE_CASES])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, command, cfg, where, token):
+        cfg = json.loads(json.dumps(cfg))
+        if "levels" in where:
+            cfg["system"]["levels"] = [-1.0, 1.0]
+        block = cfg
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@"', token))
+        start = time.perf_counter()
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        # rejected while parsing, before any quadrature ladder runs
+        assert time.perf_counter() - start < 5.0
+        name = ".".join(k for k in where if isinstance(k, str))
+        assert f"'{name}' must be" in capsys.readouterr().err
 
     def test_dump_channel(self, tmp_path):
         cfg = {

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from zenosim.errors import GridTooNarrow, NotInZenoRegime, ReservoirGridTooCoarse
 from zenosim.model import gaussian_detector, strength
+from zenosim.superop import build_second_order
 from zenosim.decay import (
     LineShape,
     ReservoirSpectrum,
@@ -152,6 +153,19 @@ class TestReservoirSpectrum:
             ReservoirSpectrum.flat(-1.0)
         with pytest.raises(ValueError):
             ReservoirSpectrum.tabulated([0.0, 1.0, 2.0], [0.1, -0.2, 0.1])
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for make in (lambda: ReservoirSpectrum.flat(bad),
+                     lambda: ReservoirSpectrum.flat(0.01, hbar=bad),
+                     lambda: ReservoirSpectrum.lorentzian(b=bad, omega_r=1.0, gamma=0.4),
+                     lambda: ReservoirSpectrum.lorentzian(b=0.5, omega_r=bad, gamma=0.4),
+                     lambda: ReservoirSpectrum.gaussian_peak(b=0.5, omega_r=1.0, w=bad),
+                     lambda: ReservoirSpectrum.tabulated([0.0, 1.0, 2.0], [0.1, bad, 0.1]),
+                     lambda: ReservoirSpectrum(kind="flat", g0=bad)):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestGoldenRule:
@@ -332,6 +346,22 @@ class TestEffectiveChannel:
         det = det_for(10.0, 0.5)
         with pytest.raises(ValueError):
             effective_channel(sys, det)
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    @pytest.mark.parametrize("res", [ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4),
+                                     ReservoirSpectrum.gaussian_peak(b=0.05, omega_r=1.5, w=0.3)],
+                             ids=["lorentzian", "gaussian_peak"])
+    @pytest.mark.parametrize("lam", [0.0, 5.0, 30.0])
+    def test_reservoir_trace_of_second_order(self, n_modes, res, lam):
+        # the effective channel is sum_beta S[(p,beta),(r,beta),(n,0),(m,0)] of
+        # the full atom + modes second-order channel with the modes in vacuum
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
+        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=n_modes)
+        full = build_second_order(dsys.sys, det, steps=96).tensor
+        k, a = dsys.sys.n_levels, n_modes + 1
+        traced = np.einsum("pbrbnm->prnm", full.reshape((k, a) * 4)[:, :, :, :, :, 0, :, 0])
+        eff = effective_channel(dsys.sys, det, steps=96).tensor
+        assert np.abs(eff - traced).max() <= 1e-14
 
     def test_level_order_validated(self):
         res = ReservoirSpectrum.flat(0.001)

@@ -129,6 +129,23 @@ class TestDetectorValidation:
             custom_detector(nu, f, lam=1.0, tau=1.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["sigma", "lam", "tau"])
+    def test_rejects_non_finite_parameter(self, field, bad):
+        kwargs = {"sigma": 1.0, "lam": 1.0, "tau": 1.0, field: bad}
+        with pytest.raises(ValueError):
+            gaussian_detector(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_table(self, bad):
+        nu = np.linspace(-2, 2, 41)
+        f = np.exp(-nu ** 2)
+        with pytest.raises(ValueError):
+            custom_detector(np.where(nu == nu[0], bad, nu), f, lam=1.0, tau=1.0)
+        with pytest.raises(ValueError):
+            custom_detector(nu, np.where(nu == nu[5], bad, f), lam=1.0, tau=1.0)
+
+
 class TestPointerStates:
     def test_pointer_overlap_equals_f(self):
         # overlap of detector states shifted by two level energies is
@@ -179,6 +196,15 @@ class TestSystemSpec:
         assert w_lvl[2, 0] == pytest.approx(1.0)
         assert w_lvl[1, 0] == 0.0  # same level, alpha ignored
         assert w_full[1, 0] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_energies(self, bad):
+        with pytest.raises(ValueError):
+            SystemSpec(levels=(0.0, bad))
+        with pytest.raises(ValueError):
+            SystemSpec(levels=(0.0, 1.0), alpha_energies=((0.0,), (0.0, bad)))
+        with pytest.raises(ValueError):
+            SystemSpec(levels=(0.0, 1.0), hbar=bad)
 
     def test_requires_two_levels(self):
         with pytest.raises(ValueError):
