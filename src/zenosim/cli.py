@@ -2,7 +2,8 @@
 
 Configs are JSON (documented in the README): a top-level experiment name,
 `system` / `detector` blocks, and per-experiment blocks for the reservoir,
-sweep or output grid.  Unknown keys are rejected so typos fail loudly.
+sweep or output grid.  `SCHEMA` is the one description of every config:
+keys an experiment does not read are rejected so typos fail loudly.
 Runners write `#`-commented CSV plus a JSON sidecar echoing the config and
 the certified numerical tolerances, so every figure is reproducible from
 the artifacts alone.  Output is deterministic: no clocks, no RNG.
@@ -29,17 +30,64 @@ from .errors import (
     ValidationError,
     ZenoSimError,
 )
-from .model import DetectorModel, TwoLevelPreset, strength
+from .model import DetectorModel, TwoLevelPreset, _all_finite, strength
 from .superop import build_exact, default_rule, dump_channel, repeat
 
-EXPERIMENTS = ("twolevel", "decay_sweep", "spectrum", "channel_dump")
+# Each key maps to (required, rule).  A rule is "" (any finite number),
+# "> 0", ">= 0", an int k (an integer >= k), "string", a dict of the keys of
+# a block, or None for a key checked by hand in parse_config.
+_COMMON = {"experiment": (True, None), "hbar": (False, "> 0"),
+           "output_path": (False, "string")}
+_DETECTOR = {"sigma": (True, "> 0"), "lambda": (True, ">= 0"), "tau": (True, "> 0")}
+_SYSTEM = {"V": (True, {"omega": (True, "> 0"), "v_re": (True, ""), "v_im": (False, "")}),
+           "levels": (False, None)}
 
-_COMMAND_TO_EXPERIMENT = {
-    "twolevel": "twolevel",
-    "decay": "decay_sweep",
-    "spectrum": "spectrum",
-    "dump-channel": "channel_dump",
+# experiment -> (subcommand, runner, the keys it reads besides _COMMON); the
+# reservoir block ({}) takes the keys of its kind from _RESERVOIRS
+SCHEMA = {
+    "twolevel": ("twolevel", "run_twolevel", {
+        "system": (False, _SYSTEM), "detector": (True, _DETECTOR),
+        "n_measurements": (False, 1), "nodes": (False, 8)}),
+    "decay_sweep": ("decay", "run_decay_sweep", {
+        "detector": (True, {"sigma": (True, "> 0"), "tau": (True, "> 0")}),
+        "reservoir": (False, {}), "transition": (False, {"omega_if": (True, "> 0")}),
+        "sweep": (False, {"Lambda_min": (True, "> 0"), "Lambda_max": (True, "> 0"),
+                          "points": (True, 2)})}),
+    "spectrum": ("spectrum", "run_spectrum", {
+        "detector": (True, _DETECTOR), "reservoir": (False, {}),
+        "transition": (False, {"omega_if": (True, "> 0"), "v2": (True, ">= 0")}),
+        "grid": (False, {"e_min": (True, ""), "e_max": (True, ""), "points": (True, 8)})}),
+    "channel_dump": ("dump-channel", "run_channel_dump", {
+        "system": (False, _SYSTEM), "detector": (True, _DETECTOR),
+        "t0": (False, ""), "nodes": (False, 8)}),
 }
+EXPERIMENTS = tuple(SCHEMA)
+_COMMANDS = {command: experiment for experiment, (command, _, _) in SCHEMA.items()}
+# what a config with a missing or unknown experiment is still checked for
+_UNKNOWN = {"detector": (True, {**_DETECTOR, "lambda": (False, ">= 0")}),
+            "n_measurements": (False, 1), "t0": (False, ""), "nodes": (False, 8)}
+
+# reservoir kind -> (constructor, keys in the order of its arguments)
+_RESERVOIRS = {
+    "flat": (_decay.ReservoirSpectrum.flat, {"g0": (True, ">= 0")}),
+    "lorentzian": (_decay.ReservoirSpectrum.lorentzian, {
+        "B": (True, ">= 0"), "omega_R": (True, ""), "gamma": (True, "> 0")}),
+    "gaussian_peak": (_decay.ReservoirSpectrum.gaussian_peak, {
+        "B": (True, ">= 0"), "omega_R": (True, ""), "w": (True, "> 0")}),
+}
+
+
+def _flatten(keys: dict, path: str = ""):
+    """(dotted path, rule) of every key in keys and in its blocks."""
+    for key, (_, rule) in keys.items():
+        yield path + key, rule
+        if isinstance(rule, dict):
+            yield from _flatten(rule, f"{path}{key}.")
+
+
+# the rule of every key some experiment reads, by dotted path
+_RULES = {name: rule for _, _, keys in SCHEMA.values()
+          for name, rule in _flatten({**_COMMON, **keys})}
 
 
 @dataclass
@@ -59,57 +107,63 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _check_keys(block: dict, allowed: dict, path: str, errors: list):
-    for key in block:
-        if key not in allowed:
-            errors.append(f"unknown key '{path}{key}'")
-    for key, required in allowed.items():
-        if required and key not in block:
-            errors.append(f"missing key '{path}{key}'")
+def _value(val, rule, name: str, errors: list, required: bool = True):
+    """val if it keeps its rule, else None with the violation reported."""
+    if val is None and not required and rule not in ("", "> 0", ">= 0"):
+        return None  # null leaves an optional integer or string unset
+    if rule == "string":
+        ok, want = isinstance(val, str), "a string"
+    elif isinstance(rule, int):
+        ok = isinstance(val, int) and not isinstance(val, bool) and val >= rule
+        want = "a positive integer" if rule == 1 else f"an integer >= {rule}"
+    elif isinstance(val, bool) or not isinstance(val, (int, float)):
+        ok, want = False, "a number"
+    elif not _all_finite(val):
+        ok, want = False, "a finite number"
+    else:
+        val = float(val)
+        ok, want = val > 0 if rule == "> 0" else val >= 0 if rule == ">= 0" else True, rule
+    if not ok:
+        errors.append(f"'{name}' must be {want}")
+    return val if ok else None
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _number(block: dict, key: str, errors: list, path: str,
-            positive=False, nonnegative=False):
-    if key not in block:
-        return None
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"'{path}{key}' must be a number")
-        return None
-    if not _finite(val):
-        errors.append(f"'{path}{key}' must be a finite number")
-        return None
-    val = float(val)
-    if positive and val <= 0:
-        errors.append(f"'{path}{key}' must be > 0")
-        return None
-    if nonnegative and val < 0:
-        errors.append(f"'{path}{key}' must be >= 0")
-        return None
-    return val
-
-
-_TOP_KEYS = {"experiment": True, "hbar": False, "system": False, "detector": True,
-             "reservoir": False, "transition": False, "sweep": False, "grid": False,
-             "n_measurements": False, "t0": False, "nodes": False,
-             "output_path": False}
-
-_RESERVOIR_KEYS = {
-    "flat": {"kind": True, "g0": True},
-    "lorentzian": {"kind": True, "B": True, "omega_R": True, "gamma": True},
-    "gaussian_peak": {"kind": True, "B": True, "omega_R": True, "w": True},
-}
+def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: dict):
+    """Check one block against the keys the experiment reads there, storing
+    every block and valid value in values under its dotted path."""
+    for key, val in block.items():
+        if key in keys:
+            continue
+        name = path + key
+        rule = _RULES.get(name)
+        if path or name not in _RULES:
+            errors.append(f"unknown key '{name}'")
+        elif not isinstance(rule, dict):
+            errors.append(f"'{name}' is not used by experiment {experiment!r}")
+        elif not isinstance(val, dict):
+            errors.append(f"'{name}' must be an object")
+        elif val:
+            errors.append(f"'{name}' block is not used by experiment {experiment!r}")
+        if rule is not None and not isinstance(rule, dict):
+            _value(val, rule, name, errors, required=False)  # read by another experiment
+    for key, (required, rule) in keys.items():
+        name = path + key
+        if key not in block and required:
+            errors.append(f"missing key '{name}'")
+        if isinstance(rule, dict):
+            sub = block.get(key, {})
+            if not isinstance(sub, dict):
+                errors.append(f"'{name}' must be an object")
+                sub = {}
+            values[name] = sub
+            if rule:
+                _walk(sub, rule, name + ".", experiment, errors, values)
+        elif key in block and rule is not None:
+            values[name] = _value(block[key], rule, name, errors, required)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate configuration text.
+    """Parse and validate configuration text against SCHEMA.
 
     Raises ParseError for malformed JSON (with position) and
     ValidationError carrying every schema violation found.
@@ -122,144 +176,45 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError("top level must be an object")
 
     errors: list[str] = []
-    _check_keys(raw, _TOP_KEYS, "", errors)
+    values: dict = {}
     experiment = raw.get("experiment")
     if experiment is not None and experiment not in EXPERIMENTS:
         errors.append(f"'experiment' must be one of {EXPERIMENTS}, got {experiment!r}")
+    keys = SCHEMA[experiment][2] if experiment in EXPERIMENTS else _UNKNOWN
+    _walk(raw, {**_COMMON, **keys}, "", experiment, errors, values)
+    hbar = values.get("hbar") or 1.0
 
-    hbar = _number(raw, "hbar", errors, "", positive=True)
-    hbar = 1.0 if hbar is None else hbar
-
-    detector = raw.get("detector", {})
-    if not isinstance(detector, dict):
-        errors.append("'detector' must be an object")
-        detector = {}
-    det_keys = {"sigma": True, "lambda": False, "tau": True}
-    if experiment == "decay_sweep":
-        det_keys = {"sigma": True, "tau": True}
-    _check_keys(detector, det_keys, "detector.", errors)
-    _number(detector, "sigma", errors, "detector.", positive=True)
-    _number(detector, "tau", errors, "detector.", positive=True)
-    _number(detector, "lambda", errors, "detector.", nonnegative=True)
-    if experiment in ("twolevel", "spectrum", "channel_dump") and "lambda" not in detector:
-        errors.append("missing key 'detector.lambda'")
-
-    system = raw.get("system", {})
-    if not isinstance(system, dict):
-        errors.append("'system' must be an object")
-        system = {}
-    if experiment in ("twolevel", "channel_dump"):
-        _check_keys(system, {"V": True, "levels": False}, "system.", errors)
-        vblock = system.get("V", {})
-        if not isinstance(vblock, dict):
-            errors.append("'system.V' must be an object")
-            vblock = {}
-        _check_keys(vblock, {"omega": True, "v_re": True, "v_im": False},
-                    "system.V.", errors)
-        omega = _number(vblock, "omega", errors, "system.V.", positive=True)
-        _number(vblock, "v_re", errors, "system.V.")
-        _number(vblock, "v_im", errors, "system.V.")
-        levels = system.get("levels")
-        if levels is not None:
-            if (not isinstance(levels, list) or len(levels) != 2
-                    or not all(isinstance(x, (int, float)) and _finite(x)
-                               for x in levels)):
-                errors.append("'system.levels' must be a list of two finite numbers")
-            elif omega is not None:
-                want = [-hbar * omega / 2.0, hbar * omega / 2.0]
-                if any(abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(sorted(levels), want)):
-                    errors.append("'system.levels' inconsistent with system.V.omega")
-    elif system:
-        errors.append(f"'system' block is not used by experiment {experiment!r}")
-
-    reservoir = raw.get("reservoir", {})
-    if not isinstance(reservoir, dict):
-        errors.append("'reservoir' must be an object")
-        reservoir = {}
-    if experiment in ("decay_sweep", "spectrum"):
+    levels = values.get("system", {}).get("levels")
+    omega = values.get("system.V.omega")
+    if levels is not None:
+        if (not isinstance(levels, list) or len(levels) != 2
+                or not all(isinstance(x, (int, float)) and _all_finite(x) for x in levels)):
+            errors.append("'system.levels' must be a list of two finite numbers")
+        elif omega is not None:
+            want = [-hbar * omega / 2.0, hbar * omega / 2.0]
+            if any(abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(sorted(levels), want)):
+                errors.append("'system.levels' inconsistent with system.V.omega")
+    for lo, hi in (("sweep.Lambda_min", "sweep.Lambda_max"), ("grid.e_min", "grid.e_max")):
+        if values.get(lo) is not None and values.get(hi) is not None and values[hi] <= values[lo]:
+            errors.append(f"'{hi}' must exceed '{lo}'")
+    reservoir = values.get("reservoir")
+    if reservoir is not None:
+        kind = reservoir.get("kind")
         if not reservoir:
             errors.append("missing 'reservoir' block")
+        elif not isinstance(kind, str) or kind not in _RESERVOIRS:
+            errors.append(f"'reservoir.kind' must be one of {tuple(_RESERVOIRS)}, got {kind!r}")
         else:
-            kind = reservoir.get("kind")
-            if kind not in _RESERVOIR_KEYS:
-                errors.append(
-                    f"'reservoir.kind' must be one of {tuple(_RESERVOIR_KEYS)}, got {kind!r}")
-            else:
-                _check_keys(reservoir, _RESERVOIR_KEYS[kind], "reservoir.", errors)
-                for key in _RESERVOIR_KEYS[kind]:
-                    if key != "kind":
-                        kwargs = {"positive": key in ("gamma", "w")}
-                        kwargs["nonnegative"] = key in ("g0", "B")
-                        _number(reservoir, key, errors, "reservoir.", **kwargs)
-    elif reservoir:
-        errors.append(f"'reservoir' block is not used by experiment {experiment!r}")
-
-    transition = raw.get("transition", {})
-    if not isinstance(transition, dict):
-        errors.append("'transition' must be an object")
-        transition = {}
-    if experiment in ("decay_sweep", "spectrum"):
-        keys = {"omega_if": True} if experiment == "decay_sweep" else {
-            "omega_if": True, "v2": True}
-        _check_keys(transition, keys, "transition.", errors)
-        _number(transition, "omega_if", errors, "transition.", positive=True)
-        _number(transition, "v2", errors, "transition.", nonnegative=True)
-    elif transition:
-        errors.append(f"'transition' block is not used by experiment {experiment!r}")
-
-    sweep = raw.get("sweep", {})
-    if not isinstance(sweep, dict):
-        errors.append("'sweep' must be an object")
-        sweep = {}
-    if experiment == "decay_sweep":
-        _check_keys(sweep, {"Lambda_min": True, "Lambda_max": True, "points": True},
-                    "sweep.", errors)
-        lo = _number(sweep, "Lambda_min", errors, "sweep.", positive=True)
-        hi = _number(sweep, "Lambda_max", errors, "sweep.", positive=True)
-        if lo is not None and hi is not None and hi <= lo:
-            errors.append("'sweep.Lambda_max' must exceed 'sweep.Lambda_min'")
-        pts = sweep.get("points")
-        if pts is not None and (isinstance(pts, bool) or not isinstance(pts, int) or pts < 2):
-            errors.append("'sweep.points' must be an integer >= 2")
-    elif sweep:
-        errors.append(f"'sweep' block is not used by experiment {experiment!r}")
-
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        errors.append("'grid' must be an object")
-        grid = {}
-    if experiment == "spectrum":
-        _check_keys(grid, {"e_min": True, "e_max": True, "points": True}, "grid.", errors)
-        emin = _number(grid, "e_min", errors, "grid.")
-        emax = _number(grid, "e_max", errors, "grid.")
-        if emin is not None and emax is not None and emax <= emin:
-            errors.append("'grid.e_max' must exceed 'grid.e_min'")
-        pts = grid.get("points")
-        if pts is not None and (isinstance(pts, bool) or not isinstance(pts, int) or pts < 8):
-            errors.append("'grid.points' must be an integer >= 8")
-    elif grid:
-        errors.append(f"'grid' block is not used by experiment {experiment!r}")
-
-    n_meas = raw.get("n_measurements")
-    if n_meas is not None and (isinstance(n_meas, bool)
-                               or not isinstance(n_meas, int) or n_meas < 1):
-        errors.append("'n_measurements' must be a positive integer")
-    t0 = _number(raw, "t0", errors, "")
-    nodes = raw.get("nodes")
-    if nodes is not None and (isinstance(nodes, bool) or not isinstance(nodes, int)
-                              or nodes < 8):
-        errors.append("'nodes' must be an integer >= 8")
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        errors.append("'output_path' must be a string")
+            _walk(reservoir, {"kind": (True, None), **_RESERVOIRS[kind][1]},
+                  "reservoir.", experiment, errors, values)
 
     if errors:
         raise ValidationError(errors)
-    return ExperimentConfig(experiment=experiment, hbar=hbar, detector=detector,
-                            system=system, reservoir=reservoir, transition=transition,
-                            sweep=sweep, grid=grid, n_measurements=n_meas,
-                            t0=0.0 if t0 is None else t0, nodes=nodes,
-                            output_path=output_path, raw=raw)
+    blocks = {b: values.get(b, {}) for b in ("system", "reservoir", "transition", "sweep", "grid")}
+    return ExperimentConfig(experiment=experiment, hbar=hbar, detector=values["detector"],
+                            n_measurements=values.get("n_measurements"),
+                            t0=values.get("t0", 0.0), nodes=values.get("nodes"),
+                            output_path=values.get("output_path"), raw=raw, **blocks)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -281,15 +236,8 @@ def _preset(cfg: ExperimentConfig) -> TwoLevelPreset:
 
 
 def _reservoir(cfg: ExperimentConfig) -> _decay.ReservoirSpectrum:
-    block = cfg.reservoir
-    kind = block["kind"]
-    if kind == "flat":
-        return _decay.ReservoirSpectrum.flat(block["g0"], hbar=cfg.hbar)
-    if kind == "lorentzian":
-        return _decay.ReservoirSpectrum.lorentzian(block["B"], block["omega_R"],
-                                                   block["gamma"], hbar=cfg.hbar)
-    return _decay.ReservoirSpectrum.gaussian_peak(block["B"], block["omega_R"],
-                                                  block["w"], hbar=cfg.hbar)
+    make, keys = _RESERVOIRS[cfg.reservoir["kind"]]
+    return make(*(cfg.reservoir[key] for key in keys), hbar=cfg.hbar)
 
 
 def _fmt(x) -> str:
@@ -438,8 +386,8 @@ def main(argv=None) -> int:
         prog="zeno-sim",
         description="Simulations of repeated finite-duration quantum measurements")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("twolevel", "decay", "spectrum", "dump-channel"):
-        p = sub.add_parser(name)
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--nodes", type=int, default=None)
@@ -447,38 +395,26 @@ def main(argv=None) -> int:
                        help="assert deterministic mode (always on; kept for "
                             "interface stability)")
     args = parser.parse_args(argv)
+    experiment = _COMMANDS[args.command]
+    _, runner, keys = SCHEMA[experiment]
 
     try:
         cfg = load_config(args.config)
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-
-    expected = _COMMAND_TO_EXPERIMENT[args.command]
-    if cfg.experiment != expected:
-        print(f"config error: experiment {cfg.experiment!r} does not match "
-              f"command {args.command!r}", file=_sys.stderr)
-        return 2
-    out = args.out or cfg.output_path
-    if out is None:
-        print("config error: no output path (give --out or output_path)",
-              file=_sys.stderr)
-        return 2
-    nodes = args.nodes if args.nodes is not None else cfg.nodes
-
-    try:
-        if expected == "twolevel":
-            run_twolevel(cfg, out, nodes=nodes)
-        elif expected == "decay_sweep":
-            run_decay_sweep(cfg, out)
-        elif expected == "spectrum":
-            run_spectrum(cfg, out)
-        else:
-            run_channel_dump(cfg, out, nodes=nodes)
-    except ValidationError as exc:
+        if cfg.experiment != experiment:
+            raise ValidationError([f"experiment {cfg.experiment!r} does not match "
+                                   f"command {args.command!r}"])
+        out = args.out or cfg.output_path
+        if out is None:
+            raise ValidationError(["no output path (give --out or output_path)"])
+        kwargs = {"nodes": cfg.nodes} if "nodes" in keys else {}
+        if args.nodes is not None:  # the flag obeys the rule of the nodes key
+            errors = [] if kwargs else [f"'--nodes' is not used by experiment {experiment!r}"]
+            kwargs["nodes"] = _value(args.nodes, _RULES["nodes"], "--nodes", errors)
+            if errors:
+                raise ValidationError(errors)
+        # looked up by name at call time, so a rebound module attribute is called
+        globals()[runner](cfg, out, **kwargs)
+    except (OSError, ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except NumericalConvergenceError as exc:

@@ -35,7 +35,7 @@ from .errors import (
     ReservoirGridTooCoarse,
     ZeroStrength,
 )
-from .model import DetectorModel, SystemSpec, correlation, strength
+from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
 from .qmat import trace_sum_rule_defect
 from .superop import SECOND_ORDER, MeasurementChannel, _dyson_second_order, build_unperturbed
 
@@ -63,37 +63,39 @@ class ReservoirSpectrum:
     tab_g: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not np.isfinite([self.hbar, self.g0, self.b, self.omega_r, self.width]).all():
+        params = {"hbar": self.hbar, "g0": self.g0, "b": self.b,
+                  "omega_r": self.omega_r, "width": self.width}
+        if not _all_finite(list(params.values())):
             raise ValueError("reservoir parameters must be finite")
+        for name, value in params.items():
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def flat(cls, g0: float, hbar: float = 1.0):
         if g0 < 0:
             raise ValueError("G must be non-negative")
-        return cls(kind="flat", g0=float(g0), hbar=hbar)
+        return cls(kind="flat", g0=g0, hbar=hbar)
 
     @classmethod
     def lorentzian(cls, b: float, omega_r: float, gamma: float, hbar: float = 1.0):
         if b < 0 or gamma <= 0:
             raise ValueError("need B >= 0 and gamma > 0")
-        return cls(kind="lorentzian", b=float(b), omega_r=float(omega_r),
-                   width=float(gamma), hbar=hbar)
+        return cls(kind="lorentzian", b=b, omega_r=omega_r, width=gamma, hbar=hbar)
 
     @classmethod
     def gaussian_peak(cls, b: float, omega_r: float, w: float, hbar: float = 1.0):
         if b < 0 or w <= 0:
             raise ValueError("need B >= 0 and w > 0")
-        return cls(kind="gaussian_peak", b=float(b), omega_r=float(omega_r),
-                   width=float(w), hbar=hbar)
+        return cls(kind="gaussian_peak", b=b, omega_r=omega_r, width=w, hbar=hbar)
 
     @classmethod
     def tabulated(cls, omega, g, hbar: float = 1.0):
+        if not (_all_finite(omega) and _all_finite(g)):
+            raise ValueError("tabulated G must be finite")
         omega = np.asarray(omega, dtype=float)
         g = np.asarray(g, dtype=float)
         if omega.ndim != 1 or omega.shape != g.shape or omega.size < 3:
             raise ValueError("tabulated G needs matching 1-d arrays, length >= 3")
-        if not (np.isfinite(omega).all() and np.isfinite(g).all()):
-            raise ValueError("tabulated G must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("tabulated G grid must be increasing")
         if np.any(g < 0):

@@ -49,6 +49,15 @@ def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
     raise QuadratureNotConverged(f"{what} still moving at {nt} grid points")
 
 
+def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:
+    """Matrix of int_0^tau |V(t0 + t)_jk|^2 dt (trapezoid on 513 points for a
+    time-dependent V)."""
+    if sys.constant_v or sys.v is None:
+        return tau * np.abs(sys.v_at(0.0)) ** 2
+    t = np.linspace(0.0, tau, 513)
+    return np.einsum("t,tjk->jk", _trapezoid_weights(t), np.abs(_v_samples(sys, t0, t)) ** 2)
+
+
 def jump_probability_general(sys: SystemSpec, det: DetectorModel,
                              i: int, alpha: int, f: int, alpha1: int,
                              t0: float = 0.0, rel_tol: float = 1e-6) -> float:
@@ -128,12 +137,7 @@ def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
     if s.Lambda * det.tau * abs(w_if) < 10.0:
         warnings.warn("Lambda*tau*|w_if| < 10: outside the strong-measurement window",
                       NotInZenoRegime)
-    if sys.constant_v or sys.v is None:
-        integral = det.tau * abs(sys.v_at(0.0)[ff, ii]) ** 2
-    else:
-        t = np.linspace(0.0, det.tau, 513)
-        vals = np.array([abs(sys.v_at(t0 + ti)[ff, ii]) ** 2 for ti in t])
-        integral = float(np.trapezoid(vals, t))
+    integral = _v2_integral(sys, det.tau, t0)[ff, ii]
     return 2.0 * integral / (sys.hbar ** 2 * s.Lambda * abs(w_if))
 
 
@@ -215,16 +219,9 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
     the diagonal collects the two loss sums over intermediate states, so
     columns sum to zero (probability conservation).
     """
-    d = sys.dim
     lv = sys.state_level
     w_lvl = sys.omega_level()
-    if sys.constant_v or sys.v is None:
-        iv = det.tau * np.abs(sys.v_at(0.0)) ** 2
-    else:
-        t = np.linspace(0.0, det.tau, 513)
-        wq = _trapezoid_weights(t)
-        vs = _v_samples(sys, t0, t)
-        iv = np.einsum("t,tjk->jk", wq, np.abs(vs) ** 2).real
+    iv = _v2_integral(sys, det.tau, t0)
     coupled = iv > 0.0
     np.fill_diagonal(coupled, False)
     same_level = lv[:, None] == lv[None, :]
@@ -233,18 +230,9 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
     if np.any(coupled & same_level):
         raise ZeroFrequency("V couples states within one level (w = 0)")
 
-    a = np.zeros((d, d))
-    hb2 = sys.hbar ** 2
-    for j in range(d):
-        for k in range(d):
-            if coupled[j, k]:
-                a[j, k] = 2.0 * iv[j, k] / (hb2 * abs(w_lvl[j, k]))
-    for j in range(d):
-        loss = 0.0
-        for s in range(d):
-            if coupled[s, j]:
-                loss += 2.0 * iv[s, j] / (hb2 * abs(w_lvl[s, j]))
-        a[j, j] = -loss
+    a = np.zeros_like(iv)
+    np.divide(2.0 * iv, sys.hbar ** 2 * np.abs(w_lvl), out=a, where=coupled)
+    a -= np.diag(a.sum(axis=0))
     return RateMatrix(a=a, Lambda=strength(det).Lambda, tau=det.tau)
 
 

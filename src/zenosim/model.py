@@ -21,6 +21,15 @@ from .errors import DimensionMismatch, NonIntegrableF, ZeroStrength
 from .qmat import require_hermitian
 
 
+def _all_finite(values, dtype=float) -> bool:
+    """Whether every entry is a finite number; an integer beyond the float
+    range is not."""
+    try:
+        return bool(np.isfinite(np.asarray(values, dtype=dtype)).all())
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class MeasurementStrength:
     """Width constant C of the correlation function and Lambda = lambda / C."""
@@ -51,7 +60,7 @@ class DetectorModel:
 
     def __post_init__(self):
         sigma = 1.0 if self.sigma is None else self.sigma
-        if not all(math.isfinite(x) for x in (self.lam, self.tau, sigma)):
+        if not _all_finite((self.lam, self.tau, sigma)):
             raise ValueError("lambda, tau and sigma must be finite")
         if self.lam < 0:
             raise ValueError("coupling lambda must be >= 0")
@@ -63,12 +72,12 @@ class DetectorModel:
             return
         if self.f_nu is None or self.f_values is None:
             raise ValueError("detector needs either sigma (gaussian) or a tabulated F")
+        if not (_all_finite(self.f_nu) and _all_finite(self.f_values, complex)):
+            raise ValueError("tabulated F must be finite")
         nu = np.asarray(self.f_nu, dtype=float)
         fv = np.asarray(self.f_values, dtype=complex)
         if nu.ndim != 1 or nu.shape != fv.shape or nu.size < 3:
             raise ValueError("tabulated F needs matching 1-d arrays of length >= 3")
-        if not (np.isfinite(nu).all() and np.isfinite(fv).all()):
-            raise ValueError("tabulated F must be finite")
         if np.any(np.diff(nu) <= 0):
             raise ValueError("tabulated F grid must be strictly increasing")
         object.__setattr__(self, "f_nu", nu)
@@ -89,9 +98,7 @@ def gaussian_detector(sigma: float, lam: float, tau: float) -> DetectorModel:
 
 
 def custom_detector(nu: Sequence[float], f: Sequence[complex], lam: float, tau: float) -> DetectorModel:
-    return DetectorModel(lam=lam, tau=tau, sigma=None,
-                         f_nu=np.asarray(nu, dtype=float),
-                         f_values=np.asarray(f, dtype=complex))
+    return DetectorModel(lam=lam, tau=tau, sigma=None, f_nu=nu, f_values=f)
 
 
 def correlation(d: DetectorModel, nu):
@@ -161,6 +168,9 @@ class SystemSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not (_all_finite(self.levels) and _all_finite(self.hbar) and all(
+                _all_finite(al) for al in self.alpha_energies or ())):
+            raise ValueError("levels, auxiliary energies and hbar must be finite")
         levels = tuple(float(e) for e in self.levels)
         if len(levels) < 2:
             raise ValueError("need at least two levels")
@@ -174,8 +184,6 @@ class SystemSpec:
                 raise ValueError("every level needs at least one auxiliary state")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "alpha_energies", alphas)
-        if not np.isfinite(levels + sum(alphas, ()) + (self.hbar,)).all():
-            raise ValueError("levels, auxiliary energies and hbar must be finite")
         if self.hbar <= 0:
             raise ValueError("hbar must be > 0")
         if self.v is not None and not callable(self.v):

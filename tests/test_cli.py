@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenosim.cli import (
     load_config,
@@ -26,6 +28,14 @@ FIG1_CONFIG = {
     "detector": {"sigma": 1.0, "lambda": 50.0, "tau": 0.1},
     "n_measurements": 400,
     "output_path": "fig1.csv",
+}
+
+
+DUMP_CONFIG = {
+    "experiment": "channel_dump",
+    "system": {"V": {"omega": 2.0, "v_re": 1.0}},
+    "detector": {"sigma": 1.0, "lambda": 50.0, "tau": 0.1},
+    "nodes": 256,
 }
 
 
@@ -83,6 +93,19 @@ class TestParseConfig:
         with pytest.raises(ParseError) as err:
             parse_config("{ not json }")
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("twolevel", "t0"), ("channel_dump", "n_measurements"),
+        ("decay_sweep", "nodes"), ("spectrum", "t0"), ("spectrum", "n_measurements")])
+    def test_unused_top_level_key_rejected(self, experiment, key):
+        cfg = {"twolevel": FIG1_CONFIG, "channel_dump": DUMP_CONFIG,
+               "decay_sweep": decay_config(), "spectrum": spectrum_config()}[experiment]
+        cfg = dict(cfg, **{key: 0.5})
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(cfg))
+        assert f"'{key}' is not used by experiment '{experiment}'" in err.value.violations
+        # the value is still checked
+        assert any(f"'{key}' must be" in v for v in err.value.violations) == (key != "t0")
 
     def test_levels_consistency(self):
         cfg = json.loads(json.dumps(FIG1_CONFIG))
@@ -326,13 +349,7 @@ class TestMainEntry:
         assert f"'{name}' must be" in capsys.readouterr().err
 
     def test_dump_channel(self, tmp_path):
-        cfg = {
-            "experiment": "channel_dump",
-            "system": {"V": {"omega": 2.0, "v_re": 1.0}},
-            "detector": {"sigma": 1.0, "lambda": 50.0, "tau": 0.1},
-            "nodes": 256,
-        }
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, DUMP_CONFIG)
         out = str(tmp_path / "chan.bin")
         assert main(["dump-channel", "--config", path, "--out", out]) == 0
         tensor, info = load_channel(out)
@@ -342,6 +359,39 @@ class TestMainEntry:
         ch = build_exact(TwoLevelPreset(2.0, 1.0).to_system(),
                          gaussian_detector(1.0, 50.0, 0.1))
         assert np.abs(tensor - ch.tensor).max() < 1e-6
+
+    @pytest.mark.parametrize("command, cfg, nodes, message", [
+        ("twolevel", FIG1_CONFIG, "3", "'--nodes' must be an integer >= 8"),
+        ("twolevel", FIG1_CONFIG, "-1", "'--nodes' must be an integer >= 8"),
+        ("dump-channel", DUMP_CONFIG, "7", "'--nodes' must be an integer >= 8"),
+        ("decay", decay_config(), "64", "'--nodes' is not used by experiment 'decay_sweep'"),
+        ("spectrum", spectrum_config(), "64", "'--nodes' is not used by experiment 'spectrum'"),
+    ])
+    def test_nodes_flag_checked(self, tmp_path, capsys, command, cfg, nodes, message):
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, "--out", str(tmp_path / "x.csv"), "--nodes", nodes]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, block, key, value, message", [
+        ("decay", decay_config, "reservoir", "kind", [1, 2], "'reservoir.kind' must be one of"),
+        ("decay", decay_config, "reservoir", "kind", {}, "'reservoir.kind' must be one of"),
+        ("decay", decay_config, "sweep", "points", None, "'sweep.points' must be an integer"),
+        ("spectrum", spectrum_config, "grid", "points", None, "'grid.points' must be an integer"),
+    ], ids=["kind-list", "kind-object", "sweep-points-null", "grid-points-null"])
+    def test_wrong_typed_values_exit_code(self, tmp_path, capsys, command, cfg, block, key,
+                                          value, message):
+        cfg = cfg()
+        cfg[block] = dict(cfg[block], **{key: value})
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(FIG1_CONFIG, n_measurements=5))
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["twolevel", "--config", path, "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_seedless_flag_accepted(self, tmp_path):
         cfg = dict(FIG1_CONFIG, n_measurements=5)
@@ -365,3 +415,59 @@ class TestShippedConfigs:
             cfg = load_config(str(path))
             assert cfg.experiment in ("twolevel", "decay_sweep",
                                       "spectrum", "channel_dump")
+
+
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+            | st.floats() | st.text(max_size=4))
+_JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3))
+
+
+def _reference_configs():
+    import pathlib
+    cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    return ([(p.stem, json.loads(p.read_text())) for p in sorted(cfg_dir.glob("*.json"))]
+            + [("FIG1_CONFIG", FIG1_CONFIG), ("DUMP_CONFIG", DUMP_CONFIG),
+               ("decay_config", decay_config()), ("spectrum_config", spectrum_config())])
+
+
+def _key_paths(cfg, prefix=()):
+    for key, val in cfg.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+class TestConfigFuzz:
+    """A reference config with one key dropped, a key added next to it or its
+    value set to any JSON value is parsed or rejected; the parser raises
+    nothing else.  Every key of the config is mutated in turn."""
+
+    @pytest.mark.parametrize("name, base", _reference_configs(),
+                             ids=[name for name, _ in _reference_configs()])
+    def test_parse_config_only_raises_config_errors(self, name, base):
+        for path in _key_paths(base):
+            @settings(max_examples=20, deadline=None, derandomize=True, database=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(path=st.just(path), op=st.sampled_from(["drop", "add", "set"]),
+                   key=st.text(max_size=8), value=_JSON_VALUES)
+            def mutate_and_parse(path, op, key, value):
+                cfg = json.loads(json.dumps(base))
+                block = cfg
+                for k in path[:-1]:
+                    block = block[k]
+                if op == "drop":
+                    del block[path[-1]]
+                elif op == "set":
+                    block[path[-1]] = value
+                else:  # a new key inside the block at path, or next to the key
+                    target = block[path[-1]]
+                    (target if isinstance(target, dict) else block)[key] = value
+                try:
+                    parse_config(json.dumps(cfg))
+                except (ParseError, ValidationError):
+                    pass
+
+            mutate_and_parse()

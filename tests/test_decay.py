@@ -155,7 +155,7 @@ class TestReservoirSpectrum:
             ReservoirSpectrum.tabulated([0.0, 1.0, 2.0], [0.1, -0.2, 0.1])
 
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     def test_rejects_non_finite(self, bad):
         for make in (lambda: ReservoirSpectrum.flat(bad),
                      lambda: ReservoirSpectrum.flat(0.01, hbar=bad),

@@ -234,11 +234,49 @@ class TestRateMatrix:
         off = rm.a - np.diag(np.diag(rm.a))
         assert np.all(off >= 0.0)
 
+    def test_matches_elementwise_loops(self):
+        rng = np.random.default_rng(29)
+        v = random_hermitian(rng, 5, 0.4)
+        v[1, 2] = v[2, 1] = 0.0  # an uncoupled pair
+        v[3, 4] = v[4, 3] = 0.0  # auxiliary states of one level
+        sys = SystemSpec(levels=(0.0, 1.0, 2.5, 4.0), v=v, hbar=0.8,
+                         alpha_energies=((0.0,), (0.0,), (0.0,), (0.0, 0.3)))
+        iv = FIG1_DET.tau * np.abs(v) ** 2
+        w = sys.omega_level()
+        ref = np.zeros((5, 5))
+        for j in range(5):
+            for k in range(5):
+                if j != k and iv[j, k] > 0.0:
+                    ref[j, k] = 2.0 * iv[j, k] / (sys.hbar ** 2 * abs(w[j, k]))
+        for j in range(5):
+            loss = 0.0
+            for s in range(5):
+                loss += ref[s, j]
+            ref[j, j] = -loss
+        np.testing.assert_array_equal(rate_matrix(sys, FIG1_DET).a, ref)
+
     def test_degenerate_coupled_pair_rejected(self):
         v = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(1.0, 1.0), v=v)
         with pytest.raises(ZeroFrequency):
             rate_matrix(sys, FIG1_DET)
+
+    def test_gains_match_strong_jump_probabilities_time_dependent_v(self):
+        rng = np.random.default_rng(5)
+        h1, h2 = random_hermitian(rng, 3, 0.3), random_hermitian(rng, 3, 0.3)
+        np.fill_diagonal(h1, 0.0)
+        np.fill_diagonal(h2, 0.0)
+        sys = SystemSpec(levels=(0.0, 1.1, 2.7),
+                         v=lambda t: h1 * np.cos(3.0 * t) + h2 * np.sin(1.7 * t))
+        det = gaussian_detector(sigma=0.7, lam=300.0, tau=0.9)
+        rm = rate_matrix(sys, det, t0=0.37)
+        lam_big = strength(det).Lambda
+        for i in range(3):
+            for f in range(3):
+                if i != f:
+                    w = jump_probability_strong(sys, det, i, 0, f, 0, t0=0.37)
+                    assert w * lam_big == pytest.approx(rm.a[f, i], rel=1e-13)
+        np.testing.assert_allclose(rm.a.sum(axis=0), np.zeros(3), atol=1e-14)
 
 
 class TestTwoLevelReferences:

@@ -129,21 +129,21 @@ class TestDetectorValidation:
             custom_detector(nu, f, lam=1.0, tau=1.0)
 
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.parametrize("field", ["sigma", "lam", "tau"])
     def test_rejects_non_finite_parameter(self, field, bad):
         kwargs = {"sigma": 1.0, "lam": 1.0, "tau": 1.0, field: bad}
         with pytest.raises(ValueError):
             gaussian_detector(**kwargs)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     def test_rejects_non_finite_table(self, bad):
-        nu = np.linspace(-2, 2, 41)
-        f = np.exp(-nu ** 2)
+        nu = list(np.linspace(-2, 2, 41))
+        f = list(np.exp(-np.array(nu) ** 2))
         with pytest.raises(ValueError):
-            custom_detector(np.where(nu == nu[0], bad, nu), f, lam=1.0, tau=1.0)
+            custom_detector([bad] + nu[1:], f, lam=1.0, tau=1.0)
         with pytest.raises(ValueError):
-            custom_detector(nu, np.where(nu == nu[5], bad, f), lam=1.0, tau=1.0)
+            custom_detector(nu, f[:5] + [bad] + f[6:], lam=1.0, tau=1.0)
 
 
 class TestPointerStates:
@@ -197,7 +197,8 @@ class TestSystemSpec:
         assert w_lvl[1, 0] == 0.0  # same level, alpha ignored
         assert w_full[1, 0] == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="huge_int")])
     def test_rejects_non_finite_energies(self, bad):
         with pytest.raises(ValueError):
             SystemSpec(levels=(0.0, bad))
