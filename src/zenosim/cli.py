@@ -109,8 +109,8 @@ class ExperimentConfig:
 
 def _value(val, rule, name: str, errors: list, required: bool = True):
     """val if it keeps its rule, else None with the violation reported."""
-    if val is None and not required and rule not in ("", "> 0", ">= 0"):
-        return None  # null leaves an optional integer or string unset
+    if val is None and not required:
+        return None  # null means absent for every optional key
     if rule == "string":
         ok, want = isinstance(val, str), "a string"
     elif isinstance(rule, int):
@@ -159,7 +159,16 @@ def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: 
             if rule:
                 _walk(sub, rule, name + ".", experiment, errors, values)
         elif key in block and rule is not None:
-            values[name] = _value(block[key], rule, name, errors, required)
+            val = _value(block[key], rule, name, errors, required)
+            if val is not None:  # null or broken: the default holds
+                values[name] = val
+
+
+def _without_nulls(block: dict) -> dict:
+    """block without its null entries at any depth: null means absent (a
+    clean walk leaves nulls only at optional keys)."""
+    return {key: _without_nulls(val) if isinstance(val, dict) else val
+            for key, val in block.items() if val is not None}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -178,11 +187,11 @@ def parse_config(text: str) -> ExperimentConfig:
     errors: list[str] = []
     values: dict = {}
     experiment = raw.get("experiment")
-    if experiment is not None and experiment not in EXPERIMENTS:
+    if "experiment" in raw and experiment not in EXPERIMENTS:  # null included
         errors.append(f"'experiment' must be one of {EXPERIMENTS}, got {experiment!r}")
     keys = SCHEMA[experiment][2] if experiment in EXPERIMENTS else _UNKNOWN
     _walk(raw, {**_COMMON, **keys}, "", experiment, errors, values)
-    hbar = values.get("hbar") or 1.0
+    hbar = values.get("hbar", 1.0)
 
     levels = values.get("system", {}).get("levels")
     omega = values.get("system.V.omega")
@@ -210,8 +219,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if errors:
         raise ValidationError(errors)
-    blocks = {b: values.get(b, {}) for b in ("system", "reservoir", "transition", "sweep", "grid")}
-    return ExperimentConfig(experiment=experiment, hbar=hbar, detector=values["detector"],
+    blocks = {b: _without_nulls(values.get(b, {}))
+              for b in ("detector", "system", "reservoir", "transition", "sweep", "grid")}
+    return ExperimentConfig(experiment=experiment, hbar=hbar,
                             n_measurements=values.get("n_measurements"),
                             t0=values.get("t0", 0.0), nodes=values.get("nodes"),
                             output_path=values.get("output_path"), raw=raw, **blocks)
@@ -390,7 +400,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(command)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--nodes", type=int, default=None)
+        p.add_argument("--nodes", default=None)
         p.add_argument("--seedless", action="store_true",
                        help="assert deterministic mode (always on; kept for "
                             "interface stability)")
@@ -409,7 +419,11 @@ def main(argv=None) -> int:
         kwargs = {"nodes": cfg.nodes} if "nodes" in keys else {}
         if args.nodes is not None:  # the flag obeys the rule of the nodes key
             errors = [] if kwargs else [f"'--nodes' is not used by experiment {experiment!r}"]
-            kwargs["nodes"] = _value(args.nodes, _RULES["nodes"], "--nodes", errors)
+            try:
+                nodes = int(args.nodes)
+            except ValueError:
+                nodes = args.nodes  # not an integer: reported by _value
+            kwargs["nodes"] = _value(nodes, _RULES["nodes"], "--nodes", errors)
             if errors:
                 raise ValidationError(errors)
         # looked up by name at call time, so a rebound module attribute is called

@@ -1,5 +1,6 @@
 """Config parsing, experiment runners, CSV output, exit codes."""
 
+import dataclasses
 import json
 import math
 import time
@@ -106,6 +107,22 @@ class TestParseConfig:
         assert f"'{key}' is not used by experiment '{experiment}'" in err.value.violations
         # the value is still checked
         assert any(f"'{key}' must be" in v for v in err.value.violations) == (key != "t0")
+
+    def test_null_optional_keys_take_their_defaults(self):
+        cfg = json.loads(json.dumps(DUMP_CONFIG))
+        cfg.update(hbar=None, t0=None, nodes=None, output_path=None)
+        cfg["system"]["V"]["v_im"] = None
+        parsed = parse_config(json.dumps(cfg))
+        assert (parsed.hbar, parsed.t0, parsed.nodes, parsed.output_path) == (1.0, 0.0, None, None)
+        assert parsed.system == {"V": {"omega": 2.0, "v_re": 1.0}}
+        assert parsed.raw == cfg  # the echo keeps the config as given
+
+    def test_null_experiment_rejected(self):
+        # null means absent only for optional keys
+        cfg = {"experiment": None, "detector": FIG1_CONFIG["detector"]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(cfg))
+        assert any(v.startswith("'experiment' must be one of") for v in err.value.violations)
 
     def test_levels_consistency(self):
         cfg = json.loads(json.dumps(FIG1_CONFIG))
@@ -366,6 +383,10 @@ class TestMainEntry:
         ("dump-channel", DUMP_CONFIG, "7", "'--nodes' must be an integer >= 8"),
         ("decay", decay_config(), "64", "'--nodes' is not used by experiment 'decay_sweep'"),
         ("spectrum", spectrum_config(), "64", "'--nodes' is not used by experiment 'spectrum'"),
+        ("twolevel", FIG1_CONFIG, "8.5", "'--nodes' must be an integer >= 8"),
+        ("twolevel", FIG1_CONFIG, "1e3", "'--nodes' must be an integer >= 8"),
+        ("dump-channel", DUMP_CONFIG, "many", "'--nodes' must be an integer >= 8"),
+        ("dump-channel", DUMP_CONFIG, "", "'--nodes' must be an integer >= 8"),
     ])
     def test_nodes_flag_checked(self, tmp_path, capsys, command, cfg, nodes, message):
         path = write_config(tmp_path, cfg)
@@ -471,3 +492,25 @@ class TestConfigFuzz:
                     pass
 
             mutate_and_parse()
+
+    @pytest.mark.parametrize("name, base", _reference_configs(),
+                             ids=[name for name, _ in _reference_configs()])
+    def test_null_means_absent(self, name, base):
+        # null for a key parses exactly like dropping it, or both are rejected
+        def parse(cfg):
+            try:
+                return dataclasses.replace(parse_config(json.dumps(cfg)), raw={})
+            except ValidationError:
+                return None
+
+        for path in _key_paths(base):
+            dropped, nulled = json.loads(json.dumps(base)), json.loads(json.dumps(base))
+            for cfg in (dropped, nulled):
+                block = cfg
+                for k in path[:-1]:
+                    block = block[k]
+                if cfg is dropped:
+                    del block[path[-1]]
+                else:
+                    block[path[-1]] = None
+            assert parse(nulled) == parse(dropped), path

@@ -1,18 +1,26 @@
 """Line shapes, decay rates, and the reservoir-traced effective channel."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
+from zenosim import decay
 from zenosim.errors import GridTooNarrow, NotInZenoRegime, ReservoirGridTooCoarse
-from zenosim.model import gaussian_detector, strength
+from zenosim.model import custom_detector, gaussian_detector, strength
 from zenosim.superop import build_second_order
 from zenosim.decay import (
     LineShape,
     ReservoirSpectrum,
-    _line_shape_stepwise,
+    _filon_transform,
+    _line_kernel,
+    _line_scales,
+    _line_time_grid,
     build_decay_system,
     decay_rate,
     effective_channel,
@@ -34,6 +42,30 @@ SQRT_PI_OVER_2 = 1.2533141373155003
 
 def det_for(lam_big, tau, sigma=1.0):
     return gaussian_detector(sigma=sigma, lam=lam_big * sigma * SQRT_PI_OVER_2, tau=tau)
+
+
+def tabulated_gaussian(lam, tau):
+    nu = np.linspace(-10.0, 10.0, 8001)
+    return custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=lam, tau=tau)
+
+
+def _line_shape_stepwise(omega, omega_if, det, tau):
+    """P(omega) by a plain trapezoid whose step resolves both the decay scale
+    of F and the oscillation scale 1/|omega - omega_if|: an oracle for the
+    Filon path whose cost grows with detuning, so keep |omega - omega_if|
+    moderate."""
+    delta = float(omega) - omega_if
+    _, t_f = _line_scales(omega_if, det, tau)
+    step_scales = [tau / 64.0]
+    if math.isfinite(t_f):
+        step_scales.append(t_f)
+    if delta != 0.0:
+        step_scales.append(1.0 / abs(delta))
+    dt = min(step_scales) / 10.0
+    n = int(math.ceil(tau / dt))
+    t = np.linspace(0.0, tau, n + 1)
+    integrand = _line_kernel(omega_if, det, tau, t) * np.exp(1j * delta * t)
+    return float(trapezoid(integrand, t).real) / math.pi
 
 
 class TestLineShape:
@@ -62,10 +94,13 @@ class TestLineShape:
         assert peak == pytest.approx(1.0 / (math.pi * lam_big * 2.0), rel=0.02)
 
     def test_closed_form_cross_validation(self):
-        for lam, tau, w_if in [(50.0, 0.1, 2.0), (6.0, 0.25, 1.0),
-                               (25.0, 0.5, 4.0), (0.0, 0.2, 2.0)]:
+        near = np.linspace(-200.0, 200.0, 801)
+        for lam, tau, w_if, grid in [
+                (50.0, 0.1, 2.0, 2.0 + near), (6.0, 0.25, 1.0, 1.0 + near),
+                (25.0, 0.5, 4.0, 4.0 + near), (0.0, 0.2, 2.0, 2.0 + near),
+                # the grid of configs/spectrum_strong.json
+                (50.0, 1.0, 2.0, np.linspace(-1400.0, 1404.0, 30001))]:
             det = gaussian_detector(1.0, lam, tau)
-            grid = w_if + np.linspace(-200.0, 200.0, 801)
             p_filon = line_shape(grid, w_if, det, tau)
             p_closed = line_shape_closed_form(grid, w_if, det, tau)
             # the quadrature path certifies 1e-6 relative to the peak
@@ -84,9 +119,7 @@ class TestLineShape:
         assert abs(ls.normalization() - 1.0) < 1e-4
 
     def test_tabulated_f_matches_gaussian_kind(self):
-        from zenosim.model import custom_detector
-        nu = np.linspace(-10.0, 10.0, 8001)
-        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=10.0, tau=0.3)
+        det_tab = tabulated_gaussian(lam=10.0, tau=0.3)
         det_g = gaussian_detector(sigma=1.0, lam=10.0, tau=0.3)
         grid = 2.0 + np.linspace(-60.0, 60.0, 601)
         p_tab = line_shape(grid, 2.0, det_tab, 0.3)
@@ -94,9 +127,7 @@ class TestLineShape:
         assert np.abs(p_tab - p_g).max() < 1e-5 * p_g.max()
 
     def test_normalization_custom_f(self):
-        from zenosim.model import custom_detector
-        nu = np.linspace(-10.0, 10.0, 8001)
-        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=10.0, tau=0.3)
+        det_tab = tabulated_gaussian(lam=10.0, tau=0.3)
         ls = LineShape.build(2.0, det_tab, 0.3)
         assert abs(ls.normalization() - 1.0) < 1e-4
 
@@ -121,6 +152,67 @@ class TestLineShape:
             p = line_shape(grid, 2.0, det, 2.0)
             ratios.append(fwhm(grid, p) / s)
         assert max(ratios) / min(ratios) < 1.25
+
+
+class TestFilonChirp:
+    """Uniform delta grids take Bluestein's chirp-z path for the Filon phase
+    sums; every other delta set takes the dense phase matrix."""
+
+    @staticmethod
+    def _both_paths(tabulated, lam, tau, refine, deltas):
+        """The Filon transform of the line kernel on the uniform grid deltas
+        by the chirp path and by the dense path, and its value at delta = 0."""
+        det = tabulated_gaussian(lam, tau) if tabulated else gaussian_detector(1.0, lam, tau)
+        t = _line_time_grid(2.0, det, tau, refine)
+        g = _line_kernel(2.0, det, tau, t)
+        with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+            fast = _filon_transform(g, t, deltas)
+            # one point off the progression sends the same deltas down the dense path
+            off = deltas[0] + 0.5 * (deltas[1] - deltas[0])
+            dense = _filon_transform(g, t, np.append(deltas, off))[:-1]
+        assert chirp.call_count == 1
+        return fast, dense, abs(_filon_transform(g, t, np.zeros(1))[0])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 5.0, 50.0]),
+           tau=st.sampled_from([0.1, 1.0, 3.0]), refine=st.sampled_from([1, 2, 4]),
+           m=st.sampled_from([3, 7, 100, 2000, 8000]), d0=st.floats(-1500.0, 1500.0),
+           step=st.floats(1e-3, 5.0), descending=st.booleans())
+    def test_chirp_matches_dense(self, tabulated, lam, tau, refine, m, d0, step, descending):
+        step = -step if descending else step
+        deltas = np.linspace(d0, d0 + (m - 1) * step, m)
+        fast, dense, _ = self._both_paths(tabulated, lam, tau, refine, deltas)
+        assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 0.5, 5.0]),
+           tau=st.sampled_from([0.1, 1.0, 10.0]), refine=st.sampled_from([1, 8]),
+           m=st.sampled_from([3, 8, 50]), step=st.floats(1e4, 1e6),
+           centre=st.floats(-0.5, 0.5))
+    def test_chirp_matches_dense_on_sparse_wide_grids(self, tabulated, lam, tau, refine,
+                                                      m, step, centre):
+        # few deltas spread over up to +-2.5e7: the chirp phase theta j^2 / 2
+        # reaches ~1e10 rad, far beyond the dense path's largest delta t_end.
+        # Both paths then err by ~1e-12 of the value at delta = 0, the scale
+        # line_shape certifies against, not of the small tail values here.
+        d0 = (centre - 0.5) * (m - 1) * step
+        deltas = np.linspace(d0, d0 + (m - 1) * step, m)
+        fast, dense, peak = self._both_paths(tabulated, lam, tau, refine, deltas)
+        assert np.abs(fast - dense).max() <= 1e-10 * peak
+
+    def test_only_uniform_grids_take_the_chirp_path(self):
+        det = gaussian_detector(1.0, 20.0, 0.3)
+        t = _line_time_grid(2.0, det, 0.3)
+        g = _line_kernel(2.0, det, 0.3, t)
+        uniform = np.linspace(-50.0, 50.0, 101)
+        nudged = uniform.copy()
+        nudged[40] += 1e-6
+        union = np.unique(np.concatenate([uniform, np.geomspace(1.0, 500.0, 40)]))
+        for deltas, calls in ((uniform, 1), (uniform[::-1], 1), (uniform[:3], 1),
+                              (uniform[:2], 0), (nudged, 0), (union, 0)):
+            with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+                _filon_transform(g, t, deltas)
+            assert chirp.call_count == calls, deltas.size
 
 
 class TestReservoirSpectrum:
