@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import trapezoid
 from scipy.special import dawsn, sici, wofz
@@ -615,7 +616,6 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     nt = t.size
 
     e_mat = np.exp(1j * np.outer(np.linspace(-tau, tau, 2 * nt - 1), e_alpha) / hbar)
-    lag = np.subtract.outer(np.arange(nt), np.arange(nt)) + nt - 1  # u = t_i - t_j
     # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
     blocks = sys.v_at(0.0).reshape(k_lvl, n_alpha, k_lvl, n_alpha)
     osc = np.exp(1j * w_at[:, :, None] * t)
@@ -625,13 +625,13 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         return v_ab * osc[a, b] if v_ab != 0 else None
 
     def path(into, out):
-        # vacuum of b -> modes of a, then modes of e -> vacuum of c; the sum over
-        # modes becomes a correlation of the couplings on the time-difference grid
+        # vacuum of b -> modes of a, then modes of e -> vacuum of c; the sum over modes
+        # becomes a correlation on the lag grid, g[i, j] = corr(t_i - t_j) a Toeplitz view
         (a, b), (c, e) = into, out
         coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
         if not np.any(coeff):
             return None
-        return osc[a, b], osc[c, e], (e_mat @ coeff)[lag]
+        return osc[a, b], osc[c, e], sliding_window_view(e_mat @ coeff, nt)[:, ::-1]
 
     s_ef = build_unperturbed(atom, det).tensor + _dyson_second_order(
         np.exp(1j * w_at.T * tau), w_at, det, hbar, t, first, path)

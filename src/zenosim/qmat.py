@@ -75,7 +75,7 @@ def apply_super(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"density matrix shape {rho.shape} does not match tensor dimension {s.shape[0]}"
         )
-    out = np.einsum("prnm,nm->pr", s, rho)
+    out = (s.reshape(rho.size, rho.size) @ rho.ravel()).reshape(rho.shape)  # Liouville form
     return 0.5 * (out + out.conj().T)
 
 

@@ -27,13 +27,15 @@ from scipy.special import roots_hermite
 
 from .errors import (
     DimensionMismatch,
+    InvalidDensityMatrix,
     PropagationStepTooCoarse,
     QuadratureNotConverged,
     StepCountTooSmall,
     TraceDrift,
 )
 from .model import DetectorModel, SystemSpec, correlation
-from .qmat import apply_super, check_density_matrix, trace_sum_rule_defect, unitary_exp_stack
+from .qmat import (EIG_FLOOR, apply_super, check_density_matrix, trace_sum_rule_defect,
+                   unitary_exp_stack)
 
 EXACT_QUADRATURE = "exact_quadrature"
 UNPERTURBED = "unperturbed"
@@ -143,8 +145,10 @@ def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
 
 def _tensor_from_rule(sys: SystemSpec, det: DetectorModel, t0: float,
                       rule: QuadratureRule, substeps: int) -> np.ndarray:
-    u = _propagators(sys, det, t0, rule, substeps)
-    return np.einsum("k,kpn,krm->prnm", rule.weights, u, u.conj())
+    u = _propagators(sys, det, t0, rule, substeps).reshape(len(rule), -1)
+    # sum_k w_k u_k[p, n] conj(u_k[r, m]) as one (d^2, K) @ (K, d^2) product
+    pn_rm = (rule.weights[:, None] * u).T @ u.conj()
+    return np.ascontiguousarray(pn_rm.reshape((sys.dim,) * 4).transpose(0, 2, 1, 3))
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -267,9 +271,7 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
     w1 = _trapezoid_weights(t)
     tri = _triangle_weights(t)
     s = np.zeros((k,) * 4, dtype=complex)
-
-    def kernel(w_rp, w_t1, w_t2):
-        return correlation(det, lam * (w_rp * tau + np.add.outer(w_t1 * t, w_t2 * t)))
+    nu, kw = np.empty((t.size,) * 2), np.empty((t.size,) * 2, dtype=complex)  # work buffers
 
     # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
     for a, b in product(range(k), repeat=2):
@@ -283,31 +285,41 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
             s[a, c, b, c] += phase_out[a, c] * ket[c] / (1j * hbar)
             s[c, b, c, a] -= phase_out[c, b] * bra[c] / (1j * hbar)
 
-    hb2 = hbar ** 2
+    # Each two-jump path adds coef * x_in @ (wt * g * F) @ x_out to one entry, F being the
+    # kernel of its frequency triple, built once per triple, and wt its weight matrix (None
+    # for the gain, whose weights are in x).  Paths sharing wt and g (by identity) stack.
+    groups = {}
+
+    def add(rp, t1, t2, wt, entry, coef, x_in, x_out, g):
+        by_weight = groups.setdefault((w_lvl[rp], w_lvl[t1], w_lvl[t2]), {})
+        by_weight.setdefault((id(wt), id(g)), (wt, g, []))[2].append((x_in, x_out, entry, coef))
+
     # gain: ket jump n -> p at t1, bra jump r -> m at t2
     for p, n, m, r in product(range(k), repeat=4):
         jumps = path((p, n), (m, r))
-        if jumps is None:
-            continue
-        x1, x2, g = jumps
-        kern = kernel(w_lvl[r, p], w_lvl[p, n], w_lvl[m, r])
-        if g is not None:
-            kern *= g
-        s[p, r, n, m] += phase_out[p, r] * ((w1 * x1) @ kern @ (w1 * x2)) / hb2
+        if jumps is not None:
+            x1, x2, g = jumps
+            add((r, p), (p, n), (m, r), None, (p, r, n, m), phase_out[p, r], w1 * x1, w1 * x2, g)
     # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
     # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
+    ket, bra = tri.T, tri  # one object each, since add() groups by identity
     for a, b, q in product(range(k), repeat=3):
         jumps = path((q, b), (a, q))
         if jumps is None:
             continue
-        x_in, x_out, g = jumps
-        ket = tri.T if g is None else tri.T * g
-        bra = tri if g is None else tri * g
         for c in range(k):
-            val = x_in @ (ket * kernel(w_lvl[c, a], w_lvl[q, b], w_lvl[a, q])) @ x_out
-            s[a, c, b, c] -= phase_out[a, c] * val / hb2
-            val = x_in @ (bra * kernel(w_lvl[b, c], w_lvl[q, b], w_lvl[a, q])) @ x_out
-            s[c, b, c, a] -= phase_out[c, b] * val / hb2
+            add((c, a), (q, b), (a, q), ket, (a, c, b, c), -phase_out[a, c], *jumps)
+            add((b, c), (q, b), (a, q), bra, (c, b, c, a), -phase_out[c, b], *jumps)
+
+    for (w_rp, w_t1, w_t2), by_weight in groups.items():
+        np.add.outer(lam * (w_rp * tau + w_t1 * t), lam * w_t2 * t, out=nu)
+        kern = correlation(det, nu)
+        for wt, g, terms in by_weight.values():
+            prod = kern if wt is None else np.multiply(kern, wt, out=kw)
+            prod = prod if g is None else np.multiply(prod, g, out=kw)
+            x_in, x_out, entries, coefs = zip(*terms)
+            vals = np.einsum("ij,ij->i", np.array(x_in) @ prod, np.array(x_out))
+            np.add.at(s, tuple(np.array(entries).T), np.array(coefs) * vals / hbar ** 2)
     return s
 
 
@@ -351,7 +363,8 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
 
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
-    Raises TraceDrift if any step's trace leaves 1 by more than trace_tol.
+    Raises TraceDrift if any step's trace leaves 1 by more than trace_tol, and
+    InvalidDensityMatrix if every 64th or the last state dips below EIG_FLOOR.
     """
     if n < 1:
         raise ValueError("need at least one measurement")
@@ -360,10 +373,13 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     t0 = 0.0
     for k in range(n):
         ch = channel_factory(t0)
-        rho = ch.apply(rho)
+        rho = ch.apply(rho)  # Hermitian: apply_super averages with the adjoint
         drift = abs(rho.trace() - 1.0)
         if drift > trace_tol:
             raise TraceDrift(f"trace drifted by {drift:.3e} at measurement {k + 1}")
+        if ((k + 1) % 64 == 0 or k == n - 1) and (wmin := np.linalg.eigvalsh(rho)[0]) < EIG_FLOOR:
+            raise InvalidDensityMatrix(
+                f"smallest eigenvalue {wmin:.3e} < {EIG_FLOOR:.1e} at measurement {k + 1}")
         out[k] = rho
         t0 += ch.tau
     return out

@@ -365,6 +365,21 @@ class TestMainEntry:
         name = ".".join(k for k in where if isinstance(k, str))
         assert f"'{name}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [("twolevel", "fig1_twolevel"),
+                                               ("twolevel", "fig3_weak"),
+                                               ("dump-channel", "channel_fig1")])
+    def test_reference_output_identical_across_runs(self, tmp_path, command, name):
+        # multithreaded BLAS builds these channels; two runs must still agree byte
+        # for byte in the CSV or ZSCH output and in the sidecar
+        import pathlib
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        runs = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.out"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            runs.append((out.read_bytes(), (tmp_path / f"{run}.out.meta.json").read_bytes()))
+        assert runs[0][0] and runs[0] == runs[1]
+
     def test_dump_channel(self, tmp_path):
         path = write_config(tmp_path, DUMP_CONFIG)
         out = str(tmp_path / "chan.bin")

@@ -123,6 +123,18 @@ class TestApplySuper:
         out = apply_super(tensor, random_density(rng, 3))
         assert np.abs(out - out.conj().T).max() < 1e-14
 
+    def test_non_contiguous_view_matches_einsum(self):
+        # the Liouville matvec against the index contraction it replaces, on
+        # strided and transposed views that reshape has to copy
+        rng = np.random.default_rng(17)
+        base = rng.normal(size=(4, 4, 4, 8)) + 1j * rng.normal(size=(4, 4, 4, 8))
+        rho = random_density(rng, 4)
+        for tensor in (base[..., ::2], base[..., ::2].transpose(1, 0, 3, 2)):
+            assert not tensor.flags.c_contiguous
+            ref = np.einsum("prnm,nm->pr", tensor, rho)
+            ref = 0.5 * (ref + ref.conj().T)
+            assert np.abs(apply_super(tensor, rho) - ref).max() <= 1e-14
+
     def test_dimension_mismatch(self):
         tensor = np.zeros((3, 3, 3, 3), dtype=complex)
         with pytest.raises(DimensionMismatch):

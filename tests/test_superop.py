@@ -1,12 +1,19 @@
 """Measurement superoperator construction and composition."""
 
 import io
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zenosim import decay, superop
+from zenosim.decay import ReservoirSpectrum, build_decay_system, effective_channel
 from zenosim.errors import (
     DimensionMismatch,
+    InvalidDensityMatrix,
     StepCountTooSmall,
     TraceDrift,
 )
@@ -22,6 +29,8 @@ from zenosim.superop import (
     EXACT_QUADRATURE,
     MeasurementChannel,
     QuadratureRule,
+    _trapezoid_weights,
+    _triangle_weights,
     build_exact,
     build_second_order,
     build_unperturbed,
@@ -40,6 +49,81 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / rho.trace()
+
+
+def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
+    """Reference for superop._dyson_second_order: the same Dyson terms, with
+    the F kernel evaluated and contracted once per path in index order."""
+    lam, tau = det.lam, det.tau
+    k = phase_out.shape[0]
+    w1 = _trapezoid_weights(t)
+    tri = _triangle_weights(t)
+    s = np.zeros((k,) * 4, dtype=complex)
+
+    def kernel(w_rp, w_t1, w_t2):
+        return correlation(det, lam * (w_rp * tau + np.add.outer(w_t1 * t, w_t2 * t)))
+
+    # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
+    for a, b in product(range(k), repeat=2):
+        x = first(a, b)
+        if x is None:
+            continue
+        wx = w1 * x
+        ket = correlation(det, lam * (w_lvl[:, a][:, None] * tau + w_lvl[a, b] * t)) @ wx
+        bra = correlation(det, lam * (w_lvl[b][:, None] * tau + w_lvl[a, b] * t)) @ wx
+        for c in range(k):
+            s[a, c, b, c] += phase_out[a, c] * ket[c] / (1j * hbar)
+            s[c, b, c, a] -= phase_out[c, b] * bra[c] / (1j * hbar)
+
+    hb2 = hbar ** 2
+    # gain: ket jump n -> p at t1, bra jump r -> m at t2
+    for p, n, m, r in product(range(k), repeat=4):
+        jumps = path((p, n), (m, r))
+        if jumps is None:
+            continue
+        x1, x2, g = jumps
+        kern = kernel(w_lvl[r, p], w_lvl[p, n], w_lvl[m, r])
+        if g is not None:
+            kern *= g
+        s[p, r, n, m] += phase_out[p, r] * ((w1 * x1) @ kern @ (w1 * x2)) / hb2
+    # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
+    # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
+    for a, b, q in product(range(k), repeat=3):
+        jumps = path((q, b), (a, q))
+        if jumps is None:
+            continue
+        x_in, x_out, g = jumps
+        ket = tri.T if g is None else tri.T * g
+        bra = tri if g is None else tri * g
+        for c in range(k):
+            val = x_in @ (ket * kernel(w_lvl[c, a], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            s[a, c, b, c] -= phase_out[a, c] * val / hb2
+            val = x_in @ (bra * kernel(w_lvl[b, c], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            s[c, b, c, a] -= phase_out[c, b] * val / hb2
+    return s
+
+
+def _per_path(build, *args, **kwargs):
+    """The tensor of build(*args, **kwargs) with the reference Dyson kernel."""
+    with mock.patch.object(superop, "_dyson_second_order", _dyson_second_order_per_path), \
+            mock.patch.object(decay, "_dyson_second_order", _dyson_second_order_per_path):
+        return build(*args, **kwargs).tensor
+
+
+def random_v(rng, dim, scale):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    v = 0.5 * (m + m.conj().T)
+    np.fill_diagonal(v, 0.0)
+    return scale * v / np.abs(v).max()
+
+
+def random_kraus_channel(rng, dim, n_kraus, tau=0.1):
+    """A random trace-preserving, completely positive channel from an isometry."""
+    a = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
+    kraus = np.linalg.qr(a)[0].reshape(n_kraus, dim, dim)
+    tensor = np.einsum("ipn,irm->prnm", kraus, kraus.conj())
+    return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=0.0, tau=tau,
+                              certified_trace_err=trace_sum_rule_defect(tensor))
 
 
 def identity_channel(dim, tau=0.1):
@@ -153,6 +237,20 @@ class TestBuildExact:
         ch_g = build_exact(sys, det_g, rule=rule)
         assert np.abs(ch_tab.tensor - ch_g.tensor).max() < 1e-12
 
+    def test_contraction_matches_einsum_on_random_unitaries(self):
+        # the (d^2, K) @ (K, d^2) product against the index contraction it replaces
+        rng = np.random.default_rng(8)
+        rule = gauss_hermite_rule(24, q_std=1.0)
+        for d in (2, 5):
+            a = rng.normal(size=(len(rule), d, d)) + 1j * rng.normal(size=(len(rule), d, d))
+            u = np.linalg.qr(a)[0]
+            sys = SystemSpec(levels=tuple(float(e) for e in range(d)), v=np.zeros((d, d)))
+            with mock.patch.object(superop, "_propagators", return_value=u):
+                got = superop._tensor_from_rule(sys, FIG1_DET, 0.0, rule, 1)
+            want = np.einsum("k,kpn,krm->prnm", rule.weights, u, u.conj())
+            assert got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-15
+
     def test_time_dependent_v_against_second_order(self):
         vmat = 0.05 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: np.cos(3.0 * t) * vmat)
@@ -223,6 +321,53 @@ class TestBuildSecondOrder:
         with pytest.raises(StepCountTooSmall):
             build_second_order(FIG1_SYS, FIG1_DET, steps=8)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 4), uniform=st.booleans(), aux=st.booleans(),
+           timed=st.booleans(), tabulated=st.booleans(),
+           lam=st.sampled_from([0.0, 5.0, 20.0]), seed=st.integers(0, 2 ** 16))
+    def test_grouped_kernels_match_per_path(self, n, uniform, aux, timed, tabulated, lam,
+                                            seed):
+        rng = np.random.default_rng(seed)
+        levels = np.linspace(-2.0, 2.0, n) if uniform else np.sort(rng.uniform(-3.0, 3.0, n))
+        alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
+        vmat = random_v(rng, 2 * n if aux else n, 0.2)
+        v = (lambda t: np.cos(3.0 * t) * vmat) if timed else vmat
+        sys = SystemSpec(levels=tuple(levels), alpha_energies=alphas, v=v)
+        if tabulated:
+            nu = np.linspace(-10.0, 10.0, 2001)
+            det = custom_detector(nu, np.exp(-nu ** 2 / 2.0) * (1.0 + 0.2j * nu), lam, 0.1)
+        else:
+            det = gaussian_detector(1.0, lam, 0.1)
+        fast = build_second_order(sys, det, t0=0.3, steps=32).tensor
+        slow = _per_path(build_second_order, sys, det, t0=0.3, steps=32)
+        assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0, 30.0])
+    def test_grouped_effective_channel_matches_per_path(self, lam):
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
+        fast = effective_channel(dsys.sys, det, steps=96).tensor
+        slow = _per_path(effective_channel, dsys.sys, det, steps=96)
+        assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
+
+    def test_one_kernel_per_frequency_triple(self):
+        # uniform levels repeat their spacings, so many paths share a triple
+        k = 4
+        sys = SystemSpec(levels=(-1.5, -0.5, 0.5, 1.5), v=random_v(np.random.default_rng(3), k, 0.2))
+        w = sys.omega_level()
+        triples = {(w[r, p], w[p, n], w[m, r])
+                   for p, n, m, r in product(range(k), repeat=4) if p != n and m != r}
+        for a, b, q in product(range(k), repeat=3):
+            if q != b and a != q:
+                triples |= {(w[c, a], w[q, b], w[a, q]) for c in range(k)}
+                triples |= {(w[b, c], w[q, b], w[a, q]) for c in range(k)}
+        steps = 32
+        with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
+            build_second_order(sys, FIG1_DET, steps=steps)
+        kernels = [c for c in corr.call_args_list if np.shape(c.args[1]) == (steps + 1,) * 2]
+        assert len(kernels) == len(triples) < 2 * k ** 3 * (k - 1)
+
 
 class TestRepeat:
     def test_single_application(self):
@@ -256,6 +401,33 @@ class TestRepeat:
                                     t0=0.0, tau=0.1, certified_trace_err=0.0)
         with pytest.raises(TraceDrift):
             repeat(lambda t0: scaled, np.eye(2, dtype=complex) / 2.0, 3)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(2, 4), n_kraus=st.integers(1, 3), n=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_constant_channel_is_liouville_power(self, dim, n_kraus, n, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_kraus_channel(rng, dim, n_kraus)
+        rho0 = random_density(rng, dim)
+        traj = repeat(lambda t0: ch, rho0, n)
+        liouville = ch.tensor.reshape(dim * dim, dim * dim)
+        for k in {1, (n + 1) // 2, n}:
+            want = (np.linalg.matrix_power(liouville, k) @ rho0.ravel()).reshape(dim, dim)
+            assert np.abs(traj[k - 1] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, step", [(200, 64), (55, 55)])
+    def test_positivity_checked_every_64th_and_last_step(self, n, step):
+        # trace preserving but not positive: each step moves 0.01 of the trace
+        # from level 1 to level 0, so the state turns negative after step 50
+        eye = np.eye(2)
+        tensor = (np.einsum("pn,rm->prnm", eye, eye)
+                  + 0.01 * np.einsum("pr,nm->prnm", np.diag([1.0, -1.0]), eye)).astype(complex)
+        ch = MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=0.0, tau=0.1,
+                                certified_trace_err=trace_sum_rule_defect(tensor))
+        rho0 = np.eye(2, dtype=complex) / 2.0
+        with pytest.raises(InvalidDensityMatrix, match=f"at measurement {step}$"):
+            repeat(lambda t0: ch, rho0, n)
+        assert repeat(lambda t0: ch, rho0, 50)[-1, 1, 1].real == pytest.approx(0.0, abs=1e-12)
 
     def test_factory_receives_measurement_start_times(self):
         seen = []
