@@ -16,7 +16,6 @@ import json
 import math
 import sys as _sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,28 +329,24 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
                            int(cfg.sweep["points"]))
     c_const = strength(_detector(cfg, lam=0.0)).C
     r_golden = 2.0 * math.pi * res.g(omega_if) / hbar ** 2
-
-    def one(idx_lam):
-        idx, lam_big = idx_lam
+    rel_tol = 1e-4
+    rows, errors = [], []
+    for lam_big in lambdas:
         det = _detector(cfg, lam=lam_big * c_const)
         try:
-            rate = _decay.decay_rate(res, omega_if, det, tau, hbar)
+            rate, err = _decay._rate_and_error(res, omega_if, det, tau, hbar, rel_tol)
         except NumericalConvergenceError as exc:
             raise NumericalConvergenceError(
                 f"Lambda = {lam_big:.6g}: {exc}") from exc
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotInZenoRegime)
             r_zeno = _decay.zeno_limit_rate(res, omega_if, det, hbar)
-        return idx, lam_big, rate, r_zeno
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(one, enumerate(lambdas)))
-    results.sort(key=lambda r: r[0])
-    rows = [(lam, rate, r_golden, r_zeno) for _, lam, rate, r_zeno in results]
+        rows.append((lam_big, rate, r_golden, r_zeno))
+        errors.append(err)
     header = ["zeno-sim decay", f"config: {_config_echo(cfg)}",
               f"golden_rule: {_fmt(r_golden)}"]
     _write_csv(out, header, ["Lambda", "R", "R_golden", "R_zeno_limit"], rows)
-    _write_sidecar(out, cfg, {"rel_tol": 1e-4})
+    _write_sidecar(out, cfg, {"rel_tol": rel_tol, "rel_err_reached": errors})
     return out
 
 

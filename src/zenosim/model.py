@@ -106,7 +106,9 @@ def correlation(d: DetectorModel, nu):
     nu = np.asarray(nu, dtype=float)
     if d.kind == "gaussian":
         out = np.zeros(nu.shape, dtype=complex)
-        np.exp(-(nu ** 2) / (2.0 * d.sigma ** 2), out=out.real)
+        arg = nu ** 2
+        arg /= -2.0 * d.sigma ** 2
+        np.exp(arg, out=out.real)
     else:
         re = np.interp(nu, d.f_nu, d.f_values.real, left=0.0, right=0.0)
         im = np.interp(nu, d.f_nu, d.f_values.imag, left=0.0, right=0.0)

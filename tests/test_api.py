@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import zenosim
 
 
@@ -17,10 +19,13 @@ def test_version():
     assert zenosim.__version__
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # importing scipy.signal adds about half a second to every CLI start
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_cli_import_leaves_module_unloaded(module):
+    # importing scipy.signal adds about half a second to every CLI start and
+    # scipy.integrate about a sixth of one
     src = pathlib.Path(zenosim.__file__).resolve().parent.parent
-    code = "import sys, zenosim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    code = ("import sys, zenosim.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({module!r})))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -233,6 +233,16 @@ class TestDecaySweepRunner:
         assert 0 < k < len(r) - 1
         assert r[k] > 1.5 * rows[0, columns.index("R_golden")]
 
+    def test_sidecar_reports_reached_error(self, tmp_path):
+        cfg = parse_config(json.dumps(decay_config()))
+        out = str(tmp_path / "anti.csv")
+        run_decay_sweep(cfg, out)
+        certified = json.load(open(out + ".meta.json"))["certified"]
+        reached = certified["rel_err_reached"]
+        # one entry per Lambda point, each within the tolerance asked for
+        assert len(reached) == cfg.sweep["points"]
+        assert all(0.0 <= err <= certified["rel_tol"] for err in reached)
+
     def test_zeno_limit_ratio(self, tmp_path):
         cfg = parse_config(json.dumps(decay_config(
             reservoir={"kind": "gaussian_peak", "B": 1e-3, "omega_R": 2.0, "w": 0.4},
@@ -367,9 +377,11 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command, name", [("twolevel", "fig1_twolevel"),
                                                ("twolevel", "fig3_weak"),
-                                               ("dump-channel", "channel_fig1")])
+                                               ("dump-channel", "channel_fig1"),
+                                               ("decay", "decay_sweep_anti_zeno"),
+                                               ("spectrum", "spectrum_strong")])
     def test_reference_output_identical_across_runs(self, tmp_path, command, name):
-        # multithreaded BLAS builds these channels; two runs must still agree byte
+        # multithreaded BLAS builds the channels; two runs must still agree byte
         # for byte in the CSV or ZSCH output and in the sidecar
         import pathlib
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"

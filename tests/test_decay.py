@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 
 from zenosim import decay
-from zenosim.errors import GridTooNarrow, NotInZenoRegime, ReservoirGridTooCoarse
-from zenosim.model import custom_detector, gaussian_detector, strength
+from zenosim.errors import (
+    GridTooNarrow,
+    NotInZenoRegime,
+    QuadratureNotConverged,
+    ReservoirGridTooCoarse,
+)
+from zenosim.model import correlation, custom_detector, gaussian_detector, strength
 from zenosim.superop import build_second_order
 from zenosim.decay import (
     LineShape,
     ReservoirSpectrum,
+    _filon_coeffs,
     _filon_transform,
     _line_kernel,
     _line_scales,
@@ -66,6 +72,56 @@ def _line_shape_stepwise(omega, omega_if, det, tau):
     t = np.linspace(0.0, tau, n + 1)
     integrand = _line_kernel(omega_if, det, tau, t) * np.exp(1j * delta * t)
     return float(trapezoid(integrand, t).real) / math.pi
+
+
+def _overlap_grid(res, omega_if, det, tau, scale):
+    """Union grid of the line core, the reservoir core and geometric ladders
+    out through both 1/delta^2 tails; scale refines every part."""
+    t_cut, t_f = _line_scales(omega_if, det, tau)
+    s_g = 0.0 if math.isinf(t_f) else 1.0 / t_f
+    x_line = max(10.0 * s_g, 60.0 / tau)
+    # window-truncation ripples (period 2 pi / tau) only exist while F has
+    # not decayed by the end of the measurement
+    ripple = abs(correlation(det, det.lam * abs(omega_if) * tau))
+    spacings = []
+    if s_g > 0:
+        spacings.append(s_g / 12.0)
+    if ripple > 1e-5 or s_g == 0.0:
+        spacings.append(2.0 * math.pi / (12.0 * tau))
+    d_line = min(spacings) / scale
+    parts = [omega_if + d_line * np.arange(-math.ceil(x_line / d_line),
+                                           math.ceil(x_line / d_line) + 1)]
+    w, c = res.width, res.omega_r
+    d_res = w / (24.0 * scale)
+    parts.append(c + d_res * np.arange(-math.ceil(12.0 * w / d_res),
+                                       math.ceil(12.0 * w / d_res) + 1))
+    if res.kind == "lorentzian":
+        far = 2.0e5 * w
+    elif res.kind == "gaussian_peak":
+        far = 20.0 * w
+    else:
+        far = float(res.tab_omega[-1] - res.tab_omega[0])
+    far = max(far, 3.0 * abs(c - omega_if) + x_line, 2.0 * x_line)
+    ratio = 1.06 ** (1.0 / min(scale, 4))
+    for center, start in ((c, 12.0 * w), (omega_if, x_line)):
+        n_geo = int(math.ceil(math.log(max(far / start, 2.0)) / math.log(ratio)))
+        ladder = start * ratio ** np.arange(n_geo + 1)
+        parts += [center - ladder, center + ladder]
+    return np.unique(np.concatenate(parts))
+
+
+def _decay_rate_overlap(res, omega_if, det, tau, hbar, rel_tol=1e-4):
+    """(2 pi / hbar^2) int G(w) P(w) dw by the trapezoid rule on the union
+    grid, doubled until stable: the frequency-domain oracle of decay_rate."""
+    prev = None
+    for scale in (1, 2, 4, 8, 16):
+        grid = _overlap_grid(res, omega_if, det, tau, scale)
+        p = line_shape(grid, omega_if, det, tau)
+        cur = 2.0 * math.pi * float(np.trapezoid(res.g(grid) * p, grid)) / hbar ** 2
+        if prev is not None and abs(cur - prev) <= rel_tol * abs(cur):
+            return cur
+        prev = cur
+    raise QuadratureNotConverged("overlap integral not stable under grid refinement")
 
 
 class TestLineShape:
@@ -152,6 +208,16 @@ class TestLineShape:
             p = line_shape(grid, 2.0, det, 2.0)
             ratios.append(fwhm(grid, p) / s)
         assert max(ratios) / min(ratios) < 1.25
+
+
+def test_filon_coeffs_match_segment_integrals():
+    # a 2-d theta mixing the series branch (|theta| < 1e-4) and the closed form
+    theta = np.array([[0.0, 3e-5, -9e-5, 0.02], [0.3, -2.0, 40.0, -300.0]])
+    a, b = _filon_coeffs(theta)
+    u = np.linspace(0.0, 1.0, 400001)
+    phase = np.exp(1j * theta[..., None] * u)
+    np.testing.assert_allclose(a, np.trapezoid((1.0 - u) * phase, u), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b, np.trapezoid(u * phase, u), rtol=0, atol=1e-9)
 
 
 class TestFilonChirp:
@@ -314,6 +380,74 @@ class TestDecayRate:
         r_tab = decay_rate(tab, 2.0, det, 1.0, HBAR)
         r_ana = decay_rate(analytic, 2.0, det, 1.0, HBAR)
         assert r_tab == pytest.approx(r_ana, rel=1e-3)
+
+    def test_lorentzian_matches_time_domain_quad(self):
+        # R = (2B/hbar) Re int_0^tau F(lambda w_if t)(1 - t/tau) e^{-gamma t}
+        # e^{i(w_R - w_if)t} dt by adaptive quadrature, on the anti-Zeno sweep
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
+        for lam_big in np.geomspace(1.5, 400.0, 13):
+            det = det_for(lam_big, 2.0)
+            a = (det.lam / det.sigma) ** 2 / 2.0
+            ref, _ = quad(lambda t: math.exp(-a * t * t - 10.0 * t) * (1.0 - t / 2.0),
+                          0.0, 2.0, weight="cos", wvar=50.0, epsabs=0.0, epsrel=1e-11,
+                          limit=500)
+            r = decay_rate(res, 1.0, det, 2.0, HBAR)
+            assert r == pytest.approx(2e-4 * ref, rel=2e-5)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["lorentzian", "gaussian_peak", "tabulated"]),
+           lam_big=st.floats(1.5, 300.0), tau=st.sampled_from([0.5, 1.0, 2.0]),
+           omega_if=st.sampled_from([1.0, 2.0]), width=st.sampled_from([0.3, 2.0, 10.0]),
+           offset=st.floats(-6.0, 6.0))
+    def test_matches_frequency_domain_overlap(self, kind, lam_big, tau, omega_if,
+                                              width, offset):
+        # reservoir maximum detuned by offset widths from the transition
+        omega_r = omega_if + offset * width
+        if kind == "lorentzian":
+            res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=omega_r, gamma=width)
+        else:
+            res = ReservoirSpectrum.gaussian_peak(b=1e-4, omega_r=omega_r, w=width)
+        if kind == "tabulated":
+            w_grid = np.linspace(omega_r - 8.0 * width, omega_r + 8.0 * width, 801)
+            g = res.g(w_grid)
+            g[0] = g[-1] = 0.0
+            res = ReservoirSpectrum.tabulated(w_grid, g)
+        det = det_for(lam_big, tau)
+        r = decay_rate(res, omega_if, det, tau, HBAR)
+        ref = _decay_rate_overlap(res, omega_if, det, tau, HBAR)
+        assert r == pytest.approx(ref, rel=2e-4)
+
+    def test_tabulated_reservoir_with_nonzero_edges(self):
+        # G jumps to 0 at both ends of a non-uniform table; the exchanged
+        # integral takes the jumps exactly, where a frequency grid without
+        # nodes at the jumps never settled
+        u = np.linspace(0.0, 1.0, 303)
+        w_grid = 0.5 + 3.0 * (u + 0.05 * np.sin(6.0 * math.pi * u))
+        peak = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.5)
+        tab = ReservoirSpectrum.tabulated(w_grid, peak.g(w_grid) + 1e-4)
+        det = det_for(40.0, 1.0)
+        r = decay_rate(tab, 2.0, det, 1.0, HBAR)
+        # brute force: the overlap on a fine grid holding every table node; the
+        # uniform part takes line_shape's chirp-z path
+        uniform = np.linspace(0.5, 3.5, 300001 - 301)
+        grid = np.concatenate([uniform, w_grid[1:-1]])
+        p = np.concatenate([line_shape(uniform, 2.0, det, 1.0),
+                            line_shape(w_grid[1:-1], 2.0, det, 1.0)])
+        order = np.argsort(grid)
+        grid, p = grid[order], p[order]
+        assert grid.size == 300001 and np.all(np.diff(grid) > 0)
+        brute = 2.0 * math.pi * np.trapezoid(tab.g(grid) * p, grid) / HBAR ** 2
+        assert r == pytest.approx(brute, rel=1e-6)
+
+    def test_reports_reached_error(self):
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
+        det = det_for(36.0, 2.0)
+        rate, err = decay._rate_and_error(res, 1.0, det, 2.0, HBAR, rel_tol=1e-4)
+        assert rate == decay_rate(res, 1.0, det, 2.0, HBAR)
+        assert 0.0 < err <= 1e-4
+        assert decay._rate_and_error(ReservoirSpectrum.flat(1e-3), 1.0, det, 2.0, HBAR)[1] == 0.0
+        with pytest.raises(QuadratureNotConverged):
+            decay_rate(res, 1.0, det, 2.0, HBAR, rel_tol=1e-15)
 
 
 class TestZenoLimit:

@@ -35,6 +35,17 @@ class TestCorrelation:
         assert correlation(det, 1.0) == pytest.approx(0.6065306597126334, rel=1e-12)
         assert correlation(det, 10.0) == pytest.approx(1.9287498479639178e-22, rel=1e-10)
 
+    @pytest.mark.parametrize("nu", [1.7, np.array(-0.3),
+                                    np.random.default_rng(5).normal(0.0, 4.0, (257, 257))],
+                             ids=["scalar", "0-d", "257x257"])
+    def test_gaussian_bits_of_the_plain_expression(self, nu):
+        # the in-place argument keeps the bits of exp(-(nu^2) / (2 sigma^2))
+        det = gaussian_detector(sigma=0.7, lam=1.0, tau=1.0)
+        plain = np.exp(-(np.asarray(nu) ** 2) / (2.0 * det.sigma ** 2))
+        value = correlation(det, nu)
+        assert np.array_equal(np.real(value), plain) and np.all(np.imag(value) == 0.0)
+        assert isinstance(value, complex) == (np.ndim(nu) == 0)
+
     def test_custom_interpolation_and_zero_outside(self):
         nu = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         f = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
