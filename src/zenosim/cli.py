@@ -4,9 +4,10 @@ Configs are JSON (documented in the README): a top-level experiment name,
 `system` / `detector` blocks, and per-experiment blocks for the reservoir,
 sweep or output grid.  `SCHEMA` is the one description of every config:
 keys an experiment does not read are rejected so typos fail loudly.
-Runners write `#`-commented CSV plus a JSON sidecar echoing the config and
-the certified numerical tolerances, so every figure is reproducible from
-the artifacts alone.  Output is deterministic: no clocks, no RNG.
+Runners write `#`-commented CSV plus a JSON sidecar echoing the config, the
+certified numerical tolerances and the zenosim, numpy and scipy versions,
+so every figure is reproducible from the artifacts alone.  Output is
+deterministic: no clocks, no RNG.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import decay as _decay
 from .dynamics import measured_exponential, rabi_unmeasured, two_level_inhibition_time
 from .errors import (
@@ -266,7 +269,8 @@ def _write_csv(path: str, header_lines: list, columns: list, rows,
 
 
 def _write_sidecar(path: str, cfg: ExperimentConfig, certified: dict):
-    meta = {"config": cfg.raw, "certified": certified}
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__, "zenosim": __version__}
+    meta = {"config": cfg.raw, "certified": certified, "versions": versions}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_hermite
 
 from .errors import (
@@ -169,10 +170,10 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
 
-    def build_at(r: QuadratureRule):
+    def build_at(r: QuadratureRule, m: int):
+        """Tensor on rule r and its substep count, once m and 2m substeps agree."""
         if sys.constant_v or sys.v is None:
             return _tensor_from_rule(sys, det, t0, r, 1), 1
-        m = min_substeps
         t = _tensor_from_rule(sys, det, t0, r, m)
         while True:
             t2 = _tensor_from_rule(sys, det, t0, r, 2 * m)
@@ -185,14 +186,15 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                     f"tensor entries still moving by > {entry_tol:.1e} at {m} substeps")
 
     if rule is not None:
-        tensor, m = build_at(rule)
+        tensor, m = build_at(rule, min_substeps)
         quad_err = None
         nodes = len(rule)
     else:
         n = min_nodes
-        tensor, m = build_at(default_rule(det, n))
+        tensor, m = build_at(default_rule(det, n), min_substeps)
         while True:
-            tensor2, m = build_at(default_rule(det, 2 * n))
+            # start at the check the previous node level passed, m / 2 against m
+            tensor2, m = build_at(default_rule(det, 2 * n), m // 2)
             quad_err = float(np.abs(tensor2 - tensor).max())
             tensor = tensor2
             n *= 2
@@ -244,13 +246,36 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
 
 def _triangle_weights(t: np.ndarray) -> np.ndarray:
     """Weights T[i, j] so that sum_ij T f(t_i, t_j) approximates the nested
-    integral over 0 <= t2 <= t1 <= tau by iterated trapezoid on a shared grid."""
+    integral over 0 <= t2 <= t1 <= tau by iterated trapezoid on a shared grid:
+    the outer trapezoid weight of t_i times the inner trapezoid weight of t_j
+    on t[:i+1], which is h less h/2 at j = 0 and less h/2 at j = i."""
     h = t[1] - t[0]
     tri = np.tril(np.full((t.size, t.size), h))
-    tri[:, 0] = h / 2.0
-    np.fill_diagonal(tri, h / 2.0)
-    tri[0, 0] = 0.0
+    tri[:, 0] -= h / 2.0
+    tri[np.diag_indices(t.size)] -= h / 2.0
     return _trapezoid_weights(t)[:, None] * tri
+
+
+def _lag_sums(x_in: np.ndarray, x_out: np.ndarray, t: np.ndarray, weight: str) -> np.ndarray:
+    """c[n-1+l] = sum over i - j = l of x_in[i] W[i, j] x_out[j], for lags -n < l < n.
+
+    W is the trapezoid square w_i w_j (weight "square"), `_triangle_weights`
+    ("lower") or its transpose ("upper"), so that sum_l c[n-1+l] k(l h) equals
+    x_in @ (W * k(t_i - t_j)) @ x_out without forming an n x n array.
+    """
+    if weight == "upper":
+        return _lag_sums(x_out, x_in, t, "lower")[::-1]
+    w1 = _trapezoid_weights(t)
+    if weight == "square":
+        return np.convolve(w1 * x_in, (w1 * x_out)[::-1])
+    # lower: h at every lag l >= 0, less the column-0 and diagonal half weights
+    n, h = t.size, t[1] - t[0]
+    a = w1 * x_in
+    c = h * np.convolve(a, x_out[::-1])
+    c[:n - 1] = 0.0
+    c[n - 1:] -= (h / 2.0) * x_out[0] * a
+    c[n - 1] -= (h / 2.0) * (a @ x_out)
+    return c
 
 
 def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorModel,
@@ -261,17 +286,23 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
     level frequencies the detector sees.  first(a, b) returns the first-order
     integrand of the jump a <- b on the grid t, or None when it vanishes.
     path(into, out) returns (x_in, x_out, g) for a two-jump path through
-    intermediate states: x_in drives the jump into them, x_out the jump out
-    of them, and g[i, j] correlates the intermediate states outside the k
-    between the into-jump at t_i and the out-jump at t_j (None when there
-    are none); it returns None when the path carries no amplitude.
+    intermediate states: x_in drives the jump into them at t_i, x_out the
+    jump out of them at t_j, and g the lag vector (length 2n - 1) that
+    correlates the intermediate states outside the k, g[n-1+l] at the lag
+    t_i - t_j = l h (None when there are none); it returns None when the path
+    carries no amplitude.
+
+    The F kernel of a path depends on its frequency triple (w_rp, w_t1, w_t2)
+    only.  When w_t1 == -w_t2 (exact for a transition and its reverse) it is a
+    function of the lag alone, and the path reduces to a 1-d sum over lags of
+    F times g times the `_lag_sums` of its weights; one F vector of length
+    2n - 1 serves every such path of the triple.  Any other triple gets one
+    dense n x n kernel, contracted with all its paths at once.
     """
     lam, tau = det.lam, det.tau
     k = phase_out.shape[0]
     w1 = _trapezoid_weights(t)
-    tri = _triangle_weights(t)
     s = np.zeros((k,) * 4, dtype=complex)
-    nu, kw = np.empty((t.size,) * 2), np.empty((t.size,) * 2, dtype=complex)  # work buffers
 
     # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
     for a, b in product(range(k), repeat=2):
@@ -285,41 +316,67 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
             s[a, c, b, c] += phase_out[a, c] * ket[c] / (1j * hbar)
             s[c, b, c, a] -= phase_out[c, b] * bra[c] / (1j * hbar)
 
-    # Each two-jump path adds coef * x_in @ (wt * g * F) @ x_out to one entry, F being the
-    # kernel of its frequency triple, built once per triple, and wt its weight matrix (None
-    # for the gain, whose weights are in x).  Paths sharing wt and g (by identity) stack.
-    groups = {}
+    # Each two-jump path adds coef * x_in @ (W * g * F) @ x_out to the entries of its
+    # terms, W being the path's weight matrix.  Lag-only triples collect each path's lag
+    # sums times g; dense triples collect paths sharing W and g (by identity) to stack them.
+    lag, dense = {}, {}
 
-    def add(rp, t1, t2, wt, entry, coef, x_in, x_out, g):
-        by_weight = groups.setdefault((w_lvl[rp], w_lvl[t1], w_lvl[t2]), {})
-        by_weight.setdefault((id(wt), id(g)), (wt, g, []))[2].append((x_in, x_out, entry, coef))
+    def add(w_t1, w_t2, weight, terms, x_in, x_out, g):
+        if w_t1 == -w_t2:
+            c = _lag_sums(x_in, x_out, t, weight)
+            c = c if g is None else c * g
+            for w_rp, entry, coef in terms:
+                lag.setdefault((w_rp, w_t1), []).append((c, entry, coef))
+            return
+        for w_rp, entry, coef in terms:
+            by_weight = dense.setdefault((w_rp, w_t1, w_t2), {})
+            by_weight.setdefault((weight, id(g)), (weight, g, []))[2].append(
+                (x_in, x_out, entry, coef))
 
     # gain: ket jump n -> p at t1, bra jump r -> m at t2
     for p, n, m, r in product(range(k), repeat=4):
         jumps = path((p, n), (m, r))
         if jumps is not None:
-            x1, x2, g = jumps
-            add((r, p), (p, n), (m, r), None, (p, r, n, m), phase_out[p, r], w1 * x1, w1 * x2, g)
-    # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
-    # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
-    ket, bra = tri.T, tri  # one object each, since add() groups by identity
+            add(w_lvl[p, n], w_lvl[m, r], "square",
+                [(w_lvl[r, p], (p, r, n, m), phase_out[p, r])], *jumps)
+    # loss along b -> q -> a: the jump into q comes at the earlier time on the
+    # ket (r = m, weight "upper") and at the later time on the bra (p = n, "lower")
     for a, b, q in product(range(k), repeat=3):
         jumps = path((q, b), (a, q))
         if jumps is None:
             continue
-        for c in range(k):
-            add((c, a), (q, b), (a, q), ket, (a, c, b, c), -phase_out[a, c], *jumps)
-            add((b, c), (q, b), (a, q), bra, (c, b, c, a), -phase_out[c, b], *jumps)
+        add(w_lvl[q, b], w_lvl[a, q], "upper",
+            [(w_lvl[c, a], (a, c, b, c), -phase_out[a, c]) for c in range(k)], *jumps)
+        add(w_lvl[q, b], w_lvl[a, q], "lower",
+            [(w_lvl[b, c], (c, b, c, a), -phase_out[c, b]) for c in range(k)], *jumps)
 
-    for (w_rp, w_t1, w_t2), by_weight in groups.items():
-        np.add.outer(lam * (w_rp * tau + w_t1 * t), lam * w_t2 * t, out=nu)
-        kern = correlation(det, nu)
-        for wt, g, terms in by_weight.values():
-            prod = kern if wt is None else np.multiply(kern, wt, out=kw)
-            prod = prod if g is None else np.multiply(prod, g, out=kw)
-            x_in, x_out, entries, coefs = zip(*terms)
-            vals = np.einsum("ij,ij->i", np.array(x_in) @ prod, np.array(x_out))
-            np.add.at(s, tuple(np.array(entries).T), np.array(coefs) * vals / hbar ** 2)
+    def accumulate(entries, coefs, vals):
+        np.add.at(s, tuple(np.array(entries).T), np.array(coefs) * vals / hbar ** 2)
+
+    if lag:
+        lags = np.concatenate((-t[:0:-1], t))
+        for (w_rp, w_t1), terms in lag.items():
+            cs, entries, coefs = zip(*terms)
+            accumulate(entries, coefs,
+                       np.array(cs) @ correlation(det, lam * (w_rp * tau + w_t1 * lags)))
+    if dense:
+        nt = t.size
+        tri = _triangle_weights(t)
+        weights = {"square": None, "lower": tri, "upper": tri.T}
+        nu, kw = np.empty((nt, nt)), np.empty((nt, nt), dtype=complex)  # work buffers
+        for (w_rp, w_t1, w_t2), by_weight in dense.items():
+            np.add.outer(lam * (w_rp * tau + w_t1 * t), lam * w_t2 * t, out=nu)
+            kern = correlation(det, nu)
+            for weight, g, terms in by_weight.values():
+                wt = weights[weight]
+                prod = kern if wt is None else np.multiply(kern, wt, out=kw)
+                if g is not None:  # the Toeplitz view g[n-1+i-j]
+                    prod = np.multiply(prod, sliding_window_view(g, nt)[:, ::-1], out=kw)
+                x_in, x_out, entries, coefs = zip(*terms)
+                x_in, x_out = np.array(x_in), np.array(x_out)
+                if wt is None:
+                    x_in, x_out = w1 * x_in, w1 * x_out
+                accumulate(entries, coefs, np.einsum("ij,ij->i", x_in @ prod, x_out))
     return s
 
 

@@ -7,9 +7,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zenosim
 from zenosim.cli import (
     load_config,
     main,
@@ -194,6 +196,8 @@ class TestTwoLevelRunner:
         meta = json.load(open(out + ".meta.json"))
         assert meta["config"]["detector"]["lambda"] == 50.0
         assert meta["certified"]["trace_err"] < 1e-8
+        assert meta["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
+                                    "zenosim": zenosim.__version__}
 
 
 def decay_config(**overrides):

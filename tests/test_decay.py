@@ -211,13 +211,27 @@ class TestLineShape:
 
 
 def test_filon_coeffs_match_segment_integrals():
-    # a 2-d theta mixing the series branch (|theta| < 1e-4) and the closed form
+    # a 2-d theta mixing the series branch (|theta| < 0.25) and the closed form
     theta = np.array([[0.0, 3e-5, -9e-5, 0.02], [0.3, -2.0, 40.0, -300.0]])
     a, b = _filon_coeffs(theta)
     u = np.linspace(0.0, 1.0, 400001)
     phase = np.exp(1j * theta[..., None] * u)
     np.testing.assert_allclose(a, np.trapezoid((1.0 - u) * phase, u), rtol=0, atol=1e-9)
     np.testing.assert_allclose(b, np.trapezoid(u * phase, u), rtol=0, atol=1e-9)
+
+
+def test_filon_coeffs_exact_to_rounding_across_the_branch_switch():
+    # A = sum (i th)^k / (k! (k+1) (k+2)) and B = sum (i th)^k / (k! (k+2)), 60 terms
+    theta = np.concatenate((np.logspace(-8.0, 0.0, 401), -np.logspace(-8.0, 0.0, 401)))
+    a, b = _filon_coeffs(theta)
+    z = 1j * theta
+    a_ref, b_ref = np.zeros_like(z), np.zeros_like(z)
+    for k in range(60):
+        term = z ** k / math.factorial(k)
+        a_ref += term / ((k + 1) * (k + 2))
+        b_ref += term / (k + 2)
+    assert np.abs(a - a_ref).max() <= 1e-15
+    assert np.abs(b - b_ref).max() <= 1e-15
 
 
 class TestFilonChirp:

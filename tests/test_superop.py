@@ -1,6 +1,7 @@
 """Measurement superoperator construction and composition."""
 
 import io
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import decay, superop
-from zenosim.decay import ReservoirSpectrum, build_decay_system, effective_channel
+from zenosim.decay import (ReservoirSpectrum, build_decay_system, effective_channel,
+                           measured_decay_channel)
 from zenosim.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -59,6 +61,14 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
     w1 = _trapezoid_weights(t)
     tri = _triangle_weights(t)
     s = np.zeros((k,) * 4, dtype=complex)
+    lag_index = t.size - 1 + np.subtract.outer(np.arange(t.size), np.arange(t.size))
+
+    def two_jumps(into, out):
+        # the path's lag vector g, as the n x n Toeplitz matrix g[n-1+i-j]
+        jumps = path(into, out)
+        if jumps is None or jumps[2] is None:
+            return jumps
+        return jumps[0], jumps[1], jumps[2][lag_index]
 
     def kernel(w_rp, w_t1, w_t2):
         return correlation(det, lam * (w_rp * tau + np.add.outer(w_t1 * t, w_t2 * t)))
@@ -78,7 +88,7 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
     hb2 = hbar ** 2
     # gain: ket jump n -> p at t1, bra jump r -> m at t2
     for p, n, m, r in product(range(k), repeat=4):
-        jumps = path((p, n), (m, r))
+        jumps = two_jumps((p, n), (m, r))
         if jumps is None:
             continue
         x1, x2, g = jumps
@@ -89,7 +99,7 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
     # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
     # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
     for a, b, q in product(range(k), repeat=3):
-        jumps = path((q, b), (a, q))
+        jumps = two_jumps((q, b), (a, q))
         if jumps is None:
             continue
         x_in, x_out, g = jumps
@@ -260,6 +270,18 @@ class TestBuildExact:
         assert np.abs(exact.tensor - pert.tensor).max() < 2e-6
         assert exact.meta["substeps"] >= 16
 
+    def test_substep_ladder_carries_over_node_levels(self):
+        vmat = random_v(np.random.default_rng(0), 3, 1.0)
+        sys = SystemSpec(levels=(-1.0, 0.0, 1.0), v=lambda t: np.cos(3.0 * t) * vmat)
+        det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+        with mock.patch.object(superop, "_propagators", wraps=superop._propagators) as prop:
+            ch = build_exact(sys, det)
+        # restarting at min_substeps for the 128-node level took 14 calls
+        assert prop.call_count < 14
+        assert ch.meta["nodes"] == 128 and ch.meta["substeps"] == 512
+        restarted = build_exact(sys, det, rule=default_rule(det, 128)).tensor
+        assert np.abs(ch.tensor - restarted).max() <= 1e-8
+
 
 class TestBuildUnperturbed:
     def test_populations_untouched(self):
@@ -351,6 +373,21 @@ class TestBuildSecondOrder:
         slow = _per_path(effective_channel, dsys.sys, det, steps=96)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
+    @pytest.mark.parametrize("lam", [5.0, 30.0])
+    def test_three_level_effective_channel_matches_per_path(self, lam):
+        # transitions between different level pairs meet in one path, so some triples
+        # are not lag-only and their dense kernels take g as a Toeplitz matrix
+        alphas = (0.0, 0.7, 1.1, 1.6, 2.4)
+        sys = SystemSpec(levels=(-1.0, 0.3, 1.5), alpha_energies=(alphas,) * 3,
+                         v=random_v(np.random.default_rng(7), 15, 0.05))
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
+        steps = 96
+        with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
+            fast = effective_channel(sys, det, steps=steps).tensor
+        assert any(np.shape(c.args[1]) == (steps + 1,) * 2 for c in corr.call_args_list)
+        slow = _per_path(effective_channel, sys, det, steps=steps)
+        assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
+
     def test_one_kernel_per_frequency_triple(self):
         # uniform levels repeat their spacings, so many paths share a triple
         k = 4
@@ -363,10 +400,62 @@ class TestBuildSecondOrder:
                 triples |= {(w[c, a], w[q, b], w[a, q]) for c in range(k)}
                 triples |= {(w[b, c], w[q, b], w[a, q]) for c in range(k)}
         steps = 32
+        n = steps + 1
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
             build_second_order(sys, FIG1_DET, steps=steps)
-        kernels = [c for c in corr.call_args_list if np.shape(c.args[1]) == (steps + 1,) * 2]
-        assert len(kernels) == len(triples) < 2 * k ** 3 * (k - 1)
+        shapes = [np.shape(c.args[1]) for c in corr.call_args_list]
+        # a triple with w_t1 == -w_t2 depends on the lag only: one F vector over the
+        # 2n - 1 lags; every other triple gets one dense n x n kernel
+        lag_only = {tr for tr in triples if tr[1] == -tr[2]}
+        assert shapes.count((n, n)) == len(triples - lag_only)
+        assert shapes.count((2 * n - 1,)) == len(lag_only) > 0
+        assert len(triples) < 2 * k ** 3 * (k - 1)
+
+    @pytest.mark.parametrize("n", [17, 257, 2001])
+    def test_lag_sums_match_dense_weights(self, n):
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 0.7, n)
+        x_in = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x_out = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w1 = _trapezoid_weights(t)
+        tri = _triangle_weights(t)
+        for weight, dense in (("square", np.outer(w1, w1)), ("lower", tri), ("upper", tri.T)):
+            terms = x_in[:, None] * dense * x_out
+            want = np.array([np.trace(terms, offset=-lag) for lag in range(1 - n, n)])
+            got = superop._lag_sums(x_in, x_out, t, weight)
+            assert got.shape == (2 * n - 1,)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), weight
+
+    def test_effective_channel_does_no_square_work(self):
+        det = gaussian_detector(sigma=1.0, lam=30.0, tau=0.5)
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
+        steps = 1024
+        n = steps + 1
+        with mock.patch.object(superop, "correlation", wraps=correlation) as corr, \
+                mock.patch.object(superop, "_triangle_weights",
+                                  wraps=_triangle_weights) as tri:
+            effective_channel(dsys.sys, det, steps=steps)
+            tracemalloc.start()
+            try:
+                effective_channel(dsys.sys, det, steps=steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        tri.assert_not_called()
+        assert corr.call_count > 0
+        assert all(np.size(c.args[1]) <= 2 * n - 1 for c in corr.call_args_list)
+        assert peak < 8 * n * n  # not even one real n x n array
+
+    def test_channels_decay_channel_matches_per_path(self):
+        # the decay channel of the `channels` benchmark job: 2000 steps, so the
+        # kernel sums run over 2001 times and 4001 lags
+        det = gaussian_detector(sigma=1.0, lam=50.0, tau=2.0)
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
+        fast = measured_decay_channel(0.5, -0.5, res, det, n_modes=200)
+        assert fast.meta["steps"] == 2000
+        slow = _per_path(measured_decay_channel, 0.5, -0.5, res, det, n_modes=200)
+        assert np.abs(fast.tensor - slow).max() <= 1e-15 * np.abs(slow).max()
 
 
 class TestRepeat:
