@@ -69,6 +69,9 @@ _COMMANDS = {command: experiment for experiment, (command, _, _) in SCHEMA.items
 _UNKNOWN = {"detector": (True, {**_DETECTOR, "lambda": (False, ">= 0")}),
             "n_measurements": (False, 1), "t0": (False, ""), "nodes": (False, 8)}
 
+# most measurements a twolevel run composes; its trajectory holds one 2 x 2 state each
+MAX_MEASUREMENTS = 10 ** 6
+
 # reservoir kind -> (constructor, keys in the order of its arguments)
 _RESERVOIRS = {
     "flat": (_decay.ReservoirSpectrum.flat, {"g0": (True, ">= 0")}),
@@ -288,15 +291,20 @@ def run_twolevel(cfg: ExperimentConfig, out: str, nodes: int | None = None) -> s
     preset = _preset(cfg)
     det = _detector(cfg)
     sysspec = preset.to_system()
-    rule = None if nodes is None else default_rule(det, nodes)
-    channel = build_exact(sysspec, det, rule=rule)
+    t_inh = two_level_inhibition_time(preset, det)
     n = cfg.n_measurements
     if n is None:
-        t_inh = two_level_inhibition_time(preset, det)
         if not math.isfinite(t_inh) or t_inh <= 0:
             raise ValidationError(
                 ["'n_measurements' is required when the inhibition time is not finite"])
-        n = int(math.ceil(10.0 * t_inh / det.tau))
+        n = 10.0 * t_inh / det.tau  # a float until checked: it may overflow an integer
+    if n > MAX_MEASUREMENTS:
+        raise ValidationError([
+            f"{n:.6g} measurements exceed the cap of {MAX_MEASUREMENTS} (inhibition time "
+            f"t_inh = {t_inh:.6g}, default 10 t_inh / tau); give a smaller 'n_measurements'"])
+    n = math.ceil(n)
+    rule = None if nodes is None else default_rule(det, nodes)
+    channel = build_exact(sysspec, det, rule=rule)
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0
     traj = repeat(lambda t0: channel, rho0, n)

@@ -17,9 +17,9 @@ smooth factor, g(t) = F(lambda w_if t)(1 - t/tau) or g(t) G^(t) e^{-i w_R t},
 is sampled on a grid resolving only itself, and the oscillation
 e^{i delta t} is integrated exactly on every segment, so accuracy does not
 degrade with detuning.  On a uniform delta grid the phase sums
-sum_j g_j e^{i delta t_j} are a chirp-z transform, one FFT convolution of
-length n + m - 1 instead of an n x m phase matrix; other delta sets take the
-dense matrix in chunks.
+sum_j g_j e^{i delta t_j} are a chirp-z transform, one numpy FFT convolution
+padded to the power of two at or above n + m - 1, instead of an n x m phase
+matrix; other delta sets take the dense matrix in chunks.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.special import dawsn, sici, wofz
 
 from .errors import (
     GridTooNarrow,
@@ -163,12 +161,13 @@ def _chirp_sums(x: np.ndarray, theta: float, m: int) -> np.ndarray:
     """sum_j x_j e^{i theta j k} for k < m by Bluestein's algorithm: j k =
     (j^2 + k^2 - (k - j)^2) / 2 makes the sum one FFT convolution."""
     n = x.size
-    size = next_fast_len(n + m - 1)
+    size = 1 << (n + m - 2).bit_length()
     chirp = np.exp(0.5j * theta * np.arange(max(n, m)) ** 2)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    return chirp[:m] * ifft(fft(x * chirp[:n], size) * fft(kernel))[:m]
+    spectrum = np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel)
+    return chirp[:m] * np.fft.ifft(spectrum)[:m]
 
 
 def _phase_sums(g: np.ndarray, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -270,6 +269,7 @@ def line_shape_closed_form(omega, omega_if: float, det: DetectorModel, tau: floa
     """
     if det.kind != "gaussian":
         raise ValueError("closed form exists only for the Gaussian detector")
+    from scipy.special import dawsn, wofz  # loaded on first use, not at import
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     delta = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
     a = (det.lam * omega_if / det.sigma) ** 2 / 2.0
@@ -298,6 +298,7 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     windows reaching far into the 1/delta^2 tails cost one transform instead
     of a dense pointwise grid.
     """
+    from scipy.special import sici  # loaded on first use, not at import
     t = _line_time_grid(omega_if, det, tau, refine=2)
     g = _line_kernel(omega_if, det, tau, t)
     h = t[1] - t[0]

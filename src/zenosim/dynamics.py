@@ -22,7 +22,7 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
-from .superop import _trapezoid_weights, _v_samples
+from .superop import _lag_sums, _trapezoid_weights, _v_samples
 
 
 def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
@@ -66,7 +66,9 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     Double time integral of the product of the perturbation matrix elements
     with the detector correlation kernel F(lambda * w_if * (t2 - t1)),
     evaluated by nested trapezoid with Richardson-extrapolated refinement
-    (relative change below rel_tol on halving the step).
+    (relative change below rel_tol on halving the step).  The kernel depends
+    on the lag t2 - t1 only, so each level is the `_lag_sums` of the two
+    samples dotted with one kernel vector of length 2n - 1.
     """
     if (i, alpha) == (f, alpha1):
         raise ValueError("source and target states must differ")
@@ -78,14 +80,12 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
 
     def evaluate(nt: int) -> float:
         t = np.linspace(0.0, det.tau, nt)
-        w = _trapezoid_weights(t)
         vs = _v_samples(sys, t0, t)
-        v1 = vs[:, ff, ii]        # V(t1)[f, i]
-        v2 = vs[:, ii, ff]        # V(t2)[i, f]
-        u = t[None, :] - t[:, None]            # t2 - t1, rows t1
+        # c[nt-1+l] sums V(t2)[i, f] V(t1)[f, i] over t2 - t1 = l h
+        c = _lag_sums(vs[:, ii, ff], vs[:, ff, ii], t, "square")
+        u = np.concatenate((-t[:0:-1], t))
         kern = correlation(det, det.lam * w_if * u) * np.exp(1j * w_phase * u)
-        val = (w * v1) @ kern @ (w * v2) / hbar ** 2
-        return float(val.real)
+        return float((c @ kern).real / hbar ** 2)
 
     return _romberg(evaluate, 65, rel_tol, 5, "jump probability")
 
@@ -256,7 +256,10 @@ def two_level_inhibition_time(preset: TwoLevelPreset, det: DetectorModel) -> flo
     v = abs(preset.v)
     if v == 0.0:
         return float("inf")
-    return (lam / (2.0 * preset.omega)) * (preset.hbar * preset.omega / v) ** 2
+    try:
+        return (lam / (2.0 * preset.omega)) * (preset.hbar * preset.omega / v) ** 2
+    except OverflowError:  # a float ** raises where * would give inf
+        return float("inf")
 
 
 def measured_exponential(preset: TwoLevelPreset, det: DetectorModel, t):

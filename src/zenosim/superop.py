@@ -24,7 +24,6 @@ from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import roots_hermite
 
 from .errors import (
     DimensionMismatch,
@@ -73,6 +72,9 @@ class QuadratureRule:
 
 @lru_cache(maxsize=64)
 def _hermite_nodes(n: int):
+    # numpy's hermgauss overflows to NaN at 1024 nodes; scipy.special is loaded here,
+    # on first use, so that importing the package does not pay for it
+    from scipy.special import roots_hermite
     x, w = roots_hermite(n)
     return x, w
 

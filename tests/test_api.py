@@ -1,5 +1,6 @@
 """Public API surface stays importable."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -19,14 +20,35 @@ def test_version():
     assert zenosim.__version__
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
-def test_cli_import_leaves_module_unloaded(module):
-    # importing scipy.signal adds about half a second to every CLI start and
-    # scipy.integrate about a sixth of one
-    src = pathlib.Path(zenosim.__file__).resolve().parent.parent
-    code = ("import sys, zenosim.cli; "
-            f"print(sorted(m for m in sys.modules if m.startswith({module!r})))")
-    env = dict(os.environ, PYTHONPATH=str(src))
+SRC = pathlib.Path(zenosim.__file__).resolve().parent.parent
+CONFIGS = SRC.parent / "configs"
+
+
+def _loaded(code: str, prefixes) -> list:
+    """Modules under any of the prefixes loaded after running code in a fresh interpreter."""
+    listing = f"sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))"
+    code = f"import json, sys; {code}; print(json.dumps({listing}))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.fft",
+                                    "scipy.special"])
+def test_cli_import_leaves_module_unloaded(module):
+    # a cold `import zenosim.cli` takes about 0.2 s with numpy and the top-level
+    # scipy package; scipy.signal would add about half a second, scipy.integrate
+    # and scipy.fft about 0.1 s each, and scipy.special about 0.2 s
+    assert _loaded("import zenosim.cli", [module]) == []
+
+
+def test_decay_sweep_leaves_scipy_fft_and_special_unloaded(tmp_path):
+    # the sweep's rate ladder calls neither; only line_mass, the Faddeeva closed
+    # form and the Gauss-Hermite nodes load scipy.special, on first use
+    out = tmp_path / "sweep.csv"
+    config = CONFIGS / "decay_sweep_anti_zeno.json"
+    code = (f"from zenosim.cli import main; "
+            f"assert main(['decay', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
+    assert _loaded(code, ["scipy.fft", "scipy.special"]) == []
+    assert out.stat().st_size > 0

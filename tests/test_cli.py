@@ -439,6 +439,36 @@ class TestMainEntry:
         assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("v_re, n_measurements", [(1e-9, None), (1.0, 10 ** 12)],
+                             ids=["derived-from-weak-v", "explicit"])
+    def test_measurement_cap_exit_code(self, tmp_path, capsys, monkeypatch, v_re,
+                                       n_measurements):
+        # rejected before the channel is built or the trajectory allocated
+        import zenosim.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the measurement cap")
+        monkeypatch.setattr(cli, "build_exact", refuse)
+        monkeypatch.setattr(cli, "repeat", refuse)
+        cfg = json.loads(json.dumps(FIG1_CONFIG))
+        cfg["system"]["V"]["v_re"] = v_re
+        cfg["n_measurements"] = n_measurements
+        path = write_config(tmp_path, cfg)
+        assert main(["twolevel", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"exceed the cap of {cli.MAX_MEASUREMENTS}" in err and "t_inh = " in err
+
+    def test_inhibition_time_overflow_runs(self, tmp_path):
+        # (hbar omega / v)^2 overflows a float: t_inh is infinite, the run still works
+        cfg = json.loads(json.dumps(FIG1_CONFIG))
+        cfg["system"]["V"]["v_re"] = 1e-200
+        cfg["n_measurements"] = 3
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "x.csv")
+        assert main(["twolevel", "--config", path, "--out", out]) == 0
+        columns, rows, _ = read_csv(out)
+        np.testing.assert_array_equal(rows[:, columns.index("rho11_approx")], 1.0)
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(FIG1_CONFIG, n_measurements=5))
         out = str(tmp_path / "missing" / "x.csv")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from zenosim import dynamics
 from zenosim.errors import NoTransitions, NotInZenoRegime, ZeroFrequency
-from zenosim.model import SystemSpec, TwoLevelPreset, gaussian_detector, strength
+from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector, strength
 from zenosim.dynamics import (
     inhibition_time,
     jump_probability_general,
@@ -18,7 +19,8 @@ from zenosim.dynamics import (
     rate_matrix,
     two_level_inhibition_time,
 )
-from zenosim.superop import build_exact, build_second_order, repeat
+from zenosim.superop import (_trapezoid_weights, _v_samples, build_exact, build_second_order,
+                             repeat)
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -174,6 +176,75 @@ class TestJumpTable:
         assert np.all(table.w >= -1e-10)
         assert np.all(table.w <= 1.0 + 1e-10)
         assert np.all(table.w.sum(axis=1) <= 1.0 + 1e-8)
+
+
+def _dense_jump_level(sys, det, ii, ff, t0, nt):
+    """One trapezoid level of the jump integral as the double sum over the
+    nt x nt grid: the oracle of the lag-sum evaluation."""
+    t = np.linspace(0.0, det.tau, nt)
+    w = _trapezoid_weights(t)
+    vs = _v_samples(sys, t0, t)
+    u = t[None, :] - t[:, None]  # t2 - t1, rows t1
+    kern = (correlation(det, det.lam * sys.omega_level()[ii, ff] * u)
+            * np.exp(1j * sys.omega_full()[ii, ff] * u))
+    return float(((w * vs[:, ff, ii]) @ kern @ (w * vs[:, ii, ff])).real / sys.hbar ** 2)
+
+
+def _level_errors(monkeypatch, sys, det, t0, run):
+    """Relative distance of every Romberg level of jump_probability_general,
+    while run() executes, from the dense double sum on the same grid."""
+    general, romberg = dynamics.jump_probability_general, dynamics._romberg
+    pair, errors = {}, []
+
+    def spy_general(sys_, det_, i, alpha, f, alpha1, **kw):
+        pair["ii_ff"] = sys_.flat_index(i, alpha), sys_.flat_index(f, alpha1)
+        return general(sys_, det_, i, alpha, f, alpha1, **kw)
+
+    def spy_romberg(eval_at, nt0, rel_tol, max_halvings, what):
+        def level(nt):
+            val = eval_at(nt)
+            ref = _dense_jump_level(sys, det, *pair["ii_ff"], t0, nt)
+            errors.append(abs(val - ref) / abs(ref))
+            return val
+        return romberg(level, nt0, rel_tol, max_halvings, what)
+
+    monkeypatch.setattr(dynamics, "jump_probability_general", spy_general)
+    monkeypatch.setattr(dynamics, "_romberg", spy_romberg)
+    run()
+    return errors
+
+
+class TestJumpLagSum:
+    def test_constant_v_with_auxiliary_energies(self, monkeypatch):
+        # E1 differences make the phase frequency differ from the F frequency
+        rng = np.random.default_rng(41)
+        sys = SystemSpec(levels=(-1.0, 0.5, 2.0), alpha_energies=((0.0, 0.7), (0.2,), (0.4,)),
+                         v=random_hermitian(rng, 4, 0.3))
+        det = gaussian_detector(sigma=1.0, lam=12.0, tau=0.3)
+        errors = _level_errors(monkeypatch, sys, det, 0.0, lambda: (
+            dynamics.jump_probability_general(sys, det, 2, 0, 0, 1, rel_tol=1e-10)))
+        assert len(errors) >= 3 and max(errors) <= 1e-13
+
+    def test_time_dependent_v(self, monkeypatch):
+        # a phase of V that turns with t tells the lag t2 - t1 from t1 - t2
+        def v(t):
+            v10 = np.cos(2.0 * t) * 0.4 * np.exp(3j * t)
+            return np.array([[0.0, np.conj(v10)], [v10, 0.0]])
+        sys = SystemSpec(levels=(-1.0, 1.0), v=v)
+        det = gaussian_detector(sigma=1.0, lam=10.0, tau=0.2)
+        errors = _level_errors(monkeypatch, sys, det, 0.3, lambda: (
+            dynamics.jump_probability_general(sys, det, 1, 0, 0, 0, t0=0.3, rel_tol=1e-10)))
+        assert len(errors) >= 3 and max(errors) <= 1e-13
+
+    def test_jump_table_six_uniform_levels(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        v = random_hermitian(rng, 6, 0.2)
+        np.fill_diagonal(v, 0.0)
+        sys = SystemSpec(levels=tuple(np.linspace(-2.5, 2.5, 6)), v=v)
+        det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+        errors = _level_errors(monkeypatch, sys, det, 0.0, lambda: dynamics.jump_table(sys, det))
+        assert len(errors) >= 30 * 2  # every ordered pair, at least two levels each
+        assert max(errors) <= 1e-13
 
 
 class TestInhibitionTime:
