@@ -19,7 +19,11 @@ e^{i delta t} is integrated exactly on every segment, so accuracy does not
 degrade with detuning.  On a uniform delta grid the phase sums
 sum_j g_j e^{i delta t_j} are a chirp-z transform, one numpy FFT convolution
 padded to the power of two at or above n + m - 1, instead of an n x m phase
-matrix; other delta sets take the dense matrix in chunks.
+matrix; other delta sets take the dense matrix in chunks.  The line mass over
+a window adds the sine integral Si at its edges, evaluated with `math` alone
+(`_si`); of scipy's special functions only the Faddeeva closed form, a test
+oracle, needs any.  The same chirp-z transform sums the reservoir-traced
+channel's uniform mode grid on the lag grid (`_mode_sums`).
 """
 
 from __future__ import annotations
@@ -290,6 +294,36 @@ def line_shape_closed_form(omega, omega_if: float, det: DetectorModel, tau: floa
     return float(p[0]) if scalar else p
 
 
+def _si(x: float) -> float:
+    """Sine integral Si(x) = int_0^x sin(t) / t dt: the power series for
+    |x| <= 2, else pi/2 + Im E1(i|x|) from the continued fraction of E1 by the
+    modified Lentz method (Numerical Recipes, section 6.8)."""
+    if math.isinf(x):
+        return math.copysign(0.5 * math.pi, x)
+    t = abs(x)
+    if not t > 2.0:  # nan included
+        term = total = t
+        k = 1
+        while abs(term) > 1e-17 * abs(total):
+            term *= -t * t / ((k + 1) * (k + 2))
+            k += 2
+            total += term / k
+        return math.copysign(total, x)
+    b = complex(1.0, t)
+    c = 1e300
+    d = h = 1.0 / b
+    for i in range(1, 1000):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta.real - 1.0) + abs(delta.imag) < 3e-16:
+            break
+    return math.copysign(0.5 * math.pi + (complex(math.cos(t), -math.sin(t)) * h).imag, x)
+
+
 def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
               det: DetectorModel, tau: float) -> float:
     """Integral of P over w in [w_if + delta_lo, w_if + delta_hi].
@@ -298,7 +332,6 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     windows reaching far into the 1/delta^2 tails cost one transform instead
     of a dense pointwise grid.
     """
-    from scipy.special import sici  # loaded on first use, not at import
     t = _line_time_grid(omega_if, det, tau, refine=2)
     g = _line_kernel(omega_if, det, tau, t)
     h = t[1] - t[0]
@@ -306,8 +339,8 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     r[1:] = (g[1:] - 1.0) / t[1:]
     r[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
     t_end = t[-1]
-    si_hi = sici(delta_hi * t_end)[0]
-    si_lo = sici(delta_lo * t_end)[0]
+    si_hi = _si(delta_hi * t_end)
+    si_lo = _si(delta_lo * t_end)
     ir = _filon_transform(r, t, np.array([delta_lo, delta_hi]))
     return float((si_hi - si_lo) / math.pi + (ir[1].imag - ir[0].imag) / math.pi)
 
@@ -563,6 +596,35 @@ def _effective_steps(det: DetectorModel, e_alpha: np.ndarray, w_at: np.ndarray, 
     return int(min(4096, need))
 
 
+def _mode_sums(coeff: np.ndarray, w: np.ndarray, h: float, n: int) -> np.ndarray:
+    """g[n-1+l] = sum_b coeff_b e^{i w_b l h} for every lag -n < l < n.
+
+    w[0] = 0 is the vacuum, whose term is the constant coeff[0].  When the
+    other k frequencies form a uniform progression (to rounding) and
+    64 <= k <= 2n - 1, the sum over them is a chirp-z transform per block of
+    k lags, the block's start lag folded into the input phase: the chirp
+    phases dw h j^2 / 2, j < k, then stay within about twice the direct
+    phases w l h.  Fewer modes, more modes than lags and any other frequency
+    set take dense phase products in chunks."""
+    m = 2 * n - 1
+    out = np.full(m, coeff[0], dtype=complex)
+    c, w = coeff[1:], w[1:]
+    k = w.size
+    dw = (w[-1] - w[0]) / (k - 1) if k > 1 else 0.0
+    if 64 <= k <= m and np.abs(w - (w[0] + dw * np.arange(k))).max() <= 1e-14 * np.abs(w).max():
+        for lo in range(0, m, k):
+            size = min(k, m - lo)
+            x = c * np.exp(1j * ((lo - n + 1) * h) * w)
+            out[lo:lo + size] += (np.exp(1j * (w[0] * h) * np.arange(size))
+                                  * _chirp_sums(x, dw * h, size))
+        return out
+    lags = h * np.arange(1 - n, n)
+    chunk = max(1, (1 << 21) // max(k, 1))
+    for lo in range(0, m, chunk):
+        out[lo:lo + chunk] += np.exp(1j * np.outer(lags[lo:lo + chunk], w)) @ c
+    return out
+
+
 def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                       steps: int | None = None,
                       refined: SystemSpec | None = None) -> MeasurementChannel:
@@ -572,8 +634,8 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     shared by every level); transitions back to the excited atomic state are
     neglected, which is what makes the traced channel composable.  The sums
     over reservoir modes collapse into correlation functions evaluated on
-    the time-difference grid, so the cost is independent of the mode count
-    except for one matrix product.
+    the time-difference grid (`_mode_sums`, a chirp-z transform on a uniform
+    mode grid), so the mode count barely enters the cost.
 
     If `refined` holds the same system discretized with half the mode
     spacing, the populations of both channels are compared and
@@ -598,7 +660,6 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     t = np.linspace(0.0, tau, steps + 1)
     nt = t.size
 
-    e_mat = np.exp(1j * np.outer(np.linspace(-tau, tau, 2 * nt - 1), e_alpha) / hbar)
     # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
     blocks = sys.v_at(0.0).reshape(k_lvl, n_alpha, k_lvl, n_alpha)
     osc = np.exp(1j * w_at[:, :, None] * t)
@@ -614,7 +675,7 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
         if not np.any(coeff):
             return None
-        return osc[a, b], osc[c, e], e_mat @ coeff
+        return osc[a, b], osc[c, e], _mode_sums(coeff, e_alpha / hbar, t[1] - t[0], nt)
 
     s_ef = build_unperturbed(atom, det).tensor + _dyson_second_order(
         np.exp(1j * w_at.T * tau), w_at, det, hbar, t, first, path)

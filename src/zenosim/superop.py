@@ -17,6 +17,7 @@ measurement sequence the finite duration allows.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -70,23 +71,80 @@ class QuadratureRule:
         return self.nodes.size
 
 
+def _hermite_recurrence(x: np.ndarray, n: int):
+    """(p_n(x) / p_{n-1}(x), log|p_{n-1}(x)|) for the Hermite polynomials
+    orthonormal under e^{-x^2}, by the ratio form of their recurrence,
+    r_{k+1} = x sqrt(2 / (k+1)) - sqrt(k / (k+1)) / r_k, which cannot overflow;
+    the product of the ratios is renormalized every 64 steps."""
+    a = np.sqrt(2.0 / np.arange(1, n + 1)).tolist()
+    b = np.sqrt(np.arange(n) / np.arange(1, n + 1)).tolist()
+    r = a[0] * x
+    prod = np.ones_like(x)
+    exponent = np.zeros_like(x)
+    ax = np.empty_like(x)
+    for k in range(1, n):
+        prod *= r
+        np.multiply(x, a[k], out=ax)
+        np.divide(b[k], r, out=r)
+        np.subtract(ax, r, out=r)
+        if k % 64 == 0:
+            prod, e = np.frexp(prod)
+            exponent += e
+    log_p = np.log(np.abs(prod)) + math.log(2.0) * exponent - 0.25 * math.log(math.pi)
+    return r, log_p
+
+
 @lru_cache(maxsize=64)
 def _hermite_nodes(n: int):
-    # numpy's hermgauss overflows to NaN at 1024 nodes; scipy.special is loaded here,
-    # on first use, so that importing the package does not pay for it
-    from scipy.special import roots_hermite
-    x, w = roots_hermite(n)
-    return x, w
+    """Nodes and weights of the n-point Gauss-Hermite rule (weight e^{-x^2}),
+    ascending, without the outer nodes whose weights underflow to zero.
+
+    The positive roots of p_n start at Tricomi's approximations (Townsend,
+    Trogdon & Olver, IMA J. Numer. Anal. 36, 337 (2016), lemma 3.1) and are
+    polished by Newton's method, p_n' = sqrt(2n) p_{n-1}, all at once; the
+    weights 1 / (n p_{n-1}^2) are formed from log|p_{n-1}|.  numpy's hermgauss
+    overflows to NaN at 1024 nodes.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss-Hermite rule needs n >= 1 nodes, got {n}")
+    m = n // 2
+    nu = 4.0 * m + 2.0 * (n % 2) + 1.0
+    c = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
+    theta = np.full(m, 0.5 * math.pi)
+    for _ in range(6):  # theta - sin(theta) = c
+        theta -= (theta - np.sin(theta) - c) / (1.0 - np.cos(theta))
+    s = np.cos(0.5 * theta) ** 2
+    x2 = nu * s - (5.0 / (4.0 * (1.0 - s) ** 2) - 1.0 / (1.0 - s) - 0.25) / (3.0 * nu)
+    # w < 3 e^{-x^2} everywhere: roots beyond x^2 = 760 have no representable weight
+    x = np.sqrt(x2[x2 < 760.0])
+    step = math.sqrt(2.0 * n)
+    for _ in range(10):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, log_p = _hermite_recurrence(x, n)
+        dx = r / step
+        x = x - dx
+        # first order in dx: at a root, d log(w) / dx = -4x
+        log_w = -math.log(n) - 2.0 * log_p + 4.0 * x * dx
+        if np.abs(dx).max(initial=0.0) <= 1e-15 * max(1.0, x.max(initial=0.0)):
+            break
+    else:
+        raise QuadratureNotConverged(f"Gauss-Hermite roots for n = {n} did not converge")
+    w = np.exp(log_w)
+    x, w = x[w > 0.0], w[w > 0.0]
+    if n % 2:  # the zero node: p_{2j}(0)^2 = pi^{-1/2} prod_{i <= j} (2i - 1) / (2i)
+        i = np.arange(1, m + 1)
+        log_p2 = np.log((2 * i - 1) / (2 * i)).sum() - 0.5 * math.log(math.pi)
+        w0 = math.exp(-math.log(n) - log_p2)
+        return np.concatenate([-x[::-1], [0.0], x]), np.concatenate([w[::-1], [w0], w])
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
     """Gauss-Hermite rule for a centered Gaussian q-distribution of std q_std.
 
     Outer nodes whose weights underflow to zero (w ~ exp(-x^2) for large
-    rules) are dropped; they carry no probability mass."""
+    rules) are left out; they carry no probability mass."""
     x, w = _hermite_nodes(int(n))
-    keep = w > 0.0
-    x, w = x[keep], w[keep]
     nodes = np.sqrt(2.0) * q_std * x
     weights = w / w.sum()
     return QuadratureRule(nodes=nodes, weights=weights)

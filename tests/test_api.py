@@ -44,11 +44,23 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 def test_decay_sweep_leaves_scipy_fft_and_special_unloaded(tmp_path):
-    # the sweep's rate ladder calls neither; only line_mass, the Faddeeva closed
-    # form and the Gauss-Hermite nodes load scipy.special, on first use
+    # the sweep's rate ladder calls neither; only the Faddeeva closed form,
+    # a test oracle, loads scipy.special, on first use
     out = tmp_path / "sweep.csv"
     config = CONFIGS / "decay_sweep_anti_zeno.json"
     code = (f"from zenosim.cli import main; "
             f"assert main(['decay', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
     assert _loaded(code, ["scipy.fft", "scipy.special"]) == []
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("command, name", [("spectrum", "spectrum_strong"),
+                                           ("twolevel", "fig3_weak")])
+def test_cli_run_leaves_scipy_special_unloaded(tmp_path, command, name):
+    # spectrum reaches line_mass (Si), twolevel build_exact (Gauss-Hermite nodes)
+    out = tmp_path / f"{name}.csv"
+    config = CONFIGS / f"{name}.json"
+    code = (f"from zenosim.cli import main; "
+            f"assert main([{command!r}, '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
+    assert _loaded(code, ["scipy.special"]) == []
     assert out.stat().st_size > 0

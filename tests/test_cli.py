@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zenosim
+from zenosim import cli
 from zenosim.cli import (
     load_config,
     main,
@@ -299,6 +300,53 @@ class TestSpectrumRunner:
         ratio = float(ratio_line.split(":")[1])
         # width is proportional to Lambda hbar omega_if; constant ~ 3
         assert 2.0 < ratio < 4.0
+
+
+def _write_csv_per_value(path, header_lines, columns, rows, footer_lines=()):
+    """The writer `cli._write_csv` replaced, one format call per value: its oracle."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(x):.12g}" for x in row) + "\n")
+        for line in footer_lines:
+            fh.write(f"# {line}\n")
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                  -1e300, 1e-300, 0.1, 1.0 / 3.0, -2.5e-7, 123456789012345.0, 1e16, 7.0]
+
+
+class TestWriteCsv:
+    def _check(self, tmp_path, columns, rows, footer=()):
+        header = ["zeno-sim test", "config: {}"]
+        cli._write_csv(str(tmp_path / "new.csv"), header, columns, np.array(rows, dtype=float),
+                       footer)
+        _write_csv_per_value(str(tmp_path / "old.csv"), header, columns, rows, footer)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("ncols", [1, 2, 7])
+    def test_special_values_match_per_value_writer(self, tmp_path, ncols):
+        values = SPECIAL_VALUES * ncols
+        rows = [values[i:i + ncols] for i in range(0, len(values) - ncols + 1, ncols)]
+        self._check(tmp_path, [f"c{j}" for j in range(ncols)], rows,
+                    footer=["fwhm: 1", "ratio: nan"])
+
+    def test_empty_rows(self, tmp_path):
+        self._check(tmp_path, ["E", "W"], np.empty((0, 2)), footer=["fwhm: 2"])
+
+    def test_rows_spanning_several_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        rows = np.random.default_rng(3).normal(size=(10, 2)) * 1e5
+        self._check(tmp_path, ["E", "W"], rows)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                  min_size=3, max_size=3), max_size=20))
+    def test_any_floats_match_per_value_writer(self, tmp_path, rows):
+        self._check(tmp_path, ["a", "b", "c"], rows)
 
 
 # (command, config, path of the number) for every numeric config field

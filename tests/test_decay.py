@@ -17,7 +17,7 @@ from zenosim.errors import (
     QuadratureNotConverged,
     ReservoirGridTooCoarse,
 )
-from zenosim.model import correlation, custom_detector, gaussian_detector, strength
+from zenosim.model import SystemSpec, correlation, custom_detector, gaussian_detector, strength
 from zenosim.superop import build_second_order
 from zenosim.decay import (
     LineShape,
@@ -27,6 +27,8 @@ from zenosim.decay import (
     _line_kernel,
     _line_scales,
     _line_time_grid,
+    _mode_sums,
+    _si,
     build_decay_system,
     decay_rate,
     effective_channel,
@@ -293,6 +295,36 @@ class TestFilonChirp:
             with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
                 _filon_transform(g, t, deltas)
             assert chirp.call_count == calls, deltas.size
+
+
+class TestSineIntegral:
+    """`_si` replaces scipy.special.sici in line_mass."""
+
+    X = np.concatenate([np.logspace(-10, 9, 2000), [2.0 - 1e-7, 2.0, 2.0 + 1e-7]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_scipy_sici(self, sign):
+        from scipy.special import sici
+        x = sign * self.X
+        got = np.array([_si(v) for v in x])
+        np.testing.assert_allclose(got, sici(x)[0], rtol=3e-15, atol=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_mpmath(self, sign):
+        mpmath = pytest.importorskip("mpmath")
+        x = sign * self.X[::10]
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.si(v)) for v in x])
+        got = np.array([_si(v) for v in x])
+        np.testing.assert_allclose(got, want, rtol=3e-15, atol=0.0)
+
+    def test_limits(self):
+        from scipy.special import sici
+        assert _si(math.inf) == sici(math.inf)[0] == math.pi / 2.0
+        assert _si(-math.inf) == sici(-math.inf)[0] == -math.pi / 2.0
+        assert _si(0.0) == 0.0
+        assert math.copysign(1.0, _si(-0.0)) == -1.0
+        assert math.isnan(_si(math.nan))
 
 
 class TestReservoirSpectrum:
@@ -602,6 +634,57 @@ class TestEffectiveChannel:
         traced = np.einsum("pbrbnm->prnm", full.reshape((k, a) * 4)[:, :, :, :, :, 0, :, 0])
         eff = effective_channel(dsys.sys, det, steps=96).tensor
         assert np.abs(eff - traced).max() <= 1e-14
+
+    @staticmethod
+    def _e_mat_sums(coeff, w, h, n):
+        """The lag table exp(i w_b l h) for -n < l < n times coeff: the dense
+        evaluation `_mode_sums` replaced, kept as its oracle."""
+        tau = h * (n - 1)
+        return np.exp(1j * np.outer(np.linspace(-tau, tau, 2 * n - 1), w)) @ coeff
+
+    def _check_mode_sums(self, fn, *args, **kwargs):
+        """Run fn, check every `_mode_sums` call it makes against the lag table
+        to 1e-13 of max|g|, and return how often the chirp-z path ran."""
+        with mock.patch.object(decay, "_mode_sums", wraps=_mode_sums) as sums, \
+                mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+            fn(*args, **kwargs)
+            chirp_calls = chirp.call_count
+            assert sums.call_count > 0
+            for call in sums.call_args_list:
+                want = self._e_mat_sums(*call.args)
+                assert np.abs(_mode_sums(*call.args) - want).max() <= 1e-13 * np.abs(want).max()
+        return chirp_calls
+
+    def test_mode_sums_match_lag_table_on_channels_decay_system(self):
+        # the decay channel of the `channels` benchmark job: 201 and 401
+        # auxiliary states on a uniform mode grid, 4001 lags
+        det = gaussian_detector(sigma=1.0, lam=50.0, tau=2.0)
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
+        assert self._check_mode_sums(measured_decay_channel, 0.5, -0.5, res, det,
+                                     n_modes=200) > 0
+
+    def test_mode_sums_match_lag_table_on_non_uniform_modes(self):
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        det = gaussian_detector(sigma=1.0, lam=5.0, tau=0.5)
+        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=100)
+        modes = dsys.mode_energies + 0.3 * dsys.delta_e * np.sin(np.arange(100))
+        alpha = (0.0,) + tuple(modes)
+        sys = SystemSpec(levels=dsys.sys.levels, alpha_energies=(alpha, alpha),
+                         v=dsys.sys.v, hbar=1.0)
+        assert self._check_mode_sums(effective_channel, sys, det) == 0
+
+    @pytest.mark.parametrize("k", [3, 4, 63, 64, 65, 400])
+    @pytest.mark.parametrize("n", [2, 97, 2001])
+    def test_mode_sums_blocks_match_lag_table(self, k, n):
+        rng = np.random.default_rng(k * n)
+        coeff = rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
+        w = np.concatenate([[0.0], np.linspace(-30.0, 70.0, k)])
+        with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+            got = _mode_sums(coeff, w, 2.0 / max(n - 1, 1), n)
+        # chirp-z blocks of k lags for 64 <= k <= 2n - 1
+        assert chirp.called == (64 <= k <= 2 * n - 1)
+        want = self._e_mat_sums(coeff, w, 2.0 / max(n - 1, 1), n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_level_order_validated(self):
         res = ReservoirSpectrum.flat(0.001)

@@ -154,6 +154,24 @@ class TestQuadratureRule:
     def test_requires_eight_nodes(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(4, 1.0)
+        with pytest.raises(ValueError):
+            gauss_hermite_rule(0, 1.0)
+
+    @pytest.mark.parametrize("n", [8, 9, 24, 64, 65, 128, 256, 1024, 4096, 8192])
+    def test_hermite_nodes_match_scipy(self, n):
+        from scipy.special import roots_hermite
+        x, w = superop._hermite_nodes(n)
+        xs, ws = roots_hermite(n)
+        # only outer nodes whose weights underflow are left out, symmetrically
+        cut = (n - x.size) // 2
+        assert x.size == n - 2 * cut and x.size >= np.count_nonzero(ws)
+        assert np.all(ws[:cut] == 0.0) and np.all(ws[n - cut:] == 0.0)
+        xs, ws = xs[cut:n - cut], ws[cut:n - cut]
+        assert np.all(np.abs(x - xs) <= 1e-12 * np.maximum(1.0, np.abs(xs)))
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        big = ws > 1e-280
+        np.testing.assert_allclose(w[big], ws[big], rtol=1e-10, atol=0.0)
+        assert w.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
