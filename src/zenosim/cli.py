@@ -288,6 +288,13 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, certified: dict):
         fh.write("\n")
 
 
+def _channel_certificate(channel) -> dict:
+    """Sidecar facts of an exact channel: its trace error, node count and the
+    (nodes, max change) steps of its node ladder (empty for a fixed rule)."""
+    return {"trace_err": channel.certified_trace_err, "nodes": channel.meta["nodes"],
+            "ladder": channel.meta["ladder"]}
+
+
 def _config_echo(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
 
@@ -332,8 +339,7 @@ def run_twolevel(cfg: ExperimentConfig, out: str, nodes: int | None = None) -> s
     _write_csv(out, header,
                ["t", "rho11", "rho00", "re_rho10", "im_rho10",
                 "rho11_approx", "rho11_free"], rows)
-    _write_sidecar(out, cfg, {"trace_err": channel.certified_trace_err,
-                              "nodes": channel.meta.get("nodes")})
+    _write_sidecar(out, cfg, _channel_certificate(channel))
     return out
 
 
@@ -399,8 +405,7 @@ def run_channel_dump(cfg: ExperimentConfig, out: str, nodes: int | None = None) 
     rule = None if nodes is None else default_rule(det, nodes)
     channel = build_exact(preset.to_system(), det, t0=cfg.t0, rule=rule)
     dump_channel(channel, det, out)
-    _write_sidecar(out, cfg, {"trace_err": channel.certified_trace_err,
-                              "nodes": channel.meta.get("nodes")})
+    _write_sidecar(out, cfg, _channel_certificate(channel))
     return out
 
 

@@ -30,7 +30,13 @@ class NumericalConvergenceError(ZenoSimError):
 
 
 class QuadratureNotConverged(NumericalConvergenceError):
-    """An adaptive quadrature failed to reach the requested tolerance."""
+    """An adaptive quadrature failed to reach the requested tolerance.
+
+    ladder lists the (nodes, max change) steps the node doubling climbed."""
+
+    def __init__(self, message, ladder=()):
+        super().__init__(message)
+        self.ladder = list(ladder)
 
 
 class PropagationStepTooCoarse(NumericalConvergenceError):

@@ -8,8 +8,13 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
   are averaged over the detector position distribution),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
-* second-order perturbation theory in V, with the two time integrals of the
-  Dyson expansion evaluated on a trapezoid grid.
+* second-order perturbation theory in V.  For a Gaussian detector, a constant
+  V and a phase scale lambda*tau*max|omega|/sigma up to NODE_PHASE_BOUND, the
+  V-linear and V-quadratic terms are averaged over the same Gauss-Hermite
+  node ladder as the exact quadrature, each node taking the Dyson blocks of
+  one Van Loan block exponential; otherwise (custom detectors, a
+  time-dependent V, stronger measurements) the two time integrals of the
+  Dyson expansion are evaluated on a trapezoid grid.
 
 `repeat` composes measurements back to back, which is the densest
 measurement sequence the finite duration allows.
@@ -18,6 +23,7 @@ measurement sequence the finite duration allows.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,6 +66,8 @@ class QuadratureRule:
             raise DimensionMismatch("nodes and weights must be matching 1-d arrays")
         if nodes.size < 8:
             raise ValueError("quadrature rule needs at least 8 nodes")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("quadrature nodes and weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("quadrature weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -144,6 +152,8 @@ def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
 
     Outer nodes whose weights underflow to zero (w ~ exp(-x^2) for large
     rules) are left out; they carry no probability mass."""
+    if not (q_std > 0 and math.isfinite(q_std)):
+        raise ValueError(f"q_std must be finite and > 0, got {q_std!r}")
     x, w = _hermite_nodes(int(n))
     nodes = np.sqrt(2.0) * q_std * x
     weights = w / w.sum()
@@ -204,31 +214,69 @@ def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
     return u
 
 
+def _node_sum(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S[p, r, n, m] = sum_k w_k x_k[p, n] conj(y_k[r, m]) for stacks x, y of
+    shape (K, d, d), as one (d^2, K) @ (K, d^2) product."""
+    k, d = x.shape[:2]
+    pn_rm = (weights[:, None] * x.reshape(k, -1)).T @ y.reshape(k, -1).conj()
+    return np.ascontiguousarray(pn_rm.reshape((d,) * 4).transpose(0, 2, 1, 3))
+
+
 def _tensor_from_rule(sys: SystemSpec, det: DetectorModel, t0: float,
                       rule: QuadratureRule, substeps: int) -> np.ndarray:
-    u = _propagators(sys, det, t0, rule, substeps).reshape(len(rule), -1)
-    # sum_k w_k u_k[p, n] conj(u_k[r, m]) as one (d^2, K) @ (K, d^2) product
-    pn_rm = (rule.weights[:, None] * u).T @ u.conj()
-    return np.ascontiguousarray(pn_rm.reshape((sys.dim,) * 4).transpose(0, 2, 1, 3))
+    u = _propagators(sys, det, t0, rule, substeps)
+    return _node_sum(rule.weights, u, u)
+
+
+ENTRY_TOL, MIN_NODES, MAX_NODES = 1e-8, 64, 8192
+
+
+def _node_ladder(det: DetectorModel, build, entry_tol: float, min_nodes: int,
+                 max_nodes: int):
+    """Double the Gauss-Hermite node count from min_nodes until no entry of
+    build(rule) moves by more than entry_tol.
+
+    Returns the last tensor and the ladder, a list of (nodes, max change
+    against half the nodes).  Raises QuadratureNotConverged, carrying the
+    ladder, once the next level would exceed max_nodes.
+    """
+    n = min_nodes
+    tensor = build(default_rule(det, n))
+    ladder = []
+    while True:
+        n *= 2
+        tensor2 = build(default_rule(det, n))
+        change = float(np.abs(tensor2 - tensor).max())
+        ladder.append((n, change))
+        tensor = tensor2
+        if change <= entry_tol:
+            return tensor, ladder
+        if 2 * n > max_nodes:
+            raise QuadratureNotConverged(
+                f"entries still moving by {change:.2e} at {n} Gauss-Hermite nodes", ladder)
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                 rule: QuadratureRule | None = None, *,
-                entry_tol: float = 1e-8,
-                min_nodes: int = 64, max_nodes: int = 8192,
+                entry_tol: float = ENTRY_TOL,
+                min_nodes: int = MIN_NODES, max_nodes: int = MAX_NODES,
                 min_substeps: int = 8, max_substeps: int = 1024) -> MeasurementChannel:
     """Exact-quadrature measurement channel.
 
     With an explicit rule the tensor is built on that rule (still refining
     the time substeps for a time-dependent V).  With rule=None the detector
     must be Gaussian and the Gauss-Hermite node count is doubled until no
-    tensor entry moves by more than entry_tol.
+    tensor entry moves by more than entry_tol; meta["ladder"] lists the
+    (nodes, max change) steps.
 
-    Raises PropagationStepTooCoarse if substep doubling does not stabilize
-    and QuadratureNotConverged if the node ladder hits max_nodes.
+    Raises ValueError unless entry_tol is finite and > 0,
+    PropagationStepTooCoarse if substep doubling does not stabilize and
+    QuadratureNotConverged if the node ladder hits max_nodes.
     """
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
+    if not (entry_tol > 0 and math.isfinite(entry_tol)):
+        raise ValueError(f"entry_tol must be finite and > 0, got {entry_tol!r}")
 
     def build_at(r: QuadratureRule, m: int):
         """Tensor on rule r and its substep count, once m and 2m substeps agree."""
@@ -245,29 +293,26 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                 raise PropagationStepTooCoarse(
                     f"tensor entries still moving by > {entry_tol:.1e} at {m} substeps")
 
+    m = 2 * min_substeps
+
+    def build(r: QuadratureRule):
+        # start at the check the previous node level passed, m / 2 against m
+        nonlocal m
+        tensor, m = build_at(r, m // 2)
+        return tensor
+
     if rule is not None:
-        tensor, m = build_at(rule, min_substeps)
+        tensor, ladder = build(rule), []
         quad_err = None
         nodes = len(rule)
     else:
-        n = min_nodes
-        tensor, m = build_at(default_rule(det, n), min_substeps)
-        while True:
-            # start at the check the previous node level passed, m / 2 against m
-            tensor2, m = build_at(default_rule(det, 2 * n), m // 2)
-            quad_err = float(np.abs(tensor2 - tensor).max())
-            tensor = tensor2
-            n *= 2
-            if quad_err <= entry_tol:
-                nodes = n
-                break
-            if 2 * n > max_nodes:
-                raise QuadratureNotConverged(
-                    f"entries still moving by {quad_err:.2e} at {n} Gauss-Hermite nodes")
+        tensor, ladder = _node_ladder(det, build, entry_tol, min_nodes, max_nodes)
+        nodes, quad_err = ladder[-1]
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
                               certified_trace_err=err,
-                              meta={"nodes": nodes, "substeps": m, "quad_entry_err": quad_err})
+                              meta={"nodes": nodes, "substeps": m, "quad_entry_err": quad_err,
+                                    "ladder": ladder})
 
 
 def build_unperturbed(sys: SystemSpec, det: DetectorModel) -> MeasurementChannel:
@@ -440,18 +485,83 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
     return s
 
 
-def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                       steps: int = 256) -> MeasurementChannel:
-    """Channel from second-order perturbation theory in V.
+def _dyson_blocks(phases: np.ndarray, v: np.ndarray):
+    """(U0, U1, U2) of exp(-i [[H, V, 0], [0, H, V], [0, 0, H]]) for a stack of
+    diagonal H = diag(phases[k]), phases of shape (K, d), and one V, both
+    dimensionless (energies times tau / hbar).
 
-    S = S0 + S1 + S2 with S0 the unperturbed closed form, S1 linear and S2
-    quadratic in V; valid when the action of V over one measurement is small
-    (||V|| tau / hbar << 1, not enforced here).  Single time integrals use
-    the trapezoid rule and the nested t2 <= t1 integrals an iterated
-    trapezoid on the same `steps`-point grid.
+    U0 = exp(-iH) is returned as its diagonal (K, d); U1 and U2 (K, d, d) are
+    the terms of exp(-i(H + V)) linear and quadratic in V (Van Loan, IEEE TAC
+    23, 395 (1978)).  The exponential is taken in the algebra of V-truncated
+    triples (A0, A1, A2), whose product is (A0 B0, A0 B1 + A1 B0,
+    A0 B2 + A1 B1 + A2 B0): a degree-14 Taylor polynomial in Horner form at
+    2^-m of the generator, whose absolute row sums are then at most 1/2 (the
+    first omitted term is below 3e-17), squared back m times.
     """
-    if steps < 16:
-        raise StepCountTooSmall(f"steps = {steps} < 16")
+    k, d = phases.shape
+    scale = np.abs(phases).max() + np.abs(v).sum(axis=1).max()
+    m = max(0, math.ceil(math.log2(2.0 * scale))) if scale > 0 else 0
+    a = (-1j / 2.0 ** m) * phases
+    w = (-1j / 2.0 ** m) * v
+    p0 = np.ones((k, d), dtype=complex)
+    p1 = np.zeros((k, d, d), dtype=complex)
+    p2 = np.zeros((k, d, d), dtype=complex)
+    for j in range(14, 0, -1):  # P <- 1 + P X / j with X = (diag a, w, 0)
+        p2 = ((p1.reshape(-1, d) @ w).reshape(k, d, d) + p2 * a[:, None, :]) / j
+        p1 = (p0[:, :, None] * w + p1 * a[:, None, :]) / j
+        p0 = 1.0 + p0 * a / j
+    for _ in range(m):
+        p2 = p0[:, :, None] * p2 + p1 @ p1 + p2 * p0[:, None, :]
+        p1 = p0[:, :, None] * p1 + p1 * p0[:, None, :]
+        p0 = p0 * p0
+    return p0, p1, p2
+
+
+# Phase scale lambda tau max|omega_level| / sigma up to which build_second_order
+# averages over Gauss-Hermite nodes.  A node average of exp(i sqrt(2) theta x)
+# needs about theta^2 / 2 nodes before the ladder's steps fall below 1e-8:
+# measured on random systems of 4, 5 and 10 states (random levels, sigma and
+# tau, auxiliary states), 128 nodes at theta = 16, 512 at 32, 2048 at 64 and 4096
+# at 96 to 112; from about theta = 120 the ladder runs into the 8192-node cap it
+# shares with build_exact.  64 keeps a factor of four in nodes below that cap.
+NODE_PHASE_BOUND = 64.0
+
+
+def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
+    return det.lam * det.tau * float(np.abs(sys.omega_level()).max()) / det.sigma
+
+
+def _second_order_on_nodes(sys: SystemSpec, det: DetectorModel, t0: float) -> MeasurementChannel:
+    """Second-order channel of a Gaussian detector and a constant V by the
+    node ladder of `build_exact`: S0 is the closed form of `build_unperturbed`
+    and S1 + S2 = sum_k w_k (U0 (U1 + U2)* + U1 (U0 + U1)* + U2 U0*) over
+    each node's Dyson blocks, one (d^2, 3K) @ (3K, d^2) product."""
+    s = det.tau / sys.hbar
+    v = s * sys.v_at(0.0)
+    eye = np.eye(sys.dim)
+
+    def build(rule: QuadratureRule) -> np.ndarray:
+        h = (1.0 + det.lam * rule.nodes)[:, None] * sys.e0 + sys.e1
+        h -= 0.5 * (h.max(axis=1) + h.min(axis=1))[:, None]  # a node's common phase cancels
+        u0, u1, u2 = _dyson_blocks(s * h, v)
+        u0 = u0[:, :, None] * eye
+        return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
+                         np.concatenate([u1 + u2, u0 + u1, u0]))
+
+    s12, ladder = _node_ladder(det, build, ENTRY_TOL, MIN_NODES, MAX_NODES)
+    tensor = build_unperturbed(sys, det).tensor + s12
+    nodes, quad_err = ladder[-1]
+    return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
+                              certified_trace_err=trace_sum_rule_defect(tensor),
+                              meta={"nodes": nodes, "quad_entry_err": quad_err,
+                                    "ladder": ladder})
+
+
+def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
+                          steps: int) -> MeasurementChannel:
+    """Second-order channel with the Dyson time integrals on a trapezoid grid:
+    single integrals by the trapezoid rule and the nested t2 <= t1 integrals
+    by an iterated trapezoid on the same steps + 1 points."""
     t = np.linspace(0.0, det.tau, steps + 1)
     w_full = sys.omega_full()
     # x[a, b] = V(t)[a, b] e^{i w_ab t}, contiguous in t
@@ -473,6 +583,41 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                               certified_trace_err=err, meta={"steps": steps})
 
 
+def _count(value, name: str) -> int:
+    """value as an int; ValueError, not TypeError, for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
+                       steps: int = 256) -> MeasurementChannel:
+    """Channel from second-order perturbation theory in V.
+
+    S = S0 + S1 + S2 with S0 the unperturbed closed form, S1 linear and S2
+    quadratic in V; valid when the action of V over one measurement is small
+    (||V|| tau / hbar << 1, not enforced here).
+
+    A Gaussian detector with a constant V (or none) whose phase scale
+    lambda tau max|omega_level| / sigma is at most NODE_PHASE_BOUND takes the
+    node path: S1 + S2 is the V-linear and V-quadratic part of the exact
+    quadrature, averaged over Gauss-Hermite nodes until no entry moves by more
+    than build_exact's default entry_tol (meta: nodes, quad_entry_err,
+    ladder; QuadratureNotConverged beyond 8192 nodes).  steps is then only
+    validated.  Every other channel takes the Dyson time integrals on a
+    trapezoid grid of steps + 1 points (meta: steps).
+
+    Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
+    """
+    steps = _count(steps, "steps")
+    if steps < 16:
+        raise StepCountTooSmall(f"steps = {steps} < 16")
+    if det.kind == "gaussian" and sys.constant_v and _phase_scale(sys, det) <= NODE_PHASE_BOUND:
+        return _second_order_on_nodes(sys, det, t0)
+    return _second_order_on_grid(sys, det, t0, steps)
+
+
 def repeat(channel_factory, rho0: np.ndarray, n: int,
            trace_tol: float = 1e-6) -> np.ndarray:
     """Apply N back-to-back measurements; returns the stack of states after
@@ -483,6 +628,7 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     Raises TraceDrift if any step's trace leaves 1 by more than trace_tol, and
     InvalidDensityMatrix if every 64th or the last state dips below EIG_FLOOR.
     """
+    n = _count(n, "n")
     if n < 1:
         raise ValueError("need at least one measurement")
     rho = check_density_matrix(rho0)
@@ -540,6 +686,8 @@ def load_channel(path):
     body = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size)
     if body.size != dim ** 4:
         raise ValueError("snapshot body size does not match the header dimension")
+    if tag not in _TAG_METHODS:
+        raise ValueError(f"unknown method tag {tag} in snapshot header")
     tensor = body.astype(complex).reshape((dim,) * 4)
     info = {"method": _TAG_METHODS[tag], "dim": dim, "tau": tau, "t0": t0,
             "lambda": lam, "sigma": None if np.isnan(sigma) else sigma}

@@ -197,6 +197,8 @@ class TestTwoLevelRunner:
         meta = json.load(open(out + ".meta.json"))
         assert meta["config"]["detector"]["lambda"] == 50.0
         assert meta["certified"]["trace_err"] < 1e-8
+        ladder = meta["certified"]["ladder"]
+        assert ladder[-1][0] == meta["certified"]["nodes"] and ladder[-1][1] <= 1e-8
         assert meta["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__,
                                     "zenosim": zenosim.__version__}
 

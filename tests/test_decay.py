@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 
-from zenosim import decay
+from zenosim import decay, superop
 from zenosim.errors import (
     GridTooNarrow,
     NotInZenoRegime,
@@ -18,7 +18,6 @@ from zenosim.errors import (
     ReservoirGridTooCoarse,
 )
 from zenosim.model import SystemSpec, correlation, custom_detector, gaussian_detector, strength
-from zenosim.superop import build_second_order
 from zenosim.decay import (
     LineShape,
     ReservoirSpectrum,
@@ -626,10 +625,11 @@ class TestEffectiveChannel:
     @pytest.mark.parametrize("lam", [0.0, 5.0, 30.0])
     def test_reservoir_trace_of_second_order(self, n_modes, res, lam):
         # the effective channel is sum_beta S[(p,beta),(r,beta),(n,0),(m,0)] of
-        # the full atom + modes second-order channel with the modes in vacuum
+        # the full atom + modes second-order channel on the same trapezoid grid,
+        # with the modes in vacuum
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=n_modes)
-        full = build_second_order(dsys.sys, det, steps=96).tensor
+        full = superop._second_order_on_grid(dsys.sys, det, 0.0, 96).tensor
         k, a = dsys.sys.n_levels, n_modes + 1
         traced = np.einsum("pbrbnm->prnm", full.reshape((k, a) * 4)[:, :, :, :, :, 0, :, 0])
         eff = effective_channel(dsys.sys, det, steps=96).tensor

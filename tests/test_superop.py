@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import decay, superop
@@ -16,6 +16,7 @@ from zenosim.decay import (ReservoirSpectrum, build_decay_system, effective_chan
 from zenosim.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
+    QuadratureNotConverged,
     StepCountTooSmall,
     TraceDrift,
 )
@@ -26,9 +27,11 @@ from zenosim.model import (
     custom_detector,
     gaussian_detector,
 )
-from zenosim.qmat import trace_sum_rule_defect, unit_sum_rule_defect, unitary_exp
+from zenosim.qmat import (check_density_matrix, trace_sum_rule_defect, unit_sum_rule_defect,
+                          unitary_exp)
 from zenosim.superop import (
     EXACT_QUADRATURE,
+    NODE_PHASE_BOUND,
     MeasurementChannel,
     QuadratureRule,
     _trapezoid_weights,
@@ -177,6 +180,18 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.arange(8.0), weights=np.full(8, 0.2))
 
+    @pytest.mark.parametrize("q_std", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_width(self, q_std):
+        with pytest.raises(ValueError):
+            gauss_hermite_rule(64, q_std)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_nodes(self, bad):
+        nodes = np.arange(8.0)
+        nodes[3] = bad
+        with pytest.raises(ValueError):
+            QuadratureRule(nodes=nodes, weights=np.full(8, 0.125))
+
     def test_no_default_rule_for_custom_detector(self):
         nu = np.linspace(-3, 3, 301)
         det = custom_detector(nu, np.exp(-nu ** 2), lam=1.0, tau=0.1)
@@ -233,6 +248,27 @@ class TestBuildExact:
         t1 = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, n)).tensor
         t2 = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 2 * n)).tensor
         assert np.abs(t2 - t1).max() <= 1e-8
+
+    @pytest.mark.parametrize("entry_tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_entry_tol(self, entry_tol):
+        with mock.patch.object(superop, "_propagators") as prop, pytest.raises(ValueError):
+            build_exact(FIG1_SYS, FIG1_DET, entry_tol=entry_tol)
+        prop.assert_not_called()
+
+    def test_records_node_ladder(self):
+        ch = build_exact(FIG1_SYS, FIG1_DET)
+        ladder = ch.meta["ladder"]
+        assert [n for n, _ in ladder] == [128 * 2 ** i for i in range(len(ladder))]
+        assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
+        assert all(change > 1e-8 for _, change in ladder[:-1]) and ladder[-1][1] <= 1e-8
+        assert build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 64)).meta["ladder"] == []
+
+    def test_not_converged_carries_ladder(self):
+        det = gaussian_detector(sigma=1.0, lam=500.0, tau=0.1)
+        with pytest.raises(QuadratureNotConverged) as info:
+            build_exact(FIG1_SYS, det, max_nodes=256)
+        assert [n for n, _ in info.value.ladder] == [128, 256]
+        assert all(change > 1e-8 for _, change in info.value.ladder)
 
     def test_maximally_mixed_is_fixed_point(self):
         ch = build_exact(FIG1_SYS, FIG1_DET)
@@ -361,6 +397,75 @@ class TestBuildSecondOrder:
         with pytest.raises(StepCountTooSmall):
             build_second_order(FIG1_SYS, FIG1_DET, steps=8)
 
+    @pytest.mark.parametrize("steps", [16.5, 256.0, "256"])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError):
+            build_second_order(FIG1_SYS, FIG1_DET, steps=steps)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 5), uniform=st.booleans(), aux=st.booleans(),
+           lam=st.sampled_from([0.0, 5.0, 20.0]), theta=st.floats(0.05, 0.999),
+           seed=st.integers(0, 2 ** 16))
+    # the grid comparison at the bound edge
+    @example(n=3, uniform=False, aux=False, lam=20.0, theta=0.999, seed=1)
+    @example(n=2, uniform=False, aux=True, lam=5.0, theta=0.999, seed=2)
+    def test_node_path_matches_grid_and_exact_v2(self, n, uniform, aux, lam, theta, seed):
+        rng = np.random.default_rng(seed)
+        levels = np.linspace(-2.0, 2.0, n) if uniform else np.sort(rng.uniform(-3.0, 3.0, n))
+        alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
+        vmat = random_v(rng, 2 * n if aux else n, 0.2)
+
+        def system(scale):
+            return SystemSpec(levels=tuple(levels), alpha_energies=alphas, v=scale * vmat)
+
+        # sigma puts the phase scale lambda tau max|omega| / sigma at `theta` of the bound
+        sigma = lam * 0.1 * (levels[-1] - levels[0]) / (theta * NODE_PHASE_BOUND) if lam else 1.0
+        det = gaussian_detector(sigma, lam, 0.1)
+        sys = system(1.0)
+        node = build_second_order(sys, det)
+        assert "nodes" in node.meta and node.meta["nodes"] <= 8192
+        s12 = node.tensor - build_unperturbed(sys, det).tensor
+        # the V-linear and V-quadratic part of the exact channel, from +-eps V; at the
+        # bound with auxiliary states the exact ladder's rounding floor is about 2e-14
+        eps = 1e-2
+        plus, minus, zero = (build_exact(system(e), det, entry_tol=1e-13).tensor
+                             for e in (eps, -eps, 0.0))
+        exact = (plus - minus) / (2.0 * eps) + (plus + minus - 2.0 * zero) / (2.0 * eps ** 2)
+        assert np.abs(s12 - exact).max() <= 1e-8
+        if sys.dim <= 4 and n <= 3:  # 0.5 to 5 s for the 2048-step grid here, 20 s at n = 4
+            # the grid's O(h^2) error, up to 2e-9 itself at 2048 steps, extrapolated away
+            fine = superop._second_order_on_grid(sys, det, 0.0, 2048).tensor
+            coarse = superop._second_order_on_grid(sys, det, 0.0, 1024).tensor
+            assert np.abs(node.tensor - (4.0 * fine - coarse) / 3.0).max() <= 2e-9
+
+    def test_node_ladder_converges_at_phase_bound(self):
+        # four levels spanning omega = 3, so lambda tau max|omega| / sigma is the bound
+        vmat = random_v(np.random.default_rng(11), 4, 0.2)
+        sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.5), v=vmat)
+        det = gaussian_detector(sigma=1.0, lam=NODE_PHASE_BOUND / 0.3, tau=0.1)
+        assert superop._phase_scale(sys, det) == pytest.approx(NODE_PHASE_BOUND, rel=1e-14)
+        det = gaussian_detector(sigma=1.0, lam=(1.0 - 1e-12) * det.lam, tau=0.1)
+        ch = build_second_order(sys, det)
+        ladder = ch.meta["ladder"]
+        assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
+        assert ch.meta["quad_entry_err"] <= 1e-8 and 2 * ch.meta["nodes"] <= 8192
+        assert ch.certified_trace_err <= 1e-12
+        # what is left against the exact channel is third order in ||V|| tau
+        residual = np.abs(ch.tensor - build_exact(sys, det).tensor).max()
+        assert residual <= (np.linalg.norm(vmat, 2) * det.tau) ** 3
+        above = gaussian_detector(sigma=1.0, lam=1.01 * det.lam, tau=0.1)
+        assert build_second_order(sys, above, steps=64).meta == {"steps": 64}
+
+    def test_grid_path_for_custom_detector_and_timed_v(self):
+        nu = np.linspace(-10.0, 10.0, 2001)
+        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=5.0, tau=0.1)
+        vmat = FIG1_SYS.v
+        timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * vmat)
+        assert build_second_order(FIG1_SYS, det_tab, steps=32).meta == {"steps": 32}
+        assert build_second_order(timed, FIG1_DET, steps=32).meta == {"steps": 32}
+        assert set(build_second_order(FIG1_SYS, FIG1_DET, steps=32).meta) == {
+            "nodes", "quad_entry_err", "ladder"}
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 4), uniform=st.booleans(), aux=st.booleans(),
            timed=st.booleans(), tabulated=st.booleans(),
@@ -378,8 +483,8 @@ class TestBuildSecondOrder:
             det = custom_detector(nu, np.exp(-nu ** 2 / 2.0) * (1.0 + 0.2j * nu), lam, 0.1)
         else:
             det = gaussian_detector(1.0, lam, 0.1)
-        fast = build_second_order(sys, det, t0=0.3, steps=32).tensor
-        slow = _per_path(build_second_order, sys, det, t0=0.3, steps=32)
+        fast = superop._second_order_on_grid(sys, det, 0.3, 32).tensor
+        slow = _per_path(superop._second_order_on_grid, sys, det, 0.3, 32)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     @pytest.mark.parametrize("lam", [0.0, 5.0, 30.0])
@@ -420,7 +525,7 @@ class TestBuildSecondOrder:
         steps = 32
         n = steps + 1
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
-            build_second_order(sys, FIG1_DET, steps=steps)
+            superop._second_order_on_grid(sys, FIG1_DET, 0.0, steps)
         shapes = [np.shape(c.args[1]) for c in corr.call_args_list]
         # a triple with w_t1 == -w_t2 depends on the lag only: one F vector over the
         # 2n - 1 lags; every other triple gets one dense n x n kernel
@@ -536,6 +641,11 @@ class TestRepeat:
             repeat(lambda t0: ch, rho0, n)
         assert repeat(lambda t0: ch, rho0, 50)[-1, 1, 1].real == pytest.approx(0.0, abs=1e-12)
 
+    def test_non_integer_count_rejected(self):
+        ch = identity_channel(2)
+        with pytest.raises(ValueError):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 2.5)
+
     def test_factory_receives_measurement_start_times(self):
         seen = []
 
@@ -573,3 +683,49 @@ class TestChannelSnapshot:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_channel(io.BytesIO(b"not a snapshot"))
+
+    def test_rejects_unknown_method_tag(self):
+        buf = io.BytesIO()
+        dump_channel(build_unperturbed(FIG1_SYS, FIG1_DET), FIG1_DET, buf)
+        raw = bytearray(buf.getvalue())
+        raw[5] = 7  # the method tag follows the magic and the version byte
+        with pytest.raises(ValueError, match="method tag"):
+            load_channel(io.BytesIO(bytes(raw)))
+
+
+def _hermiticity_defect(s):
+    """max |S[p, r, n, m] - conj S[r, p, m, n]|: zero for a map that keeps
+    Hermitian matrices Hermitian."""
+    return float(np.abs(s - s.transpose(1, 0, 3, 2).conj()).max())
+
+
+class TestChannelInvariants:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 3), aux=st.booleans(), tabulated=st.booleans(),
+           sigma=st.floats(0.5, 2.0), lam=st.floats(0.0, 30.0), tau=st.floats(0.05, 0.5),
+           seed=st.integers(0, 2 ** 16))
+    def test_sum_rules_and_validity_across_builders(self, n, aux, tabulated, sigma, lam, tau,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        levels = tuple(np.sort(rng.uniform(-3.0, 3.0, n)))
+        alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
+        sys = SystemSpec(levels=levels, alpha_energies=alphas,
+                         v=random_v(rng, 2 * n if aux else n, 0.3))
+        if tabulated:
+            nu = np.linspace(-12.0, 12.0, 2401)
+            det = custom_detector(nu, np.exp(-nu ** 2 / (2.0 * sigma ** 2)), lam, tau)
+            exact = build_exact(sys, det, rule=gauss_hermite_rule(256, 1.0 / sigma))
+        else:
+            det = gaussian_detector(sigma, lam, tau)
+            exact = build_exact(sys, det)
+        # the trapezoid grid's trace defect is its discretization error, up to about
+        # 1e-6 at 64 steps here; every other builder holds the rule to rounding
+        second = build_second_order(sys, det, steps=64)
+        channels = [(exact, 1e-12), (build_unperturbed(sys, det), 1e-14),
+                    (second, 1e-5 if "steps" in second.meta else 1e-12),
+                    (superop._second_order_on_grid(sys, det, 0.0, 64), 1e-5)]
+        for ch, cap in channels:
+            assert trace_sum_rule_defect(ch.tensor) <= ch.certified_trace_err <= cap
+            assert _hermiticity_defect(ch.tensor) <= 1e-14 * np.abs(ch.tensor).max()
+        for _ in range(3):
+            check_density_matrix(exact.apply(random_density(rng, sys.dim)), trace_tol=1e-8)
