@@ -19,7 +19,6 @@ from .decay import (
     golden_rule,
     line_mass,
     line_shape,
-    line_shape_closed_form,
     measured_decay_channel,
     population_decay_rate,
     zeno_limit_rate,
@@ -57,7 +56,6 @@ from .superop import (
     build_unperturbed,
     default_rule,
     dump_channel,
-    gauss_hermite_rule,
     load_channel,
     repeat,
 )
@@ -67,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DecaySystem", "LineShape", "ReservoirSpectrum", "build_decay_system",
     "decay_rate", "effective_channel", "emitted_spectrum", "fwhm", "golden_rule",
-    "line_mass", "line_shape", "line_shape_closed_form", "measured_decay_channel",
+    "line_mass", "line_shape", "measured_decay_channel",
     "population_decay_rate", "zeno_limit_rate",
     "JumpTable", "RateMatrix", "inhibition_time", "jump_probability_general",
     "jump_probability_strong", "jump_probability_timeindep", "jump_table",
@@ -78,6 +76,5 @@ __all__ = [
     "strength",
     "apply_super", "check_density_matrix", "herm_eig", "unitary_exp",
     "MeasurementChannel", "QuadratureRule", "build_exact", "build_second_order",
-    "build_unperturbed", "default_rule", "dump_channel", "gauss_hermite_rule",
-    "load_channel", "repeat",
+    "build_unperturbed", "default_rule", "dump_channel", "load_channel", "repeat",
 ]

@@ -21,8 +21,7 @@ sum_j g_j e^{i delta t_j} are a chirp-z transform, one numpy FFT convolution
 padded to the power of two at or above n + m - 1, instead of an n x m phase
 matrix; other delta sets take the dense matrix in chunks.  The line mass over
 a window adds the sine integral Si at its edges, evaluated with `math` alone
-(`_si`); of scipy's special functions only the Faddeeva closed form, a test
-oracle, needs any.  The same chirp-z transform sums the reservoir-traced
+(`_si`).  The same chirp-z transform sums the reservoir-traced
 channel's uniform mode grid on the lag grid (`_mode_sums`).
 """
 
@@ -39,11 +38,13 @@ from .errors import (
     NotInZenoRegime,
     QuadratureNotConverged,
     ReservoirGridTooCoarse,
+    StepCountTooSmall,
     ZeroStrength,
 )
 from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
-from .qmat import trace_sum_rule_defect
-from .superop import SECOND_ORDER, MeasurementChannel, _dyson_second_order, build_unperturbed
+from .qmat import _count, _tolerance, trace_sum_rule_defect
+from .superop import (MIN_STEPS, SECOND_ORDER, MeasurementChannel, _dyson_second_order,
+                      build_unperturbed)
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +267,6 @@ def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
     raise QuadratureNotConverged("line shape not stable under time-grid refinement")
 
 
-def line_shape_closed_form(omega, omega_if: float, det: DetectorModel, tau: float):
-    """Closed form of P(w) for a Gaussian detector, via Faddeeva functions.
-
-    Cross-validates the quadrature path; exact up to floating point.
-    """
-    if det.kind != "gaussian":
-        raise ValueError("closed form exists only for the Gaussian detector")
-    from scipy.special import dawsn, wofz  # loaded on first use, not at import
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    delta = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
-    a = (det.lam * omega_if / det.sigma) ** 2 / 2.0
-    if a == 0.0:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = (1.0 - np.cos(delta * tau)) / (math.pi * tau * delta ** 2)
-        p = np.where(delta == 0.0, tau / (2.0 * math.pi), p)
-        return float(p[0]) if scalar else p
-    sa = math.sqrt(a)
-    y = delta / (2.0 * sa)
-    z2 = sa * tau - 1j * y
-    decay_end = math.exp(-a * tau ** 2) * np.exp(1j * delta * tau)
-    erf_right = np.exp(-y ** 2) - decay_end * wofz(1j * z2)
-    erf_left = -(2j / math.sqrt(math.pi)) * dawsn(y)
-    i0 = (math.sqrt(math.pi) / (2.0 * sa)) * (erf_right - erf_left)
-    i1 = (1.0 - decay_end) / (2.0 * a) + (1j * delta / (2.0 * a)) * i0
-    p = (i0 - i1 / tau).real / math.pi
-    return float(p[0]) if scalar else p
-
-
 def _si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t) / t dt: the power series for
     |x| <= 2, else pi/2 + Im E1(i|x|) from the continued fraction of E1 by the
@@ -359,6 +332,8 @@ class LineShape:
     @classmethod
     def build(cls, omega_if: float, det: DetectorModel, tau: float,
               mass_tol: float = 1e-4):
+        """Sample P(w) around omega_if; ValueError unless mass_tol is finite and > 0."""
+        mass_tol = _tolerance(mass_tol, "mass_tol")
         t_cut, t_f = _line_scales(omega_if, det, tau)
         s_g = 0.0 if math.isinf(t_f) else 1.0 / t_f
         x_core = max(10.0 * s_g, 60.0 / tau)
@@ -441,6 +416,7 @@ def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
 def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
                     tau: float, hbar: float, rel_tol: float = 1e-4):
     """(decay_rate, relative change of the grid doubling that certified it)."""
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     if res.kind == "flat":
         return 2.0 * math.pi * res.g0 / hbar ** 2, 0.0
     # the grid resolves the reservoir factor too: its width, or a table's reach
@@ -464,7 +440,8 @@ def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
 
     Exact for a flat reservoir (the golden rule 2 pi G0 / hbar^2); otherwise
     the exchanged time integral, certified by doubling its time grid until
-    the rate moves by at most rel_tol relative.
+    the rate moves by at most rel_tol relative (ValueError unless rel_tol is
+    finite and > 0).
     """
     return _rate_and_error(res, omega_if, det, tau, hbar, rel_tol)[0]
 
@@ -540,8 +517,10 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
     mode sum reproduces the continuum integrals.  The window defaults to the
     overlap region of the measured line and the reservoir structure and is
     widened until it holds at least 99.5% of the line mass when the
-    reservoir has no finite structure of its own.
+    reservoir has no finite structure of its own.  Raises ValueError unless
+    n_modes is an integer >= 2.
     """
+    n_modes = _count(n_modes, "n_modes", 2)
     if e_excited <= e_ground:
         raise ValueError("excited level must lie above the ground level")
     omega_if = (e_excited - e_ground) / hbar
@@ -639,7 +618,8 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
 
     If `refined` holds the same system discretized with half the mode
     spacing, the populations of both channels are compared and
-    ReservoirGridTooCoarse raised when they differ by more than 1e-4.
+    ReservoirGridTooCoarse raised when they differ by more than 1e-4.  An
+    explicit steps must be an integer >= MIN_STEPS, as in `build_second_order`.
     """
     alphas = sys.alpha_energies
     if any(al != alphas[0] for al in alphas):
@@ -657,6 +637,7 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     w_at = atom.omega_level()
     if steps is None:
         steps = _effective_steps(det, e_alpha, w_at, hbar)
+    steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
     t = np.linspace(0.0, tau, steps + 1)
     nt = t.size
 

@@ -22,6 +22,7 @@ from .errors import (
     ZeroFrequency,
 )
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
+from .qmat import _tolerance
 from .superop import _lag_sums, _trapezoid_weights, _v_samples
 
 
@@ -68,8 +69,10 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     evaluated by nested trapezoid with Richardson-extrapolated refinement
     (relative change below rel_tol on halving the step).  The kernel depends
     on the lag t2 - t1 only, so each level is the `_lag_sums` of the two
-    samples dotted with one kernel vector of length 2n - 1.
+    samples dotted with one kernel vector of length 2n - 1.  Raises
+    ValueError unless rel_tol is finite and > 0.
     """
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     if (i, alpha) == (f, alpha1):
         raise ValueError("source and target states must differ")
     ii = sys.flat_index(i, alpha)
@@ -97,7 +100,10 @@ def jump_probability_timeindep(sys: SystemSpec, det: DetectorModel,
 
     W = (2/hbar^2) Re  int_0^tau  F(lambda w_fi t) e^{i w_fi t} (tau - t)
         |V_fi|^2 e^{i (E1_f - E1_i) t / hbar}  dt
+
+    Raises ValueError unless rel_tol is finite and > 0.
     """
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     if not sys.constant_v:
         raise ValueError("time-independent form requires a constant V")
     ii = sys.flat_index(i, alpha)
@@ -152,7 +158,9 @@ class JumpTable:
 
 def jump_table(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                rel_tol: float = 1e-6) -> JumpTable:
-    """General jump probabilities W[source, target] for every coupled pair."""
+    """General jump probabilities W[source, target] for every coupled pair;
+    ValueError unless rel_tol is finite and > 0."""
+    rel_tol = _tolerance(rel_tol, "rel_tol")
     d = sys.dim
     lv = sys.state_level
     pairs = [(n, a) for n, al in enumerate(sys.alpha_energies) for a in range(len(al))]

@@ -8,6 +8,9 @@ package.  Everything here is a pure function of ndarrays.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix, NonHermitianInput
@@ -15,6 +18,26 @@ from .errors import DimensionMismatch, InvalidDensityMatrix, NonHermitianInput
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+
+
+def _count(value, name: str, minimum: int = 0, below=ValueError) -> int:
+    """value as an int >= minimum: ValueError, not TypeError, for a non-integer,
+    and the exception `below` for a smaller one."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise below(f"{name} = {value} < {minimum}")
+    return value
+
+
+def _tolerance(value, name: str) -> float:
+    """value as a float; ValueError unless it is finite and > 0, since a NaN
+    tolerance would skip its check and a zero one climb a whole ladder."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -100,8 +123,11 @@ def check_density_matrix(rho: np.ndarray,
     Checks hermiticity (entrywise), unit trace, and that the smallest
     eigenvalue does not fall below eig_floor.  The floor is slightly
     negative because repeated quadrature-built channels can produce
-    harmless negative eigenvalues at rounding scale.
+    harmless negative eigenvalues at rounding scale.  Raises ValueError
+    unless herm_tol and trace_tol are finite and > 0.
     """
+    herm_tol = _tolerance(herm_tol, "herm_tol")
+    trace_tol = _tolerance(trace_tol, "trace_tol")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")

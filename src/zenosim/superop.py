@@ -5,13 +5,15 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
 
 * exact quadrature over the detector coordinate q (each node propagates the
   system with the level Hamiltonian rescaled by 1 + lambda*q and the results
-  are averaged over the detector position distribution),
+  are averaged over the detector position distribution, for a Gaussian
+  detector by a trapezoid rule whose node count doubles until the entries
+  settle),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
 * second-order perturbation theory in V.  For a Gaussian detector, a constant
   V and a phase scale lambda*tau*max|omega|/sigma up to NODE_PHASE_BOUND, the
-  V-linear and V-quadratic terms are averaged over the same Gauss-Hermite
-  node ladder as the exact quadrature, each node taking the Dyson blocks of
+  V-linear and V-quadratic terms are averaged over the same trapezoid node
+  ladder as the exact quadrature, each node taking the Dyson blocks of
   one Van Loan block exponential; otherwise (custom detectors, a
   time-dependent V, stronger measurements) the two time integrals of the
   Dyson expansion are evaluated on a trapezoid grid.
@@ -23,10 +25,8 @@ measurement sequence the finite duration allows.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,8 +41,8 @@ from .errors import (
     TraceDrift,
 )
 from .model import DetectorModel, SystemSpec, correlation
-from .qmat import (EIG_FLOOR, apply_super, check_density_matrix, trace_sum_rule_defect,
-                   unitary_exp_stack)
+from .qmat import (EIG_FLOOR, _count, _tolerance, apply_super, check_density_matrix,
+                   trace_sum_rule_defect, unitary_exp_stack)
 
 EXACT_QUADRATURE = "exact_quadrature"
 UNPERTURBED = "unperturbed"
@@ -79,93 +79,26 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _hermite_recurrence(x: np.ndarray, n: int):
-    """(p_n(x) / p_{n-1}(x), log|p_{n-1}(x)|) for the Hermite polynomials
-    orthonormal under e^{-x^2}, by the ratio form of their recurrence,
-    r_{k+1} = x sqrt(2 / (k+1)) - sqrt(k / (k+1)) / r_k, which cannot overflow;
-    the product of the ratios is renormalized every 64 steps."""
-    a = np.sqrt(2.0 / np.arange(1, n + 1)).tolist()
-    b = np.sqrt(np.arange(n) / np.arange(1, n + 1)).tolist()
-    r = a[0] * x
-    prod = np.ones_like(x)
-    exponent = np.zeros_like(x)
-    ax = np.empty_like(x)
-    for k in range(1, n):
-        prod *= r
-        np.multiply(x, a[k], out=ax)
-        np.divide(b[k], r, out=r)
-        np.subtract(ax, r, out=r)
-        if k % 64 == 0:
-            prod, e = np.frexp(prod)
-            exponent += e
-    log_p = np.log(np.abs(prod)) + math.log(2.0) * exponent - 0.25 * math.log(math.pi)
-    return r, log_p
-
-
-@lru_cache(maxsize=64)
-def _hermite_nodes(n: int):
-    """Nodes and weights of the n-point Gauss-Hermite rule (weight e^{-x^2}),
-    ascending, without the outer nodes whose weights underflow to zero.
-
-    The positive roots of p_n start at Tricomi's approximations (Townsend,
-    Trogdon & Olver, IMA J. Numer. Anal. 36, 337 (2016), lemma 3.1) and are
-    polished by Newton's method, p_n' = sqrt(2n) p_{n-1}, all at once; the
-    weights 1 / (n p_{n-1}^2) are formed from log|p_{n-1}|.  numpy's hermgauss
-    overflows to NaN at 1024 nodes.
-    """
-    if n < 1:
-        raise ValueError(f"a Gauss-Hermite rule needs n >= 1 nodes, got {n}")
-    m = n // 2
-    nu = 4.0 * m + 2.0 * (n % 2) + 1.0
-    c = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
-    theta = np.full(m, 0.5 * math.pi)
-    for _ in range(6):  # theta - sin(theta) = c
-        theta -= (theta - np.sin(theta) - c) / (1.0 - np.cos(theta))
-    s = np.cos(0.5 * theta) ** 2
-    x2 = nu * s - (5.0 / (4.0 * (1.0 - s) ** 2) - 1.0 / (1.0 - s) - 0.25) / (3.0 * nu)
-    # w < 3 e^{-x^2} everywhere: roots beyond x^2 = 760 have no representable weight
-    x = np.sqrt(x2[x2 < 760.0])
-    step = math.sqrt(2.0 * n)
-    for _ in range(10):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r, log_p = _hermite_recurrence(x, n)
-        dx = r / step
-        x = x - dx
-        # first order in dx: at a root, d log(w) / dx = -4x
-        log_w = -math.log(n) - 2.0 * log_p + 4.0 * x * dx
-        if np.abs(dx).max(initial=0.0) <= 1e-15 * max(1.0, x.max(initial=0.0)):
-            break
-    else:
-        raise QuadratureNotConverged(f"Gauss-Hermite roots for n = {n} did not converge")
-    w = np.exp(log_w)
-    x, w = x[w > 0.0], w[w > 0.0]
-    if n % 2:  # the zero node: p_{2j}(0)^2 = pi^{-1/2} prod_{i <= j} (2i - 1) / (2i)
-        i = np.arange(1, m + 1)
-        log_p2 = np.log((2 * i - 1) / (2 * i)).sum() - 0.5 * math.log(math.pi)
-        w0 = math.exp(-math.log(n) - log_p2)
-        return np.concatenate([-x[::-1], [0.0], x]), np.concatenate([w[::-1], [w0], w])
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
-    """Gauss-Hermite rule for a centered Gaussian q-distribution of std q_std.
-
-    Outer nodes whose weights underflow to zero (w ~ exp(-x^2) for large
-    rules) are left out; they carry no probability mass."""
-    if not (q_std > 0 and math.isfinite(q_std)):
-        raise ValueError(f"q_std must be finite and > 0, got {q_std!r}")
-    x, w = _hermite_nodes(int(n))
-    nodes = np.sqrt(2.0) * q_std * x
-    weights = w / w.sum()
-    return QuadratureRule(nodes=nodes, weights=weights)
+# Half-width of the default rule in detector widths: the Gaussian mass beyond
+# it, 2e-19, is left out.
+RULE_HALF_WIDTH = 9.0
 
 
 def default_rule(det: DetectorModel, n: int) -> QuadratureRule:
-    """Quadrature rule implied by the detector kind (Gaussian only)."""
+    """Normalized n-point trapezoid rule for the position distribution of a
+    Gaussian detector: nodes y_j / sigma for y_j equally spaced on [-9, 9],
+    weights e^{-y_j^2 / 2}.
+
+    The rule converges geometrically once its step resolves the oscillation
+    of the integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); an odd
+    n nests under the doubling n -> 2n - 1.
+    """
     if det.kind != "gaussian":
         raise ValueError(
             "no default position distribution for a custom detector; supply a rule")
-    return gauss_hermite_rule(n, 1.0 / det.sigma)
+    y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, _count(n, "n"))
+    w = np.exp(-0.5 * y ** 2)
+    return QuadratureRule(nodes=y / det.sigma, weights=w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -187,29 +120,31 @@ class MeasurementChannel:
         return apply_super(self.tensor, rho)
 
 
+def _node_levels(sys: SystemSpec, det: DetectorModel, rule: QuadratureRule) -> np.ndarray:
+    """Diagonal (K, d) of each node's Hamiltonian without V, (1 + lambda q_k) e0 + e1,
+    less its mid value: a node's common phase cancels in every tensor entry, and
+    centring (e0 before it is scaled) keeps the phases, and their rounding, small."""
+    e0 = sys.e0 - 0.5 * (sys.e0.max() + sys.e0.min())
+    h = (1.0 + det.lam * rule.nodes)[:, None] * e0 + sys.e1
+    return h - 0.5 * (h.max(axis=1) + h.min(axis=1))[:, None]
+
+
 def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
                  rule: QuadratureRule, substeps: int) -> np.ndarray:
-    """Evolution operators U(tau, xi_k) for every quadrature node, stacked (K, d, d).
+    """Evolution operators U(tau, xi_k) for every quadrature node, each less its
+    common phase (`_node_levels`), stacked (K, d, d).
 
     For constant V a single Hermitian exponential per node is exact; a
     time-dependent V is frozen at substep midpoints and the substep
     exponentials composed in order.
     """
-    xi = 1.0 + det.lam * rule.nodes
-    h0 = np.diag(sys.e0).astype(complex)
-    h1 = np.diag(sys.e1).astype(complex)
-    d = sys.dim
+    h0 = _node_levels(sys, det, rule)[:, :, None] * np.eye(sys.dim)
     if sys.constant_v or sys.v is None:
-        v = sys.v_at(0.0)
-        hs = xi[:, None, None] * h0 + (h1 + v)
-        return unitary_exp_stack(hs, det.tau / sys.hbar)
+        return unitary_exp_stack(h0 + sys.v_at(0.0), det.tau / sys.hbar)
     dt = det.tau / substeps
-    u = np.broadcast_to(np.eye(d, dtype=complex), (xi.size, d, d)).copy()
+    u = np.broadcast_to(np.eye(sys.dim, dtype=complex), h0.shape).copy()
     for j in range(substeps):
-        t_mid = t0 + (j + 0.5) * dt
-        v = sys.v_at(t_mid)
-        hs = xi[:, None, None] * h0 + (h1 + v)
-        step = unitary_exp_stack(hs, dt / sys.hbar)
+        step = unitary_exp_stack(h0 + sys.v_at(t0 + (j + 0.5) * dt), dt / sys.hbar)
         u = np.einsum("kab,kbc->kac", step, u)
     return u
 
@@ -228,46 +163,66 @@ def _tensor_from_rule(sys: SystemSpec, det: DetectorModel, t0: float,
     return _node_sum(rule.weights, u, u)
 
 
-ENTRY_TOL, MIN_NODES, MAX_NODES = 1e-8, 64, 8192
+ENTRY_TOL, MAX_NODES = 1e-8, 8193
+# Margin c of the first ladder level, whose step h <= 2 pi / (theta + c): the
+# trapezoid rule's error is then the Gaussian's Fourier transform at c beyond the
+# band of the entries, about e^{-c^2 / 2} = 2.6e-18 at c = 9.
+ALIAS_MARGIN = 9.0
 
 
-def _node_ladder(det: DetectorModel, build, entry_tol: float, min_nodes: int,
+def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
+    return det.lam * det.tau * float(np.abs(sys.omega_level()).max()) / det.sigma
+
+
+def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
                  max_nodes: int):
-    """Double the Gauss-Hermite node count from min_nodes until no entry of
-    build(rule) moves by more than entry_tol.
+    """Build build(rule) on trapezoid rules of doubling node counts, n -> 2n - 1,
+    until no entry moves by more than entry_tol.
+
+    In the detector coordinate y = sigma q every tensor entry is an entire
+    function of exponential type theta = lambda tau max|omega_level| / sigma
+    (`_phase_scale`), so the first level is the smallest 2^k + 1 >= 65 nodes
+    whose step resolves theta with the margin ALIAS_MARGIN; every level after
+    it resolves theta too, so two levels cannot agree by chance.
 
     Returns the last tensor and the ladder, a list of (nodes, max change
-    against half the nodes).  Raises QuadratureNotConverged, carrying the
+    against the level before).  Raises QuadratureNotConverged, carrying the
     ladder, once the next level would exceed max_nodes.
     """
-    n = min_nodes
+    theta = _phase_scale(sys, det)
+    n = 65
+    while 2.0 * RULE_HALF_WIDTH / (n - 1) > 2.0 * math.pi / (theta + ALIAS_MARGIN) \
+            and n <= max_nodes:
+        n = 2 * n - 1
+    if 2 * n - 1 > max_nodes:
+        raise QuadratureNotConverged(
+            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
     tensor = build(default_rule(det, n))
     ladder = []
     while True:
-        n *= 2
+        n = 2 * n - 1
         tensor2 = build(default_rule(det, n))
         change = float(np.abs(tensor2 - tensor).max())
         ladder.append((n, change))
         tensor = tensor2
         if change <= entry_tol:
             return tensor, ladder
-        if 2 * n > max_nodes:
+        if 2 * n - 1 > max_nodes:
             raise QuadratureNotConverged(
-                f"entries still moving by {change:.2e} at {n} Gauss-Hermite nodes", ladder)
+                f"entries still moving by {change:.2e} at {n} trapezoid nodes", ladder)
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                 rule: QuadratureRule | None = None, *,
-                entry_tol: float = ENTRY_TOL,
-                min_nodes: int = MIN_NODES, max_nodes: int = MAX_NODES,
+                entry_tol: float = ENTRY_TOL, max_nodes: int = MAX_NODES,
                 min_substeps: int = 8, max_substeps: int = 1024) -> MeasurementChannel:
     """Exact-quadrature measurement channel.
 
     With an explicit rule the tensor is built on that rule (still refining
     the time substeps for a time-dependent V).  With rule=None the detector
-    must be Gaussian and the Gauss-Hermite node count is doubled until no
-    tensor entry moves by more than entry_tol; meta["ladder"] lists the
-    (nodes, max change) steps.
+    must be Gaussian and the tensor is built on `default_rule` trapezoid rules
+    along `_node_ladder`, until no tensor entry moves by more than entry_tol;
+    meta["ladder"] lists the (nodes, max change) steps.
 
     Raises ValueError unless entry_tol is finite and > 0,
     PropagationStepTooCoarse if substep doubling does not stabilize and
@@ -275,8 +230,7 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     """
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
-    if not (entry_tol > 0 and math.isfinite(entry_tol)):
-        raise ValueError(f"entry_tol must be finite and > 0, got {entry_tol!r}")
+    entry_tol = _tolerance(entry_tol, "entry_tol")
 
     def build_at(r: QuadratureRule, m: int):
         """Tensor on rule r and its substep count, once m and 2m substeps agree."""
@@ -306,7 +260,7 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         quad_err = None
         nodes = len(rule)
     else:
-        tensor, ladder = _node_ladder(det, build, entry_tol, min_nodes, max_nodes)
+        tensor, ladder = _node_ladder(sys, det, build, entry_tol, max_nodes)
         nodes, quad_err = ladder[-1]
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
@@ -518,17 +472,11 @@ def _dyson_blocks(phases: np.ndarray, v: np.ndarray):
 
 
 # Phase scale lambda tau max|omega_level| / sigma up to which build_second_order
-# averages over Gauss-Hermite nodes.  A node average of exp(i sqrt(2) theta x)
-# needs about theta^2 / 2 nodes before the ladder's steps fall below 1e-8:
-# measured on random systems of 4, 5 and 10 states (random levels, sigma and
-# tau, auxiliary states), 128 nodes at theta = 16, 512 at 32, 2048 at 64 and 4096
-# at 96 to 112; from about theta = 120 the ladder runs into the 8192-node cap it
-# shares with build_exact.  64 keeps a factor of four in nodes below that cap.
+# averages over the node ladder.  The ladder itself reaches about theta = 1400
+# within MAX_NODES, but the trapezoid-grid oracle the node path is tested against
+# (Richardson extrapolation of 1024 and 2048 steps) cannot certify theta near
+# 1000, and no workload comes near that range.
 NODE_PHASE_BOUND = 64.0
-
-
-def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
-    return det.lam * det.tau * float(np.abs(sys.omega_level()).max()) / det.sigma
 
 
 def _second_order_on_nodes(sys: SystemSpec, det: DetectorModel, t0: float) -> MeasurementChannel:
@@ -541,14 +489,12 @@ def _second_order_on_nodes(sys: SystemSpec, det: DetectorModel, t0: float) -> Me
     eye = np.eye(sys.dim)
 
     def build(rule: QuadratureRule) -> np.ndarray:
-        h = (1.0 + det.lam * rule.nodes)[:, None] * sys.e0 + sys.e1
-        h -= 0.5 * (h.max(axis=1) + h.min(axis=1))[:, None]  # a node's common phase cancels
-        u0, u1, u2 = _dyson_blocks(s * h, v)
+        u0, u1, u2 = _dyson_blocks(s * _node_levels(sys, det, rule), v)
         u0 = u0[:, :, None] * eye
         return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
                          np.concatenate([u1 + u2, u0 + u1, u0]))
 
-    s12, ladder = _node_ladder(det, build, ENTRY_TOL, MIN_NODES, MAX_NODES)
+    s12, ladder = _node_ladder(sys, det, build, ENTRY_TOL, MAX_NODES)
     tensor = build_unperturbed(sys, det).tensor + s12
     nodes, quad_err = ladder[-1]
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
@@ -583,12 +529,7 @@ def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
                               certified_trace_err=err, meta={"steps": steps})
 
 
-def _count(value, name: str) -> int:
-    """value as an int; ValueError, not TypeError, for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+MIN_STEPS = 16  # of a trapezoid time grid
 
 
 def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -602,17 +543,15 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     A Gaussian detector with a constant V (or none) whose phase scale
     lambda tau max|omega_level| / sigma is at most NODE_PHASE_BOUND takes the
     node path: S1 + S2 is the V-linear and V-quadratic part of the exact
-    quadrature, averaged over Gauss-Hermite nodes until no entry moves by more
-    than build_exact's default entry_tol (meta: nodes, quad_entry_err,
-    ladder; QuadratureNotConverged beyond 8192 nodes).  steps is then only
-    validated.  Every other channel takes the Dyson time integrals on a
-    trapezoid grid of steps + 1 points (meta: steps).
+    quadrature, averaged over the trapezoid nodes of `_node_ladder` until no
+    entry moves by more than build_exact's default entry_tol (meta: nodes,
+    quad_entry_err, ladder; QuadratureNotConverged beyond MAX_NODES nodes).
+    steps is then only validated.  Every other channel takes the Dyson time
+    integrals on a trapezoid grid of steps + 1 points (meta: steps).
 
     Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
     """
-    steps = _count(steps, "steps")
-    if steps < 16:
-        raise StepCountTooSmall(f"steps = {steps} < 16")
+    steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
     if det.kind == "gaussian" and sys.constant_v and _phase_scale(sys, det) <= NODE_PHASE_BOUND:
         return _second_order_on_nodes(sys, det, t0)
     return _second_order_on_grid(sys, det, t0, steps)
@@ -625,12 +564,12 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
 
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
-    Raises TraceDrift if any step's trace leaves 1 by more than trace_tol, and
-    InvalidDensityMatrix if every 64th or the last state dips below EIG_FLOOR.
+    Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
+    step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
+    every 64th or the last state dips below EIG_FLOOR.
     """
-    n = _count(n, "n")
-    if n < 1:
-        raise ValueError("need at least one measurement")
+    n = _count(n, "n", 1)
+    trace_tol = _tolerance(trace_tol, "trace_tol")
     rho = check_density_matrix(rho0)
     out = np.empty((n,) + rho.shape, dtype=complex)
     t0 = 0.0

@@ -1,14 +1,18 @@
 """Public API surface stays importable."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import zenosim
+from zenosim import decay, dynamics, qmat, superop
 
 
 def test_all_names_resolve():
@@ -44,8 +48,8 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 def test_decay_sweep_leaves_scipy_fft_and_special_unloaded(tmp_path):
-    # the sweep's rate ladder calls neither; only the Faddeeva closed form,
-    # a test oracle, loads scipy.special, on first use
+    # the sweep's rate ladder calls neither; no module of the package imports
+    # scipy.special
     out = tmp_path / "sweep.csv"
     config = CONFIGS / "decay_sweep_anti_zeno.json"
     code = (f"from zenosim.cli import main; "
@@ -57,7 +61,7 @@ def test_decay_sweep_leaves_scipy_fft_and_special_unloaded(tmp_path):
 @pytest.mark.parametrize("command, name", [("spectrum", "spectrum_strong"),
                                            ("twolevel", "fig3_weak")])
 def test_cli_run_leaves_scipy_special_unloaded(tmp_path, command, name):
-    # spectrum reaches line_mass (Si), twolevel build_exact (Gauss-Hermite nodes)
+    # spectrum reaches line_mass (Si), twolevel build_exact (its node ladder)
     out = tmp_path / f"{name}.csv"
     config = CONFIGS / f"{name}.json"
     code = (f"from zenosim.cli import main; "
@@ -78,3 +82,40 @@ def test_second_order_leaves_module_unloaded(module):
             "ch = z.build_second_order(sys_, z.gaussian_detector(1.0, 20.0, 0.1), steps=256); "
             "assert ch.meta['nodes'] > 0")
     assert _loaded(code, [module]) == []
+
+
+_FIG1_SYS = zenosim.TwoLevelPreset(omega=2.0, v=1.0).to_system()
+_FIG1_DET = zenosim.gaussian_detector(1.0, 50.0, 0.1)
+_RES = zenosim.ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+_HALF = np.eye(2, dtype=complex) / 2.0
+
+# each tolerance argument: (module, the function its work starts with, the call)
+_TOLERANCE_CASES = {
+    "repeat.trace_tol": (superop, "apply_super", lambda tol: zenosim.repeat(
+        lambda t0: zenosim.build_unperturbed(_FIG1_SYS, _FIG1_DET), _HALF, 3, trace_tol=tol)),
+    "check_density_matrix.trace_tol": (qmat, "hermiticity_defect", lambda tol: (
+        zenosim.check_density_matrix(1.2 * _HALF, trace_tol=tol))),
+    "check_density_matrix.herm_tol": (qmat, "hermiticity_defect", lambda tol: (
+        zenosim.check_density_matrix(_HALF, herm_tol=tol))),
+    "decay_rate.rel_tol": (decay, "_filon_transform", lambda tol: zenosim.decay_rate(
+        _RES, 2.0, _FIG1_DET, 0.1, 1.0, rel_tol=tol)),
+    "jump_probability_general.rel_tol": (dynamics, "_romberg", lambda tol: (
+        zenosim.jump_probability_general(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
+    "jump_probability_timeindep.rel_tol": (dynamics, "_romberg", lambda tol: (
+        zenosim.jump_probability_timeindep(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
+    "jump_table.rel_tol": (dynamics, "jump_probability_general", lambda tol: (
+        zenosim.jump_table(_FIG1_SYS, _FIG1_DET, rel_tol=tol))),
+    "LineShape.build.mass_tol": (decay, "line_shape", lambda tol: zenosim.LineShape.build(
+        2.0, _FIG1_DET, 0.1, mass_tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("case", sorted(_TOLERANCE_CASES))
+def test_bad_tolerance_rejected_before_any_work(case, tol):
+    # a NaN tolerance used to skip its check silently, and a zero or negative one
+    # to climb the whole refinement ladder before failing
+    module, work, call = _TOLERANCE_CASES[case]
+    with mock.patch.object(module, work) as spy, pytest.raises(ValueError, match="finite and > 0"):
+        call(tol)
+    spy.assert_not_called()

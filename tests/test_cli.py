@@ -179,6 +179,25 @@ class TestTwoLevelRunner:
             crossings[lam] = below[0, 0]
         assert crossings[50.0] > crossings[5.0]
 
+    def test_strong_measurement_reaches_inhibition_time(self, tmp_path):
+        # lambda = 1500 puts the phase scale lambda tau omega / sigma at 300, where the
+        # node ladder needs 2049 nodes; t_inh = 1197 is 11969 measurements
+        import pathlib
+        cfg = json.loads((pathlib.Path(__file__).resolve().parent.parent / "configs"
+                          / "fig1_twolevel.json").read_text())
+        cfg["detector"]["lambda"] = 1500.0
+        preset = zenosim.TwoLevelPreset(omega=2.0, v=1.0)
+        det = zenosim.gaussian_detector(1.0, 1500.0, 0.1)
+        t_inh = zenosim.two_level_inhibition_time(preset, det)
+        cfg["n_measurements"] = math.ceil(t_inh / 0.1)
+        out = str(tmp_path / "strong.csv")
+        assert main(["twolevel", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        columns, rows, _ = read_csv(out)
+        assert rows[-1, 0] >= t_inh
+        approx = zenosim.measured_exponential(preset, det, rows[:, 0])[0]
+        assert np.abs(rows[:, columns.index("rho11")] - approx).max() < 0.05
+        assert json.load(open(out + ".meta.json"))["certified"]["nodes"] == 2049
+
     def test_deterministic_output(self, tmp_path):
         cfg_dict = json.loads(json.dumps(FIG1_CONFIG))
         cfg_dict["n_measurements"] = 25

@@ -16,6 +16,7 @@ from zenosim.errors import (
     NotInZenoRegime,
     QuadratureNotConverged,
     ReservoirGridTooCoarse,
+    StepCountTooSmall,
 )
 from zenosim.model import SystemSpec, correlation, custom_detector, gaussian_detector, strength
 from zenosim.decay import (
@@ -37,11 +38,12 @@ from zenosim.decay import (
     integrated_decay_probability,
     line_mass,
     line_shape,
-    line_shape_closed_form,
     measured_decay_channel,
     population_decay_rate,
     zeno_limit_rate,
 )
+
+from oracles import line_shape_closed_form
 
 HBAR = 1.0
 SQRT_PI_OVER_2 = 1.2533141373155003
@@ -685,6 +687,21 @@ class TestEffectiveChannel:
         assert chirp.called == (64 <= k <= 2 * n - 1)
         want = self._e_mat_sums(coeff, w, 2.0 / max(n - 1, 1), n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_modes", [1, 0, 2.5, "4"])
+    def test_bad_mode_count_rejected(self, n_modes):
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        with pytest.raises(ValueError, match="n_modes"):
+            build_decay_system(1.0, -1.0, res, det_for(10.0, 0.5), n_modes=n_modes)
+
+    @pytest.mark.parametrize("steps, error", [(0, StepCountTooSmall), (15, StepCountTooSmall),
+                                              (96.0, ValueError)])
+    def test_bad_step_count_rejected(self, steps, error):
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        det = det_for(10.0, 0.5)
+        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
+        with pytest.raises(error):
+            effective_channel(dsys.sys, det, steps=steps)
 
     def test_level_order_validated(self):
         res = ReservoirSpectrum.flat(0.001)

@@ -41,10 +41,11 @@ from zenosim.superop import (
     build_unperturbed,
     default_rule,
     dump_channel,
-    gauss_hermite_rule,
     load_channel,
     repeat,
 )
+
+from oracles import gauss_hermite_rule
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -147,43 +148,40 @@ def identity_channel(dim, tau=0.1):
 
 
 class TestQuadratureRule:
-    def test_gauss_hermite_normalized(self):
-        rule = gauss_hermite_rule(64, q_std=0.5)
+    def test_default_rule_normalized(self):
+        rule = default_rule(gaussian_detector(sigma=2.0, lam=1.0, tau=0.1), 129)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
         assert np.all(rule.weights > 0)
-        # second moment of the node distribution reproduces the q variance
-        assert np.sum(rule.weights * rule.nodes ** 2) == pytest.approx(0.25, rel=1e-10)
+        # second moment of the node distribution reproduces the q variance 1 / sigma^2
+        assert np.sum(rule.weights * rule.nodes ** 2) == pytest.approx(0.25, rel=1e-14)
 
     def test_requires_eight_nodes(self):
         with pytest.raises(ValueError):
-            gauss_hermite_rule(4, 1.0)
+            default_rule(FIG1_DET, 4)
         with pytest.raises(ValueError):
-            gauss_hermite_rule(0, 1.0)
+            default_rule(FIG1_DET, 0)
 
-    @pytest.mark.parametrize("n", [8, 9, 24, 64, 65, 128, 256, 1024, 4096, 8192])
-    def test_hermite_nodes_match_scipy(self, n):
-        from scipy.special import roots_hermite
-        x, w = superop._hermite_nodes(n)
-        xs, ws = roots_hermite(n)
-        # only outer nodes whose weights underflow are left out, symmetrically
-        cut = (n - x.size) // 2
-        assert x.size == n - 2 * cut and x.size >= np.count_nonzero(ws)
-        assert np.all(ws[:cut] == 0.0) and np.all(ws[n - cut:] == 0.0)
-        xs, ws = xs[cut:n - cut], ws[cut:n - cut]
-        assert np.all(np.abs(x - xs) <= 1e-12 * np.maximum(1.0, np.abs(xs)))
-        assert np.all(np.diff(x) > 0) and np.all(w > 0)
-        big = ws > 1e-280
-        np.testing.assert_allclose(w[big], ws[big], rtol=1e-10, atol=0.0)
-        assert w.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+    @pytest.mark.parametrize("n", [65, 129, 1025, 8193])
+    def test_default_rule_error_within_alias_margin(self, n):
+        # a step h integrates e^{i nu y} against the Gaussian to about
+        # e^{-(2 pi / h - nu)^2 / 2}: rounding at the margin the ladder starts with
+        rule = default_rule(gaussian_detector(sigma=1.0, lam=1.0, tau=0.1), n)
+        band = 2.0 * np.pi * (n - 1) / (2.0 * superop.RULE_HALF_WIDTH)
+        for nu in np.linspace(0.0, band - superop.ALIAS_MARGIN, 7):
+            got = rule.weights @ np.exp(1j * nu * rule.nodes)
+            assert abs(got - np.exp(-nu ** 2 / 2.0)) <= 1e-15 * n ** 0.5
+        nu = band - 4.0
+        assert abs(rule.weights @ np.exp(1j * nu * rule.nodes) - np.exp(-nu ** 2 / 2.0)) > 1e-5
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
             QuadratureRule(nodes=np.arange(8.0), weights=np.full(8, 0.2))
 
-    @pytest.mark.parametrize("q_std", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_rejects_bad_width(self, q_std):
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_width(self, sigma):
+        # the default rule's width 1 / sigma is checked where the detector is made
         with pytest.raises(ValueError):
-            gauss_hermite_rule(64, q_std)
+            default_rule(gaussian_detector(sigma=sigma, lam=1.0, tau=0.1), 65)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_nodes(self, bad):
@@ -256,19 +254,73 @@ class TestBuildExact:
         prop.assert_not_called()
 
     def test_records_node_ladder(self):
-        ch = build_exact(FIG1_SYS, FIG1_DET)
-        ladder = ch.meta["ladder"]
-        assert [n for n, _ in ladder] == [128 * 2 ** i for i in range(len(ladder))]
-        assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
-        assert all(change > 1e-8 for _, change in ladder[:-1]) and ladder[-1][1] <= 1e-8
-        assert build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 64)).meta["ladder"] == []
+        # the first level is the smallest 2^k + 1 >= 65 nodes whose step resolves the
+        # phase scale lambda tau omega / sigma with the alias margin
+        for lam, first in [(50.0, 65), (500.0, 513), (1500.0, 1025)]:
+            det = gaussian_detector(sigma=1.0, lam=lam, tau=0.1)
+            ch = build_exact(FIG1_SYS, det)
+            ladder = ch.meta["ladder"]
+            assert [n for n, _ in ladder] == [(first - 1) * 2 ** i + 1
+                                              for i in range(1, len(ladder) + 1)]
+            assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
+            assert all(change > 1e-8 for _, change in ladder[:-1]) and ladder[-1][1] <= 1e-8
+        fixed = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 65))
+        assert fixed.meta["ladder"] == []
 
     def test_not_converged_carries_ladder(self):
+        # every level resolves the phase scale, so only a tolerance below rounding
+        # keeps the ladder climbing
         det = gaussian_detector(sigma=1.0, lam=500.0, tau=0.1)
-        with pytest.raises(QuadratureNotConverged) as info:
-            build_exact(FIG1_SYS, det, max_nodes=256)
-        assert [n for n, _ in info.value.ladder] == [128, 256]
-        assert all(change > 1e-8 for _, change in info.value.ladder)
+        with pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
+            build_exact(FIG1_SYS, det, entry_tol=1e-30, max_nodes=2049)
+        assert [n for n, _ in info.value.ladder] == [1025, 2049]
+        assert all(change > 1e-30 for _, change in info.value.ladder)
+        with pytest.raises(QuadratureNotConverged, match="more than 1024") as info:
+            build_exact(FIG1_SYS, det, max_nodes=1024)
+        assert info.value.ladder == []
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from([(2, False), (3, False), (4, False), (2, True)]),
+           lam=st.sampled_from([5.0, 20.0]), theta=st.floats(0.5, 60.0),
+           seed=st.integers(0, 2 ** 16))
+    @example(shape=(4, False), lam=5.0, theta=60.0, seed=3)
+    @example(shape=(2, True), lam=20.0, theta=60.0, seed=4)
+    def test_matches_gauss_hermite_oracle(self, shape, lam, theta, seed):
+        n, aux = shape
+        rng = np.random.default_rng(seed)
+        levels = np.sort(rng.uniform(-3.0, 3.0, n))
+        alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
+        sys = SystemSpec(levels=tuple(levels), alpha_energies=alphas,
+                         v=random_v(rng, 2 * n if aux else n, 0.5))
+        det = gaussian_detector(lam * 0.1 * (levels[-1] - levels[0]) / theta, lam, 0.1)
+        exact = build_exact(sys, det).tensor
+        # scipy's Gauss-Hermite rules carry 1e-14 to 1e-13 errors of their own beyond
+        # 150 nodes, so the oracle's doublings settle at 1e-13, not at 1e-14
+        gh = 64
+        oracle = build_exact(sys, det, rule=gauss_hermite_rule(gh, 1.0 / det.sigma)).tensor
+        while True:
+            gh *= 2
+            finer = build_exact(sys, det, rule=gauss_hermite_rule(gh, 1.0 / det.sigma)).tensor
+            settled = np.abs(finer - oracle).max() <= 1e-12
+            oracle = finer
+            if settled or gh >= 32768:
+                break
+        assert settled
+        assert np.abs(exact - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_centred_nodes_reach_rounding(self, seed):
+        # two levels with auxiliary states at phase scale 64 (levels 0.018 apart for
+        # seed 5): on uncentred node Hamiltonians the entries kept moving by 4e-14 and
+        # 5e-13 at 8192 Gauss-Hermite nodes, and seed 5 by 8e-14 at 8193 trapezoid nodes
+        rng = np.random.default_rng(seed)
+        levels = np.sort(rng.uniform(-3.0, 3.0, 2))
+        sys = SystemSpec(levels=tuple(levels), alpha_energies=((0.0, 1.3), (0.0, 0.6)),
+                         v=random_v(rng, 4, 0.2))
+        det = gaussian_detector(5.0 * 0.1 * (levels[1] - levels[0]) / 64.0, 5.0, 0.1)
+        assert superop._phase_scale(sys, det) == pytest.approx(64.0, rel=1e-12)
+        ch = build_exact(sys, det, entry_tol=1e-14)
+        assert ch.meta["quad_entry_err"] <= 1e-14
 
     def test_maximally_mixed_is_fixed_point(self):
         ch = build_exact(FIG1_SYS, FIG1_DET)
@@ -330,10 +382,10 @@ class TestBuildExact:
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
         with mock.patch.object(superop, "_propagators", wraps=superop._propagators) as prop:
             ch = build_exact(sys, det)
-        # restarting at min_substeps for the 128-node level took 14 calls
+        # restarting at min_substeps for the second node level took 14 calls
         assert prop.call_count < 14
-        assert ch.meta["nodes"] == 128 and ch.meta["substeps"] == 512
-        restarted = build_exact(sys, det, rule=default_rule(det, 128)).tensor
+        assert ch.meta["nodes"] == 129 and ch.meta["substeps"] == 512
+        restarted = build_exact(sys, det, rule=default_rule(det, 129)).tensor
         assert np.abs(ch.tensor - restarted).max() <= 1e-8
 
 
@@ -423,10 +475,10 @@ class TestBuildSecondOrder:
         det = gaussian_detector(sigma, lam, 0.1)
         sys = system(1.0)
         node = build_second_order(sys, det)
-        assert "nodes" in node.meta and node.meta["nodes"] <= 8192
+        assert "nodes" in node.meta and node.meta["nodes"] <= superop.MAX_NODES
         s12 = node.tensor - build_unperturbed(sys, det).tensor
-        # the V-linear and V-quadratic part of the exact channel, from +-eps V; at the
-        # bound with auxiliary states the exact ladder's rounding floor is about 2e-14
+        # the V-linear and V-quadratic part of the exact channel, from +-eps V, whose
+        # 1 / eps^2 difference quotient needs the exact entries to 1e-13
         eps = 1e-2
         plus, minus, zero = (build_exact(system(e), det, entry_tol=1e-13).tensor
                              for e in (eps, -eps, 0.0))
@@ -448,7 +500,8 @@ class TestBuildSecondOrder:
         ch = build_second_order(sys, det)
         ladder = ch.meta["ladder"]
         assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
-        assert ch.meta["quad_entry_err"] <= 1e-8 and 2 * ch.meta["nodes"] <= 8192
+        assert ch.meta["quad_entry_err"] <= 1e-8
+        assert 2 * ch.meta["nodes"] - 1 <= superop.MAX_NODES
         assert ch.certified_trace_err <= 1e-12
         # what is left against the exact channel is third order in ||V|| tau
         residual = np.abs(ch.tensor - build_exact(sys, det).tensor).max()
