@@ -12,17 +12,16 @@ maximum.  Exchanging the integrations makes it one time integral,
 (2 / hbar^2) Re int g(t) G^(t) e^{-i w_if t} dt with G^ the Fourier
 transform of G (e^{-gamma t} or e^{-w^2 t^2 / 2} times e^{i w_R t}).
 
-The Fourier-type integrals are piecewise-linear Filon transforms: the
-smooth factor, g(t) = F(lambda w_if t)(1 - t/tau) or g(t) G^(t) e^{-i w_R t},
-is sampled on a grid resolving only itself, and the oscillation
-e^{i delta t} is integrated exactly on every segment, so accuracy does not
-degrade with detuning.  On a uniform delta grid the phase sums
-sum_j g_j e^{i delta t_j} are a chirp-z transform, one numpy FFT convolution
-padded to the power of two at or above n + m - 1, instead of an n x m phase
-matrix; other delta sets take the dense matrix in chunks.  The line mass over
-a window adds the sine integral Si at its edges, evaluated with `math` alone
-(`_si`).  The same chirp-z transform sums the reservoir-traced
-channel's uniform mode grid on the lag grid (`_mode_sums`).
+The Fourier-type integrals are piecewise-linear Filon transforms
+(`_filon_transform`): the smooth factor, g(t) = F(lambda w_if t)(1 - t/tau),
+g(t) G^(t) e^{-i w_R t} or a tabulated G(w), is sampled on nodes resolving
+only itself, and the oscillation e^{i delta t} is integrated exactly on every
+segment, so accuracy does not degrade with detuning.  Every phase sum
+sum_j c_j e^{i x_j y_k} behind them, and behind the mode sums of the
+reservoir-traced channel, is one routine (`_phase_sums`): a blocked chirp-z
+transform when both grids are uniform, dense phase products otherwise.  The
+line mass over a window adds the sine integral Si at its edges, evaluated
+with `math` alone (`_si`).
 """
 
 from __future__ import annotations
@@ -50,6 +49,22 @@ from .superop import (MIN_STEPS, SECOND_ORDER, MeasurementChannel, _dyson_second
 # ---------------------------------------------------------------------------
 # reservoir coupling spectrum
 
+def _checked_table(omega, g):
+    """A tabulated G as float arrays; ValueError unless both are finite, 1-d,
+    of one length >= 3, on an increasing grid, with G >= 0."""
+    if not (_all_finite(omega) and _all_finite(g)):  # None included
+        raise ValueError("tabulated G must be given and finite")
+    omega = np.asarray(omega, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if omega.ndim != 1 or omega.shape != g.shape or omega.size < 3:
+        raise ValueError("tabulated G needs matching 1-d arrays, length >= 3")
+    if np.any(np.diff(omega) <= 0):
+        raise ValueError("tabulated G grid must be increasing")
+    if np.any(g < 0):
+        raise ValueError("G must be non-negative")
+    return omega, g
+
+
 @dataclass(frozen=True)
 class ReservoirSpectrum:
     """Coupling spectrum G(w) of the decay continuum.
@@ -76,37 +91,32 @@ class ReservoirSpectrum:
             raise ValueError("reservoir parameters must be finite")
         for name, value in params.items():
             object.__setattr__(self, name, float(value))
+        if self.kind not in ("flat", "lorentzian", "gaussian_peak", "tabulated"):
+            raise ValueError(f"unknown reservoir kind {self.kind!r}")
+        if not self.hbar > 0 or self.g0 < 0 or self.b < 0:
+            raise ValueError("need hbar > 0 and a non-negative G: g0 >= 0 and B >= 0")
+        if self.kind != "flat" and not self.width > 0:
+            raise ValueError(f"a {self.kind} reservoir needs width > 0")
+        if self.kind == "tabulated":
+            omega, g = _checked_table(self.tab_omega, self.tab_g)
+            object.__setattr__(self, "tab_omega", omega)
+            object.__setattr__(self, "tab_g", g)
 
     @classmethod
     def flat(cls, g0: float, hbar: float = 1.0):
-        if g0 < 0:
-            raise ValueError("G must be non-negative")
         return cls(kind="flat", g0=g0, hbar=hbar)
 
     @classmethod
     def lorentzian(cls, b: float, omega_r: float, gamma: float, hbar: float = 1.0):
-        if b < 0 or gamma <= 0:
-            raise ValueError("need B >= 0 and gamma > 0")
         return cls(kind="lorentzian", b=b, omega_r=omega_r, width=gamma, hbar=hbar)
 
     @classmethod
     def gaussian_peak(cls, b: float, omega_r: float, w: float, hbar: float = 1.0):
-        if b < 0 or w <= 0:
-            raise ValueError("need B >= 0 and w > 0")
         return cls(kind="gaussian_peak", b=b, omega_r=omega_r, width=w, hbar=hbar)
 
     @classmethod
     def tabulated(cls, omega, g, hbar: float = 1.0):
-        if not (_all_finite(omega) and _all_finite(g)):
-            raise ValueError("tabulated G must be finite")
-        omega = np.asarray(omega, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if omega.ndim != 1 or omega.shape != g.shape or omega.size < 3:
-            raise ValueError("tabulated G needs matching 1-d arrays, length >= 3")
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("tabulated G grid must be increasing")
-        if np.any(g < 0):
-            raise ValueError("G must be non-negative")
+        omega, g = _checked_table(omega, g)
         total = np.trapezoid(g, omega)
         center = float(omega[np.argmax(g)])
         mean = np.trapezoid(g * omega, omega) / total if total > 0 else center
@@ -162,48 +172,69 @@ def _filon_coeffs(theta: np.ndarray):
     return e1 - e2, e2
 
 
-def _chirp_sums(x: np.ndarray, theta: float, m: int) -> np.ndarray:
-    """sum_j x_j e^{i theta j k} for k < m by Bluestein's algorithm: j k =
-    (j^2 + k^2 - (k - j)^2) / 2 makes the sum one FFT convolution."""
-    n = x.size
-    size = 1 << (n + m - 2).bit_length()
-    chirp = np.exp(0.5j * theta * np.arange(max(n, m)) ** 2)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = chirp[:m].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    spectrum = np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel)
-    return chirp[:m] * np.fft.ifft(spectrum)[:m]
+def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j c_j e^{i x_j y_k} for every k.
 
+    A grid is uniform when its deviation from a progression, times the
+    largest |value| of the other grid, is at most 1e-12 rad.  When both are
+    and the shorter has b >= 64 points, the sum is a chirp-z transform
+    (Bluestein: p q = (p^2 + q^2 - (q - p)^2) / 2) on b x b blocks, one
+    batched FFT convolution per block of x; each block's start goes into the
+    input phase, so the chirp phases dx dy p^2 / 2, p < b, stay near the size
+    of the direct ones.  Other pairs take dense phase products in chunks.
+    """
+    n, m = x.size, y.size
+    b = min(n, m)
 
-def _phase_sums(g: np.ndarray, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """sum_j g_j e^{i delta t_j} for every delta: one chirp-z transform when
-    there are at least 3 deltas, each within 1e-9 of the step of a uniform
-    progression; dense phase matrices in chunks otherwise."""
-    m = deltas.size
-    if m >= 3:
-        d0, dd = deltas[0], (deltas[-1] - deltas[0]) / (m - 1)
-        if np.all(np.abs(deltas - (d0 + dd * np.arange(m))) <= 1e-9 * abs(dd)):
-            return _chirp_sums(g * np.exp(1j * d0 * t), dd * (t[1] - t[0]), m)
+    def deviation(v):
+        return np.abs(v - np.linspace(v[0], v[-1], v.size)).max()
+
+    if b >= 64 and max(deviation(x) * np.abs(y).max(), deviation(y) * np.abs(x).max()) <= 1e-12:
+        dx, dy = (x[-1] - x[0]) / (n - 1), (y[-1] - y[0]) / (m - 1)
+        size = 1 << (2 * b - 2).bit_length()
+        p = np.arange(b)
+        chirp = np.exp(-0.5j * (dx * dy) * p ** 2)
+        kernel = np.fft.fft(np.concatenate([chirp, np.zeros(size - 2 * b + 1), chirp[:0:-1]]))
+        starts = y[::b, None]
+        out = np.zeros((starts.size, b), dtype=complex)
+        for lo in range(0, n, b):
+            xb = x[lo:lo + b]
+            phase = starts * xb + (0.5 * dx * dy) * p[:xb.size] ** 2
+            conv = np.fft.ifft(np.fft.fft(c[lo:lo + b] * np.exp(1j * phase), size) * kernel)
+            out += conv[:, :b] * np.exp(1j * dy * p * (x[lo] + 0.5 * dx * p))
+        return out.ravel()[:m]
     out = np.empty(m, dtype=complex)
-    chunk = max(1, (1 << 21) // t.size)
+    chunk = max(1, (1 << 21) // max(n, 1))
     for lo in range(0, m, chunk):
-        out[lo:lo + chunk] = np.exp(1j * np.outer(deltas[lo:lo + chunk], t)) @ g
+        out[lo:lo + chunk] = np.exp(1j * np.outer(y[lo:lo + chunk], x)) @ c
     return out
 
 
-def _filon_transform(g: np.ndarray, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """int_0^{t_end} g(t) e^{i delta t} dt for an array of deltas.
+def _filon_transform(g: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_end} g(x) e^{i delta x} dx for an array of deltas.
 
-    g is sampled on the uniform grid t and treated as piecewise linear; the
-    oscillatory factor is integrated exactly per segment, so accuracy is set
-    by how well the grid resolves g, not by delta.
+    g is sampled on the increasing nodes x and treated as piecewise linear;
+    the oscillatory factor is integrated exactly per segment, so accuracy is
+    set by how well the nodes resolve g, not by delta.  Steps that agree with
+    their mean h to 1e-10 of h (a 10^5-node linspace rounds them by 2e-11 of
+    h) take one `_phase_sums`; other nodes sum each segment's weights.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    h = t[1] - t[0]
-    a, b = _filon_coeffs(deltas * h)
-    gsum = _phase_sums(g, t, deltas)
-    end = np.exp(1j * deltas * t[-1]) * g[-1]
-    return h * (a * (gsum - end) + b * np.exp(-1j * deltas * h) * (gsum - g[0]))
+    steps = np.diff(x)
+    h = (x[-1] - x[0]) / steps.size
+    if np.abs(steps - h).max() <= 1e-10 * h:
+        a, b = _filon_coeffs(deltas * h)
+        gsum = _phase_sums(g, x, deltas)
+        end = np.exp(1j * deltas * x[-1]) * g[-1]
+        start = np.exp(1j * deltas * x[0]) * g[0]
+        return h * (a * (gsum - end) + b * np.exp(-1j * deltas * h) * (gsum - start))
+    out = np.empty(deltas.size, dtype=complex)
+    chunk = max(1, (1 << 18) // steps.size)
+    for lo in range(0, deltas.size, chunk):
+        d = deltas[lo:lo + chunk, None]
+        a, b = _filon_coeffs(steps * d)
+        out[lo:lo + chunk] = (np.exp(1j * d * x[:-1]) * (a * g[:-1] + b * g[1:])) @ steps
+    return out
 
 
 def _line_scales(omega_if: float, det: DetectorModel, tau: float):
@@ -329,10 +360,14 @@ class LineShape:
     values: np.ndarray
     mass_tol: float = 1e-4
 
+    def __post_init__(self):
+        object.__setattr__(self, "mass_tol", _tolerance(self.mass_tol, "mass_tol"))
+
     @classmethod
     def build(cls, omega_if: float, det: DetectorModel, tau: float,
               mass_tol: float = 1e-4):
-        """Sample P(w) around omega_if; ValueError unless mass_tol is finite and > 0."""
+        """Sample P(w) around omega_if; ValueError unless mass_tol is finite and
+        > 0, which the constructor checks as well."""
         mass_tol = _tolerance(mass_tol, "mass_tol")
         t_cut, t_f = _line_scales(omega_if, det, tau)
         s_g = 0.0 if math.isinf(t_f) else 1.0 / t_f
@@ -399,18 +434,9 @@ def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
         return res.hbar * res.b * np.exp(-res.width * t)
     if res.kind == "gaussian_peak":
         return res.hbar * res.b * np.exp(-0.5 * (res.width * t) ** 2)
-    # the table is piecewise linear and 0 outside: per-segment Filon weights
-    # are exact on any increasing grid, the jumps at the table ends included
-    w = res.tab_omega - res.omega_r
-    h = np.diff(w)
-    out = np.empty(t.size, dtype=complex)
-    chunk = max(1, (1 << 18) // h.size)
-    for lo in range(0, t.size, chunk):
-        tc = t[lo:lo + chunk, None]
-        a, b = _filon_coeffs(h * tc)
-        out[lo:lo + chunk] = (np.exp(1j * w[:-1] * tc)
-                              * (a * res.tab_g[:-1] + b * res.tab_g[1:])) @ h
-    return out
+    # the table is piecewise linear and 0 outside, so its Filon transform is
+    # exact, the jumps at the table ends included
+    return _filon_transform(res.tab_g, res.tab_omega - res.omega_r, t)
 
 
 def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
@@ -475,10 +501,10 @@ def emitted_spectrum(res: ReservoirSpectrum, omega_if: float, det: DetectorModel
     W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar).
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
-    e_grid."""
+    e_grid, and ValueError unless v2 is finite and >= 0."""
+    if not 0.0 <= v2 < math.inf:
+        raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)
-    if np.any(res.g(e_grid / hbar) < 0):
-        raise ValueError("reservoir coupling spectrum must be non-negative")
     covered = line_mass(e_grid[0] / hbar - omega_if, e_grid[-1] / hbar - omega_if,
                         omega_if, det, tau)
     if covered < 0.99:
@@ -575,35 +601,6 @@ def _effective_steps(det: DetectorModel, e_alpha: np.ndarray, w_at: np.ndarray, 
     return int(min(4096, need))
 
 
-def _mode_sums(coeff: np.ndarray, w: np.ndarray, h: float, n: int) -> np.ndarray:
-    """g[n-1+l] = sum_b coeff_b e^{i w_b l h} for every lag -n < l < n.
-
-    w[0] = 0 is the vacuum, whose term is the constant coeff[0].  When the
-    other k frequencies form a uniform progression (to rounding) and
-    64 <= k <= 2n - 1, the sum over them is a chirp-z transform per block of
-    k lags, the block's start lag folded into the input phase: the chirp
-    phases dw h j^2 / 2, j < k, then stay within about twice the direct
-    phases w l h.  Fewer modes, more modes than lags and any other frequency
-    set take dense phase products in chunks."""
-    m = 2 * n - 1
-    out = np.full(m, coeff[0], dtype=complex)
-    c, w = coeff[1:], w[1:]
-    k = w.size
-    dw = (w[-1] - w[0]) / (k - 1) if k > 1 else 0.0
-    if 64 <= k <= m and np.abs(w - (w[0] + dw * np.arange(k))).max() <= 1e-14 * np.abs(w).max():
-        for lo in range(0, m, k):
-            size = min(k, m - lo)
-            x = c * np.exp(1j * ((lo - n + 1) * h) * w)
-            out[lo:lo + size] += (np.exp(1j * (w[0] * h) * np.arange(size))
-                                  * _chirp_sums(x, dw * h, size))
-        return out
-    lags = h * np.arange(1 - n, n)
-    chunk = max(1, (1 << 21) // max(k, 1))
-    for lo in range(0, m, chunk):
-        out[lo:lo + chunk] += np.exp(1j * np.outer(lags[lo:lo + chunk], w)) @ c
-    return out
-
-
 def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                       steps: int | None = None,
                       refined: SystemSpec | None = None) -> MeasurementChannel:
@@ -613,8 +610,8 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     shared by every level); transitions back to the excited atomic state are
     neglected, which is what makes the traced channel composable.  The sums
     over reservoir modes collapse into correlation functions evaluated on
-    the time-difference grid (`_mode_sums`, a chirp-z transform on a uniform
-    mode grid), so the mode count barely enters the cost.
+    the time-difference grid (`_phase_sums`, a chirp-z transform on a
+    uniform mode grid), so the mode count barely enters the cost.
 
     If `refined` holds the same system discretized with half the mode
     spacing, the populations of both channels are compared and
@@ -639,7 +636,7 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         steps = _effective_steps(det, e_alpha, w_at, hbar)
     steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
     t = np.linspace(0.0, tau, steps + 1)
-    nt = t.size
+    lags = (t[1] - t[0]) * np.arange(-steps, steps + 1)
 
     # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
     blocks = sys.v_at(0.0).reshape(k_lvl, n_alpha, k_lvl, n_alpha)
@@ -651,12 +648,13 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
 
     def path(into, out):
         # vacuum of b -> modes of a, then modes of e -> vacuum of c; the sum over modes
-        # becomes a correlation on the lag grid, g[nt-1+l] = corr(l h)
+        # becomes a correlation on the lag grid, g[steps+l] = corr(l h); beta = 0
+        # is the vacuum, whose term is the constant coeff[0]
         (a, b), (c, e) = into, out
         coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
         if not np.any(coeff):
             return None
-        return osc[a, b], osc[c, e], _mode_sums(coeff, e_alpha / hbar, t[1] - t[0], nt)
+        return osc[a, b], osc[c, e], coeff[0] + _phase_sums(coeff[1:], e_alpha[1:] / hbar, lags)
 
     s_ef = build_unperturbed(atom, det).tensor + _dyson_second_order(
         np.exp(1j * w_at.T * tau), w_at, det, hbar, t, first, path)

@@ -124,10 +124,12 @@ def check_density_matrix(rho: np.ndarray,
     eigenvalue does not fall below eig_floor.  The floor is slightly
     negative because repeated quadrature-built channels can produce
     harmless negative eigenvalues at rounding scale.  Raises ValueError
-    unless herm_tol and trace_tol are finite and > 0.
+    unless herm_tol and trace_tol are finite and > 0 and eig_floor is finite.
     """
     herm_tol = _tolerance(herm_tol, "herm_tol")
     trace_tol = _tolerance(trace_tol, "trace_tol")
+    if not -math.inf < eig_floor < math.inf:
+        raise ValueError(f"eig_floor must be finite, got {eig_floor!r}")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")

@@ -8,6 +8,7 @@ import math
 import numpy as np
 from scipy.special import dawsn, roots_hermite, wofz
 
+from zenosim.decay import _filon_coeffs
 from zenosim.superop import QuadratureRule
 
 
@@ -18,6 +19,18 @@ def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
     keep = w > 0.0
     return QuadratureRule(nodes=math.sqrt(2.0) * q_std * x[keep],
                           weights=w[keep] / w[keep].sum())
+
+
+def filon_segments(g, x, deltas):
+    """int g(x) e^{i delta x} dx over the increasing nodes x, with g linear on
+    each segment: the exact segment integrals summed one delta at a time,
+    with no phase sum and no common step."""
+    h = np.diff(x)
+    out = np.empty(np.size(deltas), dtype=complex)
+    for k, delta in enumerate(np.atleast_1d(deltas)):
+        a, b = _filon_coeffs(h * delta)
+        out[k] = (np.exp(1j * delta * x[:-1]) * (a * g[:-1] + b * g[1:])) @ h
+    return out
 
 
 def line_shape_closed_form(omega, omega_if: float, det, tau: float):

@@ -1,5 +1,6 @@
 """Line shapes, decay rates, and the reservoir-traced effective channel."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -27,7 +28,8 @@ from zenosim.decay import (
     _line_kernel,
     _line_scales,
     _line_time_grid,
-    _mode_sums,
+    _phase_sums,
+    _reservoir_envelope,
     _si,
     build_decay_system,
     decay_rate,
@@ -43,10 +45,15 @@ from zenosim.decay import (
     zeno_limit_rate,
 )
 
-from oracles import line_shape_closed_form
+from oracles import filon_segments, line_shape_closed_form
 
 HBAR = 1.0
 SQRT_PI_OVER_2 = 1.2533141373155003
+
+
+def fft_spy():
+    """Spy on numpy's FFT, which only the chirp-z path of `_phase_sums` calls."""
+    return mock.patch.object(np.fft, "fft", wraps=np.fft.fft)
 
 
 def det_for(lam_big, tau, sigma=1.0):
@@ -177,6 +184,19 @@ class TestLineShape:
         ls = LineShape.build(2.0, det, 0.25)
         assert abs(ls.normalization() - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan, -1.0])
+    def test_bad_mass_tol_rejected_by_constructor_and_replace(self, tol):
+        # normalization divides by mass_tol: 0 raised ZeroDivisionError there
+        # and NaN returned NaN when the LineShape did not come from build
+        det = det_for(20.0, 0.25)
+        grid = 2.0 + np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="mass_tol must be finite and > 0"):
+            LineShape(omega_if=2.0, tau=0.25, det=det, grid=grid, values=np.ones(5),
+                      mass_tol=tol)
+        ls = LineShape(omega_if=2.0, tau=0.25, det=det, grid=grid, values=np.ones(5))
+        with pytest.raises(ValueError, match="mass_tol must be finite and > 0"):
+            dataclasses.replace(ls, mass_tol=tol)
+
     def test_tabulated_f_matches_gaussian_kind(self):
         det_tab = tabulated_gaussian(lam=10.0, tau=0.3)
         det_g = gaussian_detector(sigma=1.0, lam=10.0, tau=0.3)
@@ -238,28 +258,31 @@ def test_filon_coeffs_exact_to_rounding_across_the_branch_switch():
 
 
 class TestFilonChirp:
-    """Uniform delta grids take Bluestein's chirp-z path for the Filon phase
-    sums; every other delta set takes the dense phase matrix."""
+    """Uniform delta grids of at least 64 points take the chirp-z path of
+    `_phase_sums` for the Filon phase sums of the line kernel; every other
+    delta set takes the dense phase matrix."""
 
     @staticmethod
     def _both_paths(tabulated, lam, tau, refine, deltas):
         """The Filon transform of the line kernel on the uniform grid deltas
-        by the chirp path and by the dense path, and its value at delta = 0."""
+        by the chirp path (at least 64 deltas) and by the dense path, and its
+        value at delta = 0."""
         det = tabulated_gaussian(lam, tau) if tabulated else gaussian_detector(1.0, lam, tau)
         t = _line_time_grid(2.0, det, tau, refine)
         g = _line_kernel(2.0, det, tau, t)
-        with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+        with fft_spy() as fft:
             fast = _filon_transform(g, t, deltas)
+            chirp_calls = fft.call_count
             # one point off the progression sends the same deltas down the dense path
             off = deltas[0] + 0.5 * (deltas[1] - deltas[0])
             dense = _filon_transform(g, t, np.append(deltas, off))[:-1]
-        assert chirp.call_count == 1
+        assert (chirp_calls > 0) == (deltas.size >= 64) and fft.call_count == chirp_calls
         return fast, dense, abs(_filon_transform(g, t, np.zeros(1))[0])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 5.0, 50.0]),
            tau=st.sampled_from([0.1, 1.0, 3.0]), refine=st.sampled_from([1, 2, 4]),
-           m=st.sampled_from([3, 7, 100, 2000, 8000]), d0=st.floats(-1500.0, 1500.0),
+           m=st.sampled_from([3, 7, 64, 100, 2000, 8000]), d0=st.floats(-1500.0, 1500.0),
            step=st.floats(1e-3, 5.0), descending=st.booleans())
     def test_chirp_matches_dense(self, tabulated, lam, tau, refine, m, d0, step, descending):
         step = -step if descending else step
@@ -274,10 +297,11 @@ class TestFilonChirp:
            centre=st.floats(-0.5, 0.5))
     def test_chirp_matches_dense_on_sparse_wide_grids(self, tabulated, lam, tau, refine,
                                                       m, step, centre):
-        # few deltas spread over up to +-2.5e7: the chirp phase theta j^2 / 2
-        # reaches ~1e10 rad, far beyond the dense path's largest delta t_end.
-        # Both paths then err by ~1e-12 of the value at delta = 0, the scale
-        # line_shape certifies against, not of the small tail values here.
+        # few deltas spread over up to +-2.5e7: fewer than 64 take the dense
+        # path, whose phase delta t errs by eps |delta t|.  The chirp phases
+        # are products of the spans and err by about eps max|delta| t_end at
+        # every delta, up to 5e-10 of the value at delta = 0 on 64-150 such
+        # deltas (phases up to 6e7 rad), where the dense path is exact.
         d0 = (centre - 0.5) * (m - 1) * step
         deltas = np.linspace(d0, d0 + (m - 1) * step, m)
         fast, dense, peak = self._both_paths(tabulated, lam, tau, refine, deltas)
@@ -291,11 +315,102 @@ class TestFilonChirp:
         nudged = uniform.copy()
         nudged[40] += 1e-6
         union = np.unique(np.concatenate([uniform, np.geomspace(1.0, 500.0, 40)]))
-        for deltas, calls in ((uniform, 1), (uniform[::-1], 1), (uniform[:3], 1),
-                              (uniform[:2], 0), (nudged, 0), (union, 0)):
-            with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+        for deltas, chirp in ((uniform, True), (uniform[::-1], True), (uniform[:64], True),
+                              (uniform[:63], False), (uniform[:3], False), (nudged, False),
+                              (union, False)):
+            with fft_spy() as fft:
                 _filon_transform(g, t, deltas)
-            assert chirp.call_count == calls, deltas.size
+            assert fft.called == chirp, deltas.size
+
+
+class TestPhaseSums:
+    """`_phase_sums`, the one evaluator of sum_j c_j e^{i x_j y_k}, against
+    the dense phase matrix."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([1, 2, 5, 63, 64, 65, 300, 2000, 8000]),
+           m=st.sampled_from([1, 3, 63, 64, 65, 129, 1000, 8000]),
+           x_uniform=st.booleans(), y_uniform=st.booleans(),
+           x0=st.floats(-10.0, 10.0), x_span=st.floats(1e-2, 10.0),
+           y0=st.floats(-2000.0, 2000.0), y_span=st.floats(1.0, 2000.0),
+           descending=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_matches_dense_oracle(self, n, m, x_uniform, y_uniform, x0, x_span,
+                                  y0, y_span, descending, seed):
+        # x up to |20| and y up to |4000| keep the phases below 1e5 rad, where
+        # rounding of the phases stays far below the bound; few y over a wide
+        # span are the sparse wide grids (up to 2000/63 rad per step of y and unit x)
+        rng = np.random.default_rng(seed)
+
+        def nodes(start, span, size, uniform):
+            u = np.linspace(0.0, 1.0, size) if uniform else np.sort(rng.uniform(size=size))
+            return start + span * u
+
+        x = nodes(x0, x_span, n, x_uniform)
+        y = nodes(y0, y_span, m, y_uniform)
+        if descending:
+            y = y[::-1]
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        with fft_spy() as fft:
+            got = _phase_sums(c, x, y)
+        assert fft.called == (min(n, m) >= 64 and x_uniform and y_uniform)
+        rows = np.arange(0, m, max(1, m // 64))
+        want = np.exp(1j * np.outer(y[rows].astype(np.longdouble),
+                                    x.astype(np.longdouble))) @ c.astype(np.clongdouble)
+        assert got.shape == (m,)
+        assert np.abs(got[rows] - want).max() <= 1e-10 * np.abs(c).sum()
+
+    def test_spectrum_strong_matches_long_double(self):
+        # the line kernel and the 30001 deltas of configs/spectrum_strong.json:
+        # an unblocked chirp over all deltas was 6e-14 of |sum g| off here
+        det = gaussian_detector(1.0, 50.0, 1.0)
+        t = _line_time_grid(2.0, det, 1.0)
+        g = _line_kernel(2.0, det, 1.0, t)
+        deltas = np.linspace(-1400.0, 1404.0, 30001) - 2.0
+        got = _phase_sums(g, t, deltas)[::97]
+        want = np.exp(1j * np.outer(deltas[::97].astype(np.longdouble),
+                                    t.astype(np.longdouble))) @ g.astype(np.clongdouble)
+        assert np.abs(got - want).max() <= 5e-15 * abs(g.sum())
+
+
+class TestFilonTransform:
+    """`_filon_transform` on any increasing nodes: one phase sum when the
+    steps are equal, the segment weights otherwise."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_linear_g_on_nodes_not_starting_at_zero(self, uniform):
+        # g = 2 + 3x is linear, so the Filon rule is exact: against
+        # int_{x0}^{x1} (2 + 3x) e^{i d x} dx in closed form
+        u = np.linspace(0.0, 1.0, 801)
+        x = 1.3 + 2.8 * (u if uniform else u + 0.05 * np.sin(2.0 * math.pi * u))
+        g = 2.0 + 3.0 * x
+        deltas = np.linspace(-300.0, 40.0, 69)
+        with fft_spy() as fft:
+            got = _filon_transform(g, x, deltas)
+        assert fft.called == uniform
+
+        def antiderivative(d, v):
+            if d == 0.0:
+                return 2.0 * v + 1.5 * v * v
+            return np.exp(1j * d * v) * ((2.0 + 3.0 * v) / (1j * d) + 3.0 / d ** 2)
+
+        want = np.array([antiderivative(d, x[-1]) - antiderivative(d, x[0]) for d in deltas])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got - filon_segments(g, x, deltas)).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_reservoir_envelope_of_a_table_matches_segment_sums(self, uniform):
+        u = np.linspace(0.0, 1.0, 801)
+        w_grid = -2.0 + 8.0 * (u if uniform else u + 0.05 * np.sin(6.0 * math.pi * u))
+        peak = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.5)
+        tab = ReservoirSpectrum.tabulated(w_grid, peak.g(w_grid) + 1e-4)
+        det = det_for(40.0, 1.0)
+        t = _line_time_grid(2.0, det, 1.0, 2, np.abs(tab.tab_omega - tab.omega_r).max())
+        with fft_spy() as fft:
+            got = _reservoir_envelope(tab, t)
+        # a uniform table takes the FFT path of `_phase_sums`
+        assert fft.called == uniform
+        want = filon_segments(tab.tab_g, tab.tab_omega - tab.omega_r, t)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestSineIntegral:
@@ -359,6 +474,33 @@ class TestReservoirSpectrum:
         with pytest.raises(ValueError):
             ReservoirSpectrum.tabulated([0.0, 1.0, 2.0], [0.1, -0.2, 0.1])
 
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ReservoirSpectrum("foo"), "unknown reservoir kind"),
+        (lambda: ReservoirSpectrum("flat", g0=-1.0), "non-negative"),
+        (lambda: ReservoirSpectrum("lorentzian", b=-1e-3, width=0.4), "non-negative"),
+        (lambda: ReservoirSpectrum.lorentzian(0.05, 2.5, 0.4, hbar=0.0), "hbar > 0"),
+        (lambda: ReservoirSpectrum.flat(0.01, hbar=-1.0), "hbar > 0"),
+        (lambda: ReservoirSpectrum("lorentzian", b=0.5, width=0.0), "width > 0"),
+        (lambda: ReservoirSpectrum("lorentzian", b=0.5, width=-1.0), "width > 0"),
+        (lambda: ReservoirSpectrum("gaussian_peak", b=0.5, width=0.0), "width > 0"),
+        (lambda: ReservoirSpectrum.lorentzian(b=0.5, omega_r=1.0, gamma=0.0), "width > 0"),
+        (lambda: ReservoirSpectrum("tabulated", b=1.0, width=1.0), "given and finite"),
+        (lambda: ReservoirSpectrum("tabulated", b=1.0, width=1.0, tab_omega=np.arange(3.0),
+                                   tab_g=np.array([0.1, -0.1, 0.1])), "non-negative"),
+        (lambda: ReservoirSpectrum("tabulated", b=1.0, width=1.0, tab_omega=np.array([0.0, 2.0, 1.0]),
+                                   tab_g=np.ones(3)), "increasing"),
+        (lambda: ReservoirSpectrum("tabulated", b=1.0, width=1.0, tab_omega=np.arange(3.0),
+                                   tab_g=np.ones(4)), "matching 1-d arrays"),
+    ], ids=["kind", "g0", "b", "hbar_0", "hbar_neg", "width_0", "width_neg", "gaussian_width", "gamma",
+            "no_table", "table_negative", "table_order", "table_shape"])
+    def test_constructor_checks_each_kind_domain(self, make, match):
+        # the dataclass itself used to take a negative g0 (a decay rate of
+        # -6.28), hbar <= 0 or a zero or negative width (rates of 0 or of the
+        # wrong sign returned silently) and an unknown kind (a TypeError deep
+        # inside the rate)
+        with pytest.raises(ValueError, match=match):
+            make()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     def test_rejects_non_finite(self, bad):
@@ -556,6 +698,17 @@ class TestEmittedSpectrum:
         expected = integrated_decay_probability(res, 2.0, det, 0.5, HBAR)
         assert total == pytest.approx(expected, rel=1e-3)
 
+    @pytest.mark.parametrize("v2", [-1.0, math.nan, math.inf])
+    def test_bad_coupling_rejected(self, v2):
+        # v2 = -1 used to return negative occupations
+        det = det_for(12.0, 0.5)
+        e_grid = np.linspace(2.0 - 2600.0, 2.0 + 2600.0, 16001)
+        with mock.patch.object(decay, "line_mass") as spy, \
+                pytest.raises(ValueError, match="v2 must be finite and >= 0"):
+            emitted_spectrum(ReservoirSpectrum.flat(0.005), 2.0, det, 0.5, v2=v2,
+                             e_grid=e_grid, hbar=HBAR)
+        spy.assert_not_called()
+
     def test_grid_too_narrow(self):
         det = det_for(40.0, 1.0)
         res = ReservoirSpectrum.flat(0.01)
@@ -640,21 +793,22 @@ class TestEffectiveChannel:
     @staticmethod
     def _e_mat_sums(coeff, w, h, n):
         """The lag table exp(i w_b l h) for -n < l < n times coeff: the dense
-        evaluation `_mode_sums` replaced, kept as its oracle."""
+        evaluation that the mode sums replaced, kept as their oracle."""
         tau = h * (n - 1)
         return np.exp(1j * np.outer(np.linspace(-tau, tau, 2 * n - 1), w)) @ coeff
 
     def _check_mode_sums(self, fn, *args, **kwargs):
-        """Run fn, check every `_mode_sums` call it makes against the lag table
-        to 1e-13 of max|g|, and return how often the chirp-z path ran."""
-        with mock.patch.object(decay, "_mode_sums", wraps=_mode_sums) as sums, \
-                mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
+        """Run fn, check every `_phase_sums` call it makes against the dense
+        phase table to 1e-13 of its largest entry, and return how often the
+        chirp-z path ran."""
+        with mock.patch.object(decay, "_phase_sums", wraps=_phase_sums) as sums, fft_spy() as fft:
             fn(*args, **kwargs)
-            chirp_calls = chirp.call_count
+            chirp_calls = fft.call_count
             assert sums.call_count > 0
             for call in sums.call_args_list:
-                want = self._e_mat_sums(*call.args)
-                assert np.abs(_mode_sums(*call.args) - want).max() <= 1e-13 * np.abs(want).max()
+                c, x, y = call.args
+                want = np.exp(1j * np.outer(y, x)) @ c
+                assert np.abs(_phase_sums(c, x, y) - want).max() <= 1e-13 * np.abs(want).max()
         return chirp_calls
 
     def test_mode_sums_match_lag_table_on_channels_decay_system(self):
@@ -678,14 +832,17 @@ class TestEffectiveChannel:
     @pytest.mark.parametrize("k", [3, 4, 63, 64, 65, 400])
     @pytest.mark.parametrize("n", [2, 97, 2001])
     def test_mode_sums_blocks_match_lag_table(self, k, n):
+        # effective_channel's mode sum: the vacuum term coeff[0] plus the phase
+        # sums of the k modes on the 2n - 1 lags
         rng = np.random.default_rng(k * n)
         coeff = rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
         w = np.concatenate([[0.0], np.linspace(-30.0, 70.0, k)])
-        with mock.patch.object(decay, "_chirp_sums", wraps=decay._chirp_sums) as chirp:
-            got = _mode_sums(coeff, w, 2.0 / max(n - 1, 1), n)
-        # chirp-z blocks of k lags for 64 <= k <= 2n - 1
-        assert chirp.called == (64 <= k <= 2 * n - 1)
-        want = self._e_mat_sums(coeff, w, 2.0 / max(n - 1, 1), n)
+        h = 2.0 / max(n - 1, 1)
+        with fft_spy() as fft:
+            got = coeff[0] + _phase_sums(coeff[1:], w[1:], h * np.arange(1 - n, n))
+        # chirp-z blocks of min(k, 2n - 1) modes or lags when that is >= 64
+        assert fft.called == (min(k, 2 * n - 1) >= 64)
+        want = self._e_mat_sums(coeff, w, h, n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_modes", [1, 0, 2.5, "4"])

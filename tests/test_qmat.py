@@ -1,8 +1,12 @@
 """Linear-algebra kernel: eigendecomposition, unitary exponentials, tensors."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from zenosim import qmat
 from zenosim.errors import DimensionMismatch, InvalidDensityMatrix, NonHermitianInput
 from zenosim.qmat import (
     apply_super,
@@ -162,3 +166,15 @@ class TestDensityChecks:
     def test_tolerates_rounding_scale_negativity(self):
         rho = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         check_density_matrix(rho)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eig_floor_rejected_before_any_work(self, floor):
+        # a NaN floor used to skip the positivity check: wmin < nan is never true
+        with mock.patch.object(qmat, "hermiticity_defect") as spy, \
+                pytest.raises(ValueError, match="eig_floor must be finite"):
+            check_density_matrix(np.diag([1.2, -0.2]), eig_floor=floor)
+        spy.assert_not_called()
+
+    def test_negative_floor_stays_legal(self):
+        rho = np.diag([1.2, -0.2]).astype(complex)
+        assert check_density_matrix(rho, eig_floor=-0.5) is not None
