@@ -336,14 +336,15 @@ class TestPhaseSums:
            descending=st.booleans(), seed=st.integers(0, 2 ** 16))
     def test_matches_dense_oracle(self, n, m, x_uniform, y_uniform, x0, x_span,
                                   y0, y_span, descending, seed):
-        # x up to |20| and y up to |4000| keep the phases below 1e5 rad, where
-        # rounding of the phases stays far below the bound; few y over a wide
-        # span are the sparse wide grids (up to 2000/63 rad per step of y and unit x)
+        # |x| <= 20 and |y| <= 4000 keep the phases below 1e5 rad, whose rounding
+        # stays far below the bound; 64 y over a span of 2000 are a sparse wide
+        # grid, 32 rad apart per unit of x
         rng = np.random.default_rng(seed)
 
         def nodes(start, span, size, uniform):
-            u = np.linspace(0.0, 1.0, size) if uniform else np.sort(rng.uniform(size=size))
-            return start + span * u
+            if uniform:
+                return np.linspace(start, start + span, size)
+            return start + span * np.sort(rng.uniform(size=size))
 
         x = nodes(x0, x_span, n, x_uniform)
         y = nodes(y0, y_span, m, y_uniform)
