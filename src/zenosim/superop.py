@@ -557,6 +557,32 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     return _second_order_on_grid(sys, det, t0, steps)
 
 
+def _real_liouville(s: np.ndarray) -> np.ndarray:
+    """apply_super(s, .) on y = Re rho + Im rho as one real (d², d²) matrix,
+    A[(p,r),(n,m)] = (Re s_prnm + Im s_prmn + Re s_rpmn - Im s_rpnm) / 2.
+
+    A Hermitian rho is (y + y^T)/2 + i(y - y^T)/2, and A includes the
+    average with the adjoint, so it holds for any tensor.  It is summed from
+    real views of s into its own storage, with no complex temporary."""
+    d = s.shape[0]
+    re, im = s.real, s.imag
+    a = np.add(re, im.transpose(0, 1, 3, 2), out=np.empty(s.shape))
+    a += re.transpose(1, 0, 3, 2)
+    a -= im.transpose(1, 0, 2, 3)
+    a *= 0.5
+    return a.reshape(d * d, d * d)
+
+
+def _hermitian(y: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) whose Re + Im is y."""
+    y_t = np.swapaxes(y, -1, -2)
+    rho = np.empty(y.shape, dtype=complex)
+    np.add(y, y_t, out=rho.real)
+    np.subtract(y, y_t, out=rho.imag)
+    rho *= 0.5
+    return rho
+
+
 def repeat(channel_factory, rho0: np.ndarray, n: int,
            trace_tol: float = 1e-6) -> np.ndarray:
     """Apply N back-to-back measurements; returns the stack of states after
@@ -564,6 +590,11 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
 
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
+    A channel object returned again is taken to be unchanged, so its tensor
+    must not be edited in place during the run.  The state is kept as the
+    real matrix y = Re rho + Im rho: a new channel steps it through
+    `MeasurementChannel.apply`, a channel returned again by one product with
+    its real Liouville matrix, built once.
     Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
     step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
     every 64th or the last state dips below EIG_FLOOR.
@@ -571,20 +602,31 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     n = _count(n, "n", 1)
     trace_tol = _tolerance(trace_tol, "trace_tol")
     rho = check_density_matrix(rho0)
-    out = np.empty((n,) + rho.shape, dtype=complex)
+    d = rho.shape[0]
+    ys = np.empty((n, d, d))
+    y = rho.real + rho.imag
+    last = liouville = None
     t0 = 0.0
     for k in range(n):
         ch = channel_factory(t0)
-        rho = ch.apply(rho)  # Hermitian: apply_super averages with the adjoint
-        drift = abs(rho.trace() - 1.0)
+        if ch is last:
+            if liouville is None:
+                liouville = _real_liouville(ch.tensor)
+            np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
+        else:
+            last, liouville = ch, None
+            rho = ch.apply(_hermitian(y))  # Hermitian: apply_super averages with the adjoint
+            np.add(rho.real, rho.imag, out=ys[k])
+        y = ys[k]
+        drift = abs(y.trace() - 1.0)
         if drift > trace_tol:
             raise TraceDrift(f"trace drifted by {drift:.3e} at measurement {k + 1}")
-        if ((k + 1) % 64 == 0 or k == n - 1) and (wmin := np.linalg.eigvalsh(rho)[0]) < EIG_FLOOR:
+        if ((k + 1) % 64 == 0 or k == n - 1) and \
+                (wmin := np.linalg.eigvalsh(_hermitian(y))[0]) < EIG_FLOOR:
             raise InvalidDensityMatrix(
                 f"smallest eigenvalue {wmin:.3e} < {EIG_FLOOR:.1e} at measurement {k + 1}")
-        out[k] = rho
         t0 += ch.tau
-    return out
+    return _hermitian(ys)
 
 
 _HEADER = struct.Struct("<4sBBHIIdddd")

@@ -1,5 +1,6 @@
 """Measurement superoperator construction and composition."""
 
+import dataclasses
 import io
 import tracemalloc
 from itertools import product
@@ -27,8 +28,8 @@ from zenosim.model import (
     custom_detector,
     gaussian_detector,
 )
-from zenosim.qmat import (check_density_matrix, trace_sum_rule_defect, unit_sum_rule_defect,
-                          unitary_exp)
+from zenosim.qmat import (apply_super, check_density_matrix, trace_sum_rule_defect,
+                          unit_sum_rule_defect, unitary_exp)
 from zenosim.superop import (
     EXACT_QUADRATURE,
     NODE_PHASE_BOUND,
@@ -679,6 +680,74 @@ class TestRepeat:
         for k in {1, (n + 1) // 2, n}:
             want = (np.linalg.matrix_power(liouville, k) @ rho0.ravel()).reshape(dim, dim)
             assert np.abs(traj[k - 1] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_real_coordinates_round_trip(self, dim):
+        # y = Re rho + Im rho holds a Hermitian rho: Re rho is its symmetric
+        # part and Im rho its antisymmetric part
+        rho = random_density(np.random.default_rng(dim), dim)
+        rho = 0.5 * (rho + rho.conj().T)  # Hermitian to the last bit
+        back = superop._hermitian(rho.real + rho.imag)
+        assert np.array_equal(back, back.conj().T)
+        assert np.array_equal(back.diagonal(), rho.diagonal())
+        # Re rho ± Im rho is rounded once, so off the diagonal the round trip is
+        # exact to one rounding of the entry
+        assert np.all(np.abs(back - rho) <= np.finfo(float).eps * np.abs(rho))
+        real = rho.real + rho.real.T
+        assert np.array_equal(superop._hermitian(real), real)
+        imaginary = 1j * (rho.imag - rho.imag.T)
+        assert np.array_equal(superop._hermitian(imaginary.imag), imaginary)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("kind", ["random", "kraus"])
+    def test_real_step_matches_apply_super(self, dim, kind):
+        # the random tensor is not Hermiticity-preserving: the real matrix
+        # includes apply_super's average with the adjoint
+        rng = np.random.default_rng(10 * dim + (kind == "kraus"))
+        if kind == "random":
+            s = rng.normal(size=(dim,) * 4) + 1j * rng.normal(size=(dim,) * 4)
+        else:
+            s = random_kraus_channel(rng, dim, 2).tensor
+        rho = random_density(rng, dim)
+        y = superop._real_liouville(s) @ (rho.real + rho.imag).ravel()
+        got = superop._hermitian(y.reshape(dim, dim))
+        assert np.abs(got - apply_super(s, rho)).max() <= 1e-14 * np.abs(s).max()
+
+    @pytest.mark.parametrize("switch", [None, 1, 5], ids=["alternate", "after 1", "after 5"])
+    def test_factory_switching_channels_is_liouville_product(self, switch):
+        rng = np.random.default_rng(7)
+        first, second = random_kraus_channel(rng, 3, 2), random_kraus_channel(rng, 3, 1)
+        if switch is None:
+            order = [first, second] * 20
+        else:
+            order = [first] * switch + [second] * (40 - switch)
+        channels = iter(order)
+        rho0 = random_density(rng, 3)
+        traj = repeat(lambda t0: next(channels), rho0, 40)
+        vec = rho0.ravel()
+        for state, ch in zip(traj, order):
+            vec = ch.tensor.reshape(9, 9) @ vec
+            assert np.abs(state - vec.reshape(3, 3)).max() <= 1e-12
+
+    def test_dimension_change_mid_run_raises(self):
+        rng = np.random.default_rng(8)
+        two, three = random_kraus_channel(rng, 2, 2), random_kraus_channel(rng, 3, 2)
+        with pytest.raises(DimensionMismatch):
+            repeat(lambda t0: two if t0 < 0.25 else three, random_density(rng, 2), 10)
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_real_matrix_built_once_for_a_reused_channel(self, fresh):
+        ch = random_kraus_channel(np.random.default_rng(9), 3, 2)
+
+        def factory(t0):
+            return dataclasses.replace(ch) if fresh else ch
+
+        with mock.patch.object(superop, "apply_super", wraps=apply_super) as applied, \
+                mock.patch.object(superop, "_real_liouville",
+                                  wraps=superop._real_liouville) as built:
+            repeat(factory, np.eye(3, dtype=complex) / 3.0, 50)
+        assert applied.call_count == (50 if fresh else 1)
+        assert built.call_count == (0 if fresh else 1)
 
     @pytest.mark.parametrize("n, step", [(200, 64), (55, 55)])
     def test_positivity_checked_every_64th_and_last_step(self, n, step):
