@@ -361,7 +361,7 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
             rate, err = _decay._rate_and_error(res, omega_if, det, tau, hbar, rel_tol)
         except NumericalConvergenceError as exc:
             raise NumericalConvergenceError(
-                f"Lambda = {lam_big:.6g}: {exc}") from exc
+                f"Lambda = {lam_big:.6g}: {exc}", exc.ladder) from exc
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotInZenoRegime)
             r_zeno = _decay.zeno_limit_rate(res, omega_if, det, hbar)

@@ -35,13 +35,12 @@ import numpy as np
 from .errors import (
     GridTooNarrow,
     NotInZenoRegime,
-    QuadratureNotConverged,
     ReservoirGridTooCoarse,
     StepCountTooSmall,
     ZeroStrength,
 )
 from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
-from .qmat import _count, _tolerance, trace_sum_rule_defect
+from .qmat import _count, _refine, _tolerance, trace_sum_rule_defect
 from .superop import (MIN_STEPS, SECOND_ORDER, MeasurementChannel, _dyson_second_order,
                       build_unperturbed)
 
@@ -273,11 +272,7 @@ def _line_kernel(omega_if: float, det: DetectorModel, tau: float,
     return correlation(det, det.lam * omega_if * t) * (1.0 - t / tau)
 
 
-def _eval_line_shape(omega, omega_if, det, tau, refine=1):
-    t = _line_time_grid(omega_if, det, tau, refine)
-    g = _line_kernel(omega_if, det, tau, t)
-    deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
-    return _filon_transform(g, t, deltas).real / math.pi
+_REFINES = (1, 2, 4, 8)  # time-grid refinements of a line shape, line mass or rate
 
 
 def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
@@ -285,17 +280,18 @@ def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
 
     Evaluated by Filon quadrature on a grid resolving both the decay of
     F(lambda w_if t) and the window (1 - t/tau); the result is certified by
-    a grid-doubling comparison.
+    doubling the grid (`_refine`) until P moves by at most 1e-6 of
+    max(max|P|, 1e-3 tau).
     """
-    scalar = np.isscalar(omega) or np.ndim(omega) == 0
-    p1 = _eval_line_shape(omega, omega_if, det, tau, refine=1)
-    scale = max(float(np.abs(p1).max()), 1e-3 * tau)
-    for refine in (2, 4, 8):
-        p2 = _eval_line_shape(omega, omega_if, det, tau, refine=refine)
-        if float(np.abs(p2 - p1).max()) <= 1e-6 * scale:
-            return float(p2[0]) if scalar else p2
-        p1 = p2
-    raise QuadratureNotConverged("line shape not stable under time-grid refinement")
+    deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
+
+    def evaluate(refine: int) -> np.ndarray:
+        t = _line_time_grid(omega_if, det, tau, refine)
+        return _filon_transform(_line_kernel(omega_if, det, tau, t), t, deltas).real / math.pi
+
+    p, _ = _refine(evaluate, _REFINES, 1e-6, "line shape at time-grid refine {}",
+                   scale=lambda p: max(float(np.abs(p).max()), 1e-3 * tau))
+    return float(p[0]) if np.ndim(omega) == 0 else p
 
 
 def _si(x: float) -> float:
@@ -334,19 +330,20 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
 
     Computed in the time domain (exact exchange of integration order), so
     windows reaching far into the 1/delta^2 tails cost one transform instead
-    of a dense pointwise grid.
+    of a dense pointwise grid; certified like `line_shape`, by doubling the
+    grid until the mass moves by at most 1e-6.
     """
-    t = _line_time_grid(omega_if, det, tau, refine=2)
-    g = _line_kernel(omega_if, det, tau, t)
-    h = t[1] - t[0]
-    r = np.empty_like(g)
-    r[1:] = (g[1:] - 1.0) / t[1:]
-    r[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-    t_end = t[-1]
-    si_hi = _si(delta_hi * t_end)
-    si_lo = _si(delta_lo * t_end)
-    ir = _filon_transform(r, t, np.array([delta_lo, delta_hi]))
-    return float((si_hi - si_lo) / math.pi + (ir[1].imag - ir[0].imag) / math.pi)
+    def evaluate(refine: int) -> float:
+        t = _line_time_grid(omega_if, det, tau, refine)
+        g = _line_kernel(omega_if, det, tau, t)
+        r = np.empty_like(g)
+        r[1:] = (g[1:] - 1.0) / t[1:]
+        r[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * (t[1] - t[0]))
+        ir = _filon_transform(r, t, np.array([delta_lo, delta_hi]))
+        si = _si(delta_hi * t[-1]) - _si(delta_lo * t[-1])
+        return float(si / math.pi + (ir[1].imag - ir[0].imag) / math.pi)
+
+    return _refine(evaluate, _REFINES, 1e-6, "line mass at time-grid refine {}")[0]
 
 
 @dataclass(frozen=True)
@@ -448,16 +445,15 @@ def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
     # the grid resolves the reservoir factor too: its width, or a table's reach
     width = res.width if res.tab_omega is None else np.abs(res.tab_omega - res.omega_r).max()
     delta = np.array([res.omega_r - omega_if])
-    prev = None
-    for refine in (1, 2, 4, 8):
+
+    def evaluate(refine: int) -> float:
         t = _line_time_grid(omega_if, det, tau, refine, width)
         g = _line_kernel(omega_if, det, tau, t) * _reservoir_envelope(res, t)
-        cur = 2.0 * float(_filon_transform(g, t, delta)[0].real) / hbar ** 2
-        change = math.inf if prev is None else abs(cur - prev) / max(abs(cur), 1e-300)
-        if change <= rel_tol:
-            return cur, change
-        prev = cur
-    raise QuadratureNotConverged("decay rate not stable under time-grid refinement")
+        return 2.0 * float(_filon_transform(g, t, delta)[0].real) / hbar ** 2
+
+    rate, ladder = _refine(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
+                           scale=lambda r: max(abs(r), 1e-300))
+    return rate, ladder[-1][1]
 
 
 def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
@@ -501,7 +497,8 @@ def emitted_spectrum(res: ReservoirSpectrum, omega_if: float, det: DetectorModel
     W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar).
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
-    e_grid, and ValueError unless v2 is finite and >= 0."""
+    e_grid, and ValueError unless v2 is finite and >= 0.  res is unused and
+    kept for call compatibility."""
     if not 0.0 <= v2 < math.inf:
         raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)

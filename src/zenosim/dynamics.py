@@ -18,36 +18,30 @@ import numpy as np
 from .errors import (
     NoTransitions,
     NotInZenoRegime,
-    QuadratureNotConverged,
     ZeroFrequency,
 )
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
-from .qmat import _tolerance
+from .qmat import _refine, _tolerance
 from .superop import _lag_sums, _trapezoid_weights, _v_samples
 
 
 def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
              what: str) -> float:
-    """Trapezoid ladder with Richardson extrapolation.
+    """Trapezoid ladder with Richardson extrapolation: eval_at(nt) is the
+    trapezoid value on an nt-point uniform grid, and h is halved (`_refine`)
+    until two successive extrapolated values agree to rel_tol."""
+    rows = [[]]
 
-    eval_at(nt) must return the raw trapezoid value on an nt-point uniform
-    grid; the grid is refined by halving h until two successive
-    extrapolated values agree to rel_tol.
-    """
-    nt = nt0
-    rows = [[eval_at(nt)]]
-    prev = rows[0][0]
-    for k in range(1, max_halvings + 1):
-        nt = 2 * (nt - 1) + 1
+    def evaluate(nt: int) -> float:
         row = [eval_at(nt)]
-        for j in range(1, k + 1):
-            row.append(row[j - 1] + (row[j - 1] - rows[k - 1][j - 1]) / (4 ** j - 1))
+        for j, prev in enumerate(rows[-1], start=1):
+            row.append(row[j - 1] + (row[j - 1] - prev) / (4 ** j - 1))
         rows.append(row)
-        best = row[-1]
-        if abs(best - prev) <= rel_tol * max(abs(best), 1e-14):
-            return best
-        prev = best
-    raise QuadratureNotConverged(f"{what} still moving at {nt} grid points")
+        return row[-1]
+
+    levels = [((nt0 - 1) << k) + 1 for k in range(max_halvings + 1)]
+    return _refine(evaluate, levels, rel_tol, what + " at {} grid points",
+                   scale=lambda best: max(abs(best), 1e-14))[0]
 
 
 def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:

@@ -26,17 +26,18 @@ class ZeroStrength(ZenoSimError):
 
 
 class NumericalConvergenceError(ZenoSimError):
-    """Base class for failures of adaptive numerical schemes."""
+    """Base class for failures of adaptive numerical schemes.
 
-
-class QuadratureNotConverged(NumericalConvergenceError):
-    """An adaptive quadrature failed to reach the requested tolerance.
-
-    ladder lists the (nodes, max change) steps the node doubling climbed."""
+    ladder lists the (level, change) steps a refinement ladder climbed
+    (`qmat._refine`); it is empty for a failure no ladder reached."""
 
     def __init__(self, message, ladder=()):
         super().__init__(message)
         self.ladder = list(ladder)
+
+
+class QuadratureNotConverged(NumericalConvergenceError):
+    """An adaptive quadrature failed to reach the requested tolerance."""
 
 
 class PropagationStepTooCoarse(NumericalConvergenceError):

@@ -13,7 +13,8 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDensityMatrix, NonHermitianInput
+from .errors import (DimensionMismatch, InvalidDensityMatrix, NonHermitianInput,
+                     QuadratureNotConverged)
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -38,6 +39,29 @@ def _tolerance(value, name: str) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def _refine(evaluate, levels, tol: float, what: str, scale=None,
+            error=QuadratureNotConverged):
+    """evaluate(level) on each of at least two levels in turn, until the change
+    max|new - old|, divided by scale(new) when given, is at most tol.
+
+    Returns (value, ladder), ladder the (level, change) of each level after the
+    first.  When the levels run out, raises error(message, ladder), the message
+    naming the change reached and the last level, at the {} of `what`.
+    """
+    ladder, old = [], None
+    for level in levels:
+        new = evaluate(level)
+        if old is not None:
+            change = float(np.abs(new - old).max())
+            if scale is not None:
+                change /= scale(new)
+            ladder.append((level, change))
+            if change <= tol:
+                return new, ladder
+        old = new
+    raise error(f"{what.format(level)} still moving by {change:.2e} > {tol:.1e}", ladder)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

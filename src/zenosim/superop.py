@@ -41,8 +41,8 @@ from .errors import (
     TraceDrift,
 )
 from .model import DetectorModel, SystemSpec, correlation
-from .qmat import (EIG_FLOOR, _count, _tolerance, apply_super, check_density_matrix,
-                   trace_sum_rule_defect, unitary_exp_stack)
+from .qmat import (EIG_FLOOR, _count, _refine, _tolerance, apply_super,
+                   check_density_matrix, trace_sum_rule_defect, unitary_exp_stack)
 
 EXACT_QUADRATURE = "exact_quadrature"
 UNPERTURBED = "unperturbed"
@@ -177,7 +177,7 @@ def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
 def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
                  max_nodes: int):
     """Build build(rule) on trapezoid rules of doubling node counts, n -> 2n - 1,
-    until no entry moves by more than entry_tol.
+    until no entry moves by more than entry_tol (`_refine`).
 
     In the detector coordinate y = sigma q every tensor entry is an entire
     function of exponential type theta = lambda tau max|omega_level| / sigma
@@ -197,19 +197,9 @@ def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
     if 2 * n - 1 > max_nodes:
         raise QuadratureNotConverged(
             f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
-    tensor = build(default_rule(det, n))
-    ladder = []
-    while True:
-        n = 2 * n - 1
-        tensor2 = build(default_rule(det, n))
-        change = float(np.abs(tensor2 - tensor).max())
-        ladder.append((n, change))
-        tensor = tensor2
-        if change <= entry_tol:
-            return tensor, ladder
-        if 2 * n - 1 > max_nodes:
-            raise QuadratureNotConverged(
-                f"entries still moving by {change:.2e} at {n} trapezoid nodes", ladder)
+    levels = [((n - 1) << k) + 1 for k in range(((max_nodes - 1) // (n - 1)).bit_length())]
+    return _refine(lambda k: build(default_rule(det, k)), levels, entry_tol,
+                   "entries at {} trapezoid nodes")
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -222,43 +212,34 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     the time substeps for a time-dependent V).  With rule=None the detector
     must be Gaussian and the tensor is built on `default_rule` trapezoid rules
     along `_node_ladder`, until no tensor entry moves by more than entry_tol;
-    meta["ladder"] lists the (nodes, max change) steps.
+    meta["ladder"] lists the (nodes, max change) steps.  A time-dependent V
+    doubles the substeps on every rule until the entries settle (`_refine`).
 
     Raises ValueError unless entry_tol is finite and > 0,
-    PropagationStepTooCoarse if substep doubling does not stabilize and
-    QuadratureNotConverged if the node ladder hits max_nodes.
+    PropagationStepTooCoarse past max_substeps and QuadratureNotConverged
+    past max_nodes, each carrying its ladder.
     """
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
     entry_tol = _tolerance(entry_tol, "entry_tol")
-
-    def build_at(r: QuadratureRule, m: int):
-        """Tensor on rule r and its substep count, once m and 2m substeps agree."""
-        if sys.constant_v or sys.v is None:
-            return _tensor_from_rule(sys, det, t0, r, 1), 1
-        t = _tensor_from_rule(sys, det, t0, r, m)
-        while True:
-            t2 = _tensor_from_rule(sys, det, t0, r, 2 * m)
-            if np.abs(t2 - t).max() <= entry_tol:
-                return t2, 2 * m
-            m *= 2
-            t = t2
-            if 2 * m > max_substeps:
-                raise PropagationStepTooCoarse(
-                    f"tensor entries still moving by > {entry_tol:.1e} at {m} substeps")
-
     m = 2 * min_substeps
 
     def build(r: QuadratureRule):
         # start at the check the previous node level passed, m / 2 against m
         nonlocal m
-        tensor, m = build_at(r, m // 2)
+        if sys.constant_v or sys.v is None:
+            m = 1
+            return _tensor_from_rule(sys, det, t0, r, 1)
+        start = m // 2
+        substeps = [start << k for k in range(max(2, (max_substeps // start).bit_length()))]
+        tensor, ladder = _refine(lambda k: _tensor_from_rule(sys, det, t0, r, k), substeps,
+                                 entry_tol, "entries at {} substeps",
+                                 error=PropagationStepTooCoarse)
+        m = ladder[-1][0]
         return tensor
 
     if rule is not None:
-        tensor, ladder = build(rule), []
-        quad_err = None
-        nodes = len(rule)
+        tensor, ladder, nodes, quad_err = build(rule), [], len(rule), None
     else:
         tensor, ladder = _node_ladder(sys, det, build, entry_tol, max_nodes)
         nodes, quad_err = ladder[-1]
@@ -590,14 +571,15 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
 
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
-    A channel object returned again is taken to be unchanged, so its tensor
-    must not be edited in place during the run.  The state is kept as the
-    real matrix y = Re rho + Im rho: a new channel steps it through
-    `MeasurementChannel.apply`, a channel returned again by one product with
-    its real Liouville matrix, built once.
-    Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
-    step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
-    every 64th or the last state dips below EIG_FLOOR.
+    The state is kept as the real matrix y = Re rho + Im rho and every step
+    is one product with the channel's real Liouville matrix, built again
+    only when the factory returns a different object: a channel object
+    returned again is taken to be unchanged, so its tensor must not be edited
+    in place during the run.
+    Raises ValueError unless trace_tol is finite and > 0, DimensionMismatch
+    for a channel of another dimension than rho0, TraceDrift if any step's
+    trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if every
+    64th or the last state dips below EIG_FLOOR.
     """
     n = _count(n, "n", 1)
     trace_tol = _tolerance(trace_tol, "trace_tol")
@@ -605,18 +587,17 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     d = rho.shape[0]
     ys = np.empty((n, d, d))
     y = rho.real + rho.imag
-    last = liouville = None
+    last = None
     t0 = 0.0
     for k in range(n):
         ch = channel_factory(t0)
-        if ch is last:
-            if liouville is None:
-                liouville = _real_liouville(ch.tensor)
-            np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
-        else:
-            last, liouville = ch, None
-            rho = ch.apply(_hermitian(y))  # Hermitian: apply_super averages with the adjoint
-            np.add(rho.real, rho.imag, out=ys[k])
+        if ch is not last:
+            if ch.dim != d:
+                raise DimensionMismatch(
+                    f"channel dimension {ch.dim} at measurement {k + 1} does not match "
+                    f"the state dimension {d}")
+            last, liouville = ch, _real_liouville(ch.tensor)
+        np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
         y = ys[k]
         drift = abs(y.trace() - 1.0)
         if drift > trace_tol:

@@ -1,5 +1,6 @@
 """Public API surface stays importable."""
 
+import ast
 import json
 import math
 import os
@@ -26,6 +27,19 @@ def test_version():
 
 SRC = pathlib.Path(zenosim.__file__).resolve().parent.parent
 CONFIGS = SRC.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "zenosim").glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    # __init__.py imports to re-export; every other module imports to use
+    tree = ast.parse((SRC / "zenosim" / path).read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def _loaded(code: str, prefixes) -> list:
@@ -91,7 +105,7 @@ _HALF = np.eye(2, dtype=complex) / 2.0
 
 # each tolerance argument: (module, the function its work starts with, the call)
 _TOLERANCE_CASES = {
-    "repeat.trace_tol": (superop, "apply_super", lambda tol: zenosim.repeat(
+    "repeat.trace_tol": (superop, "_real_liouville", lambda tol: zenosim.repeat(
         lambda t0: zenosim.build_unperturbed(_FIG1_SYS, _FIG1_DET), _HALF, 3, trace_tol=tol)),
     "check_density_matrix.trace_tol": (qmat, "hermiticity_defect", lambda tol: (
         zenosim.check_density_matrix(1.2 * _HALF, trace_tol=tol))),

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from zenosim.cli import (
     run_spectrum,
     run_twolevel,
 )
-from zenosim.errors import ParseError, ValidationError
+from zenosim.errors import NumericalConvergenceError, ParseError, ValidationError
 from zenosim.superop import load_channel
 
 
@@ -268,6 +269,15 @@ class TestDecaySweepRunner:
         # one entry per Lambda point, each within the tolerance asked for
         assert len(reached) == cfg.sweep["points"]
         assert all(0.0 <= err <= certified["rel_tol"] for err in reached)
+
+    def test_failed_point_keeps_its_ladder(self, tmp_path):
+        cfg = parse_config(json.dumps(decay_config()))
+        ladder = [(2, 0.5), (4, 0.25), (8, 0.125)]
+        failure = NumericalConvergenceError("decay rate still moving", ladder)
+        with mock.patch.object(cli._decay, "_rate_and_error", side_effect=failure), \
+                pytest.raises(NumericalConvergenceError, match="^Lambda = ") as info:
+            run_decay_sweep(cfg, str(tmp_path / "anti.csv"))
+        assert info.value.ladder == ladder
 
     def test_zeno_limit_ratio(self, tmp_path):
         cfg = parse_config(json.dumps(decay_config(

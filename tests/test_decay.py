@@ -425,6 +425,19 @@ class TestSineIntegral:
         x = sign * self.X
         got = np.array([_si(v) for v in x])
         np.testing.assert_allclose(got, sici(x)[0], rtol=3e-15, atol=0.0)
+        # the unmeasured line (F = 1) has the window mass
+        # (1/pi) int_0^tau (1 - t/tau) sin(delta t)/t dt = (Si(x) - (1 - cos x)/x) / pi
+        # at x = delta tau, which line_mass reaches to rounding on every refinement
+        det, tau = gaussian_detector(sigma=1.0, lam=0.0, tau=0.3), 0.3
+
+        def mass_to(delta):
+            x = delta * tau
+            return (sici(x)[0] - (1.0 - math.cos(x)) / x) / math.pi
+
+        for lo, hi in [(0.5, 40.0), (-3.0, 200.0), (-1e4, 1e4), (2.0, 1e6)]:
+            lo, hi = sorted((sign * lo, sign * hi))
+            assert line_mass(lo, hi, 2.0, det, tau) == pytest.approx(
+                mass_to(hi) - mass_to(lo), abs=1e-15)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_matches_mpmath(self, sign):
@@ -638,6 +651,34 @@ class TestDecayRate:
         assert decay._rate_and_error(ReservoirSpectrum.flat(1e-3), 1.0, det, 2.0, HBAR)[1] == 0.0
         with pytest.raises(QuadratureNotConverged):
             decay_rate(res, 1.0, det, 2.0, HBAR, rel_tol=1e-15)
+        with pytest.raises(QuadratureNotConverged) as info:
+            decay_rate(res, 1.0, det, 2.0, HBAR, rel_tol=1e-300)
+        ladder = info.value.ladder
+        assert [refine for refine, _ in ladder] == [2, 4, 8]
+        assert f"refine 8 still moving by {ladder[-1][1]:.2e}" in str(info.value)
+
+    @pytest.mark.parametrize("what", ["line shape", "line mass", "decay rate"])
+    def test_unsettled_refinement_carries_ladder(self, what):
+        # every transform returns a larger value than the one before, so no two
+        # refinements agree
+        calls = iter(range(1, 100))
+
+        def moving(g, x, deltas):
+            return next(calls) * (1.0 + 1.0j) * np.arange(1.0, np.size(deltas) + 1.0)
+
+        det = det_for(10.0, 0.3)
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=2.5, gamma=1.0)
+        call = {"line shape": lambda: line_shape(2.0, 2.0, det, 0.3),
+                "line mass": lambda: line_mass(-5.0, 5.0, 2.0, det, 0.3),
+                "decay rate": lambda: decay_rate(res, 2.0, det, 0.3, HBAR)}[what]
+        with mock.patch.object(decay, "_filon_transform", moving), \
+                pytest.raises(QuadratureNotConverged) as info:
+            call()
+        ladder = info.value.ladder
+        assert [refine for refine, _ in ladder] == [2, 4, 8]
+        assert all(change > 0.0 for _, change in ladder)
+        assert str(info.value).startswith(
+            f"{what} at time-grid refine 8 still moving by {ladder[-1][1]:.2e}")
 
 
 class TestZenoLimit:

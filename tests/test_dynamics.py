@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zenosim import dynamics
-from zenosim.errors import NoTransitions, NotInZenoRegime, ZeroFrequency
+from zenosim.errors import NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency
 from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector, strength
 from zenosim.dynamics import (
     inhibition_time,
@@ -36,6 +36,14 @@ class TestJumpGeneral:
     def test_zero_perturbation(self):
         sys = TwoLevelPreset(omega=2.0, v=0.0).to_system()
         assert jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0) == 0.0
+
+    def test_not_converged_carries_ladder(self):
+        # no two Richardson values agree to 1e-300 relative
+        with pytest.raises(QuadratureNotConverged) as info:
+            jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-300)
+        ladder = info.value.ladder
+        assert [nt for nt, _ in ladder] == [129, 257, 513, 1025, 2049]
+        assert f"at 2049 grid points still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
     def test_matches_appendix_diagonal_fig1(self):
         w = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)

@@ -17,6 +17,8 @@ from zenosim.decay import (ReservoirSpectrum, build_decay_system, effective_chan
 from zenosim.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
+    NumericalConvergenceError,
+    PropagationStepTooCoarse,
     QuadratureNotConverged,
     StepCountTooSmall,
     TraceDrift,
@@ -274,8 +276,10 @@ class TestBuildExact:
         det = gaussian_detector(sigma=1.0, lam=500.0, tau=0.1)
         with pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
             build_exact(FIG1_SYS, det, entry_tol=1e-30, max_nodes=2049)
-        assert [n for n, _ in info.value.ladder] == [1025, 2049]
-        assert all(change > 1e-30 for _, change in info.value.ladder)
+        ladder = info.value.ladder
+        assert [n for n, _ in ladder] == [1025, 2049]
+        assert all(change > 1e-30 for _, change in ladder)
+        assert f"2049 trapezoid nodes still moving by {ladder[-1][1]:.2e}" in str(info.value)
         with pytest.raises(QuadratureNotConverged, match="more than 1024") as info:
             build_exact(FIG1_SYS, det, max_nodes=1024)
         assert info.value.ladder == []
@@ -376,6 +380,24 @@ class TestBuildExact:
         pert = build_second_order(sys, det, t0=0.4, steps=512)
         assert np.abs(exact.tensor - pert.tensor).max() < 2e-6
         assert exact.meta["substeps"] >= 16
+
+    def test_substeps_not_converged_carries_ladder(self):
+        # V turns over about three times per measurement, too fast for 32
+        # midpoint substeps to pin the entries to 1e-8
+        vmat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: np.cos(200.0 * t) * vmat)
+        rule = default_rule(FIG1_DET, 65)
+        with pytest.raises(PropagationStepTooCoarse) as info:
+            build_exact(sys, FIG1_DET, rule=rule, max_substeps=32)
+        assert isinstance(info.value, NumericalConvergenceError)
+        ladder = info.value.ladder
+        assert [m for m, _ in ladder] == [16, 32]
+        assert all(change > 1e-8 for _, change in ladder)
+        assert f"32 substeps still moving by {ladder[-1][1]:.2e}" in str(info.value)
+        # the first pair is compared even when max_substeps is below it
+        with pytest.raises(PropagationStepTooCoarse) as info:
+            build_exact(sys, FIG1_DET, rule=rule, max_substeps=4)
+        assert [m for m, _ in info.value.ladder] == [16]
 
     def test_substep_ladder_carries_over_node_levels(self):
         vmat = random_v(np.random.default_rng(0), 3, 1.0)
@@ -732,8 +754,10 @@ class TestRepeat:
     def test_dimension_change_mid_run_raises(self):
         rng = np.random.default_rng(8)
         two, three = random_kraus_channel(rng, 2, 2), random_kraus_channel(rng, 3, 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="channel dimension 3 at measurement"):
             repeat(lambda t0: two if t0 < 0.25 else three, random_density(rng, 2), 10)
+        with pytest.raises(DimensionMismatch, match="at measurement 1 "):
+            repeat(lambda t0: three, random_density(rng, 2), 10)
 
     @pytest.mark.parametrize("fresh", [False, True])
     def test_real_matrix_built_once_for_a_reused_channel(self, fresh):
@@ -742,12 +766,10 @@ class TestRepeat:
         def factory(t0):
             return dataclasses.replace(ch) if fresh else ch
 
-        with mock.patch.object(superop, "apply_super", wraps=apply_super) as applied, \
-                mock.patch.object(superop, "_real_liouville",
-                                  wraps=superop._real_liouville) as built:
+        with mock.patch.object(superop, "_real_liouville",
+                               wraps=superop._real_liouville) as built:
             repeat(factory, np.eye(3, dtype=complex) / 3.0, 50)
-        assert applied.call_count == (50 if fresh else 1)
-        assert built.call_count == (0 if fresh else 1)
+        assert built.call_count == (50 if fresh else 1)
 
     @pytest.mark.parametrize("n, step", [(200, 64), (55, 55)])
     def test_positivity_checked_every_64th_and_last_step(self, n, step):
