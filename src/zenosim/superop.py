@@ -571,15 +571,14 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
 
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
-    The state is kept as the real matrix y = Re rho + Im rho and every step
-    is one product with the channel's real Liouville matrix, built again
-    only when the factory returns a different object: a channel object
-    returned again is taken to be unchanged, so its tensor must not be edited
-    in place during the run.
-    Raises ValueError unless trace_tol is finite and > 0, DimensionMismatch
-    for a channel of another dimension than rho0, TraceDrift if any step's
-    trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if every
-    64th or the last state dips below EIG_FLOOR.
+    A channel object returned again is taken to be unchanged, so its tensor
+    must not be edited in place during the run.  The state is kept as the
+    real matrix y = Re rho + Im rho: a new channel steps it through
+    `MeasurementChannel.apply`, a channel returned again by one product with
+    its real Liouville matrix, built once.
+    Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
+    step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
+    every 64th or the last state dips below EIG_FLOOR.
     """
     n = _count(n, "n", 1)
     trace_tol = _tolerance(trace_tol, "trace_tol")
@@ -587,17 +586,18 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     d = rho.shape[0]
     ys = np.empty((n, d, d))
     y = rho.real + rho.imag
-    last = None
+    last = liouville = None
     t0 = 0.0
     for k in range(n):
         ch = channel_factory(t0)
-        if ch is not last:
-            if ch.dim != d:
-                raise DimensionMismatch(
-                    f"channel dimension {ch.dim} at measurement {k + 1} does not match "
-                    f"the state dimension {d}")
-            last, liouville = ch, _real_liouville(ch.tensor)
-        np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
+        if ch is last:
+            if liouville is None:
+                liouville = _real_liouville(ch.tensor)
+            np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
+        else:
+            last, liouville = ch, None
+            rho = ch.apply(_hermitian(y))  # Hermitian: apply_super averages with the adjoint
+            np.add(rho.real, rho.imag, out=ys[k])
         y = ys[k]
         drift = abs(y.trace() - 1.0)
         if drift > trace_tol:

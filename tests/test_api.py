@@ -105,7 +105,7 @@ _HALF = np.eye(2, dtype=complex) / 2.0
 
 # each tolerance argument: (module, the function its work starts with, the call)
 _TOLERANCE_CASES = {
-    "repeat.trace_tol": (superop, "_real_liouville", lambda tol: zenosim.repeat(
+    "repeat.trace_tol": (superop, "apply_super", lambda tol: zenosim.repeat(
         lambda t0: zenosim.build_unperturbed(_FIG1_SYS, _FIG1_DET), _HALF, 3, trace_tol=tol)),
     "check_density_matrix.trace_tol": (qmat, "hermiticity_defect", lambda tol: (
         zenosim.check_density_matrix(1.2 * _HALF, trace_tol=tol))),
