@@ -57,7 +57,7 @@ SCHEMA = {
                           "points": (True, 2)})}),
     "spectrum": ("spectrum", "run_spectrum", {
         "detector": (True, _DETECTOR), "reservoir": (False, {}),
-        "transition": (False, {"omega_if": (True, "> 0"), "v2": (True, ">= 0")}),
+        "transition": (False, {"omega_if": (True, "> 0"), "v2": (True, "> 0")}),
         "grid": (False, {"e_min": (True, ""), "e_max": (True, ""), "points": (True, 8)})}),
     "channel_dump": ("dump-channel", "run_channel_dump", {
         "system": (False, _SYSTEM), "detector": (True, _DETECTOR),
@@ -69,7 +69,8 @@ _COMMANDS = {command: experiment for experiment, (command, _, _) in SCHEMA.items
 _UNKNOWN = {"detector": (True, {**_DETECTOR, "lambda": (False, ">= 0")}),
             "n_measurements": (False, 1), "t0": (False, ""), "nodes": (False, 8)}
 
-# most measurements a twolevel run composes; its trajectory holds one 2 x 2 state each
+# most measurements a twolevel run composes, its trajectory holding one 2 x 2 state
+# each, and most points of a sweep or an energy grid
 MAX_MEASUREMENTS = 10 ** 6
 
 # reservoir kind -> (constructor, keys in the order of its arguments)
@@ -211,6 +212,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for lo, hi in (("sweep.Lambda_min", "sweep.Lambda_max"), ("grid.e_min", "grid.e_max")):
         if values.get(lo) is not None and values.get(hi) is not None and values[hi] <= values[lo]:
             errors.append(f"'{hi}' must exceed '{lo}'")
+    for name in ("sweep.points", "grid.points"):
+        if values.get(name, 0) > MAX_MEASUREMENTS:
+            errors.append(f"'{name}' must be at most {MAX_MEASUREMENTS}")
     reservoir = values.get("reservoir")
     if reservoir is not None:
         kind = reservoir.get("kind")
@@ -385,7 +389,7 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     e_grid = np.linspace(cfg.grid["e_min"], cfg.grid["e_max"], int(cfg.grid["points"]))
     w = _decay.emitted_spectrum(res, omega_if, det, tau, v2, e_grid, hbar=hbar)
     width = _decay.fwhm(e_grid, w)
-    total = float(np.trapezoid(res.g(e_grid / hbar) / (hbar * v2) * w, e_grid)) if v2 > 0 else 0.0
+    total = float(np.trapezoid(res.g(e_grid / hbar) / (hbar * v2) * w, e_grid))
     lam_big = strength(det).Lambda
     ratio = width / (lam_big * hbar * omega_if) if lam_big > 0 else float("nan")
     rows = np.column_stack([e_grid, w])

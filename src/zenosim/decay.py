@@ -19,7 +19,8 @@ only itself, and the oscillation e^{i delta t} is integrated exactly on every
 segment, so accuracy does not degrade with detuning.  Every phase sum
 sum_j c_j e^{i x_j y_k} behind them, and behind the mode sums of the
 reservoir-traced channel, is one routine (`_phase_sums`): a blocked chirp-z
-transform when both grids are uniform, dense phase products otherwise.  The
+transform when both grids are uniform and the phases stay below
+CHIRP_MAX_PHASE, dense phase products otherwise.  The
 line mass over a window adds the sine integral Si at its edges, evaluated
 with `math` alone (`_si`).
 """
@@ -171,16 +172,21 @@ def _filon_coeffs(theta: np.ndarray):
     return e1 - e2, e2
 
 
+CHIRP_MAX_PHASE = 1e4  # rad: the largest max|x| max|y| of the chirp path of `_phase_sums`
+
+
 def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_j c_j e^{i x_j y_k} for every k.
 
     A grid is uniform when its deviation from a progression, times the
-    largest |value| of the other grid, is at most 1e-12 rad.  When both are
-    and the shorter has b >= 64 points, the sum is a chirp-z transform
-    (Bluestein: p q = (p^2 + q^2 - (q - p)^2) / 2) on b x b blocks, one
-    batched FFT convolution per block of x; each block's start goes into the
-    input phase, so the chirp phases dx dy p^2 / 2, p < b, stay near the size
-    of the direct ones.  Other pairs take dense phase products in chunks.
+    largest |value| of the other grid, is at most 1e-12 rad.  When both are,
+    the shorter has b >= 64 points and max|x| max|y| is at most
+    CHIRP_MAX_PHASE, the sum is a chirp-z transform (Bluestein: p q = (p^2 +
+    q^2 - (q - p)^2) / 2) on b x b blocks, one batched FFT convolution per
+    block of x; each block's start goes into the input phase, so the chirp
+    phases dx dy p^2 / 2, p < b, stay near the size of the direct ones; it
+    errs by about eps max|x| max|y| sum|c| at every output, where the dense
+    products in chunks that other pairs take err by eps |x_j y_k| per term.
     """
     n, m = x.size, y.size
     b = min(n, m)
@@ -188,7 +194,8 @@ def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     def deviation(v):
         return np.abs(v - np.linspace(v[0], v[-1], v.size)).max()
 
-    if b >= 64 and max(deviation(x) * np.abs(y).max(), deviation(y) * np.abs(x).max()) <= 1e-12:
+    if b >= 64 and np.abs(x).max() * np.abs(y).max() <= CHIRP_MAX_PHASE \
+            and max(deviation(x) * np.abs(y).max(), deviation(y) * np.abs(x).max()) <= 1e-12:
         dx, dy = (x[-1] - x[0]) / (n - 1), (y[-1] - y[0]) / (m - 1)
         size = 1 << (2 * b - 2).bit_length()
         p = np.arange(b)
@@ -394,25 +401,20 @@ class LineShape:
 
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of a sampled single peak, with linear
-    interpolation of the half-height crossings."""
+    interpolation of the half-height crossings; ValueError unless the maximum is > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     k = int(np.argmax(y))
+    if not y[k] > 0:
+        raise ValueError(f"no peak: the curve's maximum {y[k]!r} is not > 0")
     half = y[k] / 2.0
-    left = None
-    for j in range(k, 0, -1):
-        if y[j - 1] <= half:
-            frac = (half - y[j - 1]) / (y[j] - y[j - 1])
-            left = x[j - 1] + frac * (x[j] - x[j - 1])
-            break
-    right = None
-    for j in range(k, y.size - 1):
-        if y[j + 1] <= half:
-            frac = (y[j] - half) / (y[j] - y[j + 1])
-            right = x[j] + frac * (x[j + 1] - x[j])
-            break
-    if left is None or right is None:
+    below = np.flatnonzero(y <= half)  # each crossing is next to the one nearest k
+    lo, hi = below[below < k], below[below > k]
+    if not (lo.size and hi.size):
         raise GridTooNarrow("half-maximum crossings not bracketed by the grid")
+    i, j = lo[-1], hi[0] - 1
+    left = x[i] + (half - y[i]) / (y[i + 1] - y[i]) * (x[i + 1] - x[i])
+    right = x[j] + (y[j] - half) / (y[j] - y[j + 1]) * (x[j + 1] - x[j])
     return float(right - left)
 
 

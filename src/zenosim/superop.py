@@ -10,13 +10,12 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
   settle),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
-* second-order perturbation theory in V.  For a Gaussian detector, a constant
-  V and a phase scale lambda*tau*max|omega|/sigma up to NODE_PHASE_BOUND, the
-  V-linear and V-quadratic terms are averaged over the same trapezoid node
-  ladder as the exact quadrature, each node taking the Dyson blocks of
-  one Van Loan block exponential; otherwise (custom detectors, a
-  time-dependent V, stronger measurements) the two time integrals of the
-  Dyson expansion are evaluated on a trapezoid grid.
+* second-order perturbation theory in V.  For a Gaussian detector and a
+  constant V the V-linear and V-quadratic terms are averaged over the same
+  trapezoid node ladder as the exact quadrature, each node taking the Dyson
+  blocks of one Van Loan block exponential; for a custom detector or a
+  time-dependent V the two time integrals of the Dyson expansion are
+  evaluated on a trapezoid grid.
 
 `repeat` composes measurements back to back, which is the densest
 measurement sequence the finite duration allows.
@@ -452,14 +451,6 @@ def _dyson_blocks(phases: np.ndarray, v: np.ndarray):
     return p0, p1, p2
 
 
-# Phase scale lambda tau max|omega_level| / sigma up to which build_second_order
-# averages over the node ladder.  The ladder itself reaches about theta = 1400
-# within MAX_NODES, but the trapezoid-grid oracle the node path is tested against
-# (Richardson extrapolation of 1024 and 2048 steps) cannot certify theta near
-# 1000, and no workload comes near that range.
-NODE_PHASE_BOUND = 64.0
-
-
 def _second_order_on_nodes(sys: SystemSpec, det: DetectorModel, t0: float) -> MeasurementChannel:
     """Second-order channel of a Gaussian detector and a constant V by the
     node ladder of `build_exact`: S0 is the closed form of `build_unperturbed`
@@ -521,19 +512,19 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     quadratic in V; valid when the action of V over one measurement is small
     (||V|| tau / hbar << 1, not enforced here).
 
-    A Gaussian detector with a constant V (or none) whose phase scale
-    lambda tau max|omega_level| / sigma is at most NODE_PHASE_BOUND takes the
-    node path: S1 + S2 is the V-linear and V-quadratic part of the exact
-    quadrature, averaged over the trapezoid nodes of `_node_ladder` until no
-    entry moves by more than build_exact's default entry_tol (meta: nodes,
-    quad_entry_err, ladder; QuadratureNotConverged beyond MAX_NODES nodes).
-    steps is then only validated.  Every other channel takes the Dyson time
-    integrals on a trapezoid grid of steps + 1 points (meta: steps).
+    A Gaussian detector with a constant V (or none) takes the node path at
+    any phase scale: S1 + S2 is the V-linear and V-quadratic part of the
+    exact quadrature, averaged over the trapezoid nodes of `_node_ladder`
+    until no entry moves by more than build_exact's default entry_tol (meta:
+    nodes, quad_entry_err, ladder; QuadratureNotConverged, naming the phase
+    scale, beyond MAX_NODES nodes).  steps is then only validated.  A custom
+    detector or a time-dependent V takes the Dyson time integrals on a
+    trapezoid grid of steps + 1 points (meta: steps).
 
     Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
     """
     steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
-    if det.kind == "gaussian" and sys.constant_v and _phase_scale(sys, det) <= NODE_PHASE_BOUND:
+    if det.kind == "gaussian" and sys.constant_v:
         return _second_order_on_nodes(sys, det, t0)
     return _second_order_on_grid(sys, det, t0, steps)
 

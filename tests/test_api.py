@@ -87,14 +87,17 @@ def test_cli_run_leaves_scipy_special_unloaded(tmp_path, command, name):
 @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special"])
 def test_second_order_leaves_module_unloaded(module):
     # the small system of the `channels` benchmark job takes the node path, whose
-    # Dyson blocks are numpy only; a cold `import scipy.linalg` costs about 0.3 s
+    # Dyson blocks are numpy only, at its phase scale 10 and at 300; a cold
+    # `import scipy.linalg` costs about 0.3 s
     code = ("import numpy as np, zenosim as z; "
             "rng = np.random.default_rng(1); "
             "m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)); "
             "v = 0.5 * (m + m.conj().T); np.fill_diagonal(v, 0.0); "
             "sys_ = z.SystemSpec(levels=tuple(np.linspace(-2.5, 2.5, 6)), v=0.2 * v / abs(v).max()); "
             "ch = z.build_second_order(sys_, z.gaussian_detector(1.0, 20.0, 0.1), steps=256); "
-            "assert ch.meta['nodes'] > 0")
+            "assert ch.meta['nodes'] > 0; "
+            "strong = z.build_second_order(sys_, z.gaussian_detector(1.0 / 30.0, 20.0, 0.1)); "
+            "assert 'nodes' in strong.meta")
     assert _loaded(code, [module]) == []
 
 

@@ -509,7 +509,9 @@ class TestMainEntry:
         ("decay", decay_config, "reservoir", "kind", {}, "'reservoir.kind' must be one of"),
         ("decay", decay_config, "sweep", "points", None, "'sweep.points' must be an integer"),
         ("spectrum", spectrum_config, "grid", "points", None, "'grid.points' must be an integer"),
-    ], ids=["kind-list", "kind-object", "sweep-points-null", "grid-points-null"])
+        # W = 0 everywhere has no width, which is no half-maximum failure
+        ("spectrum", spectrum_config, "transition", "v2", 0.0, "'transition.v2' must be > 0"),
+    ], ids=["kind-list", "kind-object", "sweep-points-null", "grid-points-null", "v2-zero"])
     def test_wrong_typed_values_exit_code(self, tmp_path, capsys, command, cfg, block, key,
                                           value, message):
         cfg = cfg()
@@ -517,6 +519,25 @@ class TestMainEntry:
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, block", [("decay", decay_config, "sweep"),
+                                                      ("spectrum", spectrum_config, "grid")])
+    def test_point_cap_exit_code(self, tmp_path, capsys, monkeypatch, command, cfg, block):
+        # rejected while parsing, before the grid is allocated or evaluated
+        import zenosim.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the point cap")
+        for name in ("_rate_and_error", "emitted_spectrum", "fwhm"):
+            monkeypatch.setattr(cli._decay, name, refuse)
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        monkeypatch.setattr(cli.np, "geomspace", refuse)
+        cfg = cfg()
+        cfg[block] = dict(cfg[block], points=10 ** 12)
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"'{block}.points' must be at most {cli.MAX_MEASUREMENTS}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("v_re, n_measurements", [(1e-9, None), (1.0, 10 ** 12)],
                              ids=["derived-from-weak-v", "explicit"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -276,7 +277,8 @@ class TestFilonChirp:
             # one point off the progression sends the same deltas down the dense path
             off = deltas[0] + 0.5 * (deltas[1] - deltas[0])
             dense = _filon_transform(g, t, np.append(deltas, off))[:-1]
-        assert (chirp_calls > 0) == (deltas.size >= 64) and fft.call_count == chirp_calls
+        chirp = deltas.size >= 64 and t[-1] * np.abs(deltas).max() <= decay.CHIRP_MAX_PHASE
+        assert (chirp_calls > 0) == chirp and fft.call_count == chirp_calls
         return fast, dense, abs(_filon_transform(g, t, np.zeros(1))[0])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -293,15 +295,15 @@ class TestFilonChirp:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 0.5, 5.0]),
            tau=st.sampled_from([0.1, 1.0, 10.0]), refine=st.sampled_from([1, 8]),
-           m=st.sampled_from([3, 8, 50]), step=st.floats(1e4, 1e6),
+           m=st.sampled_from([3, 8, 50, 64, 100, 150]), step=st.floats(1e4, 1e6),
            centre=st.floats(-0.5, 0.5))
     def test_chirp_matches_dense_on_sparse_wide_grids(self, tabulated, lam, tau, refine,
                                                       m, step, centre):
-        # few deltas spread over up to +-2.5e7: fewer than 64 take the dense
-        # path, whose phase delta t errs by eps |delta t|.  The chirp phases
-        # are products of the spans and err by about eps max|delta| t_end at
-        # every delta, up to 5e-10 of the value at delta = 0 on 64-150 such
-        # deltas (phases up to 6e7 rad), where the dense path is exact.
+        # deltas 1e4 to 1e6 apart: fewer than 64 take the dense path, whose
+        # phase errs by eps |delta t|, and so do 64-150 of them, whose phases
+        # reach beyond CHIRP_MAX_PHASE.  There the chirp phases, products of
+        # the spans, erred by up to 5e-10 of the value at delta = 0 (phases up
+        # to 6e7 rad), where the dense path is exact.
         d0 = (centre - 0.5) * (m - 1) * step
         deltas = np.linspace(d0, d0 + (m - 1) * step, m)
         fast, dense, peak = self._both_paths(tabulated, lam, tau, refine, deltas)
@@ -337,8 +339,9 @@ class TestPhaseSums:
     def test_matches_dense_oracle(self, n, m, x_uniform, y_uniform, x0, x_span,
                                   y0, y_span, descending, seed):
         # |x| <= 20 and |y| <= 4000 keep the phases below 1e5 rad, whose rounding
-        # stays far below the bound; 64 y over a span of 2000 are a sparse wide
-        # grid, 32 rad apart per unit of x
+        # stays far below the bound; only those up to CHIRP_MAX_PHASE take the
+        # chirp path.  64 y over a span of 2000 are a sparse wide grid, 32 rad
+        # apart per unit of x
         rng = np.random.default_rng(seed)
 
         def nodes(start, span, size, uniform):
@@ -353,7 +356,8 @@ class TestPhaseSums:
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         with fft_spy() as fft:
             got = _phase_sums(c, x, y)
-        assert fft.called == (min(n, m) >= 64 and x_uniform and y_uniform)
+        small = np.abs(x).max() * np.abs(y).max() <= decay.CHIRP_MAX_PHASE
+        assert fft.called == (min(n, m) >= 64 and x_uniform and y_uniform and small)
         rows = np.arange(0, m, max(1, m // 64))
         want = np.exp(1j * np.outer(y[rows].astype(np.longdouble),
                                     x.astype(np.longdouble))) @ c.astype(np.clongdouble)
@@ -715,6 +719,14 @@ class TestEmittedSpectrum:
         u_half = brentq(lambda u: (math.sin(u) / u) ** 2 - 0.5, 1.0, 2.0)
         expected = 4.0 * u_half / tau
         assert fwhm(e_grid, w) == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0, float("nan")])
+    def test_fwhm_needs_a_positive_maximum(self, peak):
+        x = np.linspace(-1.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any 0 / 0
+            with pytest.raises(ValueError, match="not > 0"):
+                fwhm(x, np.full(5, peak))
 
     def test_strong_measurement_width_tracks_lambda(self):
         res = ReservoirSpectrum.flat(0.01)

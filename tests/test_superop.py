@@ -34,7 +34,6 @@ from zenosim.qmat import (apply_super, check_density_matrix, trace_sum_rule_defe
                           unit_sum_rule_defect, unitary_exp)
 from zenosim.superop import (
     EXACT_QUADRATURE,
-    NODE_PHASE_BOUND,
     MeasurementChannel,
     QuadratureRule,
     _trapezoid_weights,
@@ -479,11 +478,14 @@ class TestBuildSecondOrder:
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 5), uniform=st.booleans(), aux=st.booleans(),
-           lam=st.sampled_from([0.0, 5.0, 20.0]), theta=st.floats(0.05, 0.999),
+           lam=st.sampled_from([0.0, 5.0, 20.0]), theta=st.floats(3.0, 1300.0),
            seed=st.integers(0, 2 ** 16))
-    # the grid comparison at the bound edge
-    @example(n=3, uniform=False, aux=False, lam=20.0, theta=0.999, seed=1)
-    @example(n=2, uniform=False, aux=True, lam=5.0, theta=0.999, seed=2)
+    # the grid comparison at its largest phase scale
+    @example(n=3, uniform=False, aux=False, lam=20.0, theta=63.9, seed=1)
+    @example(n=2, uniform=False, aux=True, lam=5.0, theta=63.9, seed=2)
+    # strong measurements, near the top of the node ladder
+    @example(n=5, uniform=False, aux=False, lam=20.0, theta=1300.0, seed=3)
+    @example(n=2, uniform=False, aux=True, lam=5.0, theta=1300.0, seed=4)
     def test_node_path_matches_grid_and_exact_v2(self, n, uniform, aux, lam, theta, seed):
         rng = np.random.default_rng(seed)
         levels = np.linspace(-2.0, 2.0, n) if uniform else np.sort(rng.uniform(-3.0, 3.0, n))
@@ -493,8 +495,8 @@ class TestBuildSecondOrder:
         def system(scale):
             return SystemSpec(levels=tuple(levels), alpha_energies=alphas, v=scale * vmat)
 
-        # sigma puts the phase scale lambda tau max|omega| / sigma at `theta` of the bound
-        sigma = lam * 0.1 * (levels[-1] - levels[0]) / (theta * NODE_PHASE_BOUND) if lam else 1.0
+        # sigma puts the phase scale lambda tau max|omega| / sigma at theta
+        sigma = lam * 0.1 * (levels[-1] - levels[0]) / theta if lam else 1.0
         det = gaussian_detector(sigma, lam, 0.1)
         sys = system(1.0)
         node = build_second_order(sys, det)
@@ -507,18 +509,21 @@ class TestBuildSecondOrder:
                              for e in (eps, -eps, 0.0))
         exact = (plus - minus) / (2.0 * eps) + (plus + minus - 2.0 * zero) / (2.0 * eps ** 2)
         assert np.abs(s12 - exact).max() <= 1e-8
-        if sys.dim <= 4 and n <= 3:  # 0.5 to 5 s for the 2048-step grid here, 20 s at n = 4
+        # 0.5 to 5 s for the 2048-step grid here, 20 s at n = 4; beyond theta = 64 the
+        # extrapolated grid no longer reaches 2e-9
+        if sys.dim <= 4 and n <= 3 and superop._phase_scale(sys, det) <= 64.0:
             # the grid's O(h^2) error, up to 2e-9 itself at 2048 steps, extrapolated away
             fine = superop._second_order_on_grid(sys, det, 0.0, 2048).tensor
             coarse = superop._second_order_on_grid(sys, det, 0.0, 1024).tensor
             assert np.abs(node.tensor - (4.0 * fine - coarse) / 3.0).max() <= 2e-9
 
     def test_node_ladder_converges_at_phase_bound(self):
-        # four levels spanning omega = 3, so lambda tau max|omega| / sigma is the bound
+        # four levels spanning omega = 3, so lambda tau max|omega| / sigma is 64, the
+        # bound of the node path before it took every phase scale
         vmat = random_v(np.random.default_rng(11), 4, 0.2)
         sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.5), v=vmat)
-        det = gaussian_detector(sigma=1.0, lam=NODE_PHASE_BOUND / 0.3, tau=0.1)
-        assert superop._phase_scale(sys, det) == pytest.approx(NODE_PHASE_BOUND, rel=1e-14)
+        det = gaussian_detector(sigma=1.0, lam=64.0 / 0.3, tau=0.1)
+        assert superop._phase_scale(sys, det) == pytest.approx(64.0, rel=1e-14)
         det = gaussian_detector(sigma=1.0, lam=(1.0 - 1e-12) * det.lam, tau=0.1)
         ch = build_second_order(sys, det)
         ladder = ch.meta["ladder"]
@@ -530,7 +535,20 @@ class TestBuildSecondOrder:
         residual = np.abs(ch.tensor - build_exact(sys, det).tensor).max()
         assert residual <= (np.linalg.norm(vmat, 2) * det.tau) ** 3
         above = gaussian_detector(sigma=1.0, lam=1.01 * det.lam, tau=0.1)
-        assert build_second_order(sys, above, steps=64).meta == {"steps": 64}
+        assert set(build_second_order(sys, above, steps=64).meta) == {
+            "nodes", "quad_entry_err", "ladder"}
+
+    def test_phase_scale_beyond_the_node_ladder_raises(self):
+        # theta = 2000 needs more than MAX_NODES nodes before the first level is built
+        sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.5),
+                         v=random_v(np.random.default_rng(11), 4, 0.2))
+        det = gaussian_detector(sigma=1.0, lam=2000.0 / 0.3, tau=0.1)
+        assert superop._phase_scale(sys, det) == pytest.approx(2000.0, rel=1e-14)
+        for build in (lambda: build_exact(sys, det),
+                      lambda: build_second_order(sys, det, steps=64)):
+            with pytest.raises(QuadratureNotConverged, match="phase scale 2000") as info:
+                build()
+            assert info.value.ladder == []
 
     def test_grid_path_for_custom_detector_and_timed_v(self):
         nu = np.linspace(-10.0, 10.0, 2001)
