@@ -29,7 +29,6 @@ from .dynamics import (
     inhibition_time,
     jump_probability_general,
     jump_probability_strong,
-    jump_probability_timeindep,
     jump_table,
     measured_exponential,
     rabi_unmeasured,
@@ -68,7 +67,7 @@ __all__ = [
     "line_mass", "line_shape", "measured_decay_channel",
     "population_decay_rate", "zeno_limit_rate",
     "JumpTable", "RateMatrix", "inhibition_time", "jump_probability_general",
-    "jump_probability_strong", "jump_probability_timeindep", "jump_table",
+    "jump_probability_strong", "jump_table",
     "measured_exponential", "rabi_unmeasured", "rate_matrix",
     "two_level_inhibition_time",
     "DetectorModel", "MeasurementStrength", "SystemSpec", "TwoLevelPreset",

@@ -387,9 +387,9 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     hbar = cfg.hbar
     tau = det.tau
     e_grid = np.linspace(cfg.grid["e_min"], cfg.grid["e_max"], int(cfg.grid["points"]))
-    w = _decay.emitted_spectrum(res, omega_if, det, tau, v2, e_grid, hbar=hbar)
+    w = _decay.emitted_spectrum(omega_if, det, tau, v2, e_grid, hbar=hbar)
     width = _decay.fwhm(e_grid, w)
-    total = float(np.trapezoid(res.g(e_grid / hbar) / (hbar * v2) * w, e_grid))
+    total = float(np.trapezoid(res.g(e_grid / hbar) * (w / (hbar * v2)), e_grid))
     lam_big = strength(det).Lambda
     ratio = width / (lam_big * hbar * omega_if) if lam_big > 0 else float("nan")
     rows = np.column_stack([e_grid, w])

@@ -492,15 +492,13 @@ def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
     return 2.0 * b / (s.Lambda * hbar * abs(omega_if))
 
 
-def emitted_spectrum(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
-                     tau: float, v2: float, e_grid: np.ndarray,
-                     hbar: float = 1.0) -> np.ndarray:
+def emitted_spectrum(omega_if: float, det: DetectorModel, tau: float, v2: float,
+                     e_grid: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """Occupation of field modes after one measurement:
     W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar).
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
-    e_grid, and ValueError unless v2 is finite and >= 0.  res is unused and
-    kept for call compatibility."""
+    e_grid, and ValueError unless v2 is finite and >= 0."""
     if not 0.0 <= v2 < math.inf:
         raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)
@@ -511,12 +509,6 @@ def emitted_spectrum(res: ReservoirSpectrum, omega_if: float, det: DetectorModel
             f"grid covers only {covered:.4f} of the line mass (need >= 0.99)")
     p = line_shape(e_grid / hbar, omega_if, det, tau)
     return 2.0 * math.pi * v2 * tau * p / hbar ** 2
-
-
-def integrated_decay_probability(res: ReservoirSpectrum, omega_if: float,
-                                 det: DetectorModel, tau: float, hbar: float) -> float:
-    """Total jump probability per measurement, tau * decay_rate."""
-    return tau * decay_rate(res, omega_if, det, tau, hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Discrete-spectrum dynamics under repeated measurements.
 
-Jump probabilities during a single measurement (general double-time
-integral, the time-independent single-integral form, and the
-strong-measurement approximation), the inhibition time over which repeated
-measurements freeze the populations, the diagonal rate equation of the
-strong-measurement regime, and the analytic two-level references (free Rabi
-oscillation and the measured exponential approach to equal occupation).
+Jump probabilities during a single measurement (one certified evaluator at
+every measurement strength, and the strong-measurement approximation), the
+inhibition time over which repeated measurements freeze the populations, the
+diagonal rate equation of the strong-measurement regime, and the analytic
+two-level references (free Rabi oscillation and the measured exponential
+approach to equal occupation).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decay import _line_scales
 from .errors import (
     NoTransitions,
     NotInZenoRegime,
@@ -25,14 +26,14 @@ from .qmat import _refine, _tolerance
 from .superop import _lag_sums, _trapezoid_weights, _v_samples
 
 
-def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
-             what: str) -> float:
+def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int, what: str):
     """Trapezoid ladder with Richardson extrapolation: eval_at(nt) is the
-    trapezoid value on an nt-point uniform grid, and h is halved (`_refine`)
-    until two successive extrapolated values agree to rel_tol."""
+    trapezoid value (scalar or array) on an nt-point uniform grid, and h is
+    halved (`_refine`) until two successive extrapolated values agree to
+    rel_tol of their largest magnitude."""
     rows = [[]]
 
-    def evaluate(nt: int) -> float:
+    def evaluate(nt: int):
         row = [eval_at(nt)]
         for j, prev in enumerate(rows[-1], start=1):
             row.append(row[j - 1] + (row[j - 1] - prev) / (4 ** j - 1))
@@ -41,16 +42,23 @@ def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int,
 
     levels = [((nt0 - 1) << k) + 1 for k in range(max_halvings + 1)]
     return _refine(evaluate, levels, rel_tol, what + " at {} grid points",
-                   scale=lambda best: max(abs(best), 1e-14))[0]
+                   scale=lambda best: max(np.abs(best).max(), 1e-14))[0]
+
+
+V2_REL_TOL = 1e-10  # relative tolerance of the time-dependent int |V|^2 dt
 
 
 def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:
-    """Matrix of int_0^tau |V(t0 + t)_jk|^2 dt (trapezoid on 513 points for a
-    time-dependent V)."""
-    if sys.constant_v or sys.v is None:
+    """Matrix of int_0^tau |V(t0 + t)_jk|^2 dt (Romberg from 65 points to
+    V2_REL_TOL of the largest entry for a time-dependent V)."""
+    if sys.constant_v:
         return tau * np.abs(sys.v_at(0.0)) ** 2
-    t = np.linspace(0.0, tau, 513)
-    return np.einsum("t,tjk->jk", _trapezoid_weights(t), np.abs(_v_samples(sys, t0, t)) ** 2)
+
+    def evaluate(nt: int) -> np.ndarray:
+        t = np.linspace(0.0, tau, nt)
+        return np.einsum("t,tjk->jk", _trapezoid_weights(t), np.abs(_v_samples(sys, t0, t)) ** 2)
+
+    return _romberg(evaluate, 65, V2_REL_TOL, 9, "|V|^2 integral")
 
 
 def jump_probability_general(sys: SystemSpec, det: DetectorModel,
@@ -59,21 +67,39 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     """Probability of the jump (i, alpha) -> (f, alpha1) during one measurement.
 
     Double time integral of the product of the perturbation matrix elements
-    with the detector correlation kernel F(lambda * w_if * (t2 - t1)),
-    evaluated by nested trapezoid with Richardson-extrapolated refinement
-    (relative change below rel_tol on halving the step).  The kernel depends
-    on the lag t2 - t1 only, so each level is the `_lag_sums` of the two
-    samples dotted with one kernel vector of length 2n - 1.  Raises
-    ValueError unless rel_tol is finite and > 0.
+    with the detector correlation kernel F(lambda * w_if * (t2 - t1)), by
+    trapezoid with Richardson-extrapolated refinement (`_romberg`, relative
+    change below rel_tol on halving the step).  For a constant V (or none)
+    and F(-x) = F(x)* it reduces to one integral over the lag,
+
+    W = (2 |V_fi|^2 / hbar^2) Re int_0^t_cut F(lambda w_fi t) e^{i w_fi,full t} (tau - t) dt,
+
+    cut at t_cut = `decay._line_scales`' extent of the line kernel, on grids
+    from 129 points with 9 halvings: the first level resolves the decay time
+    of F at every measurement strength.  For a time-dependent V, each level
+    (from 65 points, 5 halvings) is the `_lag_sums` of the two samples dotted
+    with one kernel vector of length 2n - 1.  Raises ValueError unless
+    rel_tol is finite and > 0.
     """
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if (i, alpha) == (f, alpha1):
         raise ValueError("source and target states must differ")
     ii = sys.flat_index(i, alpha)
     ff = sys.flat_index(f, alpha1)
+    if sys.constant_v:
+        w_fi = sys.omega_level()[ff, ii]
+        w_full = sys.omega_full()[ff, ii]
+        v2 = abs(sys.v_at(0.0)[ff, ii]) ** 2
+        t_cut = _line_scales(w_fi, det, det.tau)[0]
+
+        def one_integral(nt: int) -> float:
+            t = np.linspace(0.0, t_cut, nt)
+            g = correlation(det, det.lam * w_fi * t) * np.exp(1j * w_full * t) * (det.tau - t)
+            return float(2.0 * v2 * (_trapezoid_weights(t) @ g).real / sys.hbar ** 2)
+
+        return _romberg(one_integral, 129, rel_tol, 9, "jump probability")
     w_if = sys.omega_level()[ii, ff]
     w_phase = sys.omega_full()[ii, ff]
-    hbar = sys.hbar
 
     def evaluate(nt: int) -> float:
         t = np.linspace(0.0, det.tau, nt)
@@ -82,41 +108,9 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         c = _lag_sums(vs[:, ii, ff], vs[:, ff, ii], t, "square")
         u = np.concatenate((-t[:0:-1], t))
         kern = correlation(det, det.lam * w_if * u) * np.exp(1j * w_phase * u)
-        return float((c @ kern).real / hbar ** 2)
+        return float((c @ kern).real / sys.hbar ** 2)
 
     return _romberg(evaluate, 65, rel_tol, 5, "jump probability")
-
-
-def jump_probability_timeindep(sys: SystemSpec, det: DetectorModel,
-                               i: int, alpha: int, f: int, alpha1: int,
-                               rel_tol: float = 1e-9) -> float:
-    """Jump probability for a time-independent V, reduced to one integral.
-
-    W = (2/hbar^2) Re  int_0^tau  F(lambda w_fi t) e^{i w_fi t} (tau - t)
-        |V_fi|^2 e^{i (E1_f - E1_i) t / hbar}  dt
-
-    Raises ValueError unless rel_tol is finite and > 0.
-    """
-    rel_tol = _tolerance(rel_tol, "rel_tol")
-    if not sys.constant_v:
-        raise ValueError("time-independent form requires a constant V")
-    ii = sys.flat_index(i, alpha)
-    ff = sys.flat_index(f, alpha1)
-    w_fi = sys.omega_level()[ff, ii]
-    v2 = abs(sys.v_at(0.0)[ff, ii]) ** 2
-    if v2 == 0.0:
-        return 0.0
-    om_e = (sys.e1[ff] - sys.e1[ii]) / sys.hbar
-    tau = det.tau
-
-    def evaluate(nt: int) -> float:
-        t = np.linspace(0.0, tau, nt)
-        w = _trapezoid_weights(t)
-        integrand = (correlation(det, det.lam * w_fi * t)
-                     * np.exp(1j * (w_fi + om_e) * t) * (tau - t))
-        return float((2.0 * v2 / sys.hbar ** 2) * (w @ integrand).real)
-
-    return _romberg(evaluate, 129, rel_tol, 9, "jump probability")
 
 
 def jump_probability_strong(sys: SystemSpec, det: DetectorModel,

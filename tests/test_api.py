@@ -118,8 +118,6 @@ _TOLERANCE_CASES = {
         _RES, 2.0, _FIG1_DET, 0.1, 1.0, rel_tol=tol)),
     "jump_probability_general.rel_tol": (dynamics, "_romberg", lambda tol: (
         zenosim.jump_probability_general(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
-    "jump_probability_timeindep.rel_tol": (dynamics, "_romberg", lambda tol: (
-        zenosim.jump_probability_timeindep(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
     "jump_table.rel_tol": (dynamics, "jump_probability_general", lambda tol: (
         zenosim.jump_table(_FIG1_SYS, _FIG1_DET, rel_tol=tol))),
     "LineShape.build.mass_tol": (decay, "line_shape", lambda tol: zenosim.LineShape.build(

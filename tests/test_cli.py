@@ -332,6 +332,22 @@ class TestSpectrumRunner:
         # width is proportional to Lambda hbar omega_if; constant ~ 3
         assert 2.0 < ratio < 4.0
 
+    def test_subnormal_coupling_keeps_a_finite_total(self, tmp_path):
+        # G / (hbar v2) overflowed for a subnormal v2, and the footer read nan;
+        # a RuntimeWarning fails the test (pyproject filterwarnings)
+        totals = []
+        for v2 in (1.0, 1e-320):
+            path = write_config(tmp_path, spectrum_config(
+                detector={"sigma": 1.0, "lambda": 50.0, "tau": 1.0},
+                transition={"omega_if": 2.0, "v2": v2},
+                grid={"e_min": -1400.0, "e_max": 1404.0, "points": 30001}))
+            out = str(tmp_path / "spec.csv")
+            assert main(["spectrum", "--config", path, "--out", out]) == 0
+            line = [c for c in read_csv(out)[2] if "integrated_jump_probability" in c][0]
+            totals.append(float(line.split(":")[1]))
+        assert math.isfinite(totals[1])
+        assert totals[1] == pytest.approx(totals[0], rel=1e-2)
+
 
 def _write_csv_per_value(path, header_lines, columns, rows, footer_lines=()):
     """The writer `cli._write_csv` replaced, one format call per value: its oracle."""

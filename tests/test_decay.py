@@ -38,7 +38,6 @@ from zenosim.decay import (
     emitted_spectrum,
     fwhm,
     golden_rule,
-    integrated_decay_probability,
     line_mass,
     line_shape,
     measured_decay_channel,
@@ -713,9 +712,8 @@ class TestEmittedSpectrum:
         # sinc^2(u) = 1/2 at u = Delta tau / 2
         tau = 0.25
         det = gaussian_detector(1.0, 0.0, tau)
-        res = ReservoirSpectrum.flat(0.01)
         e_grid = np.linspace(2.0 - 300.0, 2.0 + 300.0, 30001)
-        w = emitted_spectrum(res, 2.0, det, tau, v2=1.0, e_grid=e_grid, hbar=HBAR)
+        w = emitted_spectrum(2.0, det, tau, v2=1.0, e_grid=e_grid, hbar=HBAR)
         u_half = brentq(lambda u: (math.sin(u) / u) ** 2 - 0.5, 1.0, 2.0)
         expected = 4.0 * u_half / tau
         assert fwhm(e_grid, w) == pytest.approx(expected, rel=0.02)
@@ -729,13 +727,12 @@ class TestEmittedSpectrum:
                 fwhm(x, np.full(5, peak))
 
     def test_strong_measurement_width_tracks_lambda(self):
-        res = ReservoirSpectrum.flat(0.01)
         ratios = []
         for lam_big in (40.0, 80.0):
             det = det_for(lam_big, 1.0)
             span = 8.0 * lam_big * 2.0
             e_grid = np.linspace(2.0 - span, 2.0 + span, 20001)
-            w = emitted_spectrum(res, 2.0, det, 1.0, v2=1.0, e_grid=e_grid, hbar=HBAR)
+            w = emitted_spectrum(2.0, det, 1.0, v2=1.0, e_grid=e_grid, hbar=HBAR)
             ratios.append(fwhm(e_grid, w) / (lam_big * HBAR * 2.0))
         assert max(ratios) / min(ratios) < 1.25
 
@@ -746,10 +743,10 @@ class TestEmittedSpectrum:
         # tail mass beyond the grid is 2/(pi tau X) ~ 5e-4, half the budget
         span = 2600.0
         e_grid = np.linspace(2.0 - span, 2.0 + span, 16001)
-        w = emitted_spectrum(res, 2.0, det, 0.5, v2=v2, e_grid=e_grid, hbar=HBAR)
+        w = emitted_spectrum(2.0, det, 0.5, v2=v2, e_grid=e_grid, hbar=HBAR)
         rho_e = res.g(e_grid / HBAR) / (HBAR * v2)
         total = np.trapezoid(rho_e * w, e_grid)
-        expected = integrated_decay_probability(res, 2.0, det, 0.5, HBAR)
+        expected = 0.5 * decay_rate(res, 2.0, det, 0.5, HBAR)
         assert total == pytest.approx(expected, rel=1e-3)
 
     @pytest.mark.parametrize("v2", [-1.0, math.nan, math.inf])
@@ -759,16 +756,14 @@ class TestEmittedSpectrum:
         e_grid = np.linspace(2.0 - 2600.0, 2.0 + 2600.0, 16001)
         with mock.patch.object(decay, "line_mass") as spy, \
                 pytest.raises(ValueError, match="v2 must be finite and >= 0"):
-            emitted_spectrum(ReservoirSpectrum.flat(0.005), 2.0, det, 0.5, v2=v2,
-                             e_grid=e_grid, hbar=HBAR)
+            emitted_spectrum(2.0, det, 0.5, v2=v2, e_grid=e_grid, hbar=HBAR)
         spy.assert_not_called()
 
     def test_grid_too_narrow(self):
         det = det_for(40.0, 1.0)
-        res = ReservoirSpectrum.flat(0.01)
         e_grid = np.linspace(1.9, 2.1, 64)
         with pytest.raises(GridTooNarrow):
-            emitted_spectrum(res, 2.0, det, 1.0, v2=1.0, e_grid=e_grid, hbar=HBAR)
+            emitted_spectrum(2.0, det, 1.0, v2=1.0, e_grid=e_grid, hbar=HBAR)
 
 
 class TestEffectiveChannel:

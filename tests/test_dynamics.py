@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import line_shape_closed_form
 from zenosim import dynamics
 from zenosim.errors import NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency
 from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector, strength
@@ -12,7 +15,6 @@ from zenosim.dynamics import (
     inhibition_time,
     jump_probability_general,
     jump_probability_strong,
-    jump_probability_timeindep,
     jump_table,
     measured_exponential,
     rabi_unmeasured,
@@ -38,9 +40,21 @@ class TestJumpGeneral:
         assert jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0) == 0.0
 
     def test_not_converged_carries_ladder(self):
-        # no two Richardson values agree to 1e-300 relative
+        # a constant V: 3e4 periods of e^{i w t} in tau outrun 65537 points
+        sys = TwoLevelPreset(omega=2e5, v=1.0).to_system()
+        det = gaussian_detector(sigma=1.0, lam=0.0, tau=1.0)
         with pytest.raises(QuadratureNotConverged) as info:
-            jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-300)
+            jump_probability_general(sys, det, 1, 0, 0, 0)
+        ladder = info.value.ladder
+        assert [nt for nt, _ in ladder] == [(128 << k) + 1 for k in range(1, 10)]
+        assert f"at 65537 grid points still moving by {ladder[-1][1]:.2e}" in str(info.value)
+
+    def test_not_converged_carries_ladder_time_dependent(self):
+        # the lag-sum ladder; no two Richardson values agree to 1e-300 relative
+        vmat = FIG1_SYS.v_at(0.0)
+        sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: vmat)
+        with pytest.raises(QuadratureNotConverged) as info:
+            jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-300)
         ladder = info.value.ladder
         assert [nt for nt, _ in ladder] == [129, 257, 513, 1025, 2049]
         assert f"at 2049 grid points still moving by {ladder[-1][1]:.2e}" in str(info.value)
@@ -97,23 +111,28 @@ class TestJumpGeneral:
 
 
 class TestJumpTimeIndependent:
+    """A constant V takes the one-integral form of jump_probability_general."""
+
     def test_resonant_growth(self):
         # degenerate levels with F = 1: W = (v tau / hbar)^2
         v = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(1.0, 1.0), v=v)
         det = gaussian_detector(sigma=1.0, lam=5.0, tau=0.7)
-        w = jump_probability_timeindep(sys, det, 0, 0, 1, 0)
+        w = jump_probability_general(sys, det, 0, 0, 1, 0, rel_tol=1e-9)
         assert w == pytest.approx((0.3 * 0.7) ** 2, rel=1e-10)
 
     def test_matches_general_fig1(self):
-        w1 = jump_probability_timeindep(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
-        w2 = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
+        # the same V as a callable takes the lag sums of the double integral
+        vmat = FIG1_SYS.v_at(0.0)
+        timed = SystemSpec(levels=(-1.0, 1.0), v=lambda t: vmat)
+        w1 = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
+        w2 = jump_probability_general(timed, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
         assert w1 == pytest.approx(w2, rel=1e-6)
 
     def test_matches_line_shape_convolution(self):
         # the single-integral form equals (2 pi tau / hbar^2) |V|^2 P(omega_E)
         from zenosim.decay import line_shape
-        w = jump_probability_timeindep(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
+        w = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
         p0 = line_shape(0.0, 2.0, FIG1_DET, FIG1_DET.tau)
         conv = 2.0 * math.pi * FIG1_DET.tau * 1.0 * p0
         assert abs(w - conv) < 1e-8
@@ -126,7 +145,7 @@ class TestJumpTimeIndependent:
         v[0, 1] = v[1, 0] = 0.4
         sys = SystemSpec(levels=(-1.0, 1.0), alpha_energies=((0.7,), (0.2,)), v=v)
         det = gaussian_detector(sigma=1.0, lam=12.0, tau=0.3)
-        w = jump_probability_timeindep(sys, det, 1, 0, 0, 0)
+        w = jump_probability_general(sys, det, 1, 0, 0, 0, rel_tol=1e-9)
         omega_e = (0.7 - 0.2) / 1.0
         conv = 2.0 * math.pi * det.tau * 0.16 * line_shape(omega_e, 2.0, det, det.tau)
         assert abs(w - conv) < 1e-8
@@ -135,7 +154,7 @@ class TestJumpTimeIndependent:
         vals = []
         for tau in (2e-3, 1e-3):
             det = gaussian_detector(sigma=1.0, lam=50.0, tau=tau)
-            vals.append(jump_probability_timeindep(FIG1_SYS, det, 1, 0, 0, 0))
+            vals.append(jump_probability_general(FIG1_SYS, det, 1, 0, 0, 0, rel_tol=1e-9))
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
 
 
@@ -157,7 +176,7 @@ class TestJumpStrong:
     def test_agrees_with_full_integral_within_ten_percent(self):
         with pytest.warns(NotInZenoRegime):
             w_strong = jump_probability_strong(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
-        w_full = jump_probability_timeindep(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
+        w_full = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
         assert abs(w_strong - w_full) / w_full < 0.10
 
     def test_zero_frequency_rejected(self):
@@ -165,6 +184,32 @@ class TestJumpStrong:
         sys = SystemSpec(levels=(1.0, 1.0), v=v)
         with pytest.raises(ZeroFrequency):
             jump_probability_strong(sys, FIG1_DET, 0, 0, 1, 0)
+
+    def test_full_probability_approaches_it_as_one_over_theta(self):
+        # the (tau - t) window leaves W / W_strong - 1 = -sqrt(2/pi) / theta,
+        # theta = lambda tau |w| / sigma: W falls as 1/Lambda and stays > 0
+        tau, omega = 0.3, 2.0
+        for lam in (2e3, 2e5, 2e7):
+            det = gaussian_detector(sigma=1.0, lam=lam, tau=tau)
+            w = jump_probability_general(FIG1_SYS, det, 1, 0, 0, 0, rel_tol=1e-10)
+            w_strong = jump_probability_strong(FIG1_SYS, det, 1, 0, 0, 0)
+            assert w > 0.0
+            assert (w / w_strong - 1.0) * lam * tau * omega == pytest.approx(
+                -math.sqrt(2.0 / math.pi), rel=1e-3)
+
+    @pytest.mark.parametrize("omega", [5.0, 50.0, 200.0, 1000.0])
+    def test_time_dependent_v_integral_matches_closed_form(self, omega):
+        # int_0^tau |0.4 cos(omega (t0 + t))|^2 dt; a fixed 513-point
+        # trapezoid was 2.6e-5 off at omega = 1000
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: math.cos(omega * t) * 0.4 * sx)
+        det = gaussian_detector(sigma=1.0, lam=50.0, tau=0.3)
+        t0 = 0.3
+        exact = 0.16 * (det.tau / 2.0 + (math.sin(2.0 * omega * (t0 + det.tau))
+                                         - math.sin(2.0 * omega * t0)) / (4.0 * omega))
+        w = jump_probability_strong(sys, det, 1, 0, 0, 0, t0=t0)
+        integral = 0.5 * w * strength(det).Lambda * 2.0  # W = 2 I / (Lambda |w_if|), |w_if| = 2
+        assert abs(integral - exact) <= 1e-9 * exact
 
 
 class TestJumpTable:
@@ -222,16 +267,26 @@ def _level_errors(monkeypatch, sys, det, t0, run):
     return errors
 
 
+def _faddeeva_jump(sys, det, ii, ff):
+    """(2 pi tau / hbar^2) |V_fi|^2 P(w_E) for a constant V and a Gaussian
+    detector, w_E = (E1_f - E1_i) / hbar and P in closed form."""
+    w_e = (sys.e1[ff] - sys.e1[ii]) / sys.hbar
+    p = line_shape_closed_form(w_e, sys.omega_level()[ii, ff], det, det.tau)
+    return 2.0 * math.pi * det.tau * abs(sys.v_at(0.0)[ff, ii]) ** 2 * p / sys.hbar ** 2
+
+
 class TestJumpLagSum:
-    def test_constant_v_with_auxiliary_energies(self, monkeypatch):
-        # E1 differences make the phase frequency differ from the F frequency
+    def test_constant_v_with_auxiliary_energies(self):
+        # E1 differences make the phase frequency differ from the F frequency;
+        # the one-integral form against the Richardson limit of the dense double sums
         rng = np.random.default_rng(41)
         sys = SystemSpec(levels=(-1.0, 0.5, 2.0), alpha_energies=((0.0, 0.7), (0.2,), (0.4,)),
                          v=random_hermitian(rng, 4, 0.3))
         det = gaussian_detector(sigma=1.0, lam=12.0, tau=0.3)
-        errors = _level_errors(monkeypatch, sys, det, 0.0, lambda: (
-            dynamics.jump_probability_general(sys, det, 2, 0, 0, 1, rel_tol=1e-10)))
-        assert len(errors) >= 3 and max(errors) <= 1e-13
+        w = dynamics.jump_probability_general(sys, det, 2, 0, 0, 1, rel_tol=1e-10)
+        ref = dynamics._romberg(lambda nt: _dense_jump_level(sys, det, 3, 1, 0.0, nt),
+                                65, 1e-12, 4, "dense double sum")
+        assert abs(w - ref) <= 1e-10 * abs(ref)
 
     def test_time_dependent_v(self, monkeypatch):
         # a phase of V that turns with t tells the lag t2 - t1 from t1 - t2
@@ -244,15 +299,38 @@ class TestJumpLagSum:
             dynamics.jump_probability_general(sys, det, 1, 0, 0, 0, t0=0.3, rel_tol=1e-10)))
         assert len(errors) >= 3 and max(errors) <= 1e-13
 
-    def test_jump_table_six_uniform_levels(self, monkeypatch):
+    def test_jump_table_six_uniform_levels(self):
         rng = np.random.default_rng(7)
         v = random_hermitian(rng, 6, 0.2)
         np.fill_diagonal(v, 0.0)
         sys = SystemSpec(levels=tuple(np.linspace(-2.5, 2.5, 6)), v=v)
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
-        errors = _level_errors(monkeypatch, sys, det, 0.0, lambda: dynamics.jump_table(sys, det))
-        assert len(errors) >= 30 * 2  # every ordered pair, at least two levels each
-        assert max(errors) <= 1e-13
+        table = dynamics.jump_table(sys, det, rel_tol=1e-10)
+        ref = np.array([[_faddeeva_jump(sys, det, j, k) if j != k else 0.0 for k in range(6)]
+                        for j in range(6)])
+        assert np.all(np.abs(table.w - ref) <= 1e-10 * np.abs(ref))
+
+
+class TestJumpEveryStrength:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(lam=st.one_of(st.just(0.0), st.floats(0.0, math.log10(2e7)).map(lambda x: 10.0 ** x)),
+           auxiliary=st.booleans())
+    def test_matches_faddeeva_form(self, lam, auxiliary):
+        # from the weak measurement to theta ~ 1e7, where the lag-sum ladder
+        # over all of [0, tau] never converged
+        rng = np.random.default_rng(5)
+        dim = 4 if auxiliary else 3
+        v = random_hermitian(rng, dim, 0.3)
+        np.fill_diagonal(v, 0.0)
+        sys = SystemSpec(levels=(-1.0, 0.5, 2.0), v=v,
+                         alpha_energies=((0.0, 0.7), (0.2,), (0.4,)) if auxiliary else None)
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
+        table = jump_table(sys, det, rel_tol=1e-10)
+        for j in range(dim):
+            for k in range(dim):
+                if sys.state_level[j] != sys.state_level[k]:
+                    ref = _faddeeva_jump(sys, det, j, k)
+                    assert abs(table.w[j, k] - ref) <= 1e-9 * ref
 
 
 class TestInhibitionTime:
@@ -403,7 +481,7 @@ class TestRegimeInvariants:
             det = gaussian_detector(sigma=1.0, lam=lam, tau=tau)
             lam_big = strength(det).Lambda
             assert lam_big * tau * omega >= 20.0
-            w = jump_probability_timeindep(sys, det, 1, 0, 0, 0)
+            w = jump_probability_general(sys, det, 1, 0, 0, 0, rel_tol=1e-9)
             products.append(w * lam_big)
         assert max(products) / min(products) < 1.10
 
