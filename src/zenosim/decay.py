@@ -16,13 +16,16 @@ The Fourier-type integrals are piecewise-linear Filon transforms
 (`_filon_transform`): the smooth factor, g(t) = F(lambda w_if t)(1 - t/tau),
 g(t) G^(t) e^{-i w_R t} or a tabulated G(w), is sampled on nodes resolving
 only itself, and the oscillation e^{i delta t} is integrated exactly on every
-segment, so accuracy does not degrade with detuning.  Every phase sum
-sum_j c_j e^{i x_j y_k} behind them, and behind the mode sums of the
-reservoir-traced channel, is one routine (`_phase_sums`): a blocked chirp-z
-transform when both grids are uniform and the phases stay below
-CHIRP_MAX_PHASE, dense phase products otherwise.  The
-line mass over a window adds the sine integral Si at its edges, evaluated
-with `math` alone (`_si`).
+segment, so accuracy does not degrade with detuning.  The integrals of g
+(P, the line mass, the decay rate, and the constant-V jump probability of
+`dynamics`, the golden-rule factor times P) run on time grids refined 1, 2,
+4, 8 times, certified after a Richardson step (`qmat._romberg`).  Every
+phase sum sum_j c_j e^{i x_j y_k} behind them, and behind the mode sums of
+the reservoir-traced channel, is one routine (`_phase_sums`): a blocked
+chirp-z transform when both grids are uniform and the phases stay below
+CHIRP_MAX_PHASE, dense phase products otherwise.  The line mass over a
+window adds the sine integral Si at its edges, evaluated with `math` alone
+(`_si`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     ZeroStrength,
 )
 from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
-from .qmat import _count, _refine, _tolerance, trace_sum_rule_defect
+from .qmat import _count, _romberg, _tolerance, trace_sum_rule_defect
 from .superop import (MIN_STEPS, SECOND_ORDER, MeasurementChannel, _dyson_second_order,
                       build_unperturbed)
 
@@ -279,7 +282,14 @@ def _line_kernel(omega_if: float, det: DetectorModel, tau: float,
     return correlation(det, det.lam * omega_if * t) * (1.0 - t / tau)
 
 
-_REFINES = (1, 2, 4, 8)  # time-grid refinements of a line shape, line mass or rate
+_REFINES = (1, 2, 4, 8)  # time-grid refinements of every integral of the line kernel
+
+
+def _line_transform(omega_if: float, det: DetectorModel, tau: float,
+                    deltas: np.ndarray, refine: int) -> np.ndarray:
+    """int_0^t_cut g(t) e^{i delta t} dt at each delta, on the time grid of `refine`."""
+    t = _line_time_grid(omega_if, det, tau, refine)
+    return _filon_transform(_line_kernel(omega_if, det, tau, t), t, deltas)
 
 
 def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
@@ -287,17 +297,13 @@ def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
 
     Evaluated by Filon quadrature on a grid resolving both the decay of
     F(lambda w_if t) and the window (1 - t/tau); the result is certified by
-    doubling the grid (`_refine`) until P moves by at most 1e-6 of
-    max(max|P|, 1e-3 tau).
+    doubling the grid (`_romberg`) until the extrapolated P moves by at most
+    1e-6 of max(max|P|, 1e-3 tau).
     """
     deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
-
-    def evaluate(refine: int) -> np.ndarray:
-        t = _line_time_grid(omega_if, det, tau, refine)
-        return _filon_transform(_line_kernel(omega_if, det, tau, t), t, deltas).real / math.pi
-
-    p, _ = _refine(evaluate, _REFINES, 1e-6, "line shape at time-grid refine {}",
-                   scale=lambda p: max(float(np.abs(p).max()), 1e-3 * tau))
+    p, _ = _romberg(lambda r: _line_transform(omega_if, det, tau, deltas, r).real / math.pi,
+                    _REFINES, 1e-6, "line shape at time-grid refine {}",
+                    scale=lambda p: max(float(np.abs(p).max()), 1e-3 * tau))
     return float(p[0]) if np.ndim(omega) == 0 else p
 
 
@@ -338,7 +344,7 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     Computed in the time domain (exact exchange of integration order), so
     windows reaching far into the 1/delta^2 tails cost one transform instead
     of a dense pointwise grid; certified like `line_shape`, by doubling the
-    grid until the mass moves by at most 1e-6.
+    grid until the extrapolated mass moves by at most 1e-6.
     """
     def evaluate(refine: int) -> float:
         t = _line_time_grid(omega_if, det, tau, refine)
@@ -350,7 +356,7 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
         si = _si(delta_hi * t[-1]) - _si(delta_lo * t[-1])
         return float(si / math.pi + (ir[1].imag - ir[0].imag) / math.pi)
 
-    return _refine(evaluate, _REFINES, 1e-6, "line mass at time-grid refine {}")[0]
+    return _romberg(evaluate, _REFINES, 1e-6, "line mass at time-grid refine {}")[0]
 
 
 @dataclass(frozen=True)
@@ -453,8 +459,8 @@ def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
         g = _line_kernel(omega_if, det, tau, t) * _reservoir_envelope(res, t)
         return 2.0 * float(_filon_transform(g, t, delta)[0].real) / hbar ** 2
 
-    rate, ladder = _refine(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
-                           scale=lambda r: max(abs(r), 1e-300))
+    rate, ladder = _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
+                            scale=lambda r: max(abs(r), 1e-300))
     return rate, ladder[-1][1]
 
 
@@ -464,8 +470,8 @@ def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
 
     Exact for a flat reservoir (the golden rule 2 pi G0 / hbar^2); otherwise
     the exchanged time integral, certified by doubling its time grid until
-    the rate moves by at most rel_tol relative (ValueError unless rel_tol is
-    finite and > 0).
+    the extrapolated rate moves by at most rel_tol relative (ValueError
+    unless rel_tol is finite and > 0).
     """
     return _rate_and_error(res, omega_if, det, tau, hbar, rel_tol)[0]
 

@@ -15,34 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _line_scales
-from .errors import (
-    NoTransitions,
-    NotInZenoRegime,
-    ZeroFrequency,
-)
+from .decay import _REFINES, _line_transform
+from .errors import NoTransitions, NotInZenoRegime, ZeroFrequency, ZeroStrength
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
-from .qmat import _refine, _tolerance
+from .qmat import _romberg, _tolerance
 from .superop import _lag_sums, _trapezoid_weights, _v_samples
 
 
-def _romberg(eval_at, nt0: int, rel_tol: float, max_halvings: int, what: str):
-    """Trapezoid ladder with Richardson extrapolation: eval_at(nt) is the
-    trapezoid value (scalar or array) on an nt-point uniform grid, and h is
-    halved (`_refine`) until two successive extrapolated values agree to
-    rel_tol of their largest magnitude."""
-    rows = [[]]
-
-    def evaluate(nt: int):
-        row = [eval_at(nt)]
-        for j, prev in enumerate(rows[-1], start=1):
-            row.append(row[j - 1] + (row[j - 1] - prev) / (4 ** j - 1))
-        rows.append(row)
-        return row[-1]
-
-    levels = [((nt0 - 1) << k) + 1 for k in range(max_halvings + 1)]
-    return _refine(evaluate, levels, rel_tol, what + " at {} grid points",
-                   scale=lambda best: max(np.abs(best).max(), 1e-14))[0]
+def _relative(best) -> float:
+    """Scale of a Romberg change: the largest magnitude of the best value."""
+    return max(np.abs(best).max(), 1e-14)
 
 
 V2_REL_TOL = 1e-10  # relative tolerance of the time-dependent int |V|^2 dt
@@ -58,7 +40,8 @@ def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:
         t = np.linspace(0.0, tau, nt)
         return np.einsum("t,tjk->jk", _trapezoid_weights(t), np.abs(_v_samples(sys, t0, t)) ** 2)
 
-    return _romberg(evaluate, 65, V2_REL_TOL, 9, "|V|^2 integral")
+    return _romberg(evaluate, [(64 << k) + 1 for k in range(10)], V2_REL_TOL,
+                    "|V|^2 integral at {} grid points", _relative)[0]
 
 
 def jump_probability_general(sys: SystemSpec, det: DetectorModel,
@@ -67,19 +50,19 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     """Probability of the jump (i, alpha) -> (f, alpha1) during one measurement.
 
     Double time integral of the product of the perturbation matrix elements
-    with the detector correlation kernel F(lambda * w_if * (t2 - t1)), by
-    trapezoid with Richardson-extrapolated refinement (`_romberg`, relative
-    change below rel_tol on halving the step).  For a constant V (or none)
-    and F(-x) = F(x)* it reduces to one integral over the lag,
+    with the detector correlation kernel F(lambda * w_if * (t2 - t1)),
+    certified on a Romberg ladder (`qmat._romberg`: relative change of the
+    Richardson-extrapolated value below rel_tol).  For a constant V (or none)
+    and F(-x) = F(x)* it reduces to the golden-rule factor times the line shape,
 
-    W = (2 |V_fi|^2 / hbar^2) Re int_0^t_cut F(lambda w_fi t) e^{i w_fi,full t} (tau - t) dt,
+    W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt,
 
-    cut at t_cut = `decay._line_scales`' extent of the line kernel, on grids
-    from 129 points with 9 halvings: the first level resolves the decay time
-    of F at every measurement strength.  For a time-dependent V, each level
-    (from 65 points, 5 halvings) is the `_lag_sums` of the two samples dotted
-    with one kernel vector of length 2n - 1.  Raises ValueError unless
-    rel_tol is finite and > 0.
+    the Filon transform of `decay`'s line kernel at delta = w_fi,full on the
+    time grids of `line_shape` (refines 1, 2, 4, 8), so the oscillation is
+    exact at every measurement strength and splitting.  For a time-dependent
+    V, each level (from 65 points, 5 halvings) is the `_lag_sums` of the two
+    samples dotted with one kernel vector of length 2n - 1.  Raises
+    ValueError unless rel_tol is finite and > 0.
     """
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if (i, alpha) == (f, alpha1):
@@ -88,16 +71,10 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     ff = sys.flat_index(f, alpha1)
     if sys.constant_v:
         w_fi = sys.omega_level()[ff, ii]
-        w_full = sys.omega_full()[ff, ii]
-        v2 = abs(sys.v_at(0.0)[ff, ii]) ** 2
-        t_cut = _line_scales(w_fi, det, det.tau)[0]
-
-        def one_integral(nt: int) -> float:
-            t = np.linspace(0.0, t_cut, nt)
-            g = correlation(det, det.lam * w_fi * t) * np.exp(1j * w_full * t) * (det.tau - t)
-            return float(2.0 * v2 * (_trapezoid_weights(t) @ g).real / sys.hbar ** 2)
-
-        return _romberg(one_integral, 129, rel_tol, 9, "jump probability")
+        delta = np.array([sys.omega_full()[ff, ii]])
+        factor = 2.0 * abs(sys.v_at(0.0)[ff, ii]) ** 2 * det.tau / sys.hbar ** 2
+        return _romberg(lambda r: factor * _line_transform(w_fi, det, det.tau, delta, r)[0].real,
+                        _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
     w_if = sys.omega_level()[ii, ff]
     w_phase = sys.omega_full()[ii, ff]
 
@@ -110,7 +87,8 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         kern = correlation(det, det.lam * w_if * u) * np.exp(1j * w_phase * u)
         return float((c @ kern).real / sys.hbar ** 2)
 
-    return _romberg(evaluate, 65, rel_tol, 5, "jump probability")
+    return _romberg(evaluate, [(64 << k) + 1 for k in range(6)], rel_tol,
+                    "jump probability at {} grid points", _relative)[0]
 
 
 def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
@@ -120,14 +98,17 @@ def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
 
     Replaces the correlation kernel by its delta-function weight, giving
     W ~ (2 / (hbar^2 Lambda |w_if|)) int_0^tau |V(t + t0)_fi|^2 dt.
-    Requires Lambda tau |w_if| >> 1; warns below 10.
+    Requires Lambda tau |w_if| >> 1; warns below 10.  Raises ZeroStrength
+    at lambda = 0.
     """
+    s = strength(det)
+    if s.Lambda == 0.0:
+        raise ZeroStrength("strong-measurement formula needs a nonzero measurement strength")
     ii = sys.flat_index(i, alpha)
     ff = sys.flat_index(f, alpha1)
     w_if = sys.omega_level()[ii, ff]
     if w_if == 0.0:
         raise ZeroFrequency("strong-measurement formula is singular at w_if = 0")
-    s = strength(det)
     if s.Lambda * det.tau * abs(w_if) < 10.0:
         warnings.warn("Lambda*tau*|w_if| < 10: outside the strong-measurement window",
                       NotInZenoRegime)
@@ -162,18 +143,6 @@ def jump_table(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     return JumpTable(w=w, tau=det.tau, t0=t0)
 
 
-def _coupled_pairs(sys: SystemSpec):
-    v = sys.v_at(0.0)
-    lv = sys.state_level
-    w_lvl = sys.omega_level()
-    out = []
-    for j in range(sys.dim):
-        for k in range(sys.dim):
-            if j != k and abs(v[j, k]) > 0.0 and lv[j] != lv[k]:
-                out.append((j, k, abs(w_lvl[j, k]), abs(v[j, k])))
-    return out
-
-
 def inhibition_time(sys: SystemSpec, det: DetectorModel) -> float:
     """Characteristic time over which measurements freeze the populations.
 
@@ -181,15 +150,15 @@ def inhibition_time(sys: SystemSpec, det: DetectorModel) -> float:
     transition frequency among pairs the perturbation actually couples and
     V_max the largest coupled matrix element.
     """
-    pairs = _coupled_pairs(sys)
-    if not pairs:
+    v = np.abs(sys.v_at(0.0))
+    coupled = (v > 0.0) & (sys.state_level[:, None] != sys.state_level[None, :])
+    if not coupled.any():
         raise NoTransitions("V couples no pair of levels")
-    w_min = min(p[2] for p in pairs)
+    w_min = np.abs(sys.omega_level())[coupled].min()
     if w_min == 0.0:
         raise ZeroFrequency("coupled pair with zero transition frequency")
-    v_max = max(p[3] for p in pairs)
     lam = strength(det).Lambda
-    return lam * sys.hbar ** 2 * w_min / (2.0 * v_max ** 2)
+    return float(lam * sys.hbar ** 2 * w_min / (2.0 * v[coupled].max() ** 2))
 
 
 @dataclass(frozen=True)
@@ -213,8 +182,12 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
 
     Gain into state j from state k is 2 * int |V_jk|^2 dt / (hbar^2 |w_jk|);
     the diagonal collects the two loss sums over intermediate states, so
-    columns sum to zero (probability conservation).
+    columns sum to zero (probability conservation).  Raises ZeroStrength at
+    lambda = 0.
     """
+    lam = strength(det).Lambda
+    if lam == 0.0:
+        raise ZeroStrength("rate equation needs a nonzero measurement strength")
     lv = sys.state_level
     w_lvl = sys.omega_level()
     iv = _v2_integral(sys, det.tau, t0)
@@ -229,7 +202,7 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
     a = np.zeros_like(iv)
     np.divide(2.0 * iv, sys.hbar ** 2 * np.abs(w_lvl), out=a, where=coupled)
     a -= np.diag(a.sum(axis=0))
-    return RateMatrix(a=a, Lambda=strength(det).Lambda, tau=det.tau)
+    return RateMatrix(a=a, Lambda=lam, tau=det.tau)
 
 
 def rabi_unmeasured(preset: TwoLevelPreset, t):
@@ -247,11 +220,14 @@ def rabi_unmeasured(preset: TwoLevelPreset, t):
 
 
 def two_level_inhibition_time(preset: TwoLevelPreset, det: DetectorModel) -> float:
-    """t_inh = (Lambda / 2 omega) |hbar omega / v|^2 for the two-level system."""
+    """t_inh = (Lambda / 2 omega) |hbar omega / v|^2 for the two-level system;
+    infinite for v = 0, ZeroFrequency for omega = 0 with v != 0."""
     lam = strength(det).Lambda
     v = abs(preset.v)
     if v == 0.0:
         return float("inf")
+    if preset.omega == 0.0:
+        raise ZeroFrequency("two-level system with zero splitting")
     try:
         return (lam / (2.0 * preset.omega)) * (preset.hbar * preset.omega / v) ** 2
     except OverflowError:  # a float ** raises where * would give inf

@@ -64,6 +64,23 @@ def _refine(evaluate, levels, tol: float, what: str, scale=None,
     raise error(f"{what.format(level)} still moving by {change:.2e} > {tol:.1e}", ladder)
 
 
+def _romberg(evaluate, levels, tol: float, what: str, scale=None):
+    """`_refine` on Richardson-extrapolated values: evaluate(level) is a rule
+    of error O(h^2) (trapezoid, or Filon on a piecewise-linear factor) whose
+    step h halves from each level to the next, and each new value is
+    extrapolated through every level before it (Romberg's table)."""
+    rows = [[]]
+
+    def extrapolate(level):
+        row = [evaluate(level)]
+        for j, prev in enumerate(rows[-1], start=1):
+            row.append(row[j - 1] + (row[j - 1] - prev) / (4 ** j - 1))
+        rows.append(row)
+        return row[-1]
+
+    return _refine(extrapolate, levels, tol, what, scale)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation |m - m†|."""
     return float(np.abs(m - m.conj().T).max())

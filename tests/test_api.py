@@ -102,6 +102,7 @@ def test_second_order_leaves_module_unloaded(module):
 
 
 _FIG1_SYS = zenosim.TwoLevelPreset(omega=2.0, v=1.0).to_system()
+_FIG1_TIME_SYS = zenosim.SystemSpec(levels=(-1.0, 1.0), v=lambda t: _FIG1_SYS.v_at(0.0))
 _FIG1_DET = zenosim.gaussian_detector(1.0, 50.0, 0.1)
 _RES = zenosim.ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
 _HALF = np.eye(2, dtype=complex) / 2.0
@@ -116,8 +117,10 @@ _TOLERANCE_CASES = {
         zenosim.check_density_matrix(_HALF, herm_tol=tol))),
     "decay_rate.rel_tol": (decay, "_filon_transform", lambda tol: zenosim.decay_rate(
         _RES, 2.0, _FIG1_DET, 0.1, 1.0, rel_tol=tol)),
-    "jump_probability_general.rel_tol": (dynamics, "_romberg", lambda tol: (
+    "jump_probability_general.rel_tol": (dynamics, "_line_transform", lambda tol: (
         zenosim.jump_probability_general(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
+    "jump_probability_general.rel_tol.time_dependent_v": (dynamics, "_romberg", lambda tol: (
+        zenosim.jump_probability_general(_FIG1_TIME_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
     "jump_table.rel_tol": (dynamics, "jump_probability_general", lambda tol: (
         zenosim.jump_table(_FIG1_SYS, _FIG1_DET, rel_tol=tol))),
     "LineShape.build.mass_tol": (decay, "line_shape", lambda tol: zenosim.LineShape.build(

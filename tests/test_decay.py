@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 
-from zenosim import decay, superop
+from zenosim import decay, dynamics, superop
 from zenosim.errors import (
     GridTooNarrow,
     NotInZenoRegime,
@@ -652,15 +652,16 @@ class TestDecayRate:
         assert rate == decay_rate(res, 1.0, det, 2.0, HBAR)
         assert 0.0 < err <= 1e-4
         assert decay._rate_and_error(ReservoirSpectrum.flat(1e-3), 1.0, det, 2.0, HBAR)[1] == 0.0
-        with pytest.raises(QuadratureNotConverged):
-            decay_rate(res, 1.0, det, 2.0, HBAR, rel_tol=1e-15)
+        # the Richardson-extrapolated ladder meets even 1e-15 (6e-16 at refine 8)
+        rate, err = decay._rate_and_error(res, 1.0, det, 2.0, HBAR, rel_tol=1e-15)
+        assert err <= 1e-15 and rate == pytest.approx(decay_rate(res, 1.0, det, 2.0, HBAR), rel=1e-4)
         with pytest.raises(QuadratureNotConverged) as info:
             decay_rate(res, 1.0, det, 2.0, HBAR, rel_tol=1e-300)
         ladder = info.value.ladder
         assert [refine for refine, _ in ladder] == [2, 4, 8]
         assert f"refine 8 still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
-    @pytest.mark.parametrize("what", ["line shape", "line mass", "decay rate"])
+    @pytest.mark.parametrize("what", ["line shape", "line mass", "decay rate", "jump probability"])
     def test_unsettled_refinement_carries_ladder(self, what):
         # every transform returns a larger value than the one before, so no two
         # refinements agree
@@ -673,7 +674,10 @@ class TestDecayRate:
         res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=2.5, gamma=1.0)
         call = {"line shape": lambda: line_shape(2.0, 2.0, det, 0.3),
                 "line mass": lambda: line_mass(-5.0, 5.0, 2.0, det, 0.3),
-                "decay rate": lambda: decay_rate(res, 2.0, det, 0.3, HBAR)}[what]
+                "decay rate": lambda: decay_rate(res, 2.0, det, 0.3, HBAR),
+                "jump probability": lambda: dynamics.jump_probability_general(
+                    SystemSpec(levels=(-1.0, 1.0), v=np.array([[0.0, 0.4], [0.4, 0.0]])),
+                    det, 1, 0, 0, 0)}[what]
         with mock.patch.object(decay, "_filon_transform", moving), \
                 pytest.raises(QuadratureNotConverged) as info:
             call()
