@@ -25,7 +25,8 @@ the reservoir-traced channel, is one routine (`_phase_sums`): a blocked
 chirp-z transform when both grids are uniform and the phases stay below
 CHIRP_MAX_PHASE, dense phase products otherwise.  The line mass over a
 window adds the sine integral Si at its edges, evaluated with `math` alone
-(`_si`).
+(`_si`).  Every line function raises ValueError before any ladder runs for
+a non-finite frequency or window edge and a tau not finite and > 0.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from .errors import (
     GridTooNarrow,
     NotInZenoRegime,
     ReservoirGridTooCoarse,
-    StepCountTooSmall,
     ZeroStrength,
 )
-from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
+from .model import (DetectorModel, SystemSpec, _all_finite, _half_width, correlation,
+                    strength)
 from .qmat import _count, _romberg, _tolerance, trace_sum_rule_defect
-from .superop import (MIN_STEPS, SECOND_ORDER, MeasurementChannel, _dyson_second_order,
+from .superop import (SECOND_ORDER, MeasurementChannel, _dyson_second_order, _step_ladder,
                       build_unperturbed)
 
 
@@ -254,17 +255,9 @@ def _line_scales(omega_if: float, det: DetectorModel, tau: float):
     if det.kind == "gaussian":
         t_f = det.sigma / lw
         return min(tau, 8.6 * t_f), t_f
-    nu = det.f_nu
-    mags = np.abs(det.f_values)
-    side = nu >= 0 if omega_if > 0 else nu <= 0
-    nu_side = np.abs(nu[side])
-    m_side = mags[side]
-    order = np.argsort(nu_side)
-    nu_side, m_side = nu_side[order], m_side[order]
-    below = np.nonzero(m_side < 0.6065)[0]
-    nu_half = nu_side[below[0]] if below.size else nu_side[-1]
-    t_f = max(nu_half / lw, nu_side[-1] / lw / 64.0)
-    return min(tau, nu_side[-1] / lw), t_f
+    side = det.f_nu >= 0 if omega_if > 0 else det.f_nu <= 0
+    reach = float(np.abs(det.f_nu[side]).max())
+    return min(tau, reach / lw), max(_half_width(det, side) / lw, reach / lw / 64.0)
 
 
 def _line_time_grid(omega_if: float, det: DetectorModel, tau: float,
@@ -285,6 +278,13 @@ def _line_kernel(omega_if: float, det: DetectorModel, tau: float,
 _REFINES = (1, 2, 4, 8)  # time-grid refinements of every integral of the line kernel
 
 
+def _check_line(tau: float, *freqs) -> None:
+    """ValueError unless tau is finite and > 0 and every frequency is finite."""
+    _tolerance(tau, "tau")
+    if not all(map(_all_finite, freqs)):
+        raise ValueError("frequencies and window edges must be finite")
+
+
 def _line_transform(omega_if: float, det: DetectorModel, tau: float,
                     deltas: np.ndarray, refine: int) -> np.ndarray:
     """int_0^t_cut g(t) e^{i delta t} dt at each delta, on the time grid of `refine`."""
@@ -300,6 +300,7 @@ def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
     doubling the grid (`_romberg`) until the extrapolated P moves by at most
     1e-6 of max(max|P|, 1e-3 tau).
     """
+    _check_line(tau, omega, omega_if)
     deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
     p, _ = _romberg(lambda r: _line_transform(omega_if, det, tau, deltas, r).real / math.pi,
                     _REFINES, 1e-6, "line shape at time-grid refine {}",
@@ -346,6 +347,7 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     of a dense pointwise grid; certified like `line_shape`, by doubling the
     grid until the extrapolated mass moves by at most 1e-6.
     """
+    _check_line(tau, omega_if, delta_lo, delta_hi)
     def evaluate(refine: int) -> float:
         t = _line_time_grid(omega_if, det, tau, refine)
         g = _line_kernel(omega_if, det, tau, t)
@@ -378,9 +380,9 @@ class LineShape:
               mass_tol: float = 1e-4):
         """Sample P(w) around omega_if; ValueError unless mass_tol is finite and
         > 0, which the constructor checks as well."""
+        _check_line(tau, omega_if)
         mass_tol = _tolerance(mass_tol, "mass_tol")
-        t_cut, t_f = _line_scales(omega_if, det, tau)
-        s_g = 0.0 if math.isinf(t_f) else 1.0 / t_f
+        s_g = 1.0 / _line_scales(omega_if, det, tau)[1]  # 0 when F is not damped
         x_core = max(10.0 * s_g, 60.0 / tau)
         steps = [2.0 * math.pi / (16.0 * tau)]
         if s_g > 0:
@@ -447,6 +449,8 @@ def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
 def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
                     tau: float, hbar: float, rel_tol: float = 1e-4):
     """(decay_rate, relative change of the grid doubling that certified it)."""
+    _check_line(tau, omega_if)
+    _tolerance(hbar, "hbar")
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if res.kind == "flat":
         return 2.0 * math.pi * res.g0 / hbar ** 2, 0.0
@@ -471,7 +475,7 @@ def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
     Exact for a flat reservoir (the golden rule 2 pi G0 / hbar^2); otherwise
     the exchanged time integral, certified by doubling its time grid until
     the extrapolated rate moves by at most rel_tol relative (ValueError
-    unless rel_tol is finite and > 0).
+    unless hbar and rel_tol are finite and > 0).
     """
     return _rate_and_error(res, omega_if, det, tau, hbar, rel_tol)[0]
 
@@ -541,42 +545,40 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
     overlap region of the measured line and the reservoir structure and is
     widened until it holds at least 99.5% of the line mass when the
     reservoir has no finite structure of its own.  Raises ValueError unless
-    n_modes is an integer >= 2.
+    n_modes is an integer >= 2, hbar is finite and > 0 and an e_window given
+    is two finite increasing energies.
     """
     n_modes = _count(n_modes, "n_modes", 2)
+    _tolerance(hbar, "hbar")
     if e_excited <= e_ground:
         raise ValueError("excited level must lie above the ground level")
     omega_if = (e_excited - e_ground) / hbar
     tau = det.tau
-    if e_window is None:
-        if res.kind in ("lorentzian", "gaussian_peak"):
-            lo = min(hbar * omega_if, hbar * res.omega_r) - 8.0 * hbar * res.width
-            hi = max(hbar * omega_if, hbar * res.omega_r) + 8.0 * hbar * res.width
-        else:
-            t_cut, t_f = _line_scales(omega_if, det, tau)
-            s_g = 0.0 if math.isinf(t_f) else 1.0 / t_f
-            half = hbar * max(10.0 * s_g, 130.0 / tau)
-            lo, hi = hbar * omega_if - half, hbar * omega_if + half
-            for _ in range(8):
-                mass = line_mass(lo / hbar - omega_if, hi / hbar - omega_if,
-                                 omega_if, det, tau)
-                if mass >= 0.995:
-                    break
-                lo, hi = 1.5 * lo - 0.5 * hbar * omega_if, 1.5 * hi - 0.5 * hbar * omega_if
-    else:
+    if e_window is not None:
+        if not (_all_finite(e_window) and len(e_window) == 2 and e_window[0] < e_window[1]):
+            raise ValueError(f"e_window must be two finite increasing energies, got {e_window!r}")
         lo, hi = e_window
+    elif res.kind in ("lorentzian", "gaussian_peak"):
+        lo = min(hbar * omega_if, hbar * res.omega_r) - 8.0 * hbar * res.width
+        hi = max(hbar * omega_if, hbar * res.omega_r) + 8.0 * hbar * res.width
+    else:
+        s_g = 1.0 / _line_scales(omega_if, det, tau)[1]
+        half = hbar * max(10.0 * s_g, 130.0 / tau)
+        lo, hi = hbar * omega_if - half, hbar * omega_if + half
+        for _ in range(8):
+            mass = line_mass(lo / hbar - omega_if, hi / hbar - omega_if,
+                             omega_if, det, tau)
+            if mass >= 0.995:
+                break
+            lo, hi = 1.5 * lo - 0.5 * hbar * omega_if, 1.5 * hi - 0.5 * hbar * omega_if
     modes = np.linspace(lo, hi, n_modes)
     de = modes[1] - modes[0]
     couplings = np.sqrt(np.maximum(res.g(modes / hbar), 0.0) * de / hbar)
     n_alpha = n_modes + 1
-    dim = 2 * n_alpha
-    v = np.zeros((dim, dim), dtype=complex)
+    v = np.zeros((2 * n_alpha, 2 * n_alpha), dtype=complex)
     ground, excited = 0, 1
-    i_vac = excited * n_alpha
-    for k, coup in enumerate(couplings):
-        f_k = ground * n_alpha + 1 + k
-        v[f_k, i_vac] = coup
-        v[i_vac, f_k] = coup
+    # the excited vacuum, state n_alpha, couples to the ground level's modes 1 .. n_modes
+    v[1:n_alpha, n_alpha] = v[n_alpha, 1:n_alpha] = couplings
     alpha = (0.0,) + tuple(modes)
     sys = SystemSpec(levels=(e_ground, e_excited), alpha_energies=(alpha, alpha),
                      v=v, hbar=hbar)
@@ -584,59 +586,15 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
                        mode_energies=modes, delta_e=float(de))
 
 
-def _effective_steps(det: DetectorModel, e_alpha: np.ndarray, w_at: np.ndarray, hbar: float) -> int:
-    max_e = float(np.abs(e_alpha).max())
-    periods = max_e * det.tau / (2.0 * math.pi * hbar)
-    wmax = float(np.abs(w_at).max())
-    if det.kind == "gaussian" and det.lam * wmax > 0:
-        t_f = det.sigma / (det.lam * wmax)
-    else:
-        t_f = float("inf")
-    need = max(512.0, 20.0 * periods)
-    if math.isfinite(t_f):
-        need = max(need, 20.0 * det.tau / t_f)
-    return int(min(4096, need))
-
-
-def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                      steps: int | None = None,
-                      refined: SystemSpec | None = None) -> MeasurementChannel:
-    """Second-order channel on the atom alone, reservoir traced out.
-
-    The reservoir starts in the vacuum (the first auxiliary state, energy 0,
-    shared by every level); transitions back to the excited atomic state are
-    neglected, which is what makes the traced channel composable.  The sums
-    over reservoir modes collapse into correlation functions evaluated on
-    the time-difference grid (`_phase_sums`, a chirp-z transform on a
-    uniform mode grid), so the mode count barely enters the cost.
-
-    If `refined` holds the same system discretized with half the mode
-    spacing, the populations of both channels are compared and
-    ReservoirGridTooCoarse raised when they differ by more than 1e-4.  An
-    explicit steps must be an integer >= MIN_STEPS, as in `build_second_order`.
-    """
-    alphas = sys.alpha_energies
-    if any(al != alphas[0] for al in alphas):
-        raise ValueError("every level must share the same auxiliary energies")
-    if alphas[0][0] != 0.0:
-        raise ValueError("the first auxiliary state must be the vacuum at E = 0")
-    if not sys.constant_v:
-        raise ValueError("the decay treatment assumes a time-independent V")
-
-    k_lvl = sys.n_levels
-    n_alpha = len(alphas[0])
-    e_alpha = np.asarray(alphas[0], dtype=float)
-    hbar, tau = sys.hbar, det.tau
-    atom = SystemSpec(levels=sys.levels, hbar=hbar)
-    w_at = atom.omega_level()
-    if steps is None:
-        steps = _effective_steps(det, e_alpha, w_at, hbar)
-    steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
-    t = np.linspace(0.0, tau, steps + 1)
+def _traced_on_grid(sys: SystemSpec, det: DetectorModel, steps: int) -> np.ndarray:
+    """S1 + S2 of `effective_channel` on one trapezoid grid of steps + 1 points."""
+    k_lvl, w_alpha = sys.n_levels, np.asarray(sys.alpha_energies[0], dtype=float) / sys.hbar
+    w_at = SystemSpec(levels=sys.levels, hbar=sys.hbar).omega_level()
+    t = np.linspace(0.0, det.tau, steps + 1)
     lags = (t[1] - t[0]) * np.arange(-steps, steps + 1)
 
     # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
-    blocks = sys.v_at(0.0).reshape(k_lvl, n_alpha, k_lvl, n_alpha)
+    blocks = sys.v_at(0.0).reshape(k_lvl, w_alpha.size, k_lvl, w_alpha.size)
     osc = np.exp(1j * w_at[:, :, None] * t)
 
     def first(a, b):
@@ -651,14 +609,40 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
         if not np.any(coeff):
             return None
-        return osc[a, b], osc[c, e], coeff[0] + _phase_sums(coeff[1:], e_alpha[1:] / hbar, lags)
+        return osc[a, b], osc[c, e], coeff[0] + _phase_sums(coeff[1:], w_alpha[1:], lags)
 
-    s_ef = build_unperturbed(atom, det).tensor + _dyson_second_order(
-        np.exp(1j * w_at.T * tau), w_at, det, hbar, t, first, path)
+    return _dyson_second_order(np.exp(1j * w_at.T * det.tau), w_at, det, sys.hbar, t, first, path)
 
-    channel = MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=tau,
+
+def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
+                      steps: int | None = None,
+                      refined: SystemSpec | None = None) -> MeasurementChannel:
+    """Second-order channel on the atom alone, reservoir traced out.
+
+    The reservoir starts in the vacuum (the first auxiliary state, energy 0,
+    shared by every level); transitions back to the excited atomic state are
+    neglected, which is what makes the traced channel composable.  The sums
+    over reservoir modes collapse into correlation functions evaluated on
+    the time-difference grid (`_phase_sums`, a chirp-z transform on a
+    uniform mode grid), so the mode count barely enters the cost.  The time
+    integrals climb `build_second_order`'s time ladder from steps (meta:
+    steps, quad_entry_err, ladder, n_alpha).  If `refined` holds the same
+    system with half the mode spacing, ReservoirGridTooCoarse is raised when
+    the populations of the two channels differ by more than 1e-4.
+    """
+    alphas = sys.alpha_energies
+    if any(al != alphas[0] for al in alphas):
+        raise ValueError("every level must share the same auxiliary energies")
+    if alphas[0][0] != 0.0:
+        raise ValueError("the first auxiliary state must be the vacuum at E = 0")
+    if not sys.constant_v:
+        raise ValueError("the decay treatment assumes a time-independent V")
+
+    s12, meta = _step_ladder(sys, det, steps, lambda n: _traced_on_grid(sys, det, n))
+    s_ef = build_unperturbed(SystemSpec(levels=sys.levels, hbar=sys.hbar), det).tensor + s12
+    channel = MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=det.tau,
                                  certified_trace_err=trace_sum_rule_defect(s_ef),
-                                 meta={"steps": steps, "n_alpha": n_alpha})
+                                 meta={**meta, "n_alpha": len(alphas[0])})
     if refined is not None:
         fine = effective_channel(refined, det, t0=t0, steps=steps)
         pops = np.abs(np.einsum("ppnn->pn", channel.tensor)

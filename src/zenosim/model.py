@@ -118,6 +118,15 @@ def correlation(d: DetectorModel, nu):
     return out
 
 
+def _half_width(d: DetectorModel, side=slice(None)) -> float:
+    """|F| half-width: sigma for a Gaussian; for a custom table (on the nodes
+    `side` selects) the least |nu| where |F| < e^{-1/2}, else its reach."""
+    if d.kind == "gaussian":
+        return d.sigma
+    nu, below = np.abs(d.f_nu[side]), np.abs(d.f_values[side]) < 0.6065
+    return float(nu[below].min() if below.any() else nu.max())
+
+
 def strength(d: DetectorModel) -> MeasurementStrength:
     """C from the normalization integral of F and Lambda = lambda / C.
 

@@ -15,7 +15,7 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
   trapezoid node ladder as the exact quadrature, each node taking the Dyson
   blocks of one Van Loan block exponential; for a custom detector or a
   time-dependent V the two time integrals of the Dyson expansion are
-  evaluated on a trapezoid grid.
+  extrapolated along doubling trapezoid time grids (`_step_ladder`).
 
 `repeat` composes measurements back to back, which is the densest
 measurement sequence the finite duration allows.
@@ -39,8 +39,8 @@ from .errors import (
     StepCountTooSmall,
     TraceDrift,
 )
-from .model import DetectorModel, SystemSpec, correlation
-from .qmat import (EIG_FLOOR, _count, _refine, _tolerance, apply_super,
+from .model import DetectorModel, SystemSpec, _half_width, correlation
+from .qmat import (EIG_FLOOR, _count, _refine, _romberg, _tolerance, apply_super,
                    check_density_matrix, trace_sum_rule_defect, unitary_exp_stack)
 
 EXACT_QUADRATURE = "exact_quadrature"
@@ -170,7 +170,16 @@ ALIAS_MARGIN = 9.0
 
 
 def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
-    return det.lam * det.tau * float(np.abs(sys.omega_level()).max()) / det.sigma
+    return det.lam * det.tau * float(np.ptp(sys.e0) / sys.hbar) / _half_width(det)
+
+
+def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
+    """m, 2m, 4m ... <= cap from the least m = first 2^k >= need, at least two."""
+    while first < need:
+        first *= 2
+    if 2 * first > cap:
+        raise QuadratureNotConverged(message)
+    return [first << k for k in range((cap // first).bit_length())]
 
 
 def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
@@ -189,16 +198,10 @@ def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
     ladder, once the next level would exceed max_nodes.
     """
     theta = _phase_scale(sys, det)
-    n = 65
-    while 2.0 * RULE_HALF_WIDTH / (n - 1) > 2.0 * math.pi / (theta + ALIAS_MARGIN) \
-            and n <= max_nodes:
-        n = 2 * n - 1
-    if 2 * n - 1 > max_nodes:
-        raise QuadratureNotConverged(
-            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
-    levels = [((n - 1) << k) + 1 for k in range(((max_nodes - 1) // (n - 1)).bit_length())]
-    return _refine(lambda k: build(default_rule(det, k)), levels, entry_tol,
-                   "entries at {} trapezoid nodes")
+    intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
+                           f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
+    return _refine(lambda k: build(default_rule(det, k)), [m + 1 for m in intervals],
+                   entry_tol, "entries at {} trapezoid nodes")
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -351,9 +354,8 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
         wx = w1 * x
         ket = correlation(det, lam * (w_lvl[:, a][:, None] * tau + w_lvl[a, b] * t)) @ wx
         bra = correlation(det, lam * (w_lvl[b][:, None] * tau + w_lvl[a, b] * t)) @ wx
-        for c in range(k):
-            s[a, c, b, c] += phase_out[a, c] * ket[c] / (1j * hbar)
-            s[c, b, c, a] -= phase_out[c, b] * bra[c] / (1j * hbar)
+        s[a, range(k), b, range(k)] += phase_out[a] * ket / (1j * hbar)
+        s[range(k), b, range(k), a] -= phase_out[:, b] * bra / (1j * hbar)
 
     # Each two-jump path adds coef * x_in @ (W * g * F) @ x_out to the entries of its
     # terms, W being the path's weight matrix.  Lag-only triples collect each path's lag
@@ -451,35 +453,11 @@ def _dyson_blocks(phases: np.ndarray, v: np.ndarray):
     return p0, p1, p2
 
 
-def _second_order_on_nodes(sys: SystemSpec, det: DetectorModel, t0: float) -> MeasurementChannel:
-    """Second-order channel of a Gaussian detector and a constant V by the
-    node ladder of `build_exact`: S0 is the closed form of `build_unperturbed`
-    and S1 + S2 = sum_k w_k (U0 (U1 + U2)* + U1 (U0 + U1)* + U2 U0*) over
-    each node's Dyson blocks, one (d^2, 3K) @ (3K, d^2) product."""
-    s = det.tau / sys.hbar
-    v = s * sys.v_at(0.0)
-    eye = np.eye(sys.dim)
-
-    def build(rule: QuadratureRule) -> np.ndarray:
-        u0, u1, u2 = _dyson_blocks(s * _node_levels(sys, det, rule), v)
-        u0 = u0[:, :, None] * eye
-        return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
-                         np.concatenate([u1 + u2, u0 + u1, u0]))
-
-    s12, ladder = _node_ladder(sys, det, build, ENTRY_TOL, MAX_NODES)
-    tensor = build_unperturbed(sys, det).tensor + s12
-    nodes, quad_err = ladder[-1]
-    return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
-                              certified_trace_err=trace_sum_rule_defect(tensor),
-                              meta={"nodes": nodes, "quad_entry_err": quad_err,
-                                    "ladder": ladder})
-
-
 def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
-                          steps: int) -> MeasurementChannel:
-    """Second-order channel with the Dyson time integrals on a trapezoid grid:
-    single integrals by the trapezoid rule and the nested t2 <= t1 integrals
-    by an iterated trapezoid on the same steps + 1 points."""
+                          steps: int) -> np.ndarray:
+    """S1 + S2 with the Dyson time integrals on one trapezoid grid: single
+    integrals by the trapezoid rule and the nested t2 <= t1 integrals by an
+    iterated trapezoid on the same steps + 1 points."""
     t = np.linspace(0.0, det.tau, steps + 1)
     w_full = sys.omega_full()
     # x[a, b] = V(t)[a, b] e^{i w_ab t}, contiguous in t
@@ -494,18 +472,31 @@ def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
         return (x[into], x[out], None) if live[into] and live[out] else None
 
     phase_out = np.exp(1j * w_full.T * det.tau)  # phase_out[p, r] = exp(i w_full[r,p] tau)
-    tensor = build_unperturbed(sys, det).tensor + _dyson_second_order(
-        phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
-    err = trace_sum_rule_defect(tensor)
-    return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
-                              certified_trace_err=err, meta={"steps": steps})
+    return _dyson_second_order(phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
 
 
-MIN_STEPS = 16  # of a trapezoid time grid
+MIN_STEPS, MAX_STEPS = 16, 4096  # of a trapezoid time grid
+
+
+def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, evaluate):
+    """S1 + S2 and its meta entries from evaluate(n), its value on n uniform
+    time steps, extrapolated along n, 2n ... <= MAX_STEPS (`_romberg`) to
+    ENTRY_TOL.  n is steps when given, else the least MIN_STEPS 2^k whose step
+    turns max|omega_full| tau or `_phase_scale` by at most 2 rad, so that two
+    coarse levels cannot agree by chance."""
+    if steps is not None:
+        steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
+        if 2 * steps > MAX_STEPS:
+            raise ValueError(f"steps = {steps} leaves no second level within {MAX_STEPS}")
+    phase = max(det.tau * float(np.ptp(sys.e0 + sys.e1)) / sys.hbar, _phase_scale(sys, det))
+    levels = _doublings(steps or MIN_STEPS, 0.0 if steps else 0.5 * phase, MAX_STEPS,
+                        f"phase {phase:.4g} rad needs more than {MAX_STEPS} time steps")
+    s12, ladder = _romberg(evaluate, levels, ENTRY_TOL, "Dyson terms at {} time steps")
+    return s12, {"steps": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
 
 
 def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                       steps: int = 256) -> MeasurementChannel:
+                       steps: int | None = None) -> MeasurementChannel:
     """Channel from second-order perturbation theory in V.
 
     S = S0 + S1 + S2 with S0 the unperturbed closed form, S1 linear and S2
@@ -518,15 +509,33 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     until no entry moves by more than build_exact's default entry_tol (meta:
     nodes, quad_entry_err, ladder; QuadratureNotConverged, naming the phase
     scale, beyond MAX_NODES nodes).  steps is then only validated.  A custom
-    detector or a time-dependent V takes the Dyson time integrals on a
-    trapezoid grid of steps + 1 points (meta: steps).
+    detector or a time-dependent V climbs `_step_ladder` from steps to the
+    same tolerance (meta: steps, quad_entry_err, ladder; QuadratureNotConverged
+    beyond MAX_STEPS, ValueError for a steps above MAX_STEPS / 2); it does not
+    see the interpolation of a custom F.
 
     Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
     """
-    steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
     if det.kind == "gaussian" and sys.constant_v:
-        return _second_order_on_nodes(sys, det, t0)
-    return _second_order_on_grid(sys, det, t0, steps)
+        if steps is not None:
+            _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
+        s, eye = det.tau / sys.hbar, np.eye(sys.dim)
+
+        def build(rule: QuadratureRule) -> np.ndarray:
+            # sum_k w_k (U0 (U1 + U2)* + U1 (U0 + U1)* + U2 U0*) over each node's
+            # Dyson blocks, one (d^2, 3K) @ (3K, d^2) product
+            u0, u1, u2 = _dyson_blocks(s * _node_levels(sys, det, rule), s * sys.v_at(0.0))
+            u0 = u0[:, :, None] * eye
+            return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
+                             np.concatenate([u1 + u2, u0 + u1, u0]))
+
+        s12, ladder = _node_ladder(sys, det, build, ENTRY_TOL, MAX_NODES)
+        meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
+    else:
+        s12, meta = _step_ladder(sys, det, steps, lambda n: _second_order_on_grid(sys, det, t0, n))
+    tensor = build_unperturbed(sys, det).tensor + s12
+    return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
+                              certified_trace_err=trace_sum_rule_defect(tensor), meta=meta)
 
 
 def _real_liouville(s: np.ndarray) -> np.ndarray:
@@ -612,14 +621,12 @@ def dump_channel(ch: MeasurementChannel, det: DetectorModel, path) -> None:
     sigma = det.sigma if det.sigma is not None else float("nan")
     header = _HEADER.pack(_MAGIC, 1, _METHOD_TAGS[ch.method], 0, ch.dim, 0,
                           ch.tau, ch.t0, det.lam, sigma)
-    entries = np.ascontiguousarray(ch.tensor, dtype=np.complex64)
+    data = header + np.ascontiguousarray(ch.tensor, dtype="<c8").tobytes()
     if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
         with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(entries.astype("<c8").tobytes())
+            fh.write(data)
     else:
-        path.write(header)
-        path.write(entries.astype("<c8").tobytes())
+        path.write(data)
 
 
 def load_channel(path):

@@ -770,6 +770,71 @@ class TestEmittedSpectrum:
             emitted_spectrum(2.0, det, 1.0, v2=1.0, e_grid=e_grid, hbar=HBAR)
 
 
+_DET = det_for(40.0, 0.5)
+_RES = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+_E_GRID = np.linspace(-40.0, 44.0, 64)
+# each line function, called with one frequency or window edge f and tau
+_LINE_CALLS = {
+    "line_shape omega": lambda f, tau: line_shape(f, 2.0, _DET, tau),
+    "line_shape array": lambda f, tau: line_shape(np.array([1.0, f]), 2.0, _DET, tau),
+    "line_shape omega_if": lambda f, tau: line_shape(2.0, f, _DET, tau),
+    "line_mass low edge": lambda f, tau: line_mass(-f, 1.0, 2.0, _DET, tau),
+    "line_mass high edge": lambda f, tau: line_mass(-1.0, f, 2.0, _DET, tau),
+    "line_mass omega_if": lambda f, tau: line_mass(-1.0, 1.0, f, _DET, tau),
+    "decay_rate": lambda f, tau: decay_rate(_RES, f, _DET, tau, HBAR),
+    "emitted_spectrum omega_if": lambda f, tau: emitted_spectrum(f, _DET, tau, 1.0, _E_GRID),
+    "emitted_spectrum grid edge": lambda f, tau: emitted_spectrum(
+        2.0, _DET, tau, 1.0, np.append(_E_GRID, f)),
+    "LineShape.build": lambda f, tau: LineShape.build(f, _DET, tau),
+}
+
+
+class TestLineBoundary:
+    """Non-finite frequencies and window edges, and a tau that is not finite
+    and > 0, are rejected before any ladder runs."""
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", list(_LINE_CALLS))
+    def test_non_finite_frequency_rejected(self, call, freq):
+        with mock.patch.object(decay, "_romberg") as ladder, \
+                pytest.raises(ValueError, match="must be finite"):
+            _LINE_CALLS[call](freq, 0.5)
+        ladder.assert_not_called()
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", list(_LINE_CALLS))
+    def test_bad_tau_rejected(self, call, tau):
+        with mock.patch.object(decay, "_romberg") as ladder, \
+                pytest.raises(ValueError, match="tau must be finite and > 0"):
+            _LINE_CALLS[call](2.5, tau)
+        ladder.assert_not_called()
+
+
+class TestDecaySystemBoundary:
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("res", [_RES, ReservoirSpectrum.flat(0.001)],
+                             ids=["lorentzian", "flat"])
+    def test_decay_rate_rejects_bad_hbar(self, res, hbar):
+        with mock.patch.object(decay, "_romberg") as ladder, \
+                pytest.raises(ValueError, match="hbar must be finite and > 0"):
+            decay_rate(res, 2.0, det_for(10.0, 0.5), 0.5, hbar)
+        ladder.assert_not_called()
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_build_decay_system_rejects_bad_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be finite and > 0"):
+            build_decay_system(1.0, -1.0, _RES, det_for(10.0, 0.5), hbar=hbar, n_modes=4)
+
+    @pytest.mark.parametrize("window", [(3.0, -3.0), (3.0, 3.0), (math.nan, 3.0),
+                                        (-3.0, math.inf), (-3.0, 0.0, 3.0)])
+    def test_build_decay_system_rejects_bad_window(self, window):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="e_window must be two finite increasing"):
+                build_decay_system(1.0, -1.0, _RES, det_for(10.0, 0.5), n_modes=4,
+                                   e_window=window)
+
+
 class TestEffectiveChannel:
     def test_zero_coupling_keeps_populations(self):
         res = ReservoirSpectrum.flat(0.0)
@@ -837,10 +902,12 @@ class TestEffectiveChannel:
         # with the modes in vacuum
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=n_modes)
-        full = superop._second_order_on_grid(dsys.sys, det, 0.0, 96).tensor
+        full = (superop.build_unperturbed(dsys.sys, det).tensor
+                + superop._second_order_on_grid(dsys.sys, det, 0.0, 96))
         k, a = dsys.sys.n_levels, n_modes + 1
         traced = np.einsum("pbrbnm->prnm", full.reshape((k, a) * 4)[:, :, :, :, :, 0, :, 0])
-        eff = effective_channel(dsys.sys, det, steps=96).tensor
+        atom = SystemSpec(levels=dsys.sys.levels)
+        eff = superop.build_unperturbed(atom, det).tensor + decay._traced_on_grid(dsys.sys, det, 96)
         assert np.abs(eff - traced).max() <= 1e-14
 
     @staticmethod

@@ -120,10 +120,10 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
 
 
 def _per_path(build, *args, **kwargs):
-    """The tensor of build(*args, **kwargs) with the reference Dyson kernel."""
+    """build(*args, **kwargs) with the reference Dyson kernel."""
     with mock.patch.object(superop, "_dyson_second_order", _dyson_second_order_per_path), \
             mock.patch.object(decay, "_dyson_second_order", _dyson_second_order_per_path):
-        return build(*args, **kwargs).tensor
+        return build(*args, **kwargs)
 
 
 def random_v(rng, dim, scale):
@@ -513,9 +513,9 @@ class TestBuildSecondOrder:
         # extrapolated grid no longer reaches 2e-9
         if sys.dim <= 4 and n <= 3 and superop._phase_scale(sys, det) <= 64.0:
             # the grid's O(h^2) error, up to 2e-9 itself at 2048 steps, extrapolated away
-            fine = superop._second_order_on_grid(sys, det, 0.0, 2048).tensor
-            coarse = superop._second_order_on_grid(sys, det, 0.0, 1024).tensor
-            assert np.abs(node.tensor - (4.0 * fine - coarse) / 3.0).max() <= 2e-9
+            fine = superop._second_order_on_grid(sys, det, 0.0, 2048)
+            coarse = superop._second_order_on_grid(sys, det, 0.0, 1024)
+            assert np.abs(s12 - (4.0 * fine - coarse) / 3.0).max() <= 2e-9
 
     def test_node_ladder_converges_at_phase_bound(self):
         # four levels spanning omega = 3, so lambda tau max|omega| / sigma is 64, the
@@ -555,10 +555,89 @@ class TestBuildSecondOrder:
         det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=5.0, tau=0.1)
         vmat = FIG1_SYS.v
         timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * vmat)
-        assert build_second_order(FIG1_SYS, det_tab, steps=32).meta == {"steps": 32}
-        assert build_second_order(timed, FIG1_DET, steps=32).meta == {"steps": 32}
+        for sys, det in ((FIG1_SYS, det_tab), (timed, FIG1_DET)):
+            meta = build_second_order(sys, det, steps=32).meta
+            assert set(meta) == {"steps", "quad_entry_err", "ladder"}
+            assert meta["ladder"][0][0] == 64 and meta["ladder"][-1] == (
+                meta["steps"], meta["quad_entry_err"])
         assert set(build_second_order(FIG1_SYS, FIG1_DET, steps=32).meta) == {
             "nodes", "quad_entry_err", "ladder"}
+
+    def test_time_ladder_certifies_time_dependent_v_against_exact_v2(self):
+        # the plain 16-step grid of the first level is 3e-6 off; the ladder's Richardson
+        # steps reach the exact V-linear and V-quadratic part to 1e-8 at 128 steps
+        vmat = random_v(np.random.default_rng(1), 2, 0.2)
+        det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+
+        def system(scale):
+            return SystemSpec(levels=(-2.5, 2.5), v=lambda t: scale * np.cos(3.0 * t) * vmat)
+
+        ch = build_second_order(system(1.0), det)
+        assert set(ch.meta) == {"steps", "quad_entry_err", "ladder"}
+        assert ch.meta["quad_entry_err"] <= 1e-8
+        assert ch.meta["ladder"][-1] == (ch.meta["steps"], ch.meta["quad_entry_err"])
+        s12 = ch.tensor - build_unperturbed(system(1.0), det).tensor
+        # +-eps V on build_exact: the difference quotient q(eps) is S1 + S2 + O(eps^2),
+        # and (4 q(eps) - q(2 eps)) / 3 leaves O(eps^4), about 1e-10 here; the substep
+        # ladder's own error, 1e-9 per entry, is amplified about threefold
+        zero = build_exact(system(0.0), det).tensor
+
+        def quotient(eps):
+            plus, minus = (build_exact(system(e), det, entry_tol=1e-9, max_substeps=4096).tensor
+                           for e in (eps, -eps))
+            return (plus - minus) / (2.0 * eps) + (plus + minus - 2.0 * zero) / (2.0 * eps ** 2)
+
+        exact = (4.0 * quotient(0.5) - quotient(1.0)) / 3.0
+        assert np.abs(s12 - exact).max() <= 1e-8
+
+    def test_time_ladder_certifies_custom_detector(self):
+        # a Gaussian F tabulated on 20001 points is its interpolant to about 1e-11 of
+        # the Gaussian's node path, which is independent of the time grid
+        nu = np.linspace(-10.0, 10.0, 20001)
+        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=FIG1_DET.lam,
+                                  tau=FIG1_DET.tau)
+        ch = build_second_order(FIG1_SYS, det_tab)
+        assert ch.meta["quad_entry_err"] <= 1e-8
+        assert [n for n, _ in ch.meta["ladder"]] == [32, 64, 128]
+        node = build_second_order(FIG1_SYS, FIG1_DET)
+        assert np.abs(ch.tensor - node.tensor).max() <= 1e-8
+
+    @staticmethod
+    def _time_ladder_callers():
+        timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * FIG1_SYS.v)
+        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
+        dsys = build_decay_system(1.0, -1.0, res, FIG1_DET, n_modes=4)
+        return {"build_second_order": (superop, "_second_order_on_grid",
+                                       lambda **kw: build_second_order(timed, FIG1_DET, **kw)),
+                "effective_channel": (decay, "_traced_on_grid",
+                                      lambda **kw: effective_channel(dsys.sys, FIG1_DET, **kw))}
+
+    @pytest.mark.parametrize("caller", ["build_second_order", "effective_channel"])
+    def test_time_ladder_exhaustion_carries_ladder(self, caller):
+        # a Dyson kernel that grows like 1 / h^2 never settles; it stands in for every
+        # level, so no real 4096-step grid is built
+        def restless(phase_out, w_lvl, det, hbar, t, first, path):
+            return np.full((phase_out.shape[0],) * 4, float(t.size) ** 2, dtype=complex)
+
+        build = self._time_ladder_callers()[caller][2]
+        with mock.patch.object(superop, "_dyson_second_order", restless), \
+                mock.patch.object(decay, "_dyson_second_order", restless), \
+                pytest.raises(QuadratureNotConverged) as info:
+            build()
+        ladder = info.value.ladder
+        assert [n for n, _ in ladder] == [32 << k for k in range(8)]
+        assert ladder[-1][0] == superop.MAX_STEPS
+        assert f"4096 time steps still moving by {ladder[-1][1]:.2e}" in str(info.value)
+
+    @pytest.mark.parametrize("steps", [2049, 4096, 10 ** 6])
+    @pytest.mark.parametrize("caller", ["build_second_order", "effective_channel"])
+    def test_steps_leaving_no_second_level_rejected(self, caller, steps):
+        # 10^6 steps would ask for (10^6 + 1)^2 kernel buffers
+        module, grid, build = self._time_ladder_callers()[caller]
+        with mock.patch.object(module, grid) as one_grid, \
+                pytest.raises(ValueError, match="no second level within 4096"):
+            build(steps=steps)
+        one_grid.assert_not_called()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 4), uniform=st.booleans(), aux=st.booleans(),
@@ -577,7 +656,7 @@ class TestBuildSecondOrder:
             det = custom_detector(nu, np.exp(-nu ** 2 / 2.0) * (1.0 + 0.2j * nu), lam, 0.1)
         else:
             det = gaussian_detector(1.0, lam, 0.1)
-        fast = superop._second_order_on_grid(sys, det, 0.3, 32).tensor
+        fast = superop._second_order_on_grid(sys, det, 0.3, 32)
         slow = _per_path(superop._second_order_on_grid, sys, det, 0.3, 32)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
@@ -586,8 +665,8 @@ class TestBuildSecondOrder:
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
-        fast = effective_channel(dsys.sys, det, steps=96).tensor
-        slow = _per_path(effective_channel, dsys.sys, det, steps=96)
+        fast = decay._traced_on_grid(dsys.sys, det, 96)
+        slow = _per_path(decay._traced_on_grid, dsys.sys, det, 96)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     @pytest.mark.parametrize("lam", [5.0, 30.0])
@@ -600,9 +679,9 @@ class TestBuildSecondOrder:
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         steps = 96
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
-            fast = effective_channel(sys, det, steps=steps).tensor
+            fast = decay._traced_on_grid(sys, det, steps)
         assert any(np.shape(c.args[1]) == (steps + 1,) * 2 for c in corr.call_args_list)
-        slow = _per_path(effective_channel, sys, det, steps=steps)
+        slow = _per_path(decay._traced_on_grid, sys, det, steps)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     def test_one_kernel_per_frequency_triple(self):
@@ -652,10 +731,10 @@ class TestBuildSecondOrder:
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr, \
                 mock.patch.object(superop, "_triangle_weights",
                                   wraps=_triangle_weights) as tri:
-            effective_channel(dsys.sys, det, steps=steps)
+            decay._traced_on_grid(dsys.sys, det, steps)
             tracemalloc.start()
             try:
-                effective_channel(dsys.sys, det, steps=steps)
+                decay._traced_on_grid(dsys.sys, det, steps)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -665,13 +744,15 @@ class TestBuildSecondOrder:
         assert peak < 8 * n * n  # not even one real n x n array
 
     def test_channels_decay_channel_matches_per_path(self):
-        # the decay channel of the `channels` benchmark job: 2000 steps, so the
-        # kernel sums run over 2001 times and 4001 lags
+        # the decay channel of the `channels` benchmark job: its time ladder settles
+        # at 512 steps, so the kernel sums run over 257 and 513 times
         det = gaussian_detector(sigma=1.0, lam=50.0, tau=2.0)
         res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
         fast = measured_decay_channel(0.5, -0.5, res, det, n_modes=200)
-        assert fast.meta["steps"] == 2000
-        slow = _per_path(measured_decay_channel, 0.5, -0.5, res, det, n_modes=200)
+        # the first level resolves the 420 rad the modes turn over tau at 256 steps
+        assert [n for n, _ in fast.meta["ladder"]] == [512]
+        assert fast.meta["steps"] == 512 and fast.meta["quad_entry_err"] <= 1e-8
+        slow = _per_path(measured_decay_channel, 0.5, -0.5, res, det, n_modes=200).tensor
         assert np.abs(fast.tensor - slow).max() <= 1e-15 * np.abs(slow).max()
 
 
@@ -883,9 +964,11 @@ class TestChannelInvariants:
         # the trapezoid grid's trace defect is its discretization error, up to about
         # 1e-6 at 64 steps here; every other builder holds the rule to rounding
         second = build_second_order(sys, det, steps=64)
+        grid = build_unperturbed(sys, det).tensor + superop._second_order_on_grid(sys, det, 0.0, 64)
+        grid = MeasurementChannel(tensor=grid, method=superop.SECOND_ORDER, t0=0.0, tau=tau,
+                                  certified_trace_err=trace_sum_rule_defect(grid))
         channels = [(exact, 1e-12), (build_unperturbed(sys, det), 1e-14),
-                    (second, 1e-5 if "steps" in second.meta else 1e-12),
-                    (superop._second_order_on_grid(sys, det, 0.0, 64), 1e-5)]
+                    (second, 1e-5 if "steps" in second.meta else 1e-12), (grid, 1e-5)]
         for ch, cap in channels:
             assert trace_sum_rule_defect(ch.tensor) <= ch.certified_trace_err <= cap
             assert _hermiticity_defect(ch.tensor) <= 1e-14 * np.abs(ch.tensor).max()
