@@ -41,7 +41,6 @@ from .model import (
     SystemSpec,
     TwoLevelPreset,
     correlation,
-    custom_detector,
     gaussian_detector,
     required_duration,
     strength,
@@ -71,8 +70,7 @@ __all__ = [
     "measured_exponential", "rabi_unmeasured", "rate_matrix",
     "two_level_inhibition_time",
     "DetectorModel", "MeasurementStrength", "SystemSpec", "TwoLevelPreset",
-    "correlation", "custom_detector", "gaussian_detector", "required_duration",
-    "strength",
+    "correlation", "gaussian_detector", "required_duration", "strength",
     "apply_super", "check_density_matrix", "herm_eig", "unitary_exp",
     "MeasurementChannel", "QuadratureRule", "build_exact", "build_second_order",
     "build_unperturbed", "default_rule", "dump_channel", "load_channel", "repeat",

@@ -43,8 +43,7 @@ from .errors import (
     ReservoirGridTooCoarse,
     ZeroStrength,
 )
-from .model import (DetectorModel, SystemSpec, _all_finite, _half_width, correlation,
-                    strength)
+from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
 from .qmat import _count, _romberg, _tolerance, trace_sum_rule_defect
 from .superop import (SECOND_ORDER, MeasurementChannel, _dyson_second_order, _step_ladder,
                       build_unperturbed)
@@ -252,12 +251,8 @@ def _line_scales(omega_if: float, det: DetectorModel, tau: float):
     lw = det.lam * abs(omega_if)
     if lw == 0.0:
         return tau, float("inf")
-    if det.kind == "gaussian":
-        t_f = det.sigma / lw
-        return min(tau, 8.6 * t_f), t_f
-    side = det.f_nu >= 0 if omega_if > 0 else det.f_nu <= 0
-    reach = float(np.abs(det.f_nu[side]).max())
-    return min(tau, reach / lw), max(_half_width(det, side) / lw, reach / lw / 64.0)
+    t_f = det.sigma / lw
+    return min(tau, 8.6 * t_f), t_f
 
 
 def _line_time_grid(omega_if: float, det: DetectorModel, tau: float,
@@ -409,9 +404,12 @@ class LineShape:
 
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of a sampled single peak, with linear
-    interpolation of the half-height crossings; ValueError unless the maximum is > 0."""
+    interpolation of the half-height crossings; ValueError unless x and y are
+    matching 1-d arrays and the maximum is > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be matching 1-d arrays, got shapes {x.shape}, {y.shape}")
     k = int(np.argmax(y))
     if not y[k] > 0:
         raise ValueError(f"no peak: the curve's maximum {y[k]!r} is not > 0")

@@ -53,7 +53,7 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     with the detector correlation kernel F(lambda * w_if * (t2 - t1)),
     certified on a Romberg ladder (`qmat._romberg`: relative change of the
     Richardson-extrapolated value below rel_tol).  For a constant V (or none)
-    and F(-x) = F(x)* it reduces to the golden-rule factor times the line shape,
+    it reduces to the golden-rule factor times the line shape,
 
     W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt,
 

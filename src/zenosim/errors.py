@@ -17,10 +17,6 @@ class InvalidDensityMatrix(ZenoSimError):
     """Density-matrix invariants (hermiticity, trace, positivity) violated."""
 
 
-class NonIntegrableF(ZenoSimError):
-    """A tabulated correlation function does not decay at the table edges."""
-
-
 class ZeroStrength(ZenoSimError):
     """Operation requires a nonzero measurement strength."""
 

@@ -5,27 +5,26 @@ Hamiltonian read out by the detector), optional auxiliary quantum numbers
 alpha per level with energies E1(n, alpha) from a commuting companion
 Hamiltonian, and a Hermitian perturbation V(t) driving jumps between
 levels.  The detector is characterized entirely by its correlation
-function F(nu) = <Phi| exp(i nu q) |Phi>, the coupling strength lambda and
-the single-measurement duration tau.
+function F(nu) = <Phi| exp(i nu q) |Phi>, a Gaussian of width sigma, the
+coupling strength lambda and the single-measurement duration tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonIntegrableF, ZeroStrength
-from .qmat import require_hermitian
+from .errors import DimensionMismatch, ZeroStrength
+from .qmat import _tolerance, require_hermitian
 
 
-def _all_finite(values, dtype=float) -> bool:
+def _all_finite(values) -> bool:
     """Whether every entry is a finite number; an integer beyond the float
     range is not."""
     try:
-        return bool(np.isfinite(np.asarray(values, dtype=dtype)).all())
+        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
     except OverflowError:
         return False
 
@@ -40,109 +39,52 @@ class MeasurementStrength:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Measuring device: correlation function kind, coupling and duration.
+    """Measuring device: Gaussian correlation function, coupling and duration.
 
-    kind "gaussian": F(nu) = exp(-nu^2 / (2 sigma^2)).  The implied detector
-    position distribution |<q|Phi>|^2 is then a centered Gaussian with
-    standard deviation 1/sigma (Fourier pair of F), which is what the exact
+    F(nu) = exp(-nu^2 / (2 sigma^2)).  The implied detector position
+    distribution |<q|Phi>|^2 is then a centered Gaussian with standard
+    deviation 1/sigma (Fourier pair of F), which is what the exact
     quadrature integrates over.
-
-    kind "custom": F given as a sampled table with linear interpolation,
-    zero outside the tabulated range.  Lets tests inject pathological
-    detectors without new analytic kinds.
     """
 
     lam: float
     tau: float
-    sigma: float | None = None
-    f_nu: np.ndarray | None = field(default=None, repr=False)
-    f_values: np.ndarray | None = field(default=None, repr=False)
+    sigma: float
 
     def __post_init__(self):
-        sigma = 1.0 if self.sigma is None else self.sigma
-        if not _all_finite((self.lam, self.tau, sigma)):
+        if not _all_finite((self.lam, self.tau, self.sigma)):
             raise ValueError("lambda, tau and sigma must be finite")
         if self.lam < 0:
             raise ValueError("coupling lambda must be >= 0")
         if self.tau <= 0:
             raise ValueError("measurement duration tau must be > 0")
-        if self.sigma is not None:
-            if self.sigma <= 0:
-                raise ValueError("gaussian width sigma must be > 0")
-            return
-        if self.f_nu is None or self.f_values is None:
-            raise ValueError("detector needs either sigma (gaussian) or a tabulated F")
-        if not (_all_finite(self.f_nu) and _all_finite(self.f_values, complex)):
-            raise ValueError("tabulated F must be finite")
-        nu = np.asarray(self.f_nu, dtype=float)
-        fv = np.asarray(self.f_values, dtype=complex)
-        if nu.ndim != 1 or nu.shape != fv.shape or nu.size < 3:
-            raise ValueError("tabulated F needs matching 1-d arrays of length >= 3")
-        if np.any(np.diff(nu) <= 0):
-            raise ValueError("tabulated F grid must be strictly increasing")
-        object.__setattr__(self, "f_nu", nu)
-        object.__setattr__(self, "f_values", fv)
-        f0 = complex(np.interp(0.0, nu, fv.real) + 1j * np.interp(0.0, nu, fv.imag))
-        if abs(f0 - 1.0) > 1e-9:
-            raise ValueError(f"tabulated F must satisfy F(0) = 1, got {f0}")
-        if np.abs(fv).max() > 1.0 + 1e-9:
-            raise ValueError("tabulated |F| must not exceed 1")
-
-    @property
-    def kind(self) -> str:
-        return "gaussian" if self.sigma is not None else "custom"
+        if self.sigma <= 0:
+            raise ValueError("gaussian width sigma must be > 0")
 
 
 def gaussian_detector(sigma: float, lam: float, tau: float) -> DetectorModel:
     return DetectorModel(lam=lam, tau=tau, sigma=sigma)
 
 
-def custom_detector(nu: Sequence[float], f: Sequence[complex], lam: float, tau: float) -> DetectorModel:
-    return DetectorModel(lam=lam, tau=tau, sigma=None, f_nu=nu, f_values=f)
-
-
 def correlation(d: DetectorModel, nu):
     """Correlation function F(nu); accepts scalars or arrays."""
     nu = np.asarray(nu, dtype=float)
-    if d.kind == "gaussian":
-        out = np.zeros(nu.shape, dtype=complex)
-        arg = nu ** 2
-        arg /= -2.0 * d.sigma ** 2
-        np.exp(arg, out=out.real)
-    else:
-        re = np.interp(nu, d.f_nu, d.f_values.real, left=0.0, right=0.0)
-        im = np.interp(nu, d.f_nu, d.f_values.imag, left=0.0, right=0.0)
-        out = re + 1j * im
+    out = np.zeros(nu.shape, dtype=complex)
+    arg = nu ** 2
+    arg /= -2.0 * d.sigma ** 2
+    np.exp(arg, out=out.real)
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def _half_width(d: DetectorModel, side=slice(None)) -> float:
-    """|F| half-width: sigma for a Gaussian; for a custom table (on the nodes
-    `side` selects) the least |nu| where |F| < e^{-1/2}, else its reach."""
-    if d.kind == "gaussian":
-        return d.sigma
-    nu, below = np.abs(d.f_nu[side]), np.abs(d.f_values[side]) < 0.6065
-    return float(nu[below].min() if below.any() else nu.max())
-
-
 def strength(d: DetectorModel) -> MeasurementStrength:
     """C from the normalization integral of F and Lambda = lambda / C.
 
-    C is defined through integral F(nu) d nu = 2 C; for the Gaussian kind the
-    integral is exact, C = sigma * sqrt(pi/2).  Custom tables are integrated
-    by trapezoid on their own grid (using |F|) and must decay at the edges.
+    C is defined through integral F(nu) d nu = 2 C, which for the Gaussian is
+    C = sigma * sqrt(pi/2).
     """
-    if d.kind == "gaussian":
-        c = d.sigma * math.sqrt(math.pi / 2.0)
-    else:
-        mags = np.abs(d.f_values)
-        if mags[0] > 0.05 or mags[-1] > 0.05:
-            raise NonIntegrableF(
-                f"tabulated F does not decay at table edges: |F| = {mags[0]:.3g}, {mags[-1]:.3g}"
-            )
-        c = 0.5 * float(np.trapezoid(mags, d.f_nu))
+    c = d.sigma * math.sqrt(math.pi / 2.0)
     return MeasurementStrength(C=c, Lambda=d.lam / c)
 
 
@@ -150,10 +92,11 @@ def required_duration(d: DetectorModel, delta_e: float, hbar: float) -> float:
     """Lower bound on the duration needed to resolve an energy splitting.
 
     tau must be at least hbar / (Lambda * delta_e) for the pointer states of
-    energies separated by delta_e to become distinguishable.
+    energies separated by delta_e to become distinguishable.  Raises
+    ValueError unless delta_e and hbar are finite and > 0.
     """
-    if delta_e <= 0:
-        raise ValueError("delta_e must be > 0")
+    delta_e = _tolerance(delta_e, "delta_e")
+    hbar = _tolerance(hbar, "hbar")
     s = strength(d)
     if s.Lambda == 0:
         raise ZeroStrength("measurement strength Lambda is zero (lambda = 0)")

@@ -149,23 +149,18 @@ def trace_sum_rule_defect(s: np.ndarray) -> float:
     return float(np.abs(np.einsum("ppnm->nm", s) - np.eye(d)).max())
 
 
-def unit_sum_rule_defect(s: np.ndarray) -> float:
-    """Deviation of sum_n s[p,r,n,n] from the identity (unitality)."""
-    d = s.shape[0]
-    return float(np.abs(np.einsum("prnn->pr", s) - np.eye(d)).max())
-
-
 def check_density_matrix(rho: np.ndarray,
                          herm_tol: float = HERM_TOL,
                          trace_tol: float = TRACE_TOL,
                          eig_floor: float = EIG_FLOOR) -> np.ndarray:
     """Validate a density matrix; returns it as a complex ndarray.
 
-    Checks hermiticity (entrywise), unit trace, and that the smallest
-    eigenvalue does not fall below eig_floor.  The floor is slightly
-    negative because repeated quadrature-built channels can produce
-    harmless negative eigenvalues at rounding scale.  Raises ValueError
-    unless herm_tol and trace_tol are finite and > 0 and eig_floor is finite.
+    Checks that every entry is finite, hermiticity (entrywise), unit trace,
+    and that the smallest eigenvalue does not fall below eig_floor.  The
+    floor is slightly negative because repeated quadrature-built channels
+    can produce harmless negative eigenvalues at rounding scale.  Raises
+    ValueError unless herm_tol and trace_tol are finite and > 0 and eig_floor
+    is finite.
     """
     herm_tol = _tolerance(herm_tol, "herm_tol")
     trace_tol = _tolerance(trace_tol, "trace_tol")
@@ -174,6 +169,8 @@ def check_density_matrix(rho: np.ndarray,
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidDensityMatrix("density matrix has non-finite entries")
     defect = hermiticity_defect(rho)
     if defect > herm_tol:
         raise InvalidDensityMatrix(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")

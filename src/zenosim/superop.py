@@ -5,17 +5,17 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
 
 * exact quadrature over the detector coordinate q (each node propagates the
   system with the level Hamiltonian rescaled by 1 + lambda*q and the results
-  are averaged over the detector position distribution, for a Gaussian
-  detector by a trapezoid rule whose node count doubles until the entries
-  settle),
+  are averaged over the detector's Gaussian position distribution, by a
+  given rule or by a trapezoid rule whose node count doubles until the
+  entries settle),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
-* second-order perturbation theory in V.  For a Gaussian detector and a
-  constant V the V-linear and V-quadratic terms are averaged over the same
-  trapezoid node ladder as the exact quadrature, each node taking the Dyson
-  blocks of one Van Loan block exponential; for a custom detector or a
-  time-dependent V the two time integrals of the Dyson expansion are
-  extrapolated along doubling trapezoid time grids (`_step_ladder`).
+* second-order perturbation theory in V.  For a constant V the V-linear
+  and V-quadratic terms are averaged over the same trapezoid node ladder as
+  the exact quadrature, each node taking the Dyson blocks of one Van Loan
+  block exponential; for a time-dependent V the two time integrals of the
+  Dyson expansion are extrapolated along doubling trapezoid time grids
+  (`_step_ladder`).
 
 `repeat` composes measurements back to back, which is the densest
 measurement sequence the finite duration allows.
@@ -39,7 +39,7 @@ from .errors import (
     StepCountTooSmall,
     TraceDrift,
 )
-from .model import DetectorModel, SystemSpec, _half_width, correlation
+from .model import DetectorModel, SystemSpec, correlation
 from .qmat import (EIG_FLOOR, _count, _refine, _romberg, _tolerance, apply_super,
                    check_density_matrix, trace_sum_rule_defect, unitary_exp_stack)
 
@@ -92,9 +92,6 @@ def default_rule(det: DetectorModel, n: int) -> QuadratureRule:
     of the integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); an odd
     n nests under the doubling n -> 2n - 1.
     """
-    if det.kind != "gaussian":
-        raise ValueError(
-            "no default position distribution for a custom detector; supply a rule")
     y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, _count(n, "n"))
     w = np.exp(-0.5 * y ** 2)
     return QuadratureRule(nodes=y / det.sigma, weights=w / w.sum())
@@ -170,7 +167,7 @@ ALIAS_MARGIN = 9.0
 
 
 def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
-    return det.lam * det.tau * float(np.ptp(sys.e0) / sys.hbar) / _half_width(det)
+    return det.lam * det.tau * float(np.ptp(sys.e0) / sys.hbar) / det.sigma
 
 
 def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
@@ -211,11 +208,11 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     """Exact-quadrature measurement channel.
 
     With an explicit rule the tensor is built on that rule (still refining
-    the time substeps for a time-dependent V).  With rule=None the detector
-    must be Gaussian and the tensor is built on `default_rule` trapezoid rules
-    along `_node_ladder`, until no tensor entry moves by more than entry_tol;
-    meta["ladder"] lists the (nodes, max change) steps.  A time-dependent V
-    doubles the substeps on every rule until the entries settle (`_refine`).
+    the time substeps for a time-dependent V).  With rule=None it is built
+    on `default_rule` trapezoid rules along `_node_ladder`, until no tensor
+    entry moves by more than entry_tol; meta["ladder"] lists the (nodes, max
+    change) steps.  A time-dependent V doubles the substeps on every rule
+    until the entries settle (`_refine`).
 
     Raises ValueError unless entry_tol is finite and > 0,
     PropagationStepTooCoarse past max_substeps and QuadratureNotConverged
@@ -503,20 +500,19 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     quadratic in V; valid when the action of V over one measurement is small
     (||V|| tau / hbar << 1, not enforced here).
 
-    A Gaussian detector with a constant V (or none) takes the node path at
-    any phase scale: S1 + S2 is the V-linear and V-quadratic part of the
-    exact quadrature, averaged over the trapezoid nodes of `_node_ladder`
-    until no entry moves by more than build_exact's default entry_tol (meta:
-    nodes, quad_entry_err, ladder; QuadratureNotConverged, naming the phase
-    scale, beyond MAX_NODES nodes).  steps is then only validated.  A custom
-    detector or a time-dependent V climbs `_step_ladder` from steps to the
-    same tolerance (meta: steps, quad_entry_err, ladder; QuadratureNotConverged
-    beyond MAX_STEPS, ValueError for a steps above MAX_STEPS / 2); it does not
-    see the interpolation of a custom F.
+    A constant V (or none) takes the node path at any phase scale: S1 + S2
+    is the V-linear and V-quadratic part of the exact quadrature, averaged
+    over the trapezoid nodes of `_node_ladder` until no entry moves by more
+    than build_exact's default entry_tol (meta: nodes, quad_entry_err,
+    ladder; QuadratureNotConverged, naming the phase scale, beyond MAX_NODES
+    nodes).  steps is then only validated.  A time-dependent V climbs
+    `_step_ladder` from steps to the same tolerance (meta: steps,
+    quad_entry_err, ladder; QuadratureNotConverged beyond MAX_STEPS,
+    ValueError for a steps above MAX_STEPS / 2).
 
     Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
     """
-    if det.kind == "gaussian" and sys.constant_v:
+    if sys.constant_v:
         if steps is not None:
             _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
         s, eye = det.tau / sys.hbar, np.eye(sys.dim)
@@ -600,10 +596,10 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
             np.add(rho.real, rho.imag, out=ys[k])
         y = ys[k]
         drift = abs(y.trace() - 1.0)
-        if drift > trace_tol:
+        if not drift <= trace_tol:
             raise TraceDrift(f"trace drifted by {drift:.3e} at measurement {k + 1}")
         if ((k + 1) % 64 == 0 or k == n - 1) and \
-                (wmin := np.linalg.eigvalsh(_hermitian(y))[0]) < EIG_FLOOR:
+                not (wmin := np.linalg.eigvalsh(_hermitian(y))[0]) >= EIG_FLOOR:
             raise InvalidDensityMatrix(
                 f"smallest eigenvalue {wmin:.3e} < {EIG_FLOOR:.1e} at measurement {k + 1}")
         t0 += ch.tau
@@ -618,9 +614,8 @@ def dump_channel(ch: MeasurementChannel, det: DetectorModel, path) -> None:
     """Write a channel snapshot: fixed header + row-major complex64 entries,
     little-endian.  Meant for regression snapshots, hence the reduced
     precision."""
-    sigma = det.sigma if det.sigma is not None else float("nan")
     header = _HEADER.pack(_MAGIC, 1, _METHOD_TAGS[ch.method], 0, ch.dim, 0,
-                          ch.tau, ch.t0, det.lam, sigma)
+                          ch.tau, ch.t0, det.lam, det.sigma)
     data = header + np.ascontiguousarray(ch.tensor, dtype="<c8").tobytes()
     if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
         with open(path, "wb") as fh:

@@ -21,6 +21,12 @@ def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
                           weights=w[keep] / w[keep].sum())
 
 
+def unit_sum_rule_defect(s: np.ndarray) -> float:
+    """Deviation of sum_n s[p,r,n,n] from the identity (unitality)."""
+    d = s.shape[0]
+    return float(np.abs(np.einsum("prnn->pr", s) - np.eye(d)).max())
+
+
 def filon_segments(g, x, deltas):
     """int g(x) e^{i delta x} dx over the increasing nodes x, with g linear on
     each segment: the exact segment integrals summed one delta at a time,
@@ -36,8 +42,6 @@ def filon_segments(g, x, deltas):
 def line_shape_closed_form(omega, omega_if: float, det, tau: float):
     """Closed form of P(w) for a Gaussian detector, via Faddeeva functions;
     exact up to floating point."""
-    if det.kind != "gaussian":
-        raise ValueError("closed form exists only for the Gaussian detector")
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     delta = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
     a = (det.lam * omega_if / det.sigma) ** 2 / 2.0

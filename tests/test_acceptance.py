@@ -22,8 +22,10 @@ from zenosim.decay import (
     population_decay_rate,
     zeno_limit_rate,
 )
-from zenosim.qmat import check_density_matrix, trace_sum_rule_defect, unit_sum_rule_defect
+from zenosim.qmat import check_density_matrix, trace_sum_rule_defect
 from zenosim.superop import build_exact, build_second_order, repeat
+
+from oracles import unit_sum_rule_defect
 
 HBAR = 1.0
 C_GAUSS = math.sqrt(math.pi / 2.0)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -27,6 +28,14 @@ def test_version():
 
 SRC = pathlib.Path(zenosim.__file__).resolve().parent.parent
 CONFIGS = SRC.parent / "configs"
+
+
+def test_readme_library_tour_runs():
+    # the one python block of README's "Library tour", run as written
+    tour = (SRC.parent / "README.md").read_text(encoding="utf-8").split("## Library tour")[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", tour.split("\n## ")[0], re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "zenosim").glob("*.py")

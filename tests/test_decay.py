@@ -20,7 +20,7 @@ from zenosim.errors import (
     ReservoirGridTooCoarse,
     StepCountTooSmall,
 )
-from zenosim.model import SystemSpec, correlation, custom_detector, gaussian_detector, strength
+from zenosim.model import SystemSpec, correlation, gaussian_detector, strength
 from zenosim.decay import (
     LineShape,
     ReservoirSpectrum,
@@ -58,11 +58,6 @@ def fft_spy():
 
 def det_for(lam_big, tau, sigma=1.0):
     return gaussian_detector(sigma=sigma, lam=lam_big * sigma * SQRT_PI_OVER_2, tau=tau)
-
-
-def tabulated_gaussian(lam, tau):
-    nu = np.linspace(-10.0, 10.0, 8001)
-    return custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=lam, tau=tau)
 
 
 def _line_shape_stepwise(omega, omega_if, det, tau):
@@ -197,19 +192,6 @@ class TestLineShape:
         with pytest.raises(ValueError, match="mass_tol must be finite and > 0"):
             dataclasses.replace(ls, mass_tol=tol)
 
-    def test_tabulated_f_matches_gaussian_kind(self):
-        det_tab = tabulated_gaussian(lam=10.0, tau=0.3)
-        det_g = gaussian_detector(sigma=1.0, lam=10.0, tau=0.3)
-        grid = 2.0 + np.linspace(-60.0, 60.0, 601)
-        p_tab = line_shape(grid, 2.0, det_tab, 0.3)
-        p_g = line_shape(grid, 2.0, det_g, 0.3)
-        assert np.abs(p_tab - p_g).max() < 1e-5 * p_g.max()
-
-    def test_normalization_custom_f(self):
-        det_tab = tabulated_gaussian(lam=10.0, tau=0.3)
-        ls = LineShape.build(2.0, det_tab, 0.3)
-        assert abs(ls.normalization() - 1.0) < 1e-4
-
     def test_mass_matches_pointwise_integral(self):
         # window mass from the time-domain exchange vs trapezoid of P
         det = det_for(10.0, 0.3)
@@ -263,11 +245,11 @@ class TestFilonChirp:
     delta set takes the dense phase matrix."""
 
     @staticmethod
-    def _both_paths(tabulated, lam, tau, refine, deltas):
+    def _both_paths(lam, tau, refine, deltas):
         """The Filon transform of the line kernel on the uniform grid deltas
         by the chirp path (at least 64 deltas) and by the dense path, and its
         value at delta = 0."""
-        det = tabulated_gaussian(lam, tau) if tabulated else gaussian_detector(1.0, lam, tau)
+        det = gaussian_detector(1.0, lam, tau)
         t = _line_time_grid(2.0, det, tau, refine)
         g = _line_kernel(2.0, det, tau, t)
         with fft_spy() as fft:
@@ -281,23 +263,23 @@ class TestFilonChirp:
         return fast, dense, abs(_filon_transform(g, t, np.zeros(1))[0])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 5.0, 50.0]),
+    @given(lam=st.sampled_from([0.0, 5.0, 50.0]),
            tau=st.sampled_from([0.1, 1.0, 3.0]), refine=st.sampled_from([1, 2, 4]),
            m=st.sampled_from([3, 7, 64, 100, 2000, 8000]), d0=st.floats(-1500.0, 1500.0),
            step=st.floats(1e-3, 5.0), descending=st.booleans())
-    def test_chirp_matches_dense(self, tabulated, lam, tau, refine, m, d0, step, descending):
+    def test_chirp_matches_dense(self, lam, tau, refine, m, d0, step, descending):
         step = -step if descending else step
         deltas = np.linspace(d0, d0 + (m - 1) * step, m)
-        fast, dense, _ = self._both_paths(tabulated, lam, tau, refine, deltas)
+        fast, dense, _ = self._both_paths(lam, tau, refine, deltas)
         assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(tabulated=st.booleans(), lam=st.sampled_from([0.0, 0.5, 5.0]),
+    @given(lam=st.sampled_from([0.0, 0.5, 5.0]),
            tau=st.sampled_from([0.1, 1.0, 10.0]), refine=st.sampled_from([1, 8]),
            m=st.sampled_from([3, 8, 50, 64, 100, 150]), step=st.floats(1e4, 1e6),
            centre=st.floats(-0.5, 0.5))
-    def test_chirp_matches_dense_on_sparse_wide_grids(self, tabulated, lam, tau, refine,
-                                                      m, step, centre):
+    def test_chirp_matches_dense_on_sparse_wide_grids(self, lam, tau, refine, m, step,
+                                                      centre):
         # deltas 1e4 to 1e6 apart: fewer than 64 take the dense path, whose
         # phase errs by eps |delta t|, and so do 64-150 of them, whose phases
         # reach beyond CHIRP_MAX_PHASE.  There the chirp phases, products of
@@ -305,7 +287,7 @@ class TestFilonChirp:
         # to 6e7 rad), where the dense path is exact.
         d0 = (centre - 0.5) * (m - 1) * step
         deltas = np.linspace(d0, d0 + (m - 1) * step, m)
-        fast, dense, peak = self._both_paths(tabulated, lam, tau, refine, deltas)
+        fast, dense, peak = self._both_paths(lam, tau, refine, deltas)
         assert np.abs(fast - dense).max() <= 1e-10 * peak
 
     def test_only_uniform_grids_take_the_chirp_path(self):
@@ -729,6 +711,15 @@ class TestEmittedSpectrum:
             warnings.simplefilter("error")  # rejected before any 0 / 0
             with pytest.raises(ValueError, match="not > 0"):
                 fwhm(x, np.full(5, peak))
+
+    @pytest.mark.parametrize("x, y", [
+        (np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.5, 1.0, 0.5, 0.0, 0.0])),
+        (np.linspace(-1.0, 1.0, 6), np.array([0.0, 0.5, 1.0, 0.5, 0.0])),
+        (np.zeros((5, 2)), np.zeros((5, 2)))], ids=["5x6", "6x5", "2-d"])
+    def test_fwhm_needs_matching_1d_arrays(self, x, y):
+        # a 5-point x and a 6-point y gave 2.0
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            fwhm(x, y)
 
     def test_strong_measurement_width_tracks_lambda(self):
         ratios = []

@@ -1,16 +1,17 @@
 """System and detector descriptions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from zenosim.errors import DimensionMismatch, NonHermitianInput, NonIntegrableF, ZeroStrength
+from zenosim.errors import DimensionMismatch, NonHermitianInput, ZeroStrength
 from zenosim.model import (
+    DetectorModel,
     SystemSpec,
     TwoLevelPreset,
     correlation,
-    custom_detector,
     gaussian_detector,
     required_duration,
     strength,
@@ -26,9 +27,6 @@ def fig1_detector():
 class TestCorrelation:
     def test_normalization_at_zero(self):
         assert correlation(fig1_detector(), 0.0) == 1.0
-        nu = np.linspace(-3, 3, 7)
-        det = custom_detector(nu, np.exp(-nu ** 2), lam=1.0, tau=1.0)
-        assert correlation(det, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_values(self):
         det = gaussian_detector(sigma=1.0, lam=1.0, tau=1.0)
@@ -46,21 +44,6 @@ class TestCorrelation:
         assert np.array_equal(np.real(value), plain) and np.all(np.imag(value) == 0.0)
         assert isinstance(value, complex) == (np.ndim(nu) == 0)
 
-    def test_custom_interpolation_and_zero_outside(self):
-        nu = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        f = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
-        det = custom_detector(nu, f, lam=1.0, tau=1.0)
-        assert correlation(det, 0.5) == pytest.approx(0.75)
-        assert correlation(det, 5.0) == 0.0
-
-    def test_complex_custom_f_allowed(self):
-        nu = np.linspace(-4, 4, 401)
-        f = np.exp(-nu ** 2) * np.exp(0.2j * nu)
-        f[200] = 1.0  # F(0) = 1 exactly
-        det = custom_detector(nu, f, lam=1.0, tau=1.0)
-        val = correlation(det, 1.0)
-        assert abs(val.imag) > 0
-
 
 class TestStrength:
     def test_gaussian_c(self):
@@ -75,20 +58,6 @@ class TestStrength:
     def test_zero_coupling(self):
         s = strength(gaussian_detector(sigma=2.0, lam=0.0, tau=1.0))
         assert s.Lambda == 0.0
-
-    def test_custom_matches_gaussian(self):
-        nu = np.linspace(-12, 12, 20001)
-        det = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=5.0, tau=1.0)
-        s = strength(det)
-        assert s.C == pytest.approx(SQRT_PI_OVER_2, rel=1e-6)
-
-    def test_non_integrable_table(self):
-        nu = np.linspace(-3, 3, 61)
-        f = np.full(61, 0.9)
-        f[30] = 1.0
-        det = custom_detector(nu, f, lam=1.0, tau=1.0)
-        with pytest.raises(NonIntegrableF):
-            strength(det)
 
     def test_integral_consistency_with_correlation(self):
         # numerically integrating F over [-12 sigma, 12 sigma] reproduces 2C
@@ -112,14 +81,21 @@ class TestRequiredDuration:
             required_duration(det, 2.0, 1.0) / 2.0)
 
     def test_unit_case(self):
-        nu = np.linspace(-30, 30, 6001)
-        det = custom_detector(nu, np.exp(-np.abs(nu)), lam=1.0, tau=1.0)
-        # C = 1 for the exponential table, so hbar/(Lambda dE) = 1
-        assert required_duration(det, 1.0, 1.0) == pytest.approx(1.0, rel=1e-4)
+        det = gaussian_detector(sigma=math.sqrt(2.0 / math.pi), lam=1.0, tau=1.0)
+        # C = sigma sqrt(pi / 2) = 1, so hbar/(Lambda dE) = 1
+        assert required_duration(det, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_strength(self):
         with pytest.raises(ZeroStrength):
             required_duration(gaussian_detector(1.0, 0.0, 1.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("delta_e, hbar", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-2.0, 1.0),
+        (2.0, math.nan), (2.0, math.inf), (2.0, 0.0), (2.0, -1.0)])
+    def test_rejects_non_finite_or_non_positive_input(self, delta_e, hbar):
+        # delta_e = nan returned NaN and hbar = 0 returned 0.0
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            required_duration(fig1_detector(), delta_e, hbar)
 
 
 class TestDetectorValidation:
@@ -127,18 +103,10 @@ class TestDetectorValidation:
         with pytest.raises(ValueError):
             gaussian_detector(sigma=1.0, lam=1.0, tau=0.0)
 
-    def test_rejects_bad_f0(self):
-        nu = np.linspace(-2, 2, 41)
-        with pytest.raises(ValueError):
-            custom_detector(nu, 0.5 * np.exp(-nu ** 2), lam=1.0, tau=1.0)
-
-    def test_rejects_f_above_one(self):
-        nu = np.linspace(-2, 2, 41)
-        f = np.exp(-nu ** 2)
-        f[25] = 1.2
-        with pytest.raises(ValueError):
-            custom_detector(nu, f, lam=1.0, tau=1.0)
-
+    def test_sigma_is_required(self):
+        with pytest.raises(TypeError):
+            DetectorModel(lam=1.0, tau=1.0)
+        assert [f.name for f in dataclasses.fields(DetectorModel)] == ["lam", "tau", "sigma"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.parametrize("field", ["sigma", "lam", "tau"])
@@ -146,15 +114,6 @@ class TestDetectorValidation:
         kwargs = {"sigma": 1.0, "lam": 1.0, "tau": 1.0, field: bad}
         with pytest.raises(ValueError):
             gaussian_detector(**kwargs)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
-    def test_rejects_non_finite_table(self, bad):
-        nu = list(np.linspace(-2, 2, 41))
-        f = list(np.exp(-np.array(nu) ** 2))
-        with pytest.raises(ValueError):
-            custom_detector([bad] + nu[1:], f, lam=1.0, tau=1.0)
-        with pytest.raises(ValueError):
-            custom_detector(nu, f[:5] + [bad] + f[6:], lam=1.0, tau=1.0)
 
 
 class TestPointerStates:

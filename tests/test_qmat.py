@@ -163,6 +163,15 @@ class TestDensityChecks:
         with pytest.raises(InvalidDensityMatrix):
             check_density_matrix(rho)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_rejects_non_finite_entry(self, entry, bad):
+        # every comparison with NaN is False, so a NaN entry passed every check
+        rho = np.eye(2, dtype=complex) / 2.0
+        rho[entry] = rho[entry[::-1]] = bad
+        with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+            check_density_matrix(rho)
+
     def test_tolerates_rounding_scale_negativity(self):
         rho = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         check_density_matrix(rho)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -27,11 +28,9 @@ from zenosim.model import (
     SystemSpec,
     TwoLevelPreset,
     correlation,
-    custom_detector,
     gaussian_detector,
 )
-from zenosim.qmat import (apply_super, check_density_matrix, trace_sum_rule_defect,
-                          unit_sum_rule_defect, unitary_exp)
+from zenosim.qmat import apply_super, check_density_matrix, trace_sum_rule_defect, unitary_exp
 from zenosim.superop import (
     EXACT_QUADRATURE,
     MeasurementChannel,
@@ -47,7 +46,7 @@ from zenosim.superop import (
     repeat,
 )
 
-from oracles import gauss_hermite_rule
+from oracles import gauss_hermite_rule, unit_sum_rule_defect
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -191,12 +190,6 @@ class TestQuadratureRule:
         nodes[3] = bad
         with pytest.raises(ValueError):
             QuadratureRule(nodes=nodes, weights=np.full(8, 0.125))
-
-    def test_no_default_rule_for_custom_detector(self):
-        nu = np.linspace(-3, 3, 301)
-        det = custom_detector(nu, np.exp(-nu ** 2), lam=1.0, tau=0.1)
-        with pytest.raises(ValueError):
-            default_rule(det, 64)
 
 
 class TestBuildExact:
@@ -345,18 +338,6 @@ class TestBuildExact:
         with pytest.raises(DimensionMismatch):
             build_exact(sys, FIG1_DET)
 
-    def test_custom_detector_with_explicit_rule(self):
-        # tabulated Gaussian F + the matching position rule reproduces the
-        # native Gaussian-kind channel
-        nu = np.linspace(-12.0, 12.0, 24001)
-        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=10.0, tau=0.2)
-        det_g = gaussian_detector(sigma=1.0, lam=10.0, tau=0.2)
-        rule = gauss_hermite_rule(256, q_std=1.0)
-        sys = TwoLevelPreset(omega=2.0, v=0.5).to_system()
-        ch_tab = build_exact(sys, det_tab, rule=rule)
-        ch_g = build_exact(sys, det_g, rule=rule)
-        assert np.abs(ch_tab.tensor - ch_g.tensor).max() < 1e-12
-
     def test_contraction_matches_einsum_on_random_unitaries(self):
         # the (d^2, K) @ (K, d^2) product against the index contraction it replaces
         rng = np.random.default_rng(8)
@@ -435,12 +416,11 @@ class TestBuildUnperturbed:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_hand_evaluated_half_damping(self):
-        # tabulated F with F(lambda tau omega_10) = 0.5 exactly
-        omega = 2.0
-        det_tab = custom_detector(np.array([-20.0, -10.0, 0.0, 10.0, 20.0]),
-                                  np.array([0.0, 0.5, 1.0, 0.5, 0.0]),
-                                  lam=50.0, tau=0.1)
-        ch = build_unperturbed(TwoLevelPreset(omega, 0.0).to_system(), det_tab)
+        # sigma = lambda tau omega_10 / sqrt(2 ln 2) makes F(lambda tau omega_10) = 1/2
+        omega, lam, tau = 2.0, 50.0, 0.1
+        det = gaussian_detector(sigma=lam * tau * omega / math.sqrt(2.0 * math.log(2.0)),
+                                lam=lam, tau=tau)
+        ch = build_unperturbed(TwoLevelPreset(omega, 0.0).to_system(), det)
         rho = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)
         out = ch.apply(rho)
         assert abs(out[1, 0]) == pytest.approx(0.2, abs=1e-12)
@@ -550,16 +530,13 @@ class TestBuildSecondOrder:
                 build()
             assert info.value.ladder == []
 
-    def test_grid_path_for_custom_detector_and_timed_v(self):
-        nu = np.linspace(-10.0, 10.0, 2001)
-        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=5.0, tau=0.1)
+    def test_grid_path_for_timed_v(self):
         vmat = FIG1_SYS.v
         timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * vmat)
-        for sys, det in ((FIG1_SYS, det_tab), (timed, FIG1_DET)):
-            meta = build_second_order(sys, det, steps=32).meta
-            assert set(meta) == {"steps", "quad_entry_err", "ladder"}
-            assert meta["ladder"][0][0] == 64 and meta["ladder"][-1] == (
-                meta["steps"], meta["quad_entry_err"])
+        meta = build_second_order(timed, FIG1_DET, steps=32).meta
+        assert set(meta) == {"steps", "quad_entry_err", "ladder"}
+        assert meta["ladder"][0][0] == 64 and meta["ladder"][-1] == (
+            meta["steps"], meta["quad_entry_err"])
         assert set(build_second_order(FIG1_SYS, FIG1_DET, steps=32).meta) == {
             "nodes", "quad_entry_err", "ladder"}
 
@@ -589,18 +566,6 @@ class TestBuildSecondOrder:
 
         exact = (4.0 * quotient(0.5) - quotient(1.0)) / 3.0
         assert np.abs(s12 - exact).max() <= 1e-8
-
-    def test_time_ladder_certifies_custom_detector(self):
-        # a Gaussian F tabulated on 20001 points is its interpolant to about 1e-11 of
-        # the Gaussian's node path, which is independent of the time grid
-        nu = np.linspace(-10.0, 10.0, 20001)
-        det_tab = custom_detector(nu, np.exp(-nu ** 2 / 2.0), lam=FIG1_DET.lam,
-                                  tau=FIG1_DET.tau)
-        ch = build_second_order(FIG1_SYS, det_tab)
-        assert ch.meta["quad_entry_err"] <= 1e-8
-        assert [n for n, _ in ch.meta["ladder"]] == [32, 64, 128]
-        node = build_second_order(FIG1_SYS, FIG1_DET)
-        assert np.abs(ch.tensor - node.tensor).max() <= 1e-8
 
     @staticmethod
     def _time_ladder_callers():
@@ -641,21 +606,16 @@ class TestBuildSecondOrder:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 4), uniform=st.booleans(), aux=st.booleans(),
-           timed=st.booleans(), tabulated=st.booleans(),
-           lam=st.sampled_from([0.0, 5.0, 20.0]), seed=st.integers(0, 2 ** 16))
-    def test_grouped_kernels_match_per_path(self, n, uniform, aux, timed, tabulated, lam,
-                                            seed):
+           timed=st.booleans(), lam=st.sampled_from([0.0, 5.0, 20.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_grouped_kernels_match_per_path(self, n, uniform, aux, timed, lam, seed):
         rng = np.random.default_rng(seed)
         levels = np.linspace(-2.0, 2.0, n) if uniform else np.sort(rng.uniform(-3.0, 3.0, n))
         alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
         vmat = random_v(rng, 2 * n if aux else n, 0.2)
         v = (lambda t: np.cos(3.0 * t) * vmat) if timed else vmat
         sys = SystemSpec(levels=tuple(levels), alpha_energies=alphas, v=v)
-        if tabulated:
-            nu = np.linspace(-10.0, 10.0, 2001)
-            det = custom_detector(nu, np.exp(-nu ** 2 / 2.0) * (1.0 + 0.2j * nu), lam, 0.1)
-        else:
-            det = gaussian_detector(1.0, lam, 0.1)
+        det = gaussian_detector(1.0, lam, 0.1)
         fast = superop._second_order_on_grid(sys, det, 0.3, 32)
         slow = _per_path(superop._second_order_on_grid, sys, det, 0.3, 32)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
@@ -788,6 +748,20 @@ class TestRepeat:
                                     t0=0.0, tau=0.1, certified_trace_err=0.0)
         with pytest.raises(TraceDrift):
             repeat(lambda t0: scaled, np.eye(2, dtype=complex) / 2.0, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rho0_rejected(self, bad):
+        rho0 = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+            repeat(lambda t0: identity_channel(2), rho0, 3)
+
+    def test_nan_channel_drifts_at_first_measurement(self):
+        # every comparison with NaN is False: a NaN tensor used to be stepped
+        # through all 100 measurements into NaN states
+        ch = identity_channel(2)
+        nan = dataclasses.replace(ch, tensor=np.full_like(ch.tensor, np.nan))
+        with pytest.raises(TraceDrift, match="at measurement 1$"):
+            repeat(lambda t0: nan, np.eye(2, dtype=complex) / 2.0, 100)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(dim=st.integers(2, 4), n_kraus=st.integers(1, 3), n=st.integers(1, 300),
@@ -944,23 +918,16 @@ def _hermiticity_defect(s):
 
 class TestChannelInvariants:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(2, 3), aux=st.booleans(), tabulated=st.booleans(),
-           sigma=st.floats(0.5, 2.0), lam=st.floats(0.0, 30.0), tau=st.floats(0.05, 0.5),
-           seed=st.integers(0, 2 ** 16))
-    def test_sum_rules_and_validity_across_builders(self, n, aux, tabulated, sigma, lam, tau,
-                                                    seed):
+    @given(n=st.integers(2, 3), aux=st.booleans(), sigma=st.floats(0.5, 2.0),
+           lam=st.floats(0.0, 30.0), tau=st.floats(0.05, 0.5), seed=st.integers(0, 2 ** 16))
+    def test_sum_rules_and_validity_across_builders(self, n, aux, sigma, lam, tau, seed):
         rng = np.random.default_rng(seed)
         levels = tuple(np.sort(rng.uniform(-3.0, 3.0, n)))
         alphas = tuple((0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)) if aux else None
         sys = SystemSpec(levels=levels, alpha_energies=alphas,
                          v=random_v(rng, 2 * n if aux else n, 0.3))
-        if tabulated:
-            nu = np.linspace(-12.0, 12.0, 2401)
-            det = custom_detector(nu, np.exp(-nu ** 2 / (2.0 * sigma ** 2)), lam, tau)
-            exact = build_exact(sys, det, rule=gauss_hermite_rule(256, 1.0 / sigma))
-        else:
-            det = gaussian_detector(sigma, lam, tau)
-            exact = build_exact(sys, det)
+        det = gaussian_detector(sigma, lam, tau)
+        exact = build_exact(sys, det)
         # the trapezoid grid's trace defect is its discretization error, up to about
         # 1e-6 at 64 steps here; every other builder holds the rule to rounding
         second = build_second_order(sys, det, steps=64)
@@ -968,7 +935,7 @@ class TestChannelInvariants:
         grid = MeasurementChannel(tensor=grid, method=superop.SECOND_ORDER, t0=0.0, tau=tau,
                                   certified_trace_err=trace_sum_rule_defect(grid))
         channels = [(exact, 1e-12), (build_unperturbed(sys, det), 1e-14),
-                    (second, 1e-5 if "steps" in second.meta else 1e-12), (grid, 1e-5)]
+                    (second, 1e-12), (grid, 1e-5)]
         for ch, cap in channels:
             assert trace_sum_rule_defect(ch.tensor) <= ch.certified_trace_err <= cap
             assert _hermiticity_defect(ch.tensor) <= 1e-14 * np.abs(ch.tensor).max()
