@@ -9,7 +9,6 @@ lines and Zeno / anti-Zeno decay rates for decaying systems.
 
 from .decay import (
     DecaySystem,
-    LineShape,
     ReservoirSpectrum,
     build_decay_system,
     decay_rate,
@@ -61,7 +60,7 @@ from .superop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecaySystem", "LineShape", "ReservoirSpectrum", "build_decay_system",
+    "DecaySystem", "ReservoirSpectrum", "build_decay_system",
     "decay_rate", "effective_channel", "emitted_spectrum", "fwhm", "golden_rule",
     "line_mass", "line_shape", "measured_decay_channel",
     "population_decay_rate", "zeno_limit_rate",

@@ -32,7 +32,8 @@ from .errors import (
     ValidationError,
     ZenoSimError,
 )
-from .model import DetectorModel, TwoLevelPreset, _all_finite, strength
+from .model import DetectorModel, TwoLevelPreset, strength
+from .qmat import _all_finite
 from .superop import build_exact, default_rule, dump_channel, repeat
 
 # Each key maps to (required, rule).  A rule is "" (any finite number),
@@ -352,7 +353,6 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     res = _reservoir(cfg)
     omega_if = float(cfg.transition["omega_if"])
     hbar = cfg.hbar
-    tau = float(cfg.detector["tau"])
     lambdas = np.geomspace(cfg.sweep["Lambda_min"], cfg.sweep["Lambda_max"],
                            int(cfg.sweep["points"]))
     c_const = strength(_detector(cfg, lam=0.0)).C
@@ -362,13 +362,13 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     for lam_big in lambdas:
         det = _detector(cfg, lam=lam_big * c_const)
         try:
-            rate, err = _decay._rate_and_error(res, omega_if, det, tau, hbar, rel_tol)
+            rate, err = _decay._rate_and_error(res, omega_if, det, rel_tol)
         except NumericalConvergenceError as exc:
             raise NumericalConvergenceError(
                 f"Lambda = {lam_big:.6g}: {exc}", exc.ladder) from exc
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotInZenoRegime)
-            r_zeno = _decay.zeno_limit_rate(res, omega_if, det, hbar)
+            r_zeno = _decay.zeno_limit_rate(res, omega_if, det)
         rows.append((lam_big, rate, r_golden, r_zeno))
         errors.append(err)
     header = ["zeno-sim decay", f"config: {_config_echo(cfg)}",
@@ -385,9 +385,8 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     omega_if = float(cfg.transition["omega_if"])
     v2 = float(cfg.transition["v2"])
     hbar = cfg.hbar
-    tau = det.tau
     e_grid = np.linspace(cfg.grid["e_min"], cfg.grid["e_max"], int(cfg.grid["points"]))
-    w = _decay.emitted_spectrum(omega_if, det, tau, v2, e_grid, hbar=hbar)
+    w = _decay.emitted_spectrum(omega_if, det, v2, e_grid, hbar=hbar)
     width = _decay.fwhm(e_grid, w)
     total = float(np.trapezoid(res.g(e_grid / hbar) * (w / (hbar * v2)), e_grid))
     lam_big = strength(det).Lambda

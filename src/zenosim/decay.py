@@ -26,7 +26,8 @@ chirp-z transform when both grids are uniform and the phases stay below
 CHIRP_MAX_PHASE, dense phase products otherwise.  The line mass over a
 window adds the sine integral Si at its edges, evaluated with `math` alone
 (`_si`).  Every line function raises ValueError before any ladder runs for
-a non-finite frequency or window edge and a tau not finite and > 0.
+a non-finite frequency or window edge; tau comes from the detector and hbar
+from the reservoir, which reject a value not finite and > 0 when built.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .errors import (
     ReservoirGridTooCoarse,
     ZeroStrength,
 )
-from .model import DetectorModel, SystemSpec, _all_finite, correlation, strength
-from .qmat import _count, _romberg, _tolerance, trace_sum_rule_defect
+from .model import DetectorModel, SystemSpec, correlation, strength
+from .qmat import _all_finite, _count, _romberg, _tolerance, trace_sum_rule_defect
 from .superop import (SECOND_ORDER, MeasurementChannel, _dyson_second_order, _step_ladder,
                       build_unperturbed)
 
@@ -246,60 +247,58 @@ def _filon_transform(g: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.nda
     return out
 
 
-def _line_scales(omega_if: float, det: DetectorModel, tau: float):
+def _line_scales(omega_if: float, det: DetectorModel):
     """(t_cut, t_f): extent of the damped kernel and its decay time scale."""
     lw = det.lam * abs(omega_if)
     if lw == 0.0:
-        return tau, float("inf")
+        return det.tau, float("inf")
     t_f = det.sigma / lw
-    return min(tau, 8.6 * t_f), t_f
+    return min(det.tau, 8.6 * t_f), t_f
 
 
-def _line_time_grid(omega_if: float, det: DetectorModel, tau: float,
-                    refine: int = 1, width: float = 0.0) -> np.ndarray:
+def _line_time_grid(omega_if: float, det: DetectorModel, refine: int = 1,
+                    width: float = 0.0) -> np.ndarray:
     """Uniform grid on [0, t_cut] resolving the kernel's decay and a spectral width."""
-    t_cut, t_f = _line_scales(omega_if, det, tau)
+    t_cut, t_f = _line_scales(omega_if, det)
     n = max(128.0 * t_cut / t_f, 128.0 * t_cut * width)
     n = int(min(16384, max(512, math.ceil(n))))
     return np.linspace(0.0, t_cut, refine * n + 1)
 
 
-def _line_kernel(omega_if: float, det: DetectorModel, tau: float,
-                 t: np.ndarray) -> np.ndarray:
+def _line_kernel(omega_if: float, det: DetectorModel, t: np.ndarray) -> np.ndarray:
     """g(t) = F(lambda w_if t) (1 - t/tau) on the given grid."""
-    return correlation(det, det.lam * omega_if * t) * (1.0 - t / tau)
+    return correlation(det, det.lam * omega_if * t) * (1.0 - t / det.tau)
 
 
 _REFINES = (1, 2, 4, 8)  # time-grid refinements of every integral of the line kernel
 
 
-def _check_line(tau: float, *freqs) -> None:
-    """ValueError unless tau is finite and > 0 and every frequency is finite."""
-    _tolerance(tau, "tau")
+def _check_line(*freqs) -> None:
+    """ValueError unless every frequency is finite."""
     if not all(map(_all_finite, freqs)):
         raise ValueError("frequencies and window edges must be finite")
 
 
-def _line_transform(omega_if: float, det: DetectorModel, tau: float,
-                    deltas: np.ndarray, refine: int) -> np.ndarray:
+def _line_transform(omega_if: float, det: DetectorModel, deltas: np.ndarray,
+                    refine: int) -> np.ndarray:
     """int_0^t_cut g(t) e^{i delta t} dt at each delta, on the time grid of `refine`."""
-    t = _line_time_grid(omega_if, det, tau, refine)
-    return _filon_transform(_line_kernel(omega_if, det, tau, t), t, deltas)
+    t = _line_time_grid(omega_if, det, refine)
+    return _filon_transform(_line_kernel(omega_if, det, t), t, deltas)
 
 
-def line_shape(omega, omega_if: float, det: DetectorModel, tau: float):
+def line_shape(omega, omega_if: float, det: DetectorModel):
     """Measurement-modified line shape P(w); scalar or array omega.
 
     Evaluated by Filon quadrature on a grid resolving both the decay of
-    F(lambda w_if t) and the window (1 - t/tau); the result is certified by
-    doubling the grid (`_romberg`) until the extrapolated P moves by at most
-    1e-6 of max(max|P|, 1e-3 tau).
+    F(lambda w_if t) and the window (1 - t/tau), tau = det.tau; the result
+    is certified by doubling the grid (`_romberg`) until the extrapolated P
+    moves by at most 1e-6 of max(max|P|, 1e-3 tau).
     """
-    _check_line(tau, omega, omega_if)
+    _check_line(omega, omega_if)
     deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
-    p, _ = _romberg(lambda r: _line_transform(omega_if, det, tau, deltas, r).real / math.pi,
+    p, _ = _romberg(lambda r: _line_transform(omega_if, det, deltas, r).real / math.pi,
                     _REFINES, 1e-6, "line shape at time-grid refine {}",
-                    scale=lambda p: max(float(np.abs(p).max()), 1e-3 * tau))
+                    scale=lambda p: max(float(np.abs(p).max()), 1e-3 * det.tau))
     return float(p[0]) if np.ndim(omega) == 0 else p
 
 
@@ -334,7 +333,7 @@ def _si(x: float) -> float:
 
 
 def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
-              det: DetectorModel, tau: float) -> float:
+              det: DetectorModel) -> float:
     """Integral of P over w in [w_if + delta_lo, w_if + delta_hi].
 
     Computed in the time domain (exact exchange of integration order), so
@@ -342,10 +341,10 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
     of a dense pointwise grid; certified like `line_shape`, by doubling the
     grid until the extrapolated mass moves by at most 1e-6.
     """
-    _check_line(tau, omega_if, delta_lo, delta_hi)
+    _check_line(omega_if, delta_lo, delta_hi)
     def evaluate(refine: int) -> float:
-        t = _line_time_grid(omega_if, det, tau, refine)
-        g = _line_kernel(omega_if, det, tau, t)
+        t = _line_time_grid(omega_if, det, refine)
+        g = _line_kernel(omega_if, det, t)
         r = np.empty_like(g)
         r[1:] = (g[1:] - 1.0) / t[1:]
         r[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * (t[1] - t[0]))
@@ -354,52 +353,6 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
         return float(si / math.pi + (ir[1].imag - ir[0].imag) / math.pi)
 
     return _romberg(evaluate, _REFINES, 1e-6, "line mass at time-grid refine {}")[0]
-
-
-@dataclass(frozen=True)
-class LineShape:
-    """P(w) sampled on an adaptive grid around the transition frequency."""
-
-    omega_if: float
-    tau: float
-    det: DetectorModel
-    grid: np.ndarray
-    values: np.ndarray
-    mass_tol: float = 1e-4
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass_tol", _tolerance(self.mass_tol, "mass_tol"))
-
-    @classmethod
-    def build(cls, omega_if: float, det: DetectorModel, tau: float,
-              mass_tol: float = 1e-4):
-        """Sample P(w) around omega_if; ValueError unless mass_tol is finite and
-        > 0, which the constructor checks as well."""
-        _check_line(tau, omega_if)
-        mass_tol = _tolerance(mass_tol, "mass_tol")
-        s_g = 1.0 / _line_scales(omega_if, det, tau)[1]  # 0 when F is not damped
-        x_core = max(10.0 * s_g, 60.0 / tau)
-        steps = [2.0 * math.pi / (16.0 * tau)]
-        if s_g > 0:
-            steps.append(s_g / 16.0)
-        delta = min(steps)
-        n = int(math.ceil(x_core / delta))
-        grid = omega_if + delta * np.arange(-n, n + 1)
-        values = line_shape(grid, omega_if, det, tau)
-        return cls(omega_if=omega_if, tau=tau, det=det, grid=grid,
-                   values=values, mass_tol=mass_tol)
-
-    def normalization(self) -> float:
-        """Trapezoid mass on the grid plus the far-tail mass out to the point
-        where the residual is below mass_tol / 4."""
-        core = float(np.trapezoid(self.values, self.grid))
-        x_lo = self.grid[0] - self.omega_if
-        x_hi = self.grid[-1] - self.omega_if
-        x_max = 2.0 / (math.pi * self.tau * (self.mass_tol / 4.0))
-        x_max = max(x_max, 4.0 * max(abs(x_lo), x_hi))
-        tails = (line_mass(x_hi, x_max, self.omega_if, self.det, self.tau)
-                 + line_mass(-x_max, x_lo, self.omega_if, self.det, self.tau))
-        return core + tails
 
 
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
@@ -445,41 +398,39 @@ def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
 
 
 def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
-                    tau: float, hbar: float, rel_tol: float = 1e-4):
+                    rel_tol: float = 1e-4):
     """(decay_rate, relative change of the grid doubling that certified it)."""
-    _check_line(tau, omega_if)
-    _tolerance(hbar, "hbar")
+    _check_line(omega_if)
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if res.kind == "flat":
-        return 2.0 * math.pi * res.g0 / hbar ** 2, 0.0
+        return 2.0 * math.pi * res.g0 / res.hbar ** 2, 0.0
     # the grid resolves the reservoir factor too: its width, or a table's reach
     width = res.width if res.tab_omega is None else np.abs(res.tab_omega - res.omega_r).max()
     delta = np.array([res.omega_r - omega_if])
 
     def evaluate(refine: int) -> float:
-        t = _line_time_grid(omega_if, det, tau, refine, width)
-        g = _line_kernel(omega_if, det, tau, t) * _reservoir_envelope(res, t)
-        return 2.0 * float(_filon_transform(g, t, delta)[0].real) / hbar ** 2
+        t = _line_time_grid(omega_if, det, refine, width)
+        g = _line_kernel(omega_if, det, t) * _reservoir_envelope(res, t)
+        return 2.0 * float(_filon_transform(g, t, delta)[0].real) / res.hbar ** 2
 
     rate, ladder = _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
                             scale=lambda r: max(abs(r), 1e-300))
     return rate, ladder[-1][1]
 
 
-def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
-               tau: float, hbar: float, rel_tol: float = 1e-4) -> float:
+def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel, *,
+               rel_tol: float = 1e-4) -> float:
     """Measurement-modified decay rate R = (2 pi / hbar^2) int G(w) P(w) dw.
 
     Exact for a flat reservoir (the golden rule 2 pi G0 / hbar^2); otherwise
     the exchanged time integral, certified by doubling its time grid until
     the extrapolated rate moves by at most rel_tol relative (ValueError
-    unless hbar and rel_tol are finite and > 0).
+    unless rel_tol is finite and > 0).
     """
-    return _rate_and_error(res, omega_if, det, tau, hbar, rel_tol)[0]
+    return _rate_and_error(res, omega_if, det, rel_tol)[0]
 
 
-def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
-                    hbar: float) -> float:
+def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel) -> float:
     """Narrow-reservoir strong-measurement limit R = 2 B / (Lambda hbar w_if).
 
     Insensitive to the reservoir shape; warns when the measurement-broadened
@@ -497,26 +448,26 @@ def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
         if line_w < 10.0 * res.width or line_w < 10.0 * detuning:
             warnings.warn("measured line is not much wider than the reservoir",
                           NotInZenoRegime)
-    return 2.0 * b / (s.Lambda * hbar * abs(omega_if))
+    return 2.0 * b / (s.Lambda * res.hbar * abs(omega_if))
 
 
-def emitted_spectrum(omega_if: float, det: DetectorModel, tau: float, v2: float,
-                     e_grid: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
+                     e_grid: np.ndarray, *, hbar: float = 1.0) -> np.ndarray:
     """Occupation of field modes after one measurement:
-    W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar).
+    W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar), tau = det.tau.
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
     e_grid, and ValueError unless v2 is finite and >= 0."""
-    if not 0.0 <= v2 < math.inf:
+    if not (_all_finite(v2) and v2 >= 0):
         raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)
     covered = line_mass(e_grid[0] / hbar - omega_if, e_grid[-1] / hbar - omega_if,
-                        omega_if, det, tau)
+                        omega_if, det)
     if covered < 0.99:
         raise GridTooNarrow(
             f"grid covers only {covered:.4f} of the line mass (need >= 0.99)")
-    p = line_shape(e_grid / hbar, omega_if, det, tau)
-    return 2.0 * math.pi * v2 * tau * p / hbar ** 2
+    p = line_shape(e_grid / hbar, omega_if, det)
+    return 2.0 * math.pi * v2 * det.tau * p / hbar ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +485,22 @@ class DecaySystem:
 
 
 def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum,
-                       det: DetectorModel, hbar: float = 1.0,
-                       n_modes: int = 400, e_window: tuple | None = None) -> DecaySystem:
+                       det: DetectorModel, *, n_modes: int = 400,
+                       e_window: tuple | None = None) -> DecaySystem:
     """Discretize the reservoir into n_modes field states.
 
     Each mode at energy E carries |v|^2 = G(E/hbar) * dE / hbar so that the
     mode sum reproduces the continuum integrals.  The window defaults to the
-    overlap region of the measured line and the reservoir structure and is
-    widened until it holds at least 99.5% of the line mass when the
-    reservoir has no finite structure of its own.  Raises ValueError unless
-    n_modes is an integer >= 2, hbar is finite and > 0 and an e_window given
-    is two finite increasing energies.
+    overlap region of the measured line and the reservoir structure: 8 widths
+    around a peaked G's maximum, else a window holding at least 99.5% of the
+    line mass, widened to a table's grid.  Raises ValueError unless n_modes
+    is an integer >= 2 and an e_window given is two finite increasing energies.
     """
     n_modes = _count(n_modes, "n_modes", 2)
-    _tolerance(hbar, "hbar")
     if e_excited <= e_ground:
         raise ValueError("excited level must lie above the ground level")
+    hbar = res.hbar
     omega_if = (e_excited - e_ground) / hbar
-    tau = det.tau
     if e_window is not None:
         if not (_all_finite(e_window) and len(e_window) == 2 and e_window[0] < e_window[1]):
             raise ValueError(f"e_window must be two finite increasing energies, got {e_window!r}")
@@ -560,15 +509,16 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
         lo = min(hbar * omega_if, hbar * res.omega_r) - 8.0 * hbar * res.width
         hi = max(hbar * omega_if, hbar * res.omega_r) + 8.0 * hbar * res.width
     else:
-        s_g = 1.0 / _line_scales(omega_if, det, tau)[1]
-        half = hbar * max(10.0 * s_g, 130.0 / tau)
+        s_g = 1.0 / _line_scales(omega_if, det)[1]
+        half = hbar * max(10.0 * s_g, 130.0 / det.tau)
         lo, hi = hbar * omega_if - half, hbar * omega_if + half
         for _ in range(8):
-            mass = line_mass(lo / hbar - omega_if, hi / hbar - omega_if,
-                             omega_if, det, tau)
+            mass = line_mass(lo / hbar - omega_if, hi / hbar - omega_if, omega_if, det)
             if mass >= 0.995:
                 break
             lo, hi = 1.5 * lo - 0.5 * hbar * omega_if, 1.5 * hi - 0.5 * hbar * omega_if
+        if res.tab_omega is not None:  # a table's G is nonzero only on its grid
+            lo, hi = min(lo, hbar * res.tab_omega[0]), max(hi, hbar * res.tab_omega[-1])
     modes = np.linspace(lo, hi, n_modes)
     de = modes[1] - modes[0]
     couplings = np.sqrt(np.maximum(res.g(modes / hbar), 0.0) * de / hbar)
@@ -652,15 +602,16 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
 
 
 def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpectrum,
-                           det: DetectorModel, hbar: float = 1.0,
-                           n_modes: int = 400, e_window: tuple | None = None,
+                           det: DetectorModel, *, n_modes: int = 400,
+                           e_window: tuple | None = None,
                            t0: float = 0.0) -> MeasurementChannel:
     """Discretize the reservoir, verify the grid by refinement, and return
     the effective atomic channel."""
-    coarse = build_decay_system(e_excited, e_ground, res, det, hbar, n_modes, e_window)
+    coarse = build_decay_system(e_excited, e_ground, res, det, n_modes=n_modes,
+                                e_window=e_window)
     window = (coarse.mode_energies[0], coarse.mode_energies[-1])
-    fine = build_decay_system(e_excited, e_ground, res, det, hbar,
-                              2 * n_modes, window)
+    fine = build_decay_system(e_excited, e_ground, res, det, n_modes=2 * n_modes,
+                              e_window=window)
     return effective_channel(coarse.sys, det, t0=t0, refined=fine.sys)
 
 

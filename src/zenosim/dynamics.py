@@ -73,7 +73,7 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         w_fi = sys.omega_level()[ff, ii]
         delta = np.array([sys.omega_full()[ff, ii]])
         factor = 2.0 * abs(sys.v_at(0.0)[ff, ii]) ** 2 * det.tau / sys.hbar ** 2
-        return _romberg(lambda r: factor * _line_transform(w_fi, det, det.tau, delta, r)[0].real,
+        return _romberg(lambda r: factor * _line_transform(w_fi, det, delta, r)[0].real,
                         _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
     w_if = sys.omega_level()[ii, ff]
     w_phase = sys.omega_full()[ii, ff]

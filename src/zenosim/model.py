@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroStrength
-from .qmat import _tolerance, require_hermitian
-
-
-def _all_finite(values) -> bool:
-    """Whether every entry is a finite number; an integer beyond the float
-    range is not."""
-    try:
-        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
-    except OverflowError:
-        return False
+from .qmat import _all_finite, _tolerance, require_hermitian
 
 
 @dataclass(frozen=True)

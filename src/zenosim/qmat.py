@@ -8,7 +8,6 @@ package.  Everything here is a pure function of ndarrays.
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -33,10 +32,19 @@ def _count(value, name: str, minimum: int = 0, below=ValueError) -> int:
     return value
 
 
+def _all_finite(values) -> bool:
+    """Whether every entry is a finite number; an integer beyond the float
+    range is not."""
+    try:
+        return bool(np.isfinite(np.asarray(values, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
 def _tolerance(value, name: str) -> float:
     """value as a float; ValueError unless it is finite and > 0, since a NaN
     tolerance would skip its check and a zero one climb a whole ladder."""
-    if not 0.0 < value < math.inf:
+    if not (_all_finite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
 
@@ -164,7 +172,7 @@ def check_density_matrix(rho: np.ndarray,
     """
     herm_tol = _tolerance(herm_tol, "herm_tol")
     trace_tol = _tolerance(trace_tol, "trace_tol")
-    if not -math.inf < eig_floor < math.inf:
+    if not _all_finite(eig_floor):
         raise ValueError(f"eig_floor must be finite, got {eig_floor!r}")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

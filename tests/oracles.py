@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.special import dawsn, roots_hermite, wofz
 
-from zenosim.decay import _filon_coeffs
+from zenosim.decay import _filon_coeffs, _line_scales, line_mass, line_shape
 from zenosim.superop import QuadratureRule
 
 
@@ -39,9 +39,10 @@ def filon_segments(g, x, deltas):
     return out
 
 
-def line_shape_closed_form(omega, omega_if: float, det, tau: float):
+def line_shape_closed_form(omega, omega_if: float, det):
     """Closed form of P(w) for a Gaussian detector, via Faddeeva functions;
     exact up to floating point."""
+    tau = det.tau
     scalar = np.isscalar(omega) or np.ndim(omega) == 0
     delta = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
     a = (det.lam * omega_if / det.sigma) ** 2 / 2.0
@@ -60,3 +61,23 @@ def line_shape_closed_form(omega, omega_if: float, det, tau: float):
     i1 = (1.0 - decay_end) / (2.0 * a) + (1j * delta / (2.0 * a)) * i0
     p = (i0 - i1 / tau).real / math.pi
     return float(p[0]) if scalar else p
+
+
+def line_mass_by_sampling(omega_if: float, det, mass_tol: float = 1e-4) -> float:
+    """Total mass of P sampled pointwise: the trapezoid rule on a grid around
+    omega_if that resolves the decay of F and the window ripples, plus the two
+    tail masses of `line_mass` out to where the residual 2 / (pi tau x) is
+    below mass_tol / 4."""
+    tau = det.tau
+    s_g = 1.0 / _line_scales(omega_if, det)[1]  # 0 when F is not damped
+    x_core = max(10.0 * s_g, 60.0 / tau)
+    steps = [2.0 * math.pi / (16.0 * tau)]
+    if s_g > 0:
+        steps.append(s_g / 16.0)
+    delta = min(steps)
+    n = int(math.ceil(x_core / delta))
+    grid = omega_if + delta * np.arange(-n, n + 1)
+    core = float(np.trapezoid(line_shape(grid, omega_if, det), grid))
+    x_lo, x_hi = grid[0] - omega_if, grid[-1] - omega_if
+    x_max = max(2.0 / (math.pi * tau * (mass_tol / 4.0)), 4.0 * max(abs(x_lo), x_hi))
+    return core + line_mass(x_hi, x_max, omega_if, det) + line_mass(-x_max, x_lo, omega_if, det)

@@ -1,6 +1,7 @@
 """Public API surface stays importable."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -24,6 +25,20 @@ def test_all_names_resolve():
 
 def test_version():
     assert zenosim.__version__
+
+
+def test_tau_and_hbar_have_one_source():
+    # tau lives on the DetectorModel and hbar on the ReservoirSpectrum; a
+    # callable that took either a second time could be handed two values that
+    # disagree, and would say nothing
+    doubled = []
+    for name in zenosim.__all__:
+        params = inspect.signature(getattr(zenosim, name)).parameters
+        annotations = " ".join(str(p.annotation) for p in params.values())
+        for owner, value in (("DetectorModel", "tau"), ("ReservoirSpectrum", "hbar")):
+            if re.search(rf"\b{owner}\b", annotations) and value in params:
+                doubled.append(f"{name}({owner}, {value})")
+    assert doubled == []
 
 
 SRC = pathlib.Path(zenosim.__file__).resolve().parent.parent
@@ -125,24 +140,38 @@ _TOLERANCE_CASES = {
     "check_density_matrix.herm_tol": (qmat, "hermiticity_defect", lambda tol: (
         zenosim.check_density_matrix(_HALF, herm_tol=tol))),
     "decay_rate.rel_tol": (decay, "_filon_transform", lambda tol: zenosim.decay_rate(
-        _RES, 2.0, _FIG1_DET, 0.1, 1.0, rel_tol=tol)),
+        _RES, 2.0, _FIG1_DET, rel_tol=tol)),
     "jump_probability_general.rel_tol": (dynamics, "_line_transform", lambda tol: (
         zenosim.jump_probability_general(_FIG1_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
     "jump_probability_general.rel_tol.time_dependent_v": (dynamics, "_romberg", lambda tol: (
         zenosim.jump_probability_general(_FIG1_TIME_SYS, _FIG1_DET, 1, 0, 0, 0, rel_tol=tol))),
     "jump_table.rel_tol": (dynamics, "jump_probability_general", lambda tol: (
         zenosim.jump_table(_FIG1_SYS, _FIG1_DET, rel_tol=tol))),
-    "LineShape.build.mass_tol": (decay, "line_shape", lambda tol: zenosim.LineShape.build(
-        2.0, _FIG1_DET, 0.1, mass_tol=tol)),
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0,
+                                 pytest.param(10 ** 400, id="huge_int")])
 @pytest.mark.parametrize("case", sorted(_TOLERANCE_CASES))
 def test_bad_tolerance_rejected_before_any_work(case, tol):
-    # a NaN tolerance used to skip its check silently, and a zero or negative one
-    # to climb the whole refinement ladder before failing
+    # a NaN tolerance used to skip its check silently, a zero or negative one
+    # to climb the whole refinement ladder before failing, and an integer
+    # beyond the float range to raise OverflowError
     module, work, call = _TOLERANCE_CASES[case]
     with mock.patch.object(module, work) as spy, pytest.raises(ValueError, match="finite and > 0"):
         call(tol)
     spy.assert_not_called()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zenosim.emitted_spectrum(2.0, _FIG1_DET, 0.1, 1.0, np.linspace(-900.0, 900.0, 64)),
+    lambda: zenosim.decay_rate(_RES, 2.0, _FIG1_DET, 0.1),
+    lambda: zenosim.build_decay_system(1.0, -1.0, _RES, _FIG1_DET, 1.0),
+    lambda: zenosim.measured_decay_channel(1.0, -1.0, _RES, _FIG1_DET, 1.0),
+], ids=["emitted_spectrum", "decay_rate", "build_decay_system", "measured_decay_channel"])
+def test_a_positional_tau_or_hbar_is_a_type_error(call):
+    # the options after det are keyword-only, so a call written for the
+    # signatures that took tau or hbar fails instead of binding it to the next
+    # parameter
+    with pytest.raises(TypeError):
+        call()

@@ -137,7 +137,7 @@ class TestJumpTimeIndependent:
         # the single-integral form equals (2 pi tau / hbar^2) |V|^2 P(omega_E)
         from zenosim.decay import line_shape
         w = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
-        p0 = line_shape(0.0, 2.0, FIG1_DET, FIG1_DET.tau)
+        p0 = line_shape(0.0, 2.0, FIG1_DET)
         conv = 2.0 * math.pi * FIG1_DET.tau * 1.0 * p0
         assert abs(w - conv) < 1e-8
 
@@ -151,7 +151,7 @@ class TestJumpTimeIndependent:
         det = gaussian_detector(sigma=1.0, lam=12.0, tau=0.3)
         w = jump_probability_general(sys, det, 1, 0, 0, 0, rel_tol=1e-9)
         omega_e = (0.7 - 0.2) / 1.0
-        conv = 2.0 * math.pi * det.tau * 0.16 * line_shape(omega_e, 2.0, det, det.tau)
+        conv = 2.0 * math.pi * det.tau * 0.16 * line_shape(omega_e, 2.0, det)
         assert abs(w - conv) < 1e-8
 
     def test_vanishes_quadratically_with_tau(self):
@@ -281,7 +281,7 @@ def _faddeeva_jump(sys, det, ii, ff):
     """(2 pi tau / hbar^2) |V_fi|^2 P(w_E) for a constant V and a Gaussian
     detector, w_E = (E1_f - E1_i) / hbar and P in closed form."""
     w_e = (sys.e1[ff] - sys.e1[ii]) / sys.hbar
-    p = line_shape_closed_form(w_e, sys.omega_level()[ii, ff], det, det.tau)
+    p = line_shape_closed_form(w_e, sys.omega_level()[ii, ff], det)
     return 2.0 * math.pi * det.tau * abs(sys.v_at(0.0)[ff, ii]) ** 2 * p / sys.hbar ** 2
 
 

@@ -100,8 +100,9 @@ class TestRequiredDuration:
 
 class TestDetectorValidation:
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            gaussian_detector(sigma=1.0, lam=1.0, tau=0.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                gaussian_detector(sigma=1.0, lam=1.0, tau=tau)
 
     def test_sigma_is_required(self):
         with pytest.raises(TypeError):

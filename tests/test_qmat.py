@@ -176,7 +176,8 @@ class TestDensityChecks:
         rho = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         check_density_matrix(rho)
 
-    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf,
+                                       pytest.param(-10 ** 400, id="huge_int")])
     def test_non_finite_eig_floor_rejected_before_any_work(self, floor):
         # a NaN floor used to skip the positivity check: wmin < nan is never true
         with mock.patch.object(qmat, "hermiticity_defect") as spy, \
