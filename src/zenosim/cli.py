@@ -5,7 +5,7 @@ Configs are JSON (documented in the README): a top-level experiment name,
 sweep or output grid.  `SCHEMA` is the one description of every config:
 keys an experiment does not read are rejected so typos fail loudly.
 Runners write `#`-commented CSV plus a JSON sidecar echoing the config, the
-certified numerical tolerances and the zenosim, numpy and scipy versions,
+certified numerical tolerances and the zenosim and numpy versions,
 so every figure is reproducible from the artifacts alone.  Output is
 deterministic: no clocks, no RNG.
 """
@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import decay as _decay
@@ -286,7 +285,7 @@ def _write_csv(path: str, header_lines: list, columns: list, rows,
 
 
 def _write_sidecar(path: str, cfg: ExperimentConfig, certified: dict):
-    versions = {"numpy": np.__version__, "scipy": scipy.__version__, "zenosim": __version__}
+    versions = {"numpy": np.__version__, "zenosim": __version__}
     meta = {"config": cfg.raw, "certified": certified, "versions": versions}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .decay import _REFINES, _line_transform
+from .decay import _REFINES, _filon_transform, _line_transform
 from .errors import NoTransitions, NotInZenoRegime, ZeroFrequency, ZeroStrength
-from .model import DetectorModel, SystemSpec, TwoLevelPreset, correlation, strength
+from .model import DetectorModel, SystemSpec, TwoLevelPreset, strength
 from .qmat import _romberg, _tolerance
-from .superop import _lag_sums, _trapezoid_weights, _v_samples
+from .superop import _node_ladder, _trapezoid_weights, _v_samples
 
 
 def _relative(best) -> float:
@@ -28,6 +29,7 @@ def _relative(best) -> float:
 
 
 V2_REL_TOL = 1e-10  # relative tolerance of the time-dependent int |V|^2 dt
+JUMP_MAX_NODES = (1 << 17) + 1  # node cap of a time-dependent jump: one amplitude per node
 
 
 def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:
@@ -35,10 +37,12 @@ def _v2_integral(sys: SystemSpec, tau: float, t0: float) -> np.ndarray:
     V2_REL_TOL of the largest entry for a time-dependent V)."""
     if sys.constant_v:
         return tau * np.abs(sys.v_at(0.0)) ** 2
+    memo = {}
 
     def evaluate(nt: int) -> np.ndarray:
         t = np.linspace(0.0, tau, nt)
-        return np.einsum("t,tjk->jk", _trapezoid_weights(t), np.abs(_v_samples(sys, t0, t)) ** 2)
+        v2 = np.abs(_v_samples(sys, t0, t, memo)) ** 2
+        return np.einsum("t,tjk->jk", _trapezoid_weights(t), v2)
 
     return _romberg(evaluate, [(64 << k) + 1 for k in range(10)], V2_REL_TOL,
                     "|V|^2 integral at {} grid points", _relative)[0]
@@ -49,46 +53,48 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
                              t0: float = 0.0, rel_tol: float = 1e-6) -> float:
     """Probability of the jump (i, alpha) -> (f, alpha1) during one measurement.
 
-    Double time integral of the product of the perturbation matrix elements
-    with the detector correlation kernel F(lambda * w_if * (t2 - t1)),
-    certified on a Romberg ladder (`qmat._romberg`: relative change of the
-    Richardson-extrapolated value below rel_tol).  For a constant V (or none)
-    it reduces to the golden-rule factor times the line shape,
+    Double time integral of the perturbation matrix elements with the
+    detector correlation kernel F(lambda * w_if * (t2 - t1)), taken in Filon
+    transforms, which integrate the phase exactly at every strength and
+    splitting, and certified on Romberg ladders (`qmat._romberg`: relative
+    change of the Richardson-extrapolated W below rel_tol).  A constant V (or
+    none) gives the golden-rule factor times the line shape, on its time grids,
 
-    W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt,
+    W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt;
 
-    the Filon transform of `decay`'s line kernel at delta = w_fi,full on the
-    time grids of `line_shape` (refines 1, 2, 4, 8), so the oscillation is
-    exact at every measurement strength and splitting.  For a time-dependent
-    V, each level (from 65 points, 5 halvings) is the `_lag_sums` of the two
-    samples dotted with one kernel vector of length 2n - 1.  Raises
-    ValueError unless rel_tol is finite and > 0.
+    a time-dependent V the average over the detector coordinate, on the nodes
+    (q_k, w_k) of `superop._node_ladder` (at most JUMP_MAX_NODES), each on
+    time grids from 17 points,
+
+    W = sum_k w_k |(1/hbar) int_0^tau V_fi(t0 + t) e^{i (w_fi,full + lambda q_k w_fi) t} dt|^2.
+
+    Raises ValueError unless rel_tol is finite and > 0, and
+    QuadratureNotConverged, carrying its ladder, when a ladder runs out.
     """
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if (i, alpha) == (f, alpha1):
         raise ValueError("source and target states must differ")
-    ii = sys.flat_index(i, alpha)
-    ff = sys.flat_index(f, alpha1)
+    ii, ff = sys.flat_index(i, alpha), sys.flat_index(f, alpha1)
+    w_fi = sys.omega_level()[ff, ii]
     if sys.constant_v:
-        w_fi = sys.omega_level()[ff, ii]
         delta = np.array([sys.omega_full()[ff, ii]])
         factor = 2.0 * abs(sys.v_at(0.0)[ff, ii]) ** 2 * det.tau / sys.hbar ** 2
         return _romberg(lambda r: factor * _line_transform(w_fi, det, delta, r)[0].real,
                         _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
-    w_if = sys.omega_level()[ii, ff]
-    w_phase = sys.omega_full()[ii, ff]
+    memo = {}
 
-    def evaluate(nt: int) -> float:
-        t = np.linspace(0.0, det.tau, nt)
-        vs = _v_samples(sys, t0, t)
-        # c[nt-1+l] sums V(t2)[i, f] V(t1)[f, i] over t2 - t1 = l h
-        c = _lag_sums(vs[:, ii, ff], vs[:, ff, ii], t, "square")
-        u = np.concatenate((-t[:0:-1], t))
-        kern = correlation(det, det.lam * w_if * u) * np.exp(1j * w_phase * u)
-        return float((c @ kern).real / sys.hbar ** 2)
+    def average(rule) -> float:
+        deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * rule.nodes
 
-    return _romberg(evaluate, [(64 << k) + 1 for k in range(6)], rel_tol,
-                    "jump probability at {} grid points", _relative)[0]
+        def level(nt: int) -> float:
+            t = np.linspace(0.0, det.tau, nt)
+            amp = _filon_transform(_v_samples(sys, t0, t, memo)[:, ff, ii], t, deltas) / sys.hbar
+            return float(rule.weights @ np.abs(amp) ** 2)
+
+        return _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
+                        "jump probability at {} time points", _relative)[0]
+
+    return _node_ladder(sys, det, average, rel_tol, JUMP_MAX_NODES, _relative)[0]
 
 
 def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
@@ -130,16 +136,11 @@ def jump_table(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     """General jump probabilities W[source, target] for every coupled pair;
     ValueError unless rel_tol is finite and > 0."""
     rel_tol = _tolerance(rel_tol, "rel_tol")
-    d = sys.dim
-    lv = sys.state_level
-    pairs = [(n, a) for n, al in enumerate(sys.alpha_energies) for a in range(len(al))]
-    w = np.zeros((d, d))
-    for js, (ns, as_) in enumerate(pairs):
-        for jt, (ntgt, at) in enumerate(pairs):
-            if js == jt or lv[js] == lv[jt]:
-                continue
-            w[js, jt] = jump_probability_general(sys, det, ns, as_, ntgt, at,
-                                                 t0=t0, rel_tol=rel_tol)
+    states = [(n, a) for n, al in enumerate(sys.alpha_energies) for a in range(len(al))]
+    w = np.zeros((sys.dim, sys.dim))
+    for (js, (i, a)), (jt, (f, b)) in product(enumerate(states), repeat=2):
+        if i != f:
+            w[js, jt] = jump_probability_general(sys, det, i, a, f, b, t0=t0, rel_tol=rel_tol)
     return JumpTable(w=w, tau=det.tau, t0=t0)
 
 

@@ -180,9 +180,9 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
 
 
 def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
-                 max_nodes: int):
+                 max_nodes: int, scale=None):
     """Build build(rule) on trapezoid rules of doubling node counts, n -> 2n - 1,
-    until no entry moves by more than entry_tol (`_refine`).
+    until no entry moves by more than entry_tol (`_refine`, with its scale).
 
     In the detector coordinate y = sigma q every tensor entry is an entire
     function of exponential type theta = lambda tau max|omega_level| / sigma
@@ -198,7 +198,7 @@ def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
     intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
                            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
     return _refine(lambda k: build(default_rule(det, k)), [m + 1 for m in intervals],
-                   entry_tol, "entries at {} trapezoid nodes")
+                   entry_tol, "entries at {} trapezoid nodes", scale)
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -269,10 +269,12 @@ def build_unperturbed(sys: SystemSpec, det: DetectorModel) -> MeasurementChannel
                               certified_trace_err=err)
 
 
-def _v_samples(sys: SystemSpec, t0: float, t: np.ndarray) -> np.ndarray:
-    if sys.constant_v or sys.v is None:
-        return np.broadcast_to(sys.v_at(0.0), (t.size, sys.dim, sys.dim))
-    return np.stack([sys.v_at(t0 + ti) for ti in t])
+def _v_samples(sys: SystemSpec, t0: float, t: np.ndarray, memo=None) -> np.ndarray:
+    """V(t0 + t) stacked over t, each time sampled once per memo dict given:
+    linspace levels n -> 2n - 1 share their points bitwise."""
+    memo = {} if memo is None else memo
+    memo.update({x: sys.v_at(t0 + x) for x in t.tolist() if x not in memo})
+    return np.stack([memo[x] for x in t.tolist()])
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:

@@ -79,32 +79,23 @@ def _loaded(code: str, prefixes) -> list:
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy.fft",
                                     "scipy.special"])
 def test_cli_import_leaves_module_unloaded(module):
-    # a cold `import zenosim.cli` takes about 0.2 s with numpy and the top-level
-    # scipy package; scipy.signal would add about half a second, scipy.integrate
-    # and scipy.fft about 0.1 s each, and scipy.special about 0.2 s
+    # the package is numpy only: a cold `import zenosim.cli` took about 19 ms
+    # more with the top-level scipy package, and scipy.special or scipy.fft
+    # another 0.1 to 0.2 s each
+    assert _loaded("import zenosim.cli", ["scipy"]) == []
     assert _loaded("import zenosim.cli", [module]) == []
 
 
-def test_decay_sweep_leaves_scipy_fft_and_special_unloaded(tmp_path):
-    # the sweep's rate ladder calls neither; no module of the package imports
-    # scipy.special
-    out = tmp_path / "sweep.csv"
-    config = CONFIGS / "decay_sweep_anti_zeno.json"
-    code = (f"from zenosim.cli import main; "
-            f"assert main(['decay', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
-    assert _loaded(code, ["scipy.fft", "scipy.special"]) == []
-    assert out.stat().st_size > 0
-
-
-@pytest.mark.parametrize("command, name", [("spectrum", "spectrum_strong"),
-                                           ("twolevel", "fig3_weak")])
-def test_cli_run_leaves_scipy_special_unloaded(tmp_path, command, name):
-    # spectrum reaches line_mass (Si), twolevel build_exact (its node ladder)
-    out = tmp_path / f"{name}.csv"
-    config = CONFIGS / f"{name}.json"
-    code = (f"from zenosim.cli import main; "
-            f"assert main([{command!r}, '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
-    assert _loaded(code, ["scipy.special"]) == []
+@pytest.mark.parametrize("command, name", [
+    ("twolevel", "fig1_twolevel"), ("twolevel", "fig3_weak"),
+    ("dump-channel", "channel_fig1"), ("decay", "decay_sweep_anti_zeno"),
+    ("spectrum", "spectrum_strong")])
+def test_cli_loads_no_scipy(tmp_path, command, name):
+    # no CLI run loads any scipy module either
+    out = tmp_path / "out"
+    code = (f"from zenosim.cli import main; assert main([{command!r}, '--config', "
+            f"{str(CONFIGS / name) + '.json'!r}, '--out', {str(out)!r}]) == 0")
+    assert _loaded(code, ["scipy"]) == []
     assert out.stat().st_size > 0
 
 

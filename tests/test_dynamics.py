@@ -54,14 +54,15 @@ class TestJumpGeneral:
             assert abs(w - ref) <= 1e-7 * ref
 
     def test_not_converged_carries_ladder_time_dependent(self):
-        # the lag-sum ladder; no two Richardson values agree to 1e-300 relative
+        # the time ladder of the first node level, from 17 points; no two
+        # Richardson values agree to 1e-300 relative
         vmat = FIG1_SYS.v_at(0.0)
         sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: vmat)
         with pytest.raises(QuadratureNotConverged) as info:
             jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-300)
         ladder = info.value.ladder
-        assert [nt for nt, _ in ladder] == [129, 257, 513, 1025, 2049]
-        assert f"at 2049 grid points still moving by {ladder[-1][1]:.2e}" in str(info.value)
+        assert [nt for nt, _ in ladder] == [(16 << k) + 1 for k in range(1, 10)]
+        assert f"at 8193 time points still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
     def test_matches_appendix_diagonal_fig1(self):
         w = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
@@ -126,7 +127,7 @@ class TestJumpTimeIndependent:
         assert w == pytest.approx((0.3 * 0.7) ** 2, rel=1e-10)
 
     def test_matches_general_fig1(self):
-        # the same V as a callable takes the lag sums of the double integral
+        # the same V as a callable takes the node form of the double integral
         vmat = FIG1_SYS.v_at(0.0)
         timed = SystemSpec(levels=(-1.0, 1.0), v=lambda t: vmat)
         w1 = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
@@ -207,6 +208,17 @@ class TestJumpStrong:
             assert (w / w_strong - 1.0) * lam * tau * omega == pytest.approx(
                 -math.sqrt(2.0 / math.pi), rel=1e-3)
 
+    def test_time_dependent_v_integral_samples_each_time_once(self):
+        # the Romberg levels from 65 points nest, so a ladder that stops at
+        # 4097 points samples each of them once
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        times = []
+        sys = SystemSpec(levels=(-1.0, 1.0),
+                         v=lambda t: times.append(t) or math.cos(1000.0 * t) * 0.4 * sx)
+        times.clear()  # the check of V(0) when the system was built
+        jump_probability_strong(sys, gaussian_detector(1.0, 50.0, 0.3), 1, 0, 0, 0)
+        assert len(times) == len(set(times)) == 4097
+
     @pytest.mark.parametrize("omega", [5.0, 50.0, 200.0, 1000.0])
     def test_time_dependent_v_integral_matches_closed_form(self, omega):
         # int_0^tau |0.4 cos(omega (t0 + t))|^2 dt; a fixed 513-point
@@ -243,38 +255,27 @@ class TestJumpTable:
 
 def _dense_jump_level(sys, det, ii, ff, t0, nt):
     """One trapezoid level of the jump integral as the double sum over the
-    nt x nt grid: the oracle of the lag-sum evaluation."""
+    nt x nt grid, its kernel tabulated on the 2 nt - 1 lags t2 - t1 and
+    summed in blocks of rows: the oracle of the time-dependent evaluation."""
     t = np.linspace(0.0, det.tau, nt)
     w = _trapezoid_weights(t)
     vs = _v_samples(sys, t0, t)
-    u = t[None, :] - t[:, None]  # t2 - t1, rows t1
+    u = np.arange(1 - nt, nt) * (det.tau / (nt - 1))  # t2 - t1
     kern = (correlation(det, det.lam * sys.omega_level()[ii, ff] * u)
             * np.exp(1j * sys.omega_full()[ii, ff] * u))
-    return float(((w * vs[:, ff, ii]) @ kern @ (w * vs[:, ii, ff])).real / sys.hbar ** 2)
+    x, y = w * vs[:, ff, ii], w * vs[:, ii, ff]
+    rows, total = max(1, (1 << 20) // nt), 0.0
+    for lo in range(0, nt, rows):
+        t1 = np.arange(lo, min(lo + rows, nt))
+        total += x[t1] @ kern[np.arange(nt) - t1[:, None] + nt - 1] @ y
+    return float(total.real / sys.hbar ** 2)
 
 
-def _level_errors(monkeypatch, sys, det, t0, run):
-    """Relative distance of every Romberg level of jump_probability_general,
-    while run() executes, from the dense double sum on the same grid."""
-    general, romberg = dynamics.jump_probability_general, dynamics._romberg
-    pair, errors = {}, []
-
-    def spy_general(sys_, det_, i, alpha, f, alpha1, **kw):
-        pair["ii_ff"] = sys_.flat_index(i, alpha), sys_.flat_index(f, alpha1)
-        return general(sys_, det_, i, alpha, f, alpha1, **kw)
-
-    def spy_romberg(evaluate, levels, tol, what, scale=None):
-        def level(nt):
-            val = evaluate(nt)
-            ref = _dense_jump_level(sys, det, *pair["ii_ff"], t0, nt)
-            errors.append(abs(val - ref) / abs(ref))
-            return val
-        return romberg(level, levels, tol, what, scale)
-
-    monkeypatch.setattr(dynamics, "jump_probability_general", spy_general)
-    monkeypatch.setattr(dynamics, "_romberg", spy_romberg)
-    run()
-    return errors
+def _dense_jump(sys, det, ii, ff, t0, first):
+    """Richardson limit of `_dense_jump_level` from `first` + 1 points, to 1e-12."""
+    return dynamics._romberg(lambda nt: _dense_jump_level(sys, det, ii, ff, t0, nt),
+                             [(first << k) + 1 for k in range(7)], 1e-12,
+                             "dense double sum at {} grid points", dynamics._relative)[0]
 
 
 def _faddeeva_jump(sys, det, ii, ff):
@@ -294,21 +295,20 @@ class TestJumpLagSum:
                          v=random_hermitian(rng, 4, 0.3))
         det = gaussian_detector(sigma=1.0, lam=12.0, tau=0.3)
         w = dynamics.jump_probability_general(sys, det, 2, 0, 0, 1, rel_tol=1e-10)
-        ref = dynamics._romberg(lambda nt: _dense_jump_level(sys, det, 3, 1, 0.0, nt),
-                                [(64 << k) + 1 for k in range(5)], 1e-12,
-                                "dense double sum at {} grid points", dynamics._relative)[0]
+        ref = _dense_jump(sys, det, 3, 1, 0.0, 64)
         assert abs(w - ref) <= 1e-10 * abs(ref)
 
-    def test_time_dependent_v(self, monkeypatch):
-        # a phase of V that turns with t tells the lag t2 - t1 from t1 - t2
+    def test_time_dependent_v(self):
+        # a phase of V that turns with t tells the lag t2 - t1 from t1 - t2,
+        # so the amplitudes' e^{i w t} from e^{-i w t}
         def v(t):
             v10 = np.cos(2.0 * t) * 0.4 * np.exp(3j * t)
             return np.array([[0.0, np.conj(v10)], [v10, 0.0]])
         sys = SystemSpec(levels=(-1.0, 1.0), v=v)
         det = gaussian_detector(sigma=1.0, lam=10.0, tau=0.2)
-        errors = _level_errors(monkeypatch, sys, det, 0.3, lambda: (
-            dynamics.jump_probability_general(sys, det, 1, 0, 0, 0, t0=0.3, rel_tol=1e-10)))
-        assert len(errors) >= 3 and max(errors) <= 1e-13
+        w = dynamics.jump_probability_general(sys, det, 1, 0, 0, 0, t0=0.3, rel_tol=1e-10)
+        ref = _dense_jump(sys, det, 1, 0, 0.3, 64)
+        assert abs(w - ref) <= 1e-12 * ref
 
     def test_jump_table_six_uniform_levels(self):
         rng = np.random.default_rng(7)
@@ -342,6 +342,82 @@ class TestJumpEveryStrength:
                 if sys.state_level[j] != sys.state_level[k]:
                     ref = _faddeeva_jump(sys, det, j, k)
                     assert abs(table.w[j, k] - ref) <= 1e-9 * ref
+
+
+def _turning_system():
+    """The auxiliary-energy system of TestJumpEveryStrength under
+    V(t) = cos(3t) v + sin(5t) u: no V_fi(t) is real up to a constant factor,
+    so W tells e^{i w t} from e^{-i w t} in its amplitudes."""
+    rng = np.random.default_rng(5)
+    v, u = random_hermitian(rng, 4, 0.3), random_hermitian(rng, 4, 0.3)
+    np.fill_diagonal(v, 0.0)
+    np.fill_diagonal(u, 0.0)
+    return SystemSpec(levels=(-1.0, 0.5, 2.0), alpha_energies=((0.0, 0.7), (0.2,), (0.4,)),
+                      v=lambda t: np.cos(3.0 * t) * v + np.sin(5.0 * t) * u)
+
+
+_TURNING_STATES = [(0, 0), (0, 1), (1, 0), (2, 0)]  # (level, alpha) of each flattened state
+_TURNING_JUMPS = [(j, k) for j in range(4) for k in range(4)
+                  if _TURNING_STATES[j][0] != _TURNING_STATES[k][0]]
+
+
+def _gap_to_strong(sys, det, w, j, k):
+    """1 - W / W_strong of the jump j -> k in units of sqrt(2/pi) / theta,
+    theta = lambda tau |w_jk| / sigma: 1 for a constant V, where the (tau - t)
+    window leaves W / W_strong - 1 = -sqrt(2/pi) / theta (TestJumpStrong)."""
+    w_strong = jump_probability_strong(sys, det, *_TURNING_STATES[j], *_TURNING_STATES[k])
+    theta = det.lam * det.tau * abs(sys.omega_level()[j, k]) / det.sigma
+    return (1.0 - w / w_strong) * theta / math.sqrt(2.0 / math.pi)
+
+
+class TestJumpTimeDependentEveryStrength:
+    """A time-dependent V from a weak measurement into the Zeno regime, where
+    W falls as 1/Lambda."""
+
+    @pytest.mark.parametrize("lam", [50.0, 200.0])
+    def test_matches_dense_double_sum(self, lam):
+        sys = _turning_system()
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
+        for j, k in [(3, 1), (2, 0)]:
+            w = jump_probability_general(sys, det, *_TURNING_STATES[j], *_TURNING_STATES[k],
+                                         rel_tol=1e-9)
+            ref = _dense_jump(sys, det, j, k, 0.0, 256)
+            assert abs(w - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("lam", [500.0, 2000.0])
+    def test_converges_in_the_zeno_regime(self, lam):
+        # a time-dependent V moves the constant-V gap of 1 to 0.82 ... 1.05 here
+        sys = _turning_system()
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
+        w = jump_table(sys, det).w
+        for j, k in _TURNING_JUMPS:
+            assert 0.5 <= _gap_to_strong(sys, det, w[j, k], j, k) <= 2.0
+
+    def test_approaches_strong_formula_at_the_node_cap(self):
+        # lambda = 2e4 puts the phase scale at 1.8e4, on 65537 and 131073 nodes
+        sys = _turning_system()
+        det = gaussian_detector(sigma=1.0, lam=2e4, tau=0.3)
+        w = jump_probability_general(sys, det, 2, 0, 0, 1)
+        assert 0.5 <= _gap_to_strong(sys, det, w, 3, 1) <= 2.0
+
+    def test_past_the_node_cap_raises_naming_the_phase_scale(self):
+        # lambda = 3e4 puts it at 2.7e4, whose first node level would already
+        # pass half of JUMP_MAX_NODES
+        det = gaussian_detector(sigma=1.0, lam=3e4, tau=0.3)
+        with pytest.raises(QuadratureNotConverged, match="phase scale 2.7e[+]04 needs more than "
+                           f"{dynamics.JUMP_MAX_NODES} trapezoid nodes") as info:
+            jump_probability_general(_turning_system(), det, 2, 0, 0, 1)
+        assert info.value.ladder == []
+
+    def test_samples_each_time_once(self):
+        # nested time levels and node levels reuse the samples they share
+        sys = _turning_system()
+        times = []
+        spy = SystemSpec(levels=sys.levels, alpha_energies=sys.alpha_energies,
+                         v=lambda t: times.append(t) or sys.v(t))
+        times.clear()
+        jump_probability_general(spy, gaussian_detector(1.0, 200.0, 0.3), 2, 0, 0, 1)
+        assert len(times) > 17 and len(times) == len(set(times))
 
 
 class TestInhibitionTime:
