@@ -170,9 +170,11 @@ def _filon_coeffs(theta: np.ndarray):
     ith = 1j * np.where(small, 1.0, theta)
     e1 = np.expm1(ith) / ith
     e2 = (np.exp(ith) - e1) / ith
-    ts = 1j * theta[small]
-    e1[small] = np.polyval(_E1_SERIES, ts)
-    e2[small] = np.polyval(_B_SERIES, ts)
+    if small.any():  # both series in one Horner loop
+        ts, s1, s2 = 1j * theta[small], 0.0, 0.0
+        for c1, c2 in zip(_E1_SERIES, _B_SERIES):
+            s1, s2 = s1 * ts + c1, s2 * ts + c2
+        e1[small], e2[small] = s1, s2
     return e1 - e2, e2
 
 
@@ -563,8 +565,7 @@ def _traced_on_grid(sys: SystemSpec, det: DetectorModel, steps: int) -> np.ndarr
 
 
 def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                      steps: int | None = None,
-                      refined: SystemSpec | None = None) -> MeasurementChannel:
+                      steps: int | None = None) -> MeasurementChannel:
     """Second-order channel on the atom alone, reservoir traced out.
 
     The reservoir starts in the vacuum (the first auxiliary state, energy 0,
@@ -574,9 +575,7 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     the time-difference grid (`_phase_sums`, a chirp-z transform on a
     uniform mode grid), so the mode count barely enters the cost.  The time
     integrals climb `build_second_order`'s time ladder from steps (meta:
-    steps, quad_entry_err, ladder, n_alpha).  If `refined` holds the same
-    system with half the mode spacing, ReservoirGridTooCoarse is raised when
-    the populations of the two channels differ by more than 1e-4.
+    steps, quad_entry_err, ladder, n_alpha).
     """
     alphas = sys.alpha_energies
     if any(al != alphas[0] for al in alphas):
@@ -588,31 +587,29 @@ def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
 
     s12, meta = _step_ladder(sys, det, steps, lambda n: _traced_on_grid(sys, det, n))
     s_ef = build_unperturbed(SystemSpec(levels=sys.levels, hbar=sys.hbar), det).tensor + s12
-    channel = MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=det.tau,
-                                 certified_trace_err=trace_sum_rule_defect(s_ef),
-                                 meta={**meta, "n_alpha": len(alphas[0])})
-    if refined is not None:
-        fine = effective_channel(refined, det, t0=t0, steps=steps)
-        pops = np.abs(np.einsum("ppnn->pn", channel.tensor)
-                      - np.einsum("ppnn->pn", fine.tensor)).max()
-        if pops > 1e-4:
-            raise ReservoirGridTooCoarse(
-                f"halving the mode spacing moves populations by {pops:.2e}")
-    return channel
+    return MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=det.tau,
+                              certified_trace_err=trace_sum_rule_defect(s_ef),
+                              meta={**meta, "n_alpha": len(alphas[0])})
 
 
 def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpectrum,
                            det: DetectorModel, *, n_modes: int = 400,
                            e_window: tuple | None = None,
                            t0: float = 0.0) -> MeasurementChannel:
-    """Discretize the reservoir, verify the grid by refinement, and return
-    the effective atomic channel."""
+    """Discretize the reservoir and return the effective atomic channel
+    (`effective_channel`).  The same window with half the mode spacing gives
+    a second channel; ReservoirGridTooCoarse is raised when the populations
+    of the two differ by more than 1e-4."""
     coarse = build_decay_system(e_excited, e_ground, res, det, n_modes=n_modes,
                                 e_window=e_window)
     window = (coarse.mode_energies[0], coarse.mode_energies[-1])
     fine = build_decay_system(e_excited, e_ground, res, det, n_modes=2 * n_modes,
                               e_window=window)
-    return effective_channel(coarse.sys, det, t0=t0, refined=fine.sys)
+    channel, check = (effective_channel(d.sys, det, t0=t0) for d in (coarse, fine))
+    pops = np.abs(np.einsum("ppnn->pn", channel.tensor - check.tensor)).max()
+    if pops > 1e-4:
+        raise ReservoirGridTooCoarse(f"halving the mode spacing moves populations by {pops:.2e}")
+    return channel
 
 
 def population_decay_rate(channel: MeasurementChannel, excited: int) -> float:

@@ -94,7 +94,8 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         return _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
                         "jump probability at {} time points", _relative)[0]
 
-    return _node_ladder(sys, det, average, rel_tol, JUMP_MAX_NODES, _relative)[0]
+    theta = det.lam * det.tau * abs(w_fi) / det.sigma  # the phase scale of this pair
+    return _node_ladder(det, theta, average, rel_tol, JUMP_MAX_NODES, _relative)[0]
 
 
 def jump_probability_strong(sys: SystemSpec, det: DetectorModel,

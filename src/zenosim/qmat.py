@@ -72,21 +72,23 @@ def _refine(evaluate, levels, tol: float, what: str, scale=None,
     raise error(f"{what.format(level)} still moving by {change:.2e} > {tol:.1e}", ladder)
 
 
-def _romberg(evaluate, levels, tol: float, what: str, scale=None):
+def _romberg(evaluate, levels, tol: float, what: str, scale=None,
+             error=QuadratureNotConverged):
     """`_refine` on Richardson-extrapolated values: evaluate(level) is a rule
     of error O(h^2) (trapezoid, or Filon on a piecewise-linear factor) whose
     step h halves from each level to the next, and each new value is
-    extrapolated through every level before it (Romberg's table)."""
-    rows = [[]]
+    extrapolated through every level before it (Romberg's table, of which
+    only the last row is kept, overwritten in place)."""
+    row = []
 
     def extrapolate(level):
-        row = [evaluate(level)]
-        for j, prev in enumerate(rows[-1], start=1):
-            row.append(row[j - 1] + (row[j - 1] - prev) / (4 ** j - 1))
-        rows.append(row)
-        return row[-1]
+        value = evaluate(level)
+        for j, prev in enumerate(row):
+            row[j], value = value, value + (value - prev) / (4 ** (j + 1) - 1)
+        row.append(value)
+        return value
 
-    return _refine(extrapolate, levels, tol, what, scale)
+    return _refine(extrapolate, levels, tol, what, scale, error)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

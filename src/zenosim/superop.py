@@ -160,6 +160,8 @@ def _tensor_from_rule(sys: SystemSpec, det: DetectorModel, t0: float,
 
 
 ENTRY_TOL, MAX_NODES = 1e-8, 8193
+MIN_SUBSTEPS, MAX_SUBSTEPS = 8, 1024  # of a midpoint propagation (`build_exact`)
+MIN_STEPS, MAX_STEPS = 16, 4096  # of a trapezoid time grid (`_step_ladder`)
 # Margin c of the first ladder level, whose step h <= 2 pi / (theta + c): the
 # trapezoid rule's error is then the Gaussian's Fourier transform at c beyond the
 # band of the entries, about e^{-c^2 / 2} = 2.6e-18 at c = 9.
@@ -179,22 +181,22 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
     return [first << k for k in range((cap // first).bit_length())]
 
 
-def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
+def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
                  max_nodes: int, scale=None):
     """Build build(rule) on trapezoid rules of doubling node counts, n -> 2n - 1,
     until no entry moves by more than entry_tol (`_refine`, with its scale).
 
-    In the detector coordinate y = sigma q every tensor entry is an entire
-    function of exponential type theta = lambda tau max|omega_level| / sigma
-    (`_phase_scale`), so the first level is the smallest 2^k + 1 >= 65 nodes
-    whose step resolves theta with the margin ALIAS_MARGIN; every level after
-    it resolves theta too, so two levels cannot agree by chance.
+    In the detector coordinate y = sigma q every entry is an entire function
+    of exponential type theta, the caller's phase scale (`_phase_scale` for a
+    tensor: lambda tau max|omega_level| / sigma), so the first level is the
+    smallest 2^k + 1 >= 65 nodes whose step resolves theta with the margin
+    ALIAS_MARGIN; every level after it resolves theta too, so two levels
+    cannot agree by chance.
 
     Returns the last tensor and the ladder, a list of (nodes, max change
     against the level before).  Raises QuadratureNotConverged, carrying the
     ladder, once the next level would exceed max_nodes.
     """
-    theta = _phase_scale(sys, det)
     intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
                            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
     return _refine(lambda k: build(default_rule(det, k)), [m + 1 for m in intervals],
@@ -203,50 +205,50 @@ def _node_ladder(sys: SystemSpec, det: DetectorModel, build, entry_tol: float,
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                 rule: QuadratureRule | None = None, *,
-                entry_tol: float = ENTRY_TOL, max_nodes: int = MAX_NODES,
-                min_substeps: int = 8, max_substeps: int = 1024) -> MeasurementChannel:
+                entry_tol: float = ENTRY_TOL) -> MeasurementChannel:
     """Exact-quadrature measurement channel.
 
-    With an explicit rule the tensor is built on that rule (still refining
-    the time substeps for a time-dependent V).  With rule=None it is built
-    on `default_rule` trapezoid rules along `_node_ladder`, until no tensor
-    entry moves by more than entry_tol; meta["ladder"] lists the (nodes, max
-    change) steps.  A time-dependent V doubles the substeps on every rule
-    until the entries settle (`_refine`).
+    With an explicit rule the tensor is built on that rule.  With rule=None
+    it is built on `default_rule` trapezoid rules along `_node_ladder`, until
+    no tensor entry moves by more than entry_tol; meta["ladder"] lists the
+    (nodes, max change) steps.  A time-dependent V is propagated on every
+    rule with MIN_SUBSTEPS, 2 MIN_SUBSTEPS ... <= MAX_SUBSTEPS midpoint
+    substeps, extrapolated to entry_tol (`_romberg`): the exponential
+    midpoint rule is symmetric, so its error expands in even powers of the
+    step (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed.
+    2006, Sec. II.3).  meta["substep_ladder"] lists the last rule's
+    (substeps, max change) steps, [] for a constant V.
 
     Raises ValueError unless entry_tol is finite and > 0,
-    PropagationStepTooCoarse past max_substeps and QuadratureNotConverged
-    past max_nodes, each carrying its ladder.
+    PropagationStepTooCoarse past MAX_SUBSTEPS and QuadratureNotConverged
+    past MAX_NODES, each carrying its ladder.
     """
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
     entry_tol = _tolerance(entry_tol, "entry_tol")
-    m = 2 * min_substeps
+    substep_ladder = []
 
-    def build(r: QuadratureRule):
-        # start at the check the previous node level passed, m / 2 against m
-        nonlocal m
+    def build(r: QuadratureRule) -> np.ndarray:
         if sys.constant_v or sys.v is None:
-            m = 1
             return _tensor_from_rule(sys, det, t0, r, 1)
-        start = m // 2
-        substeps = [start << k for k in range(max(2, (max_substeps // start).bit_length()))]
-        tensor, ladder = _refine(lambda k: _tensor_from_rule(sys, det, t0, r, k), substeps,
-                                 entry_tol, "entries at {} substeps",
-                                 error=PropagationStepTooCoarse)
-        m = ladder[-1][0]
+        levels = _doublings(MIN_SUBSTEPS, 0.0, MAX_SUBSTEPS,
+                            f"no second substep level within {MAX_SUBSTEPS}")
+        tensor, substep_ladder[:] = _romberg(lambda m: _tensor_from_rule(sys, det, t0, r, m),
+                                             levels, entry_tol, "entries at {} substeps",
+                                             error=PropagationStepTooCoarse)
         return tensor
 
     if rule is not None:
         tensor, ladder, nodes, quad_err = build(rule), [], len(rule), None
     else:
-        tensor, ladder = _node_ladder(sys, det, build, entry_tol, max_nodes)
+        tensor, ladder = _node_ladder(det, _phase_scale(sys, det), build, entry_tol, MAX_NODES)
         nodes, quad_err = ladder[-1]
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
                               certified_trace_err=err,
-                              meta={"nodes": nodes, "substeps": m, "quad_entry_err": quad_err,
-                                    "ladder": ladder})
+                              meta={"nodes": nodes, "quad_entry_err": quad_err, "ladder": ladder,
+                                    "substeps": substep_ladder[-1][0] if substep_ladder else 1,
+                                    "substep_ladder": substep_ladder})
 
 
 def build_unperturbed(sys: SystemSpec, det: DetectorModel) -> MeasurementChannel:
@@ -474,9 +476,6 @@ def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
     return _dyson_second_order(phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
 
 
-MIN_STEPS, MAX_STEPS = 16, 4096  # of a trapezoid time grid
-
-
 def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, evaluate):
     """S1 + S2 and its meta entries from evaluate(n), its value on n uniform
     time steps, extrapolated along n, 2n ... <= MAX_STEPS (`_romberg`) to
@@ -527,7 +526,7 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
             return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
                              np.concatenate([u1 + u2, u0 + u1, u0]))
 
-        s12, ladder = _node_ladder(sys, det, build, ENTRY_TOL, MAX_NODES)
+        s12, ladder = _node_ladder(det, _phase_scale(sys, det), build, ENTRY_TOL, MAX_NODES)
         meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
     else:
         s12, meta = _step_ladder(sys, det, steps, lambda n: _second_order_on_grid(sys, det, t0, n))

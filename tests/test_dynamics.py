@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import line_shape_closed_form
-from zenosim import dynamics
+from zenosim import dynamics, superop
 from zenosim.errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                             ZeroStrength)
 from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector, strength
@@ -408,6 +408,16 @@ class TestJumpTimeDependentEveryStrength:
                            f"{dynamics.JUMP_MAX_NODES} trapezoid nodes") as info:
             jump_probability_general(_turning_system(), det, 2, 0, 0, 1)
         assert info.value.ladder == []
+
+    def test_node_ladder_starts_at_the_pair_phase_scale(self):
+        # theta = lambda tau |w_fi| / sigma of the pair itself: 90 for the |w_fi| = 1.5
+        # jump (first level 513 nodes), 180 for the |w_fi| = 3 jump (1025 nodes)
+        det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
+        for (j, k), first in [((2, 0), 513), ((3, 1), 1025)]:
+            with mock.patch.object(superop, "default_rule", wraps=superop.default_rule) as rule:
+                jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
+                                         *_TURNING_STATES[k])
+            assert rule.call_args_list[0].args[1] == first
 
     def test_samples_each_time_once(self):
         # nested time levels and node levels reuse the samples they share

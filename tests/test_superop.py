@@ -132,6 +132,14 @@ def random_v(rng, dim, scale):
     return scale * v / np.abs(v).max()
 
 
+def channels_small_system():
+    """The small system of the `channels` benchmark job (phase scale 10) with
+    V(t) = cos(3t) V, and its detector."""
+    v = random_v(np.random.default_rng(1), 6, 0.2)
+    sys = SystemSpec(levels=tuple(np.linspace(-2.5, 2.5, 6)), v=lambda t: np.cos(3.0 * t) * v)
+    return sys, gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+
+
 def random_kraus_channel(rng, dim, n_kraus, tau=0.1):
     """A random trace-preserving, completely positive channel from an isometry."""
     a = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
@@ -266,14 +274,16 @@ class TestBuildExact:
         # every level resolves the phase scale, so only a tolerance below rounding
         # keeps the ladder climbing
         det = gaussian_detector(sigma=1.0, lam=500.0, tau=0.1)
-        with pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
-            build_exact(FIG1_SYS, det, entry_tol=1e-30, max_nodes=2049)
+        with mock.patch.object(superop, "MAX_NODES", 2049), \
+                pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
+            build_exact(FIG1_SYS, det, entry_tol=1e-30)
         ladder = info.value.ladder
         assert [n for n, _ in ladder] == [1025, 2049]
         assert all(change > 1e-30 for _, change in ladder)
         assert f"2049 trapezoid nodes still moving by {ladder[-1][1]:.2e}" in str(info.value)
-        with pytest.raises(QuadratureNotConverged, match="more than 1024") as info:
-            build_exact(FIG1_SYS, det, max_nodes=1024)
+        with mock.patch.object(superop, "MAX_NODES", 1024), \
+                pytest.raises(QuadratureNotConverged, match="more than 1024") as info:
+            build_exact(FIG1_SYS, det)
         assert info.value.ladder == []
 
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
@@ -360,6 +370,9 @@ class TestBuildExact:
         pert = build_second_order(sys, det, t0=0.4, steps=512)
         assert np.abs(exact.tensor - pert.tensor).max() < 2e-6
         assert exact.meta["substeps"] >= 16
+        substeps, change = exact.meta["substep_ladder"][-1]
+        assert substeps == exact.meta["substeps"] and change <= 1e-8
+        assert build_exact(FIG1_SYS, FIG1_DET).meta["substep_ladder"] == []
 
     def test_substeps_not_converged_carries_ladder(self):
         # V turns over about three times per measurement, too fast for 32
@@ -367,29 +380,48 @@ class TestBuildExact:
         vmat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: np.cos(200.0 * t) * vmat)
         rule = default_rule(FIG1_DET, 65)
-        with pytest.raises(PropagationStepTooCoarse) as info:
-            build_exact(sys, FIG1_DET, rule=rule, max_substeps=32)
+        with mock.patch.object(superop, "MAX_SUBSTEPS", 32), \
+                pytest.raises(PropagationStepTooCoarse) as info:
+            build_exact(sys, FIG1_DET, rule=rule)
         assert isinstance(info.value, NumericalConvergenceError)
         ladder = info.value.ladder
         assert [m for m, _ in ladder] == [16, 32]
         assert all(change > 1e-8 for _, change in ladder)
         assert f"32 substeps still moving by {ladder[-1][1]:.2e}" in str(info.value)
-        # the first pair is compared even when max_substeps is below it
-        with pytest.raises(PropagationStepTooCoarse) as info:
-            build_exact(sys, FIG1_DET, rule=rule, max_substeps=4)
-        assert [m for m, _ in info.value.ladder] == [16]
 
-    def test_substep_ladder_carries_over_node_levels(self):
+    def test_every_rule_climbs_substeps_from_the_minimum(self):
         vmat = random_v(np.random.default_rng(0), 3, 1.0)
         sys = SystemSpec(levels=(-1.0, 0.0, 1.0), v=lambda t: np.cos(3.0 * t) * vmat)
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
         with mock.patch.object(superop, "_propagators", wraps=superop._propagators) as prop:
             ch = build_exact(sys, det)
-        # restarting at min_substeps for the second node level took 14 calls
-        assert prop.call_count < 14
-        assert ch.meta["nodes"] == 129 and ch.meta["substeps"] == 512
-        restarted = build_exact(sys, det, rule=default_rule(det, 129)).tensor
-        assert np.abs(ch.tensor - restarted).max() <= 1e-8
+        climbs = {}
+        for call in prop.call_args_list:
+            climbs.setdefault(len(call.args[3]), []).append(call.args[4])
+        assert list(climbs) == [65, 129] and ch.meta["nodes"] == 129
+        for substeps in climbs.values():
+            assert substeps == [superop.MIN_SUBSTEPS << k for k in range(len(substeps))]
+        assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[129][1:]
+        assert ch.meta["substeps"] == climbs[129][-1]
+        fixed = build_exact(sys, det, rule=default_rule(det, 129)).tensor
+        assert np.abs(ch.tensor - fixed).max() <= 1e-8
+
+    def test_tight_entry_tol_converges_on_the_benchmark_system(self):
+        # plain midpoint doubling still moved by 5.6e-12 at 8192 substeps here
+        sys, det = channels_small_system()
+        ch = build_exact(sys, det, entry_tol=1e-12)
+        assert ch.meta["substep_ladder"][-1][1] <= 1e-12
+        assert ch.meta["substeps"] <= superop.MAX_SUBSTEPS
+
+    def test_substep_ladder_against_fine_midpoint_richardson(self):
+        # the final rule's tensor against 1024 and 2048 midpoint substeps with one
+        # Richardson step: that reference errs by its h^4 term, about 1e-17 here,
+        # where plain midpoint doubling to 1e-8 (256 substeps) was 2e-9 off
+        sys, det = channels_small_system()
+        ch = build_exact(sys, det)
+        rule = default_rule(det, ch.meta["nodes"])
+        coarse, fine = (superop._tensor_from_rule(sys, det, 0.0, rule, m) for m in (1024, 2048))
+        assert np.abs(ch.tensor - (4.0 * fine - coarse) / 3.0).max() <= 1e-10
 
 
 class TestBuildUnperturbed:
@@ -560,7 +592,7 @@ class TestBuildSecondOrder:
         zero = build_exact(system(0.0), det).tensor
 
         def quotient(eps):
-            plus, minus = (build_exact(system(e), det, entry_tol=1e-9, max_substeps=4096).tensor
+            plus, minus = (build_exact(system(e), det, entry_tol=1e-9).tensor
                            for e in (eps, -eps))
             return (plus - minus) / (2.0 * eps) + (plus + minus - 2.0 * zero) / (2.0 * eps ** 2)
 
