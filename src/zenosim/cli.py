@@ -177,6 +177,31 @@ def _without_nulls(block: dict) -> dict:
             for key, val in block.items() if val is not None}
 
 
+def _hbar_scaled(experiment, hbar: float, values: dict):
+    """(name, unscaled value, scaled value) of each hbar-scaled quantity the
+    experiment forms from its config: hbar² where it divides by it, the level
+    energy hbar·omega/2 and the frequency |V|/hbar of the two-level system
+    (squared in the Rabi frequency of twolevel), and the grid edges E/hbar
+    of a spectrum.  Quantities of invalid values are left out: those values
+    are reported already."""
+    if experiment in ("twolevel", "decay_sweep", "spectrum"):
+        yield "hbar²", 1.0, hbar * hbar
+    if experiment in ("twolevel", "channel_dump"):
+        omega, v_re = values.get("system.V.omega"), values.get("system.V.v_re")
+        if omega is not None:
+            yield "hbar·omega/2", omega, hbar * omega / 2.0
+        if v_re is not None:
+            v = abs(complex(v_re, values.get("system.V.v_im", 0.0)))
+            yield "|V|/hbar", v, v / hbar
+            if experiment == "twolevel":
+                yield "|V|²/hbar²", v * v, (v / hbar) * (v / hbar)
+    if experiment == "spectrum":
+        for edge in ("e_min", "e_max"):
+            if values.get(f"grid.{edge}") is not None:
+                energy = values[f"grid.{edge}"]
+                yield f"{edge}/hbar", energy, energy / hbar
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate configuration text against SCHEMA.
 
@@ -215,6 +240,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("sweep.points", "grid.points"):
         if values.get(name, 0) > MAX_MEASUREMENTS:
             errors.append(f"'{name}' must be at most {MAX_MEASUREMENTS}")
+    for name, unscaled, scaled in _hbar_scaled(experiment, hbar, values):
+        if not (math.isfinite(scaled) and (scaled != 0.0 or unscaled == 0.0)):
+            errors.append(f"'hbar' = {hbar!r} makes {name} = {scaled!r}, "
+                          "which must be finite and non-zero")
     reservoir = values.get("reservoir")
     if reservoir is not None:
         kind = reservoir.get("kind")

@@ -561,6 +561,35 @@ def _hermitian(y: np.ndarray) -> np.ndarray:
     return rho
 
 
+# states a long run of one channel advances per product with the BLOCK-th power
+# of its real Liouville matrix, a power of two built by squaring; a run of m
+# reused steps is long when m >= LONG_RUN and 2m >= d², where streaming the
+# matrix once per block repays the squarings (about 8 d⁶ flops against 2 m d⁴)
+BLOCK = 16
+LONG_RUN = 128
+
+
+def _check_states(ys: np.ndarray, lo: int, hi: int, n: int, trace_tol: float) -> None:
+    """Raise what checking the states ys[lo:hi] one measurement at a time
+    raises first: TraceDrift when a trace leaves 1 by more than trace_tol,
+    InvalidDensityMatrix when a state after a 64th or the n-th measurement
+    dips below EIG_FLOOR; at the same measurement the trace comes first."""
+    drift = np.abs(ys[lo:hi].trace(0, 1, 2) - 1.0)
+    stop = hi if drift.max() <= trace_tol else lo + int(np.argmin(drift <= trace_tol))
+    checked = [*range(lo + (63 - lo) % 64, stop, 64)]
+    if lo <= n - 1 < stop and n % 64:
+        checked.append(n - 1)
+    if checked:
+        wmin = np.linalg.eigvalsh(_hermitian(ys[checked]))[:, 0]
+        bad = ~(wmin >= EIG_FLOOR)
+        if bad.any():
+            j = int(bad.argmax())
+            raise InvalidDensityMatrix(f"smallest eigenvalue {wmin[j]:.3e} < "
+                                       f"{EIG_FLOOR:.1e} at measurement {checked[j] + 1}")
+    if stop < hi:
+        raise TraceDrift(f"trace drifted by {drift[stop - lo]:.3e} at measurement {stop + 1}")
+
+
 def repeat(channel_factory, rho0: np.ndarray, n: int,
            trace_tol: float = 1e-6) -> np.ndarray:
     """Apply N back-to-back measurements; returns the stack of states after
@@ -569,41 +598,55 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     channel_factory(t0) must return the channel for the measurement starting
     at t0; a time-independent system may return the same channel every call.
     A channel object returned again is taken to be unchanged, so its tensor
-    must not be edited in place during the run.  The state is kept as the
-    real matrix y = Re rho + Im rho: a new channel steps it through
-    `MeasurementChannel.apply`, a channel returned again by one product with
-    its real Liouville matrix, built once.
+    must not be edited in place during the run.  The factory is called for a
+    whole run of one channel object before the run is stepped.  The state is
+    kept as the real matrix y = Re rho + Im rho: the first step of a run goes
+    through `MeasurementChannel.apply`, the others through the channel's real
+    Liouville matrix L, built once per run.  A long run takes its first BLOCK
+    states one product with L at a time, and then each next BLOCK states as
+    one product of the previous BLOCK with L**BLOCK.
     Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
     step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
-    every 64th or the last state dips below EIG_FLOOR.
+    every 64th or the last state dips below EIG_FLOOR; the states are checked
+    BLOCK at a time, and the first failure in measurement order is raised.
     """
     n = _count(n, "n", 1)
     trace_tol = _tolerance(trace_tol, "trace_tol")
     rho = check_density_matrix(rho0)
     d = rho.shape[0]
     ys = np.empty((n, d, d))
+    flat = ys.reshape(n, d * d)
     y = rho.real + rho.imag
-    last = liouville = None
     t0 = 0.0
-    for k in range(n):
-        ch = channel_factory(t0)
-        if ch is last:
-            if liouville is None:
-                liouville = _real_liouville(ch.tensor)
-            np.matmul(liouville, y.reshape(-1), out=ys[k].reshape(-1))
-        else:
-            last, liouville = ch, None
-            rho = ch.apply(_hermitian(y))  # Hermitian: apply_super averages with the adjoint
-            np.add(rho.real, rho.imag, out=ys[k])
-        y = ys[k]
-        drift = abs(y.trace() - 1.0)
-        if not drift <= trace_tol:
-            raise TraceDrift(f"trace drifted by {drift:.3e} at measurement {k + 1}")
-        if ((k + 1) % 64 == 0 or k == n - 1) and \
-                not (wmin := np.linalg.eigvalsh(_hermitian(y))[0]) >= EIG_FLOOR:
-            raise InvalidDensityMatrix(
-                f"smallest eigenvalue {wmin:.3e} < {EIG_FLOOR:.1e} at measurement {k + 1}")
-        t0 += ch.tau
+    ch = channel_factory(t0)
+    start = 0
+    while start < n:
+        end, nxt, tau = start + 1, None, ch.tau  # ch makes measurements start .. end - 1
+        while end < n:
+            t0 += tau
+            nxt = channel_factory(t0)
+            if nxt is not ch:
+                break
+            end += 1
+        rho = ch.apply(_hermitian(y))  # Hermitian: apply_super averages with the adjoint
+        np.add(rho.real, rho.imag, out=ys[start])
+        reused = end - start - 1
+        liouville = _real_liouville(ch.tensor) if reused else None
+        power = None
+        for lo in range(start, end, BLOCK):
+            hi = min(lo + BLOCK, end)
+            if lo > start and reused >= LONG_RUN and 2 * reused >= d * d:
+                if power is None:
+                    power, liouville = liouville.T, None  # frees L after one squaring
+                    for _ in range(BLOCK.bit_length() - 1):
+                        power = power @ power
+                np.matmul(flat[lo - BLOCK:hi - BLOCK], power, out=flat[lo:hi])
+            else:
+                for k in range(max(lo, start + 1), hi):
+                    np.matmul(liouville, flat[k - 1], out=flat[k])
+            _check_states(ys, lo, hi, n, trace_tol)
+        y = ys[end - 1]
+        start, ch = end, nxt
     return _hermitian(ys)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import time
 from unittest import mock
 
@@ -24,6 +25,8 @@ from zenosim.cli import (
 from zenosim.errors import NumericalConvergenceError, ParseError, ValidationError
 from zenosim.superop import load_channel
 
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 FIG1_CONFIG = {
     "experiment": "twolevel",
@@ -571,6 +574,37 @@ class TestMainEntry:
         assert main(["twolevel", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert f"exceed the cap of {cli.MAX_MEASUREMENTS}" in err and "t_inh = " in err
+
+    @pytest.mark.parametrize("command, config, hbar", [
+        ("twolevel", "fig3_weak", 1e-300), ("twolevel", "fig3_weak", 1e300),
+        ("decay", "decay_sweep_anti_zeno", 1e-300), ("decay", "decay_sweep_anti_zeno", 1e300),
+        ("spectrum", "spectrum_strong", 1e-300), ("spectrum", "spectrum_strong", 1e300)])
+    def test_extreme_hbar_exit_code(self, tmp_path, capsys, command, config, hbar):
+        # hbar² under- or overflows; a shipped config with only hbar replaced
+        cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        cfg["hbar"] = hbar
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'hbar' = {hbar!r} makes hbar² = " in err
+
+    @pytest.mark.parametrize("command, cfg, name", [
+        # the grid covers the line at hbar omega_if = 2e300, so no coverage
+        # error comes first: hbar ** 2 used to raise OverflowError
+        ("spectrum", dict(json.loads((CONFIG_DIR / "spectrum_strong.json").read_text()),
+                          hbar=1e300, grid={"e_min": -1.2e303, "e_max": 1.2e303,
+                                            "points": 3001}), "hbar²"),
+        # the Rabi frequency squares |V|/hbar = 1e160
+        ("twolevel", dict(FIG1_CONFIG, hbar=1e-160), "|V|²/hbar²"),
+        ("dump-channel", dict(DUMP_CONFIG, hbar=1e-320), "|V|/hbar"),
+        ("spectrum", spectrum_config(hbar=1e-150, grid={
+            "e_min": -1e160, "e_max": 1.0, "points": 64}), "e_min/hbar"),
+    ], ids=["spectrum-covering-grid", "twolevel-rabi", "dump-channel", "spectrum-grid-edge"])
+    def test_hbar_scaled_quantity_out_of_range_exit_code(self, tmp_path, capsys,
+                                                         command, cfg, name):
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"makes {name} = " in capsys.readouterr().err
 
     def test_inhibition_time_overflow_runs(self, tmp_path):
         # (hbar omega / v)^2 overflows a float: t_inh is infinite, the run still works

@@ -156,6 +156,28 @@ def identity_channel(dim, tau=0.1):
                               tau=tau, certified_trace_err=0.0)
 
 
+def leak_channel(leak, gain=1.0):
+    """gain times a step moving `leak` of the trace from level 1 to level 0 of
+    a two-level state: trace preserving at gain 1, not positive for any leak > 0."""
+    eye = np.eye(2)
+    tensor = gain * (np.einsum("pn,rm->prnm", eye, eye)
+                     + leak * np.einsum("pr,nm->prnm", np.diag([1.0, -1.0]), eye))
+    tensor = tensor.astype(complex)
+    return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=0.0, tau=0.1,
+                              certified_trace_err=trace_sum_rule_defect(tensor))
+
+
+def _at_blocking_threshold(test):
+    """Examples of every dimension 2-6 whose run of one channel reuses it
+    superop.LONG_RUN - 1, LONG_RUN, LONG_RUN + 1 and LONG_RUN + 4 BLOCK ± 1
+    times: just short of, at and just past the blocked path."""
+    for dim in range(2, 7):
+        for extra in (-1, 0, 1, 4 * superop.BLOCK - 1, 4 * superop.BLOCK + 1):
+            test = example(dim=dim, n_kraus=2, n=superop.LONG_RUN + 1 + extra,
+                           seed=dim + extra)(test)
+    return test
+
+
 class TestQuadratureRule:
     def test_default_rule_normalized(self):
         rule = default_rule(gaussian_detector(sigma=2.0, lam=1.0, tau=0.1), 129)
@@ -798,6 +820,7 @@ class TestRepeat:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(dim=st.integers(2, 4), n_kraus=st.integers(1, 3), n=st.integers(1, 300),
            seed=st.integers(0, 2 ** 16))
+    @_at_blocking_threshold
     def test_constant_channel_is_liouville_power(self, dim, n_kraus, n, seed):
         rng = np.random.default_rng(seed)
         ch = random_kraus_channel(rng, dim, n_kraus)
@@ -840,17 +863,19 @@ class TestRepeat:
         got = superop._hermitian(y.reshape(dim, dim))
         assert np.abs(got - apply_super(s, rho)).max() <= 1e-14 * np.abs(s).max()
 
-    @pytest.mark.parametrize("switch", [None, 1, 5], ids=["alternate", "after 1", "after 5"])
-    def test_factory_switching_channels_is_liouville_product(self, switch):
+    # "after 300": two runs long enough for the blocked step
+    @pytest.mark.parametrize("switch, n", [(None, 40), (1, 40), (5, 40), (300, 600)],
+                             ids=["alternate", "after 1", "after 5", "after 300"])
+    def test_factory_switching_channels_is_liouville_product(self, switch, n):
         rng = np.random.default_rng(7)
         first, second = random_kraus_channel(rng, 3, 2), random_kraus_channel(rng, 3, 1)
         if switch is None:
-            order = [first, second] * 20
+            order = [first, second] * (n // 2)
         else:
-            order = [first] * switch + [second] * (40 - switch)
+            order = [first] * switch + [second] * (n - switch)
         channels = iter(order)
         rho0 = random_density(rng, 3)
-        traj = repeat(lambda t0: next(channels), rho0, 40)
+        traj = repeat(lambda t0: next(channels), rho0, n)
         vec = rho0.ravel()
         for state, ch in zip(traj, order):
             vec = ch.tensor.reshape(9, 9) @ vec
@@ -878,17 +903,53 @@ class TestRepeat:
 
     @pytest.mark.parametrize("n, step", [(200, 64), (55, 55)])
     def test_positivity_checked_every_64th_and_last_step(self, n, step):
-        # trace preserving but not positive: each step moves 0.01 of the trace
-        # from level 1 to level 0, so the state turns negative after step 50
-        eye = np.eye(2)
-        tensor = (np.einsum("pn,rm->prnm", eye, eye)
-                  + 0.01 * np.einsum("pr,nm->prnm", np.diag([1.0, -1.0]), eye)).astype(complex)
-        ch = MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=0.0, tau=0.1,
-                                certified_trace_err=trace_sum_rule_defect(tensor))
+        # trace preserving but not positive: the state turns negative after step 50
+        ch = leak_channel(0.01)
         rho0 = np.eye(2, dtype=complex) / 2.0
         with pytest.raises(InvalidDensityMatrix, match=f"at measurement {step}$"):
             repeat(lambda t0: ch, rho0, n)
         assert repeat(lambda t0: ch, rho0, 50)[-1, 1, 1].real == pytest.approx(0.0, abs=1e-12)
+
+    def test_positivity_failure_inside_a_block(self):
+        # a slower leak: negative after step 166, first seen at the 3rd check
+        ch = leak_channel(0.003)
+        with pytest.raises(InvalidDensityMatrix, match="at measurement 192$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 300)
+
+    @pytest.mark.parametrize("breach", [201, 300])
+    def test_trace_drift_raises_at_its_measurement(self, breach):
+        # the trace grows by 1e-3 a step; trace_tol lies between the drifts
+        # after measurements breach - 1 and breach (breach 201 is mid-block)
+        ch = leak_channel(0.0, gain=1.001)
+        tol = (1.001 ** (breach - 1) + 1.001 ** breach) / 2.0 - 1.0
+        with pytest.raises(TraceDrift, match=f"at measurement {breach}$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 300, trace_tol=tol)
+
+    def test_trace_drift_wins_over_positivity_at_the_same_measurement(self):
+        # negative after step 166 and drifted first after step 192: both
+        # checks fail at measurement 192, and the trace is checked first
+        ch = leak_channel(0.003, gain=1.001)
+        tol = (1.001 ** 191 + 1.001 ** 192) / 2.0 - 1.0
+        with pytest.raises(TraceDrift, match="at measurement 192$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 300, trace_tol=tol)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="long double is no wider than double here")
+    def test_long_run_stays_within_1e_12_of_a_long_double_chain(self):
+        # 10^5 steps of the fig1_twolevel channel against the same real
+        # Liouville matrix stepped in long double from the first (apply) step
+        ch = build_exact(FIG1_SYS, FIG1_DET)
+        n = 100_000
+        traj = repeat(lambda t0: ch, np.diag([0.0, 1.0]).astype(complex), n)
+        liouville = superop._real_liouville(ch.tensor).astype(np.longdouble)
+        chain = np.empty((n, 4), dtype=np.longdouble)
+        chain[0] = (traj[0].real + traj[0].imag).ravel()
+        for k in range(1, n):
+            chain[k] = liouville @ chain[k - 1]
+        chain = chain.reshape(n, 2, 2)
+        transposed = np.swapaxes(chain, 1, 2)
+        assert np.abs(traj.real - (chain + transposed) / 2).max() <= 1e-12
+        assert np.abs(traj.imag - (chain - transposed) / 2).max() <= 1e-12
 
     def test_non_integer_count_rejected(self):
         ch = identity_channel(2)
