@@ -63,8 +63,8 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt;
 
     a time-dependent V the average over the detector coordinate, on the nodes
-    (q_k, w_k) of `superop._node_ladder` (at most JUMP_MAX_NODES), each on
-    time grids from 17 points,
+    (q_k, w_k) of `superop._node_ladder` (at most JUMP_MAX_NODES), the new
+    nodes of each level on one time ladder from 17 points,
 
     W = sum_k w_k |(1/hbar) int_0^tau V_fi(t0 + t) e^{i (w_fi,full + lambda q_k w_fi) t} dt|^2.
 
@@ -83,13 +83,13 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
                         _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
     memo = {}
 
-    def average(rule) -> float:
-        deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * rule.nodes
+    def average(nodes: np.ndarray, weights: np.ndarray) -> float:
+        deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * nodes
 
         def level(nt: int) -> float:
             t = np.linspace(0.0, det.tau, nt)
             amp = _filon_transform(_v_samples(sys, t0, t, memo)[:, ff, ii], t, deltas) / sys.hbar
-            return float(rule.weights @ np.abs(amp) ** 2)
+            return float(weights @ np.abs(amp) ** 2)
 
         return _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
                         "jump probability at {} time points", _relative)[0]

@@ -126,14 +126,15 @@ def unitary_exp(h: np.ndarray, angle_scale: float) -> np.ndarray:
 
 
 def unitary_exp_stack(hs: np.ndarray, angle_scale: float) -> np.ndarray:
-    """exp(-1j * angle_scale * h) for a stack of Hermitian matrices (..., d, d).
+    """exp(-1j * angle_scale * h) for a stack of Hermitian matrices (..., d, d),
+    rebuilt from each eigendecomposition as one batched product (u * phases) @ u†.
 
     No per-matrix hermiticity check; callers construct the stack from
     already-validated pieces.
     """
     w, u = np.linalg.eigh(hs)
     phases = np.exp(-1j * angle_scale * w)
-    return np.einsum("...ij,...j,...lj->...il", u, phases, u.conj())
+    return (u * phases[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def apply_super(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
 * exact quadrature over the detector coordinate q (each node propagates the
   system with the level Hamiltonian rescaled by 1 + lambda*q and the results
   are averaged over the detector's Gaussian position distribution, by a
-  given rule or by a trapezoid rule whose node count doubles until the
-  entries settle),
+  given rule or by nested trapezoid rules whose node count doubles until
+  the entries settle, each node propagated once),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
 * second-order perturbation theory in V.  For a constant V the V-linear
@@ -116,17 +116,17 @@ class MeasurementChannel:
         return apply_super(self.tensor, rho)
 
 
-def _node_levels(sys: SystemSpec, det: DetectorModel, rule: QuadratureRule) -> np.ndarray:
+def _node_levels(sys: SystemSpec, det: DetectorModel, nodes: np.ndarray) -> np.ndarray:
     """Diagonal (K, d) of each node's Hamiltonian without V, (1 + lambda q_k) e0 + e1,
     less its mid value: a node's common phase cancels in every tensor entry, and
     centring (e0 before it is scaled) keeps the phases, and their rounding, small."""
     e0 = sys.e0 - 0.5 * (sys.e0.max() + sys.e0.min())
-    h = (1.0 + det.lam * rule.nodes)[:, None] * e0 + sys.e1
+    h = (1.0 + det.lam * nodes)[:, None] * e0 + sys.e1
     return h - 0.5 * (h.max(axis=1) + h.min(axis=1))[:, None]
 
 
 def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
-                 rule: QuadratureRule, substeps: int) -> np.ndarray:
+                 nodes: np.ndarray, substeps: int) -> np.ndarray:
     """Evolution operators U(tau, xi_k) for every quadrature node, each less its
     common phase (`_node_levels`), stacked (K, d, d).
 
@@ -134,29 +134,37 @@ def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
     time-dependent V is frozen at substep midpoints and the substep
     exponentials composed in order.
     """
-    h0 = _node_levels(sys, det, rule)[:, :, None] * np.eye(sys.dim)
+    h0 = _node_levels(sys, det, nodes)[:, :, None] * np.eye(sys.dim)
     if sys.constant_v or sys.v is None:
         return unitary_exp_stack(h0 + sys.v_at(0.0), det.tau / sys.hbar)
     dt = det.tau / substeps
     u = np.broadcast_to(np.eye(sys.dim, dtype=complex), h0.shape).copy()
     for j in range(substeps):
         step = unitary_exp_stack(h0 + sys.v_at(t0 + (j + 0.5) * dt), dt / sys.hbar)
-        u = np.einsum("kab,kbc->kac", step, u)
+        u = step @ u
     return u
 
 
 def _node_sum(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """S[p, r, n, m] = sum_k w_k x_k[p, n] conj(y_k[r, m]) for stacks x, y of
-    shape (K, d, d), as one (d^2, K) @ (K, d^2) product."""
-    k, d = x.shape[:2]
-    pn_rm = (weights[:, None] * x.reshape(k, -1)).T @ y.reshape(k, -1).conj()
+    """sum_k w_k x_k[p, n] conj(y_k[r, m]) for stacks x, y of shape (K, d, d),
+    as the (d^2, d^2) matrix of rows (p, n) and columns (r, m) that one
+    (d^2, K) @ (K, d^2) product gives; `_prnm` makes it the tensor S[p, r, n, m]."""
+    k = x.shape[0]
+    return (weights[:, None] * x.reshape(k, -1)).T @ y.reshape(k, -1).conj()
+
+
+def _prnm(pn_rm: np.ndarray) -> np.ndarray:
+    """The tensor S[p, r, n, m] of a `_node_sum` matrix, C-contiguous."""
+    d = math.isqrt(pn_rm.shape[0])
     return np.ascontiguousarray(pn_rm.reshape((d,) * 4).transpose(0, 2, 1, 3))
 
 
-def _tensor_from_rule(sys: SystemSpec, det: DetectorModel, t0: float,
-                      rule: QuadratureRule, substeps: int) -> np.ndarray:
-    u = _propagators(sys, det, t0, rule, substeps)
-    return _node_sum(rule.weights, u, u)
+def _propagated_sum(sys: SystemSpec, det: DetectorModel, t0: float, nodes: np.ndarray,
+                    weights: np.ndarray, substeps: int) -> np.ndarray:
+    """`_node_sum` of the nodes' `_propagators` U with themselves: sum_k w_k U_k[p, n]
+    conj(U_k[r, m]), linear in the weights."""
+    u = _propagators(sys, det, t0, nodes, substeps)
+    return _node_sum(weights, u, u)
 
 
 ENTRY_TOL, MAX_NODES = 1e-8, 8193
@@ -183,8 +191,18 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
 
 def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
                  max_nodes: int, scale=None):
-    """Build build(rule) on trapezoid rules of doubling node counts, n -> 2n - 1,
+    """Average build over trapezoid rules of doubling node counts, n -> 2n - 1,
     until no entry moves by more than entry_tol (`_refine`, with its scale).
+
+    The rules nest, so each node is built once: build(nodes, weights), which
+    must be linear in the weights, is called on the nodes q = y / sigma that
+    the level before lacks (every node of the first level, the n - 1
+    odd-index nodes of each later one) with their raw weights e^{-y^2/2}, and
+    must return a new value, which the ladder scales in place.  A level's
+    value is N / Z, N the sum of the calls so far and Z the sum of their
+    weights, which is build on the whole `default_rule(det, n)` up to
+    rounding.  A ladder inside build that keeps an absolute tolerance divides
+    its changes by the sum of the weights it was given.
 
     In the detector coordinate y = sigma q every entry is an entire function
     of exponential type theta, the caller's phase scale (`_phase_scale` for a
@@ -193,14 +211,31 @@ def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
     ALIAS_MARGIN; every level after it resolves theta too, so two levels
     cannot agree by chance.
 
-    Returns the last tensor and the ladder, a list of (nodes, max change
-    against the level before).  Raises QuadratureNotConverged, carrying the
-    ladder, once the next level would exceed max_nodes.
+    Returns the last level's value and the ladder, a list of (nodes, max
+    change against the level before).  Raises QuadratureNotConverged, carrying
+    the ladder, once the next level would exceed max_nodes.
     """
     intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
                            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
-    return _refine(lambda k: build(default_rule(det, k)), [m + 1 for m in intervals],
-                   entry_tol, "entries at {} trapezoid nodes", scale)
+    before = []  # the value N / Z of the level before, and its Z
+
+    def level(n: int):
+        y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, n)
+        if before:
+            y = y[1::2]  # the nodes the level before lacks
+        w = np.exp(-0.5 * y ** 2)
+        # N = build + Z * (N / Z) of the level before, turned into N / Z in place: a
+        # fresh d^4 array costs its page faults, and numpy divides complex N by Z as complex
+        value, z = build(y / det.sigma, w), w.sum()
+        if before:
+            value += before[0] * before[1]
+            z += before[1]
+        value *= 1.0 / z
+        before[:] = [value, z]
+        return value
+
+    return _refine(level, [m + 1 for m in intervals], entry_tol, "entries at {} trapezoid nodes",
+                   scale)
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -211,13 +246,15 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     With an explicit rule the tensor is built on that rule.  With rule=None
     it is built on `default_rule` trapezoid rules along `_node_ladder`, until
     no tensor entry moves by more than entry_tol; meta["ladder"] lists the
-    (nodes, max change) steps.  A time-dependent V is propagated on every
-    rule with MIN_SUBSTEPS, 2 MIN_SUBSTEPS ... <= MAX_SUBSTEPS midpoint
-    substeps, extrapolated to entry_tol (`_romberg`): the exponential
-    midpoint rule is symmetric, so its error expands in even powers of the
-    step (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd ed.
-    2006, Sec. II.3).  meta["substep_ladder"] lists the last rule's
-    (substeps, max change) steps, [] for a constant V.
+    (nodes, max change) steps.  Each node is propagated once: a level adds
+    only the nodes the level before lacks.  A time-dependent V is propagated
+    on the rule, or on each level's new nodes, with MIN_SUBSTEPS,
+    2 MIN_SUBSTEPS ... <= MAX_SUBSTEPS midpoint substeps, and their average
+    extrapolated to entry_tol (`_romberg`): the exponential midpoint rule is
+    symmetric, so its error expands in even powers of the step (Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, 2nd ed. 2006,
+    Sec. II.3).  meta["substep_ladder"] lists the (substeps, max change)
+    steps of the rule or of the last level's new nodes, [] for a constant V.
 
     Raises ValueError unless entry_tol is finite and > 0,
     PropagationStepTooCoarse past MAX_SUBSTEPS and QuadratureNotConverged
@@ -228,21 +265,23 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     entry_tol = _tolerance(entry_tol, "entry_tol")
     substep_ladder = []
 
-    def build(r: QuadratureRule) -> np.ndarray:
+    def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         if sys.constant_v or sys.v is None:
-            return _tensor_from_rule(sys, det, t0, r, 1)
+            return _propagated_sum(sys, det, t0, nodes, weights, 1)
         levels = _doublings(MIN_SUBSTEPS, 0.0, MAX_SUBSTEPS,
                             f"no second substep level within {MAX_SUBSTEPS}")
-        tensor, substep_ladder[:] = _romberg(lambda m: _tensor_from_rule(sys, det, t0, r, m),
-                                             levels, entry_tol, "entries at {} substeps",
-                                             error=PropagationStepTooCoarse)
-        return tensor
+        total = weights.sum()  # the changes are those of the weighted average
+        pn_rm, substep_ladder[:] = _romberg(
+            lambda m: _propagated_sum(sys, det, t0, nodes, weights, m), levels, entry_tol,
+            "entries at {} substeps", lambda _: total, PropagationStepTooCoarse)
+        return pn_rm
 
     if rule is not None:
-        tensor, ladder, nodes, quad_err = build(rule), [], len(rule), None
+        pn_rm, ladder, nodes, quad_err = build(rule.nodes, rule.weights), [], len(rule), None
     else:
-        tensor, ladder = _node_ladder(det, _phase_scale(sys, det), build, entry_tol, MAX_NODES)
+        pn_rm, ladder = _node_ladder(det, _phase_scale(sys, det), build, entry_tol, MAX_NODES)
         nodes, quad_err = ladder[-1]
+    tensor = _prnm(pn_rm)
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
                               certified_trace_err=err,
@@ -518,15 +557,16 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
             _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
         s, eye = det.tau / sys.hbar, np.eye(sys.dim)
 
-        def build(rule: QuadratureRule) -> np.ndarray:
+        def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
             # sum_k w_k (U0 (U1 + U2)* + U1 (U0 + U1)* + U2 U0*) over each node's
             # Dyson blocks, one (d^2, 3K) @ (3K, d^2) product
-            u0, u1, u2 = _dyson_blocks(s * _node_levels(sys, det, rule), s * sys.v_at(0.0))
+            u0, u1, u2 = _dyson_blocks(s * _node_levels(sys, det, nodes), s * sys.v_at(0.0))
             u0 = u0[:, :, None] * eye
-            return _node_sum(np.tile(rule.weights, 3), np.concatenate([u0, u1, u2]),
+            return _node_sum(np.tile(weights, 3), np.concatenate([u0, u1, u2]),
                              np.concatenate([u1 + u2, u0 + u1, u0]))
 
-        s12, ladder = _node_ladder(det, _phase_scale(sys, det), build, ENTRY_TOL, MAX_NODES)
+        pn_rm, ladder = _node_ladder(det, _phase_scale(sys, det), build, ENTRY_TOL, MAX_NODES)
+        s12 = _prnm(pn_rm)
         meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
     else:
         s12, meta = _step_ladder(sys, det, steps, lambda n: _second_order_on_grid(sys, det, t0, n))
@@ -564,9 +604,11 @@ def _hermitian(y: np.ndarray) -> np.ndarray:
 # states a long run of one channel advances per product with the BLOCK-th power
 # of its real Liouville matrix, a power of two built by squaring; a run of m
 # reused steps is long when m >= LONG_RUN and 2m >= d², where streaming the
-# matrix once per block repays the squarings (about 8 d⁶ flops against 2 m d⁴)
+# matrix once per block repays the squarings (about 8 d⁶ flops against 2 m d⁴);
+# the states are checked CHECK at a time, a multiple of BLOCK
 BLOCK = 16
 LONG_RUN = 128
+CHECK = 1024
 
 
 def _check_states(ys: np.ndarray, lo: int, hi: int, n: int, trace_tol: float) -> None:
@@ -608,7 +650,7 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
     Raises ValueError unless trace_tol is finite and > 0, TraceDrift if any
     step's trace leaves 1 by more than trace_tol, and InvalidDensityMatrix if
     every 64th or the last state dips below EIG_FLOOR; the states are checked
-    BLOCK at a time, and the first failure in measurement order is raised.
+    CHECK at a time, and the first failure in measurement order is raised.
     """
     n = _count(n, "n", 1)
     trace_tol = _tolerance(trace_tol, "trace_tol")
@@ -632,19 +674,22 @@ def repeat(channel_factory, rho0: np.ndarray, n: int,
         np.add(rho.real, rho.imag, out=ys[start])
         reused = end - start - 1
         liouville = _real_liouville(ch.tensor) if reused else None
-        power = None
-        for lo in range(start, end, BLOCK):
-            hi = min(lo + BLOCK, end)
-            if lo > start and reused >= LONG_RUN and 2 * reused >= d * d:
-                if power is None:
-                    power, liouville = liouville.T, None  # frees L after one squaring
-                    for _ in range(BLOCK.bit_length() - 1):
-                        power = power @ power
-                np.matmul(flat[lo - BLOCK:hi - BLOCK], power, out=flat[lo:hi])
-            else:
-                for k in range(max(lo, start + 1), hi):
-                    np.matmul(liouville, flat[k - 1], out=flat[k])
-            _check_states(ys, lo, hi, n, trace_tol)
+        power, checked = None, start  # states start .. checked - 1 passed their checks
+        with np.errstate(over="ignore", invalid="ignore"):  # past a failure; the check raises
+            for lo in range(start, end, BLOCK):
+                hi = min(lo + BLOCK, end)
+                if lo > start and reused >= LONG_RUN and 2 * reused >= d * d:
+                    if power is None:
+                        power, liouville = liouville.T, None  # frees L after one squaring
+                        for _ in range(BLOCK.bit_length() - 1):
+                            power = power @ power
+                    np.matmul(flat[lo - BLOCK:hi - BLOCK], power, out=flat[lo:hi])
+                else:
+                    for k in range(max(lo, start + 1), hi):
+                        np.matmul(liouville, flat[k - 1], out=flat[k])
+                if hi == end or hi - checked == CHECK:
+                    _check_states(ys, checked, hi, n, trace_tol)
+                    checked = hi
         y = ys[end - 1]
         start, ch = end, nxt
     return _hermitian(ys)

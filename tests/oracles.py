@@ -1,13 +1,17 @@
-"""Reference evaluators that the tests compare the package against.
+"""Reference evaluators that the tests compare the package against, and a
+spy on the node ladder that collects the values to compare.
 
 They use scipy's special functions, which the package itself does not load.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from scipy.special import dawsn, roots_hermite, wofz
 
+from zenosim import superop
 from zenosim.decay import _filon_coeffs, _line_scales, line_mass, line_shape
 from zenosim.superop import QuadratureRule
 
@@ -81,3 +85,23 @@ def line_mass_by_sampling(omega_if: float, det, mass_tol: float = 1e-4) -> float
     x_lo, x_hi = grid[0] - omega_if, grid[-1] - omega_if
     x_max = max(2.0 / (math.pi * tau * (mass_tol / 4.0)), 4.0 * max(abs(x_lo), x_hi))
     return core + line_mass(x_hi, x_max, omega_if, det) + line_mass(-x_max, x_lo, omega_if, det)
+
+
+@contextmanager
+def spy_node_ladder(module):
+    """Record the node ladder that `module` calls: yields a dict that receives
+    the build callback the ladder is given, under "build", and the value of
+    each level, under its node count."""
+    seen = {}
+    ladder, refine = superop._node_ladder, superop._refine
+
+    def spy_ladder(det, theta, build, *args):
+        seen["build"] = build
+        return ladder(det, theta, build, *args)
+
+    def spy_refine(evaluate, levels, *args):
+        return refine(lambda n: seen.setdefault(n, evaluate(n)), levels, *args)
+
+    with mock.patch.object(module, "_node_ladder", spy_ladder), \
+            mock.patch.object(superop, "_refine", spy_refine):
+        yield seen

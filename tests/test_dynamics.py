@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_shape_closed_form
+from oracles import line_shape_closed_form, spy_node_ladder
 from zenosim import dynamics, superop
 from zenosim.errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                             ZeroStrength)
@@ -384,6 +384,33 @@ class TestJumpTimeDependentEveryStrength:
             ref = _dense_jump(sys, det, j, k, 0.0, 256)
             assert abs(w - ref) <= 1e-10 * ref
 
+    @pytest.mark.parametrize("lam", [50.0, 200.0])
+    def test_table_is_the_second_order_population_transfer(self, lam):
+        # W of a jump j -> k is S[k, k, j, j] of the second-order channel, certified
+        # on its Dyson time ladder (1024 time steps at lambda = 200); the largest
+        # relative gaps were 1.5e-8 and 1.7e-7
+        sys = _turning_system()
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
+        w = jump_table(sys, det).w
+        s = build_second_order(sys, det).tensor
+        for j, k in _TURNING_JUMPS:
+            assert abs(w[j, k] - s[k, k, j, j]) <= 1e-6 * w[j, k]
+
+    @pytest.mark.parametrize("lam", [50.0, 200.0])
+    def test_every_node_level_is_its_whole_rule(self, lam):
+        # each level after the first averages only its new nodes, each on its own
+        # time ladder; both levels match the amplitude average over their whole rule
+        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
+        for j, k in [(3, 1), (2, 0)]:
+            with spy_node_ladder(dynamics) as seen:
+                jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
+                                         *_TURNING_STATES[k])
+            average = seen.pop("build")
+            assert len(seen) == 2
+            for n, w in seen.items():
+                rule = superop.default_rule(det, n)
+                assert abs(w - average(rule.nodes, rule.weights)) <= 1e-12 * w
+
     @pytest.mark.parametrize("lam", [500.0, 2000.0])
     def test_converges_in_the_zeno_regime(self, lam):
         # a time-dependent V moves the constant-V gap of 1 to 0.82 ... 1.05 here
@@ -414,10 +441,10 @@ class TestJumpTimeDependentEveryStrength:
         # jump (first level 513 nodes), 180 for the |w_fi| = 3 jump (1025 nodes)
         det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
         for (j, k), first in [((2, 0), 513), ((3, 1), 1025)]:
-            with mock.patch.object(superop, "default_rule", wraps=superop.default_rule) as rule:
+            with mock.patch.object(superop, "_refine", wraps=superop._refine) as ladder:
                 jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
                                          *_TURNING_STATES[k])
-            assert rule.call_args_list[0].args[1] == first
+            assert ladder.call_count == 1 and ladder.call_args.args[1][0] == first
 
     def test_samples_each_time_once(self):
         # nested time levels and node levels reuse the samples they share

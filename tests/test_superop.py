@@ -30,7 +30,8 @@ from zenosim.model import (
     correlation,
     gaussian_detector,
 )
-from zenosim.qmat import apply_super, check_density_matrix, trace_sum_rule_defect, unitary_exp
+from zenosim.qmat import (apply_super, check_density_matrix, trace_sum_rule_defect, unitary_exp,
+                          unitary_exp_stack)
 from zenosim.superop import (
     EXACT_QUADRATURE,
     MeasurementChannel,
@@ -46,7 +47,7 @@ from zenosim.superop import (
     repeat,
 )
 
-from oracles import gauss_hermite_rule, unit_sum_rule_defect
+from oracles import gauss_hermite_rule, spy_node_ladder, unit_sum_rule_defect
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -292,6 +293,32 @@ class TestBuildExact:
         fixed = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 65))
         assert fixed.meta["ladder"] == []
 
+    @pytest.mark.parametrize("builder", [build_exact, build_second_order])
+    def test_every_node_level_is_its_whole_rule(self, builder):
+        # each level after the first builds only its new nodes; a tolerance below
+        # rounding keeps the ladder climbing through 65, 129 and 257 nodes
+        rng = np.random.default_rng(12)
+        sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.8), v=random_v(rng, 4, 0.3))
+        det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+        with mock.patch.object(superop, "MAX_NODES", 257), \
+                mock.patch.object(superop, "ENTRY_TOL", 1e-30), \
+                spy_node_ladder(superop) as seen, pytest.raises(QuadratureNotConverged):
+            builder(sys, det, **({"entry_tol": 1e-30} if builder is build_exact else {}))
+        build = seen.pop("build")
+        assert sorted(seen) == [65, 129, 257]
+        for n, value in seen.items():
+            rule = default_rule(det, n)
+            whole = (build_exact(sys, det, rule=rule).tensor if builder is build_exact
+                     else superop._prnm(build(rule.nodes, rule.weights)))
+            assert np.abs(superop._prnm(value) - whole).max() <= 1e-14
+
+    @pytest.mark.parametrize("lam", [50.0, 500.0])
+    def test_each_node_is_propagated_once(self, lam):
+        with mock.patch.object(superop, "unitary_exp_stack", wraps=unitary_exp_stack) as stack:
+            ch = build_exact(FIG1_SYS, gaussian_detector(sigma=1.0, lam=lam, tau=0.1))
+        assert len(ch.meta["ladder"]) == 1
+        assert sum(call.args[0].shape[0] for call in stack.call_args_list) == ch.meta["nodes"]
+
     def test_not_converged_carries_ladder(self):
         # every level resolves the phase scale, so only a tolerance below rounding
         # keeps the ladder climbing
@@ -379,7 +406,8 @@ class TestBuildExact:
             u = np.linalg.qr(a)[0]
             sys = SystemSpec(levels=tuple(float(e) for e in range(d)), v=np.zeros((d, d)))
             with mock.patch.object(superop, "_propagators", return_value=u):
-                got = superop._tensor_from_rule(sys, FIG1_DET, 0.0, rule, 1)
+                got = superop._prnm(superop._propagated_sum(sys, FIG1_DET, 0.0, rule.nodes,
+                                                            rule.weights, 1))
             want = np.einsum("k,kpn,krm->prnm", rule.weights, u, u.conj())
             assert got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-15
@@ -415,16 +443,17 @@ class TestBuildExact:
         vmat = random_v(np.random.default_rng(0), 3, 1.0)
         sys = SystemSpec(levels=(-1.0, 0.0, 1.0), v=lambda t: np.cos(3.0 * t) * vmat)
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
+        # the 65 nodes of the first level, then the 64 new nodes of the 129-node level
         with mock.patch.object(superop, "_propagators", wraps=superop._propagators) as prop:
             ch = build_exact(sys, det)
         climbs = {}
         for call in prop.call_args_list:
             climbs.setdefault(len(call.args[3]), []).append(call.args[4])
-        assert list(climbs) == [65, 129] and ch.meta["nodes"] == 129
+        assert list(climbs) == [65, 64] and ch.meta["nodes"] == 129
         for substeps in climbs.values():
             assert substeps == [superop.MIN_SUBSTEPS << k for k in range(len(substeps))]
-        assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[129][1:]
-        assert ch.meta["substeps"] == climbs[129][-1]
+        assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[64][1:]
+        assert ch.meta["substeps"] == climbs[64][-1]
         fixed = build_exact(sys, det, rule=default_rule(det, 129)).tensor
         assert np.abs(ch.tensor - fixed).max() <= 1e-8
 
@@ -442,7 +471,9 @@ class TestBuildExact:
         sys, det = channels_small_system()
         ch = build_exact(sys, det)
         rule = default_rule(det, ch.meta["nodes"])
-        coarse, fine = (superop._tensor_from_rule(sys, det, 0.0, rule, m) for m in (1024, 2048))
+        coarse, fine = (superop._prnm(superop._propagated_sum(sys, det, 0.0, rule.nodes,
+                                                              rule.weights, m))
+                        for m in (1024, 2048))
         assert np.abs(ch.tensor - (4.0 * fine - coarse) / 3.0).max() <= 1e-10
 
 
@@ -932,6 +963,29 @@ class TestRepeat:
         tol = (1.001 ** 191 + 1.001 ** 192) / 2.0 - 1.0
         with pytest.raises(TraceDrift, match="at measurement 192$"):
             repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 300, trace_tol=tol)
+
+    @pytest.mark.parametrize("breach", [superop.CHECK + 1, 1500, 2 * superop.CHECK + 1])
+    def test_trace_drift_in_a_later_check(self, breach):
+        # the states are checked CHECK = 1024 at a time: the drift passes trace_tol
+        # at the first state of the second or third check, or inside the second
+        ch = leak_channel(0.0, gain=1.0001)
+        tol = (1.0001 ** (breach - 1) + 1.0001 ** breach) / 2.0 - 1.0
+        with pytest.raises(TraceDrift, match=f"at measurement {breach}$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 3000, trace_tol=tol)
+
+    def test_positivity_failure_in_a_later_check(self):
+        # negative after step 1666, first seen at the 27th positivity check, which
+        # falls in the second CHECK
+        ch = leak_channel(0.0003)
+        with pytest.raises(InvalidDensityMatrix, match="at measurement 1728$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 3000)
+
+    def test_states_past_a_failure_overflow_silently(self):
+        # the trace doubles every step, so the states overflow within the first
+        # CHECK; that check raises the drift at measurement 1, and no overflow warning
+        ch = leak_channel(0.0, gain=2.0)
+        with pytest.raises(TraceDrift, match="at measurement 1$"):
+            repeat(lambda t0: ch, np.eye(2, dtype=complex) / 2.0, 3000)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
                         reason="long double is no wider than double here")
