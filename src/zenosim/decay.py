@@ -42,6 +42,7 @@ from .errors import (
     GridTooNarrow,
     NotInZenoRegime,
     ReservoirGridTooCoarse,
+    ZeroFrequency,
     ZeroStrength,
 )
 from .model import DetectorModel, SystemSpec, correlation, strength
@@ -53,17 +54,21 @@ from .superop import (SECOND_ORDER, MeasurementChannel, _dyson_second_order, _st
 # ---------------------------------------------------------------------------
 # reservoir coupling spectrum
 
+def _check_grid(x: np.ndarray, name: str) -> None:
+    """ValueError unless x is finite, 1-d and strictly increasing."""
+    if x.ndim != 1 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{name} must be finite, 1-d and strictly increasing")
+
+
 def _checked_table(omega, g):
     """A tabulated G as float arrays; ValueError unless both are finite, 1-d,
     of one length >= 3, on an increasing grid, with G >= 0."""
     if not (_all_finite(omega) and _all_finite(g)):  # None included
         raise ValueError("tabulated G must be given and finite")
-    omega = np.asarray(omega, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if omega.ndim != 1 or omega.shape != g.shape or omega.size < 3:
+    omega, g = np.asarray(omega, dtype=float), np.asarray(g, dtype=float)
+    if omega.shape != g.shape or omega.size < 3:
         raise ValueError("tabulated G needs matching 1-d arrays, length >= 3")
-    if np.any(np.diff(omega) <= 0):
-        raise ValueError("tabulated G grid must be increasing")
+    _check_grid(omega, "tabulated G's omega")
     if np.any(g < 0):
         raise ValueError("G must be non-negative")
     return omega, g
@@ -360,11 +365,12 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of a sampled single peak, with linear
     interpolation of the half-height crossings; ValueError unless x and y are
-    matching 1-d arrays and the maximum is > 0."""
+    matching 1-d arrays, x is strictly increasing and the maximum is > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x and y must be matching 1-d arrays, got shapes {x.shape}, {y.shape}")
+    _check_grid(x, "x")
     k = int(np.argmax(y))
     if not y[k] > 0:
         raise ValueError(f"no peak: the curve's maximum {y[k]!r} is not > 0")
@@ -436,8 +442,12 @@ def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel)
     """Narrow-reservoir strong-measurement limit R = 2 B / (Lambda hbar w_if).
 
     Insensitive to the reservoir shape; warns when the measurement-broadened
-    line is not much wider than the reservoir or its detuning.
+    line is not much wider than the reservoir or its detuning.  ValueError for
+    a non-finite w_if, ZeroFrequency for w_if = 0.
     """
+    _check_line(omega_if)
+    if omega_if == 0:
+        raise ZeroFrequency("the Zeno limit is singular at w_if = 0")
     s = strength(det)
     if s.Lambda == 0.0:
         raise ZeroStrength("Zeno limit needs a nonzero measurement strength")
@@ -445,11 +455,8 @@ def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel)
     line_w = s.Lambda * abs(omega_if)
     if not math.isfinite(b):
         warnings.warn("flat reservoir has no narrow-reservoir limit", NotInZenoRegime)
-    else:
-        detuning = abs(res.omega_r - omega_if)
-        if line_w < 10.0 * res.width or line_w < 10.0 * detuning:
-            warnings.warn("measured line is not much wider than the reservoir",
-                          NotInZenoRegime)
+    elif line_w < 10.0 * max(res.width, abs(res.omega_r - omega_if)):
+        warnings.warn("measured line is not much wider than the reservoir", NotInZenoRegime)
     return 2.0 * b / (s.Lambda * res.hbar * abs(omega_if))
 
 
@@ -459,10 +466,12 @@ def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
     W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar), tau = det.tau.
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
-    e_grid, and ValueError unless v2 is finite and >= 0."""
+    e_grid, and ValueError unless v2 is finite and >= 0 and e_grid is finite,
+    1-d and strictly increasing."""
     if not (_all_finite(v2) and v2 >= 0):
         raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)
+    _check_grid(e_grid, "e_grid")
     covered = line_mass(e_grid[0] / hbar - omega_if, e_grid[-1] / hbar - omega_if,
                         omega_if, det)
     if covered < 0.99:
@@ -477,13 +486,30 @@ def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
 
 @dataclass(frozen=True)
 class DecaySystem:
-    """Atom coupled to a discretized reservoir, ready for effective_channel."""
+    """Atom coupled to a discretized reservoir, ready for effective_channel:
+    the atom's levels, hbar and direct V (no auxiliary states, V constant), the
+    reservoir modes shared by every level, and couplings[a, beta, b] =
+    <a, mode beta| V |b, vacuum>, of shape (levels, modes, levels)."""
 
-    sys: SystemSpec
+    atom: SystemSpec
+    mode_energies: np.ndarray
+    couplings: np.ndarray
     excited: int
     ground: int
-    mode_energies: np.ndarray
     delta_e: float
+
+    def __post_init__(self):
+        couplings = np.asarray(self.couplings, dtype=complex)
+        if not (_all_finite(self.mode_energies) and np.isfinite(couplings).all()):
+            raise ValueError("mode energies and couplings must be finite")
+        modes, k = np.asarray(self.mode_energies, dtype=float), self.atom.n_levels
+        if modes.ndim != 1 or not modes.size or couplings.shape != (k, modes.size, k):
+            raise ValueError(f"couplings must have shape (levels, modes, levels), "
+                             f"got {couplings.shape} for {modes.shape} modes")
+        if self.atom.alpha_energies != ((0.0,),) * k or not self.atom.constant_v:
+            raise ValueError("the atom must have no auxiliary states and a time-independent V")
+        object.__setattr__(self, "mode_energies", modes)
+        object.__setattr__(self, "couplings", couplings)
 
 
 def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum,
@@ -492,16 +518,18 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
     """Discretize the reservoir into n_modes field states.
 
     Each mode at energy E carries |v|^2 = G(E/hbar) * dE / hbar so that the
-    mode sum reproduces the continuum integrals.  The window defaults to the
+    mode sum reproduces the continuum integrals; the excited vacuum couples
+    to the ground level's modes.  The window defaults to the
     overlap region of the measured line and the reservoir structure: 8 widths
     around a peaked G's maximum, else a window holding at least 99.5% of the
     line mass, widened to a table's grid.  Raises ValueError unless n_modes
     is an integer >= 2 and an e_window given is two finite increasing energies.
     """
     n_modes = _count(n_modes, "n_modes", 2)
+    hbar = res.hbar
+    atom = SystemSpec(levels=(e_ground, e_excited), hbar=hbar)
     if e_excited <= e_ground:
         raise ValueError("excited level must lie above the ground level")
-    hbar = res.hbar
     omega_if = (e_excited - e_ground) / hbar
     if e_window is not None:
         if not (_all_finite(e_window) and len(e_window) == 2 and e_window[0] < e_window[1]):
@@ -523,73 +551,54 @@ def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum
             lo, hi = min(lo, hbar * res.tab_omega[0]), max(hi, hbar * res.tab_omega[-1])
     modes = np.linspace(lo, hi, n_modes)
     de = modes[1] - modes[0]
-    couplings = np.sqrt(np.maximum(res.g(modes / hbar), 0.0) * de / hbar)
-    n_alpha = n_modes + 1
-    v = np.zeros((2 * n_alpha, 2 * n_alpha), dtype=complex)
-    ground, excited = 0, 1
-    # the excited vacuum, state n_alpha, couples to the ground level's modes 1 .. n_modes
-    v[1:n_alpha, n_alpha] = v[n_alpha, 1:n_alpha] = couplings
-    alpha = (0.0,) + tuple(modes)
-    sys = SystemSpec(levels=(e_ground, e_excited), alpha_energies=(alpha, alpha),
-                     v=v, hbar=hbar)
-    return DecaySystem(sys=sys, excited=excited, ground=ground,
-                       mode_energies=modes, delta_e=float(de))
+    couplings = np.zeros((2, n_modes, 2), dtype=complex)
+    couplings[0, :, 1] = np.sqrt(np.maximum(res.g(modes / hbar), 0.0) * de / hbar)
+    return DecaySystem(atom=atom, mode_energies=modes, couplings=couplings,
+                       excited=1, ground=0, delta_e=float(de))
 
 
-def _traced_on_grid(sys: SystemSpec, det: DetectorModel, steps: int) -> np.ndarray:
+def _traced_on_grid(dsys: DecaySystem, det: DetectorModel, steps: int) -> np.ndarray:
     """S1 + S2 of `effective_channel` on one trapezoid grid of steps + 1 points."""
-    k_lvl, w_alpha = sys.n_levels, np.asarray(sys.alpha_energies[0], dtype=float) / sys.hbar
-    w_at = SystemSpec(levels=sys.levels, hbar=sys.hbar).omega_level()
+    atom, cpl = dsys.atom, dsys.couplings
+    v, w_at, w_modes = atom.v_at(0.0), atom.omega_level(), dsys.mode_energies / atom.hbar
     t = np.linspace(0.0, det.tau, steps + 1)
     lags = (t[1] - t[0]) * np.arange(-steps, steps + 1)
-
-    # blocks[a, beta, b, gamma] = <a, beta| V |b, gamma>, beta = 0 the vacuum
-    blocks = sys.v_at(0.0).reshape(k_lvl, w_alpha.size, k_lvl, w_alpha.size)
     osc = np.exp(1j * w_at[:, :, None] * t)
 
     def first(a, b):
-        v_ab = blocks[a, 0, b, 0]
-        return v_ab * osc[a, b] if v_ab != 0 else None
+        return v[a, b] * osc[a, b] if v[a, b] != 0 else None
 
     def path(into, out):
-        # vacuum of b -> modes of a, then modes of e -> vacuum of c; the sum over modes
-        # becomes a correlation on the lag grid, g[steps+l] = corr(l h); beta = 0
-        # is the vacuum, whose term is the constant coeff[0]
+        # vacuum of b -> vacuum or modes of a, then back from e to the vacuum of c; the
+        # sum over modes becomes a correlation on the lag grid, g[steps+l] = corr(l h),
+        # on top of the constant vacuum term; <c, vac| V |e, beta> = conj(cpl[e, beta, c])
         (a, b), (c, e) = into, out
-        coeff = blocks[a, :, b, 0] * blocks[c, 0, e, :]
-        if not np.any(coeff):
+        vacuum, coeff = v[a, b] * v[c, e], cpl[a, :, b] * cpl[e, :, c].conj()
+        if vacuum == 0 and not np.any(coeff):
             return None
-        return osc[a, b], osc[c, e], coeff[0] + _phase_sums(coeff[1:], w_alpha[1:], lags)
+        return osc[a, b], osc[c, e], vacuum + _phase_sums(coeff, w_modes, lags)
 
-    return _dyson_second_order(np.exp(1j * w_at.T * det.tau), w_at, det, sys.hbar, t, first, path)
+    return _dyson_second_order(np.exp(1j * w_at.T * det.tau), w_at, det, atom.hbar, t, first, path)
 
 
-def effective_channel(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                      steps: int | None = None) -> MeasurementChannel:
+def effective_channel(dsys: DecaySystem, det: DetectorModel, t0: float = 0.0) -> MeasurementChannel:
     """Second-order channel on the atom alone, reservoir traced out.
 
-    The reservoir starts in the vacuum (the first auxiliary state, energy 0,
-    shared by every level); transitions back to the excited atomic state are
-    neglected, which is what makes the traced channel composable.  The sums
-    over reservoir modes collapse into correlation functions evaluated on
-    the time-difference grid (`_phase_sums`, a chirp-z transform on a
-    uniform mode grid), so the mode count barely enters the cost.  The time
-    integrals climb `build_second_order`'s time ladder from steps (meta:
-    steps, quad_entry_err, ladder, n_alpha).
+    The reservoir starts in the vacuum; transitions back to the excited
+    atomic state are neglected, which is what makes the traced channel
+    composable.  The sums over reservoir modes collapse into correlation
+    functions on the time-difference grid (`_phase_sums`), so the mode count
+    barely enters the cost.  The time integrals climb `build_second_order`'s
+    time ladder from the fastest phase of the atom plus modes (meta: steps,
+    quad_entry_err, ladder, n_alpha = modes + 1).
     """
-    alphas = sys.alpha_energies
-    if any(al != alphas[0] for al in alphas):
-        raise ValueError("every level must share the same auxiliary energies")
-    if alphas[0][0] != 0.0:
-        raise ValueError("the first auxiliary state must be the vacuum at E = 0")
-    if not sys.constant_v:
-        raise ValueError("the decay treatment assumes a time-independent V")
-
-    s12, meta = _step_ladder(sys, det, steps, lambda n: _traced_on_grid(sys, det, n))
-    s_ef = build_unperturbed(SystemSpec(levels=sys.levels, hbar=sys.hbar), det).tensor + s12
+    atom, modes = dsys.atom, dsys.mode_energies
+    s12, meta = _step_ladder(atom, det, None, np.add.outer(atom.levels, (0.0, *modes)),
+                             lambda n: _traced_on_grid(dsys, det, n))
+    s_ef = build_unperturbed(atom, det).tensor + s12
     return MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=trace_sum_rule_defect(s_ef),
-                              meta={**meta, "n_alpha": len(alphas[0])})
+                              meta={**meta, "n_alpha": modes.size + 1})
 
 
 def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpectrum,
@@ -605,7 +614,7 @@ def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpec
     window = (coarse.mode_energies[0], coarse.mode_energies[-1])
     fine = build_decay_system(e_excited, e_ground, res, det, n_modes=2 * n_modes,
                               e_window=window)
-    channel, check = (effective_channel(d.sys, det, t0=t0) for d in (coarse, fine))
+    channel, check = (effective_channel(d, det, t0=t0) for d in (coarse, fine))
     pops = np.abs(np.einsum("ppnn->pn", channel.tensor - check.tensor)).max()
     if pops > 1e-4:
         raise ReservoirGridTooCoarse(f"halving the mode spacing moves populations by {pops:.2e}")
@@ -613,6 +622,12 @@ def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpec
 
 
 def population_decay_rate(channel: MeasurementChannel, excited: int) -> float:
-    """Rate inferred from one application of the channel to the excited state."""
-    survive = channel.tensor[excited, excited, excited, excited].real
+    """Rate inferred from one application of the channel to the excited state;
+    ValueError unless excited is in range(channel.dim) and survives with S > 0."""
+    if not (isinstance(excited, (int, np.integer)) and 0 <= excited < channel.dim):
+        raise ValueError(f"excited must be a state index in range({channel.dim}), got {excited!r}")
+    survive = float(channel.tensor[excited, excited, excited, excited].real)
+    if not survive > 0:
+        raise ValueError(f"survival S[{excited}, {excited}, {excited}, {excited}] = {survive!r}"
+                         " is not > 0")
     return -math.log(survive) / channel.tau

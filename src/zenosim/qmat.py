@@ -100,7 +100,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "matrix"
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise NonHermitianInput(f"{what} has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol:

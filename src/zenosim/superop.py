@@ -515,17 +515,16 @@ def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
     return _dyson_second_order(phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
 
 
-def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, evaluate):
+def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, energies: np.ndarray, evaluate):
     """S1 + S2 and its meta entries from evaluate(n), its value on n uniform
     time steps, extrapolated along n, 2n ... <= MAX_STEPS (`_romberg`) to
-    ENTRY_TOL.  n is steps when given, else the least MIN_STEPS 2^k whose step
-    turns max|omega_full| tau or `_phase_scale` by at most 2 rad, so that two
-    coarse levels cannot agree by chance."""
-    if steps is not None:
-        steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
-        if 2 * steps > MAX_STEPS:
-            raise ValueError(f"steps = {steps} leaves no second level within {MAX_STEPS}")
-    phase = max(det.tau * float(np.ptp(sys.e0 + sys.e1)) / sys.hbar, _phase_scale(sys, det))
+    ENTRY_TOL.  n is steps (a checked count) when given, else the least
+    MIN_STEPS 2^k whose step turns the fastest phase, (max - min) tau / hbar
+    of the energies of every state, or `_phase_scale` by at most 2 rad, so
+    that two coarse levels cannot agree by chance."""
+    if steps is not None and 2 * steps > MAX_STEPS:
+        raise ValueError(f"steps = {steps} leaves no second level within {MAX_STEPS}")
+    phase = max(det.tau * float(np.ptp(energies)) / sys.hbar, _phase_scale(sys, det))
     levels = _doublings(steps or MIN_STEPS, 0.0 if steps else 0.5 * phase, MAX_STEPS,
                         f"phase {phase:.4g} rad needs more than {MAX_STEPS} time steps")
     s12, ladder = _romberg(evaluate, levels, ENTRY_TOL, "Dyson terms at {} time steps")
@@ -552,9 +551,9 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
 
     Raises ValueError for a non-integer steps and StepCountTooSmall below 16.
     """
+    if steps is not None:
+        steps = _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
     if sys.constant_v:
-        if steps is not None:
-            _count(steps, "steps", MIN_STEPS, StepCountTooSmall)
         s, eye = det.tau / sys.hbar, np.eye(sys.dim)
 
         def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -569,7 +568,8 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         s12 = _prnm(pn_rm)
         meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
     else:
-        s12, meta = _step_ladder(sys, det, steps, lambda n: _second_order_on_grid(sys, det, t0, n))
+        s12, meta = _step_ladder(sys, det, steps, sys.e0 + sys.e1,
+                                 lambda n: _second_order_on_grid(sys, det, t0, n))
     tensor = build_unperturbed(sys, det).tensor + s12
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=trace_sum_rule_defect(tensor), meta=meta)

@@ -1,5 +1,6 @@
-"""Reference evaluators that the tests compare the package against, and a
-spy on the node ladder that collects the values to compare.
+"""Reference evaluators that the tests compare the package against, a spy
+on the node ladder that collects the values to compare, and the dense
+atom-plus-modes system behind a decay system.
 
 They use scipy's special functions, which the package itself does not load.
 """
@@ -13,6 +14,7 @@ from scipy.special import dawsn, roots_hermite, wofz
 
 from zenosim import superop
 from zenosim.decay import _filon_coeffs, _line_scales, line_mass, line_shape
+from zenosim.model import SystemSpec
 from zenosim.superop import QuadratureRule
 
 
@@ -23,6 +25,22 @@ def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
     keep = w > 0.0
     return QuadratureRule(nodes=math.sqrt(2.0) * q_std * x[keep],
                           weights=w[keep] / w[keep].sum())
+
+
+def atom_plus_modes(dsys) -> SystemSpec:
+    """The atom plus its reservoir modes as one SystemSpec: every level has
+    the vacuum (E1 = 0) and the modes as auxiliary states, and the dense V
+    holds the atom's V between vacua and the couplings between a vacuum and
+    the modes, <a, beta| V |b, vac> = couplings[a, beta, b] and its conjugate."""
+    cpl = dsys.couplings
+    k, n = cpl.shape[:2]
+    v = np.zeros((k, n + 1, k, n + 1), dtype=complex)
+    v[:, 0, :, 0] = dsys.atom.v_at(0.0)
+    v[:, 1:, :, 0] = cpl
+    v[:, 0, :, 1:] = cpl.conj().transpose(2, 0, 1)
+    alpha = (0.0, *dsys.mode_energies)
+    return SystemSpec(levels=dsys.atom.levels, alpha_energies=(alpha,) * k,
+                      v=v.reshape(k * (n + 1), -1), hbar=dsys.atom.hbar)
 
 
 def unit_sum_rule_defect(s: np.ndarray) -> float:

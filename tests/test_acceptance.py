@@ -168,7 +168,7 @@ def test_criterion_7_golden_rule_recovery():
     r_golden = golden_rule(res.g0 / HBAR, 1.0, 2.0, HBAR)
     rel_identity = abs(r_overlap - r_golden) / r_golden
     dsys = build_decay_system(1.0, -1.0, res, det, n_modes=600)
-    ch = effective_channel(dsys.sys, det)
+    ch = effective_channel(dsys, det)
     rate = population_decay_rate(ch, excited=dsys.excited)
     rel_channel = abs(rate - r_golden) / r_golden
     ok = rel_identity < 1e-6 and rel_channel < 0.02

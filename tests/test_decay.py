@@ -1,6 +1,8 @@
 """Line shapes, decay rates, and the reservoir-traced effective channel."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,10 +19,11 @@ from zenosim.errors import (
     NotInZenoRegime,
     QuadratureNotConverged,
     ReservoirGridTooCoarse,
-    StepCountTooSmall,
+    ZeroFrequency,
 )
 from zenosim.model import SystemSpec, correlation, gaussian_detector, strength
 from zenosim.decay import (
+    DecaySystem,
     ReservoirSpectrum,
     _filon_coeffs,
     _filon_transform,
@@ -43,7 +46,8 @@ from zenosim.decay import (
     zeno_limit_rate,
 )
 
-from oracles import filon_segments, line_mass_by_sampling, line_shape_closed_form
+from oracles import (atom_plus_modes, filon_segments, line_mass_by_sampling,
+                     line_shape_closed_form)
 
 HBAR = 1.0
 SQRT_PI_OVER_2 = 1.2533141373155003
@@ -683,6 +687,19 @@ class TestZenoLimit:
         with pytest.warns(NotInZenoRegime):
             assert math.isinf(zeno_limit_rate(res, 2.0, det_for(100.0, 1.0)))
 
+    def test_zero_frequency_rejected(self):
+        # raised a bare ZeroDivisionError
+        res = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.2)
+        with pytest.raises(ZeroFrequency):
+            zeno_limit_rate(res, 0.0, det_for(100.0, 1.0))
+
+    @pytest.mark.parametrize("omega_if", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, omega_if):
+        # a NaN returned nan
+        res = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.2)
+        with pytest.raises(ValueError, match="must be finite"):
+            zeno_limit_rate(res, omega_if, det_for(100.0, 1.0))
+
 
 class TestEmittedSpectrum:
     def test_weak_measurement_fourier_width(self):
@@ -712,6 +729,25 @@ class TestEmittedSpectrum:
         # a 5-point x and a 6-point y gave 2.0
         with pytest.raises(ValueError, match="matching 1-d arrays"):
             fwhm(x, y)
+
+    @pytest.mark.parametrize("x", [np.linspace(1.0, -1.0, 5), np.array([-1.0, 0.0, 0.0, 0.5, 1.0]),
+                                   np.array([-1.0, -0.5, math.nan, 0.5, 1.0])],
+                             ids=["decreasing", "repeated", "nan"])
+    def test_fwhm_needs_an_increasing_grid(self, x):
+        # a decreasing x gave a width of -2.0
+        with pytest.raises(ValueError, match="x must be finite, 1-d and strictly increasing"):
+            fwhm(x, np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("e_grid", [np.linspace(44.0, -40.0, 64), np.zeros((8, 8)),
+                                        np.concatenate([np.linspace(-40.0, 2.0, 32),
+                                                        np.linspace(2.0, 44.0, 32)])],
+                             ids=["decreasing", "2-d", "repeated"])
+    def test_emitted_spectrum_needs_an_increasing_grid(self, e_grid):
+        # a decreasing grid raised GridTooNarrow, "covers only -0.9997 of the line mass"
+        with mock.patch.object(decay, "_romberg") as ladder, \
+                pytest.raises(ValueError, match="e_grid must be finite, 1-d and strictly increasing"):
+            emitted_spectrum(2.0, det_for(40.0, 0.5), 1.0, e_grid)
+        ladder.assert_not_called()
 
     def test_strong_measurement_width_tracks_lambda(self):
         ratios = []
@@ -785,7 +821,57 @@ class TestLineBoundary:
         ladder.assert_not_called()
 
 
+def _decay_system(**changes):
+    """A small valid DecaySystem with the given fields replaced."""
+    fields = dict(atom=SystemSpec(levels=(-1.0, 1.0)), mode_energies=np.linspace(-3.0, 3.0, 4),
+                  couplings=np.zeros((2, 4, 2), dtype=complex), excited=1, ground=0, delta_e=2.0)
+    return DecaySystem(**{**fields, **changes})
+
+
 class TestDecaySystemBoundary:
+    def test_valid_system_is_kept(self):
+        dsys = _decay_system(mode_energies=[-3, -1, 1, 3], couplings=np.ones((2, 4, 2)).tolist())
+        assert dsys.mode_energies.dtype == float and dsys.couplings.dtype == complex
+
+    @pytest.mark.parametrize("field, value", [
+        ("mode_energies", np.array([-3.0, math.nan, 1.0, 3.0])),
+        ("mode_energies", np.array([-3.0, -1.0, 1.0, math.inf])),
+        ("mode_energies", [0.0, 10 ** 400, 1.0, 2.0]),
+        ("couplings", np.full((2, 4, 2), complex(0.0, math.nan))),
+        ("couplings", np.full((2, 4, 2), math.inf)),
+        ("couplings", None)],
+        ids=["nan_mode", "inf_mode", "huge_mode", "nan_coupling", "inf_coupling", "no_couplings"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            _decay_system(**{field: value})
+
+    @pytest.mark.parametrize("changes", [
+        {"couplings": np.zeros((2, 3, 2))}, {"couplings": np.zeros((2, 4))},
+        {"couplings": np.zeros((3, 4, 3))}, {"mode_energies": np.zeros((2, 2))},
+        {"mode_energies": np.zeros(0), "couplings": np.zeros((2, 0, 2))}],
+        ids=["modes", "2-d", "levels", "2-d_modes", "no_modes"])
+    def test_couplings_shape_rejected(self, changes):
+        with pytest.raises(ValueError, match=r"must have shape \(levels, modes, levels\)"):
+            _decay_system(**changes)
+
+    @pytest.mark.parametrize("alphas", [((0.0, 0.5), (0.0,)), ((0.5,), (0.5,))])
+    def test_atom_with_auxiliary_states_rejected(self, alphas):
+        # the auxiliary states of the atom would be a second reservoir the kernel never reads
+        atom = SystemSpec(levels=(-1.0, 1.0), alpha_energies=alphas)
+        with pytest.raises(ValueError, match="no auxiliary states and a time-independent V"):
+            _decay_system(atom=atom)
+
+    def test_atom_with_time_dependent_v_rejected(self):
+        atom = SystemSpec(levels=(-1.0, 1.0), v=lambda t: np.cos(t) * np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ValueError, match="no auxiliary states and a time-independent V"):
+            _decay_system(atom=atom)
+
+    @pytest.mark.parametrize("e_excited, e_ground", [(math.nan, -1.0), (1.0, -math.inf),
+                                                     (math.inf, -1.0)])
+    def test_build_decay_system_rejects_non_finite_levels(self, e_excited, e_ground):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_decay_system(e_excited, e_ground, _RES, det_for(10.0, 0.5), n_modes=4)
+
     @pytest.mark.parametrize("window", [(3.0, -3.0), (3.0, 3.0), (math.nan, 3.0),
                                         (-3.0, math.inf), (-3.0, 0.0, 3.0)])
     def test_build_decay_system_rejects_bad_window(self, window):
@@ -796,12 +882,17 @@ class TestDecaySystemBoundary:
                                    e_window=window)
 
 
+def _identity_channel():
+    """The unperturbed two-level channel at lambda = 0, which keeps populations."""
+    return superop.build_unperturbed(SystemSpec(levels=(-1.0, 1.0)), det_for(0.0, 0.5))
+
+
 class TestEffectiveChannel:
     def test_zero_coupling_keeps_populations(self):
         res = ReservoirSpectrum.flat(0.0)
         det = det_for(30.0, 0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=40)
-        ch = effective_channel(dsys.sys, det)
+        ch = effective_channel(dsys, det)
         pops = np.einsum("ppnn->pn", ch.tensor).real
         np.testing.assert_allclose(pops, np.eye(2), atol=1e-12)
 
@@ -809,7 +900,7 @@ class TestEffectiveChannel:
         res = ReservoirSpectrum.flat(0.001)
         det = gaussian_detector(sigma=1.0, lam=2.0, tau=1.0)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=600)
-        ch = effective_channel(dsys.sys, det)
+        ch = effective_channel(dsys, det)
         rate = population_decay_rate(ch, excited=dsys.excited)
         rg = 2.0 * math.pi * res.g0 / HBAR ** 2
         assert abs(rate - rg) / rg < 0.02
@@ -818,7 +909,7 @@ class TestEffectiveChannel:
         res = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.2)
         det = gaussian_detector(sigma=1.0, lam=50.0, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=300)
-        ch = effective_channel(dsys.sys, det)
+        ch = effective_channel(dsys, det)
         rate = population_decay_rate(ch, excited=dsys.excited)
         rz = zeno_limit_rate(res, 2.0, det)
         rr = decay_rate(res, 2.0, det)
@@ -829,7 +920,7 @@ class TestEffectiveChannel:
         res = ReservoirSpectrum.gaussian_peak(b=1e-3, omega_r=2.0, w=0.2)
         det = gaussian_detector(sigma=1.0, lam=50.0, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=200)
-        ch = effective_channel(dsys.sys, det)
+        ch = effective_channel(dsys, det)
         assert ch.certified_trace_err < 1e-8
 
     def test_coarse_grid_detected(self):
@@ -864,14 +955,6 @@ class TestEffectiveChannel:
         rate = population_decay_rate(ch, excited=1)
         assert rate == pytest.approx(decay_rate(tab, 1.0, det), rel=1e-3)
 
-    def test_requires_vacuum_first(self):
-        from zenosim.model import SystemSpec
-        sys = SystemSpec(levels=(0.0, 2.0), alpha_energies=((1.0, 2.0), (1.0, 2.0)),
-                         v=np.zeros((4, 4)))
-        det = det_for(10.0, 0.5)
-        with pytest.raises(ValueError):
-            effective_channel(sys, det)
-
     @pytest.mark.parametrize("n_modes", [2, 4])
     @pytest.mark.parametrize("res", [ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4),
                                      ReservoirSpectrum.gaussian_peak(b=0.05, omega_r=1.5, w=0.3)],
@@ -883,13 +966,27 @@ class TestEffectiveChannel:
         # with the modes in vacuum
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=n_modes)
-        full = (superop.build_unperturbed(dsys.sys, det).tensor
-                + superop._second_order_on_grid(dsys.sys, det, 0.0, 96))
-        k, a = dsys.sys.n_levels, n_modes + 1
+        sys = atom_plus_modes(dsys)
+        full = (superop.build_unperturbed(sys, det).tensor
+                + superop._second_order_on_grid(sys, det, 0.0, 96))
+        k, a = sys.n_levels, n_modes + 1
         traced = np.einsum("pbrbnm->prnm", full.reshape((k, a) * 4)[:, :, :, :, :, 0, :, 0])
-        atom = SystemSpec(levels=dsys.sys.levels)
-        eff = superop.build_unperturbed(atom, det).tensor + decay._traced_on_grid(dsys.sys, det, 96)
+        eff = (superop.build_unperturbed(dsys.atom, det).tensor
+               + decay._traced_on_grid(dsys, det, 96))
         assert np.abs(eff - traced).max() <= 1e-14
+
+    def test_traced_channel_reads_no_dense_v(self):
+        # one dense V of the atom plus 800 modes, 1602 states, is 41 MB
+        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
+        det = gaussian_detector(sigma=1.0, lam=50.0, tau=2.0)
+        tracemalloc.start()
+        try:
+            ch = effective_channel(build_decay_system(0.5, -0.5, res, det, n_modes=800), det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ch.meta["n_alpha"] == 801
+        assert peak < 4 * 2 ** 20
 
     @staticmethod
     def _e_mat_sums(coeff, w, h, n):
@@ -925,10 +1022,8 @@ class TestEffectiveChannel:
         det = gaussian_detector(sigma=1.0, lam=5.0, tau=0.5)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=100)
         modes = dsys.mode_energies + 0.3 * dsys.delta_e * np.sin(np.arange(100))
-        alpha = (0.0,) + tuple(modes)
-        sys = SystemSpec(levels=dsys.sys.levels, alpha_energies=(alpha, alpha),
-                         v=dsys.sys.v, hbar=1.0)
-        assert self._check_mode_sums(effective_channel, sys, det) == 0
+        assert self._check_mode_sums(effective_channel,
+                                     dataclasses.replace(dsys, mode_energies=modes), det) == 0
 
     @pytest.mark.parametrize("k", [3, 4, 63, 64, 65, 400])
     @pytest.mark.parametrize("n", [2, 97, 2001])
@@ -952,14 +1047,22 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError, match="n_modes"):
             build_decay_system(1.0, -1.0, res, det_for(10.0, 0.5), n_modes=n_modes)
 
-    @pytest.mark.parametrize("steps, error", [(0, StepCountTooSmall), (15, StepCountTooSmall),
-                                              (96.0, ValueError)])
-    def test_bad_step_count_rejected(self, steps, error):
-        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
-        det = det_for(10.0, 0.5)
-        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
-        with pytest.raises(error):
-            effective_channel(dsys.sys, det, steps=steps)
+    @pytest.mark.parametrize("excited", [-1, 2, 1.0, "1"])
+    def test_population_decay_rate_needs_a_state_index(self, excited):
+        # excited = -1 silently read the last state
+        ch = _identity_channel()
+        with pytest.raises(ValueError, match=r"excited must be a state index in range\(2\)"):
+            population_decay_rate(ch, excited)
+
+    @pytest.mark.parametrize("survive", [0.0, -1e-3, math.nan])
+    def test_population_decay_rate_needs_a_positive_survival(self, survive):
+        # a survival <= 0 ended in a bare "math domain error"
+        ch = _identity_channel()
+        tensor = ch.tensor.copy()
+        tensor[1, 1, 1, 1] = survive
+        ch = dataclasses.replace(ch, tensor=tensor)
+        with pytest.raises(ValueError, match=r"survival S\[1, 1, 1, 1\] = .* is not > 0"):
+            population_decay_rate(ch, 1)
 
     def test_level_order_validated(self):
         res = ReservoirSpectrum.flat(0.001)

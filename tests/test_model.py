@@ -186,6 +186,14 @@ class TestSystemSpec:
         with pytest.raises(NonHermitianInput):
             SystemSpec(levels=(0.0, 1.0), v=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_accepts_a_strided_view_of_v(self):
+        # the finiteness check viewed V as floats, which a view with a strided
+        # last axis refused with "the last axis must be contiguous"
+        blocks = np.zeros((2, 3, 2, 3), dtype=complex)
+        blocks[0, 0, 1, 0], blocks[1, 0, 0, 0] = 0.5j, -0.5j
+        sys = SystemSpec(levels=(0.0, 1.0), v=blocks[:, 0, :, 0])
+        assert sys.v[0, 1] == 0.5j
+
     def test_rejects_non_hermitian_callable_sample(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NonHermitianInput):

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import decay, superop
-from zenosim.decay import (ReservoirSpectrum, build_decay_system, effective_channel,
-                           measured_decay_channel)
+from zenosim.decay import (DecaySystem, ReservoirSpectrum, build_decay_system,
+                           effective_channel, measured_decay_channel)
 from zenosim.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -660,7 +660,7 @@ class TestBuildSecondOrder:
         return {"build_second_order": (superop, "_second_order_on_grid",
                                        lambda **kw: build_second_order(timed, FIG1_DET, **kw)),
                 "effective_channel": (decay, "_traced_on_grid",
-                                      lambda **kw: effective_channel(dsys.sys, FIG1_DET, **kw))}
+                                      lambda **kw: effective_channel(dsys, FIG1_DET, **kw))}
 
     @pytest.mark.parametrize("caller", ["build_second_order", "effective_channel"])
     def test_time_ladder_exhaustion_carries_ladder(self, caller):
@@ -680,7 +680,7 @@ class TestBuildSecondOrder:
         assert f"4096 time steps still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
     @pytest.mark.parametrize("steps", [2049, 4096, 10 ** 6])
-    @pytest.mark.parametrize("caller", ["build_second_order", "effective_channel"])
+    @pytest.mark.parametrize("caller", ["build_second_order"])  # effective_channel takes no steps
     def test_steps_leaving_no_second_level_rejected(self, caller, steps):
         # 10^6 steps would ask for (10^6 + 1)^2 kernel buffers
         module, grid, build = self._time_ladder_callers()[caller]
@@ -710,23 +710,25 @@ class TestBuildSecondOrder:
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
         dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
-        fast = decay._traced_on_grid(dsys.sys, det, 96)
-        slow = _per_path(decay._traced_on_grid, dsys.sys, det, 96)
+        fast = decay._traced_on_grid(dsys, det, 96)
+        slow = _per_path(decay._traced_on_grid, dsys, det, 96)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     @pytest.mark.parametrize("lam", [5.0, 30.0])
     def test_three_level_effective_channel_matches_per_path(self, lam):
         # transitions between different level pairs meet in one path, so some triples
-        # are not lag-only and their dense kernels take g as a Toeplitz matrix
-        alphas = (0.0, 0.7, 1.1, 1.6, 2.4)
-        sys = SystemSpec(levels=(-1.0, 0.3, 1.5), alpha_energies=(alphas,) * 3,
-                         v=random_v(np.random.default_rng(7), 15, 0.05))
+        # are not lag-only and their dense kernels take g as a Toeplitz matrix; the
+        # atom's V and the couplings are the vacuum column of a random 15 x 15 V
+        blocks = random_v(np.random.default_rng(7), 15, 0.05).reshape(3, 5, 3, 5)
+        dsys = DecaySystem(atom=SystemSpec(levels=(-1.0, 0.3, 1.5), v=blocks[:, 0, :, 0]),
+                           mode_energies=np.array([0.7, 1.1, 1.6, 2.4]),
+                           couplings=blocks[:, 1:, :, 0], excited=2, ground=0, delta_e=0.4)
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
         steps = 96
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
-            fast = decay._traced_on_grid(sys, det, steps)
+            fast = decay._traced_on_grid(dsys, det, steps)
         assert any(np.shape(c.args[1]) == (steps + 1,) * 2 for c in corr.call_args_list)
-        slow = _per_path(decay._traced_on_grid, sys, det, steps)
+        slow = _per_path(decay._traced_on_grid, dsys, det, steps)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     def test_one_kernel_per_frequency_triple(self):
@@ -776,10 +778,10 @@ class TestBuildSecondOrder:
         with mock.patch.object(superop, "correlation", wraps=correlation) as corr, \
                 mock.patch.object(superop, "_triangle_weights",
                                   wraps=_triangle_weights) as tri:
-            decay._traced_on_grid(dsys.sys, det, steps)
+            decay._traced_on_grid(dsys, det, steps)
             tracemalloc.start()
             try:
-                decay._traced_on_grid(dsys.sys, det, steps)
+                decay._traced_on_grid(dsys, det, steps)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
