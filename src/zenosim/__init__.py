@@ -8,11 +8,8 @@ lines and Zeno / anti-Zeno decay rates for decaying systems.
 """
 
 from .decay import (
-    DecaySystem,
     ReservoirSpectrum,
-    build_decay_system,
     decay_rate,
-    effective_channel,
     emitted_spectrum,
     fwhm,
     golden_rule,
@@ -60,8 +57,7 @@ from .superop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecaySystem", "ReservoirSpectrum", "build_decay_system",
-    "decay_rate", "effective_channel", "emitted_spectrum", "fwhm", "golden_rule",
+    "ReservoirSpectrum", "decay_rate", "emitted_spectrum", "fwhm", "golden_rule",
     "line_mass", "line_shape", "measured_decay_channel",
     "population_decay_rate", "zeno_limit_rate",
     "JumpTable", "RateMatrix", "inhibition_time", "jump_probability_general",

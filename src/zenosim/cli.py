@@ -177,29 +177,33 @@ def _without_nulls(block: dict) -> dict:
             for key, val in block.items() if val is not None}
 
 
-def _hbar_scaled(experiment, hbar: float, values: dict):
-    """(name, unscaled value, scaled value) of each hbar-scaled quantity the
-    experiment forms from its config: hbar² where it divides by it, the level
-    energy hbar·omega/2 and the frequency |V|/hbar of the two-level system
-    (squared in the Rabi frequency of twolevel), and the grid edges E/hbar
-    of a spectrum.  Quantities of invalid values are left out: those values
-    are reported already."""
+def _scaled(experiment, hbar: float, values: dict):
+    """(key, name, unscaled value, scaled value) of each quantity the
+    experiment forms by scaling the config value of key: hbar² where it
+    divides by it, the level energy hbar·omega/2 and the frequency |V|/hbar
+    of the two-level system (squared in the Rabi frequency of twolevel), the
+    grid edges E/hbar of a spectrum, and the squares of the widths of F and G
+    (sigma, gamma, w).  Quantities of invalid values are left out: those
+    values are reported already."""
     if experiment in ("twolevel", "decay_sweep", "spectrum"):
-        yield "hbar²", 1.0, hbar * hbar
+        yield "hbar", "hbar²", 1.0, hbar * hbar
     if experiment in ("twolevel", "channel_dump"):
         omega, v_re = values.get("system.V.omega"), values.get("system.V.v_re")
         if omega is not None:
-            yield "hbar·omega/2", omega, hbar * omega / 2.0
+            yield "hbar", "hbar·omega/2", omega, hbar * omega / 2.0
         if v_re is not None:
             v = abs(complex(v_re, values.get("system.V.v_im", 0.0)))
-            yield "|V|/hbar", v, v / hbar
+            yield "hbar", "|V|/hbar", v, v / hbar
             if experiment == "twolevel":
-                yield "|V|²/hbar²", v * v, (v / hbar) * (v / hbar)
+                yield "hbar", "|V|²/hbar²", v * v, (v / hbar) * (v / hbar)
     if experiment == "spectrum":
         for edge in ("e_min", "e_max"):
             if values.get(f"grid.{edge}") is not None:
                 energy = values[f"grid.{edge}"]
-                yield f"{edge}/hbar", energy, energy / hbar
+                yield "hbar", f"{edge}/hbar", energy, energy / hbar
+    for key in ("detector.sigma", "reservoir.gamma", "reservoir.w"):
+        if values.get(key) is not None:
+            yield key, key.split(".")[1] + "²", values[key], values[key] * values[key]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -240,10 +244,6 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("sweep.points", "grid.points"):
         if values.get(name, 0) > MAX_MEASUREMENTS:
             errors.append(f"'{name}' must be at most {MAX_MEASUREMENTS}")
-    for name, unscaled, scaled in _hbar_scaled(experiment, hbar, values):
-        if not (math.isfinite(scaled) and (scaled != 0.0 or unscaled == 0.0)):
-            errors.append(f"'hbar' = {hbar!r} makes {name} = {scaled!r}, "
-                          "which must be finite and non-zero")
     reservoir = values.get("reservoir")
     if reservoir is not None:
         kind = reservoir.get("kind")
@@ -254,6 +254,10 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             _walk(reservoir, {"kind": (True, None), **_RESERVOIRS[kind][1]},
                   "reservoir.", experiment, errors, values)
+    for key, name, unscaled, scaled in _scaled(experiment, hbar, values):
+        if not (math.isfinite(scaled) and (scaled != 0.0 or unscaled == 0.0)):
+            errors.append(f"'{key}' = {values.get(key, hbar)!r} makes {name} = {scaled!r}, "
+                          "which must be finite and non-zero")
 
     if errors:
         raise ValidationError(errors)
@@ -390,7 +394,7 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     for lam_big in lambdas:
         det = _detector(cfg, lam=lam_big * c_const)
         try:
-            rate, err = _decay._rate_and_error(res, omega_if, det, rel_tol)
+            rate, ladder = _decay._rate_and_ladder(res, omega_if, det, rel_tol)
         except NumericalConvergenceError as exc:
             raise NumericalConvergenceError(
                 f"Lambda = {lam_big:.6g}: {exc}", exc.ladder) from exc
@@ -398,7 +402,7 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
             warnings.simplefilter("ignore", NotInZenoRegime)
             r_zeno = _decay.zeno_limit_rate(res, omega_if, det)
         rows.append((lam_big, rate, r_golden, r_zeno))
-        errors.append(err)
+        errors.append(ladder[-1][1] if ladder else 0.0)
     header = ["zeno-sim decay", f"config: {_config_echo(cfg)}",
               f"golden_rule: {_fmt(r_golden)}"]
     _write_csv(out, header, ["Lambda", "R", "R_golden", "R_zeno_limit"], rows)

@@ -19,11 +19,12 @@ only itself, and the oscillation e^{i delta t} is integrated exactly on every
 segment, so accuracy does not degrade with detuning.  The integrals of g
 (P, the line mass, the decay rate, and the constant-V jump probability of
 `dynamics`, the golden-rule factor times P) run on time grids refined 1, 2,
-4, 8 times, certified after a Richardson step (`qmat._romberg`).  Every
-phase sum sum_j c_j e^{i x_j y_k} behind them, and behind the mode sums of
-the reservoir-traced channel, is one routine (`_phase_sums`): a blocked
-chirp-z transform when both grids are uniform and the phases stay below
-CHIRP_MAX_PHASE, dense phase products otherwise.  The line mass over a
+4, 8 times, certified after a Richardson step (`qmat._romberg`); so do the
+two transforms behind the measured decay channel, whose continuum enters
+through G^ alone.  Every phase sum sum_j c_j e^{i x_j y_k} behind them is
+one routine (`_phase_sums`): a blocked chirp-z transform when both grids
+are uniform and the phases stay below CHIRP_MAX_PHASE, dense phase
+products otherwise.  The line mass over a
 window adds the sine integral Si at its edges, evaluated with `math` alone
 (`_si`).  Every line function raises ValueError before any ladder runs for
 a non-finite frequency or window edge; tau comes from the detector and hbar
@@ -38,17 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    GridTooNarrow,
-    NotInZenoRegime,
-    ReservoirGridTooCoarse,
-    ZeroFrequency,
-    ZeroStrength,
-)
+from .errors import GridTooNarrow, NotInZenoRegime, ZeroFrequency, ZeroStrength
 from .model import DetectorModel, SystemSpec, correlation, strength
-from .qmat import _all_finite, _count, _romberg, _tolerance, trace_sum_rule_defect
-from .superop import (SECOND_ORDER, MeasurementChannel, _dyson_second_order, _step_ladder,
-                      build_unperturbed)
+from .qmat import _all_finite, _romberg, _tolerance, trace_sum_rule_defect
+from .superop import SECOND_ORDER, MeasurementChannel, build_unperturbed
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +98,10 @@ class ReservoirSpectrum:
             raise ValueError(f"unknown reservoir kind {self.kind!r}")
         if not self.hbar > 0 or self.g0 < 0 or self.b < 0:
             raise ValueError("need hbar > 0 and a non-negative G: g0 >= 0 and B >= 0")
-        if self.kind != "flat" and not self.width > 0:
-            raise ValueError(f"a {self.kind} reservoir needs width > 0")
+        square = self.width * self.width
+        if self.kind != "flat" and not (self.width > 0 and 0.0 < square < math.inf):
+            raise ValueError(f"a {self.kind} reservoir needs width > 0 with a finite, "
+                             f"non-zero square, got {self.width!r}")
         if self.kind == "tabulated":
             omega, g = _checked_table(self.tab_omega, self.tab_g)
             object.__setattr__(self, "tab_omega", omega)
@@ -405,29 +401,36 @@ def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
     return _filon_transform(res.tab_g, res.tab_omega - res.omega_r, t)
 
 
-def _rate_and_error(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
-                    rel_tol: float = 1e-4):
-    """(decay_rate, relative change of the grid doubling that certified it)."""
+RATE_REL_TOL = 1e-4  # default relative tolerance of the decay rate and of the decay channel
+
+
+def _reservoir_grid(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
+                    refine: int) -> np.ndarray:
+    """`_line_time_grid` resolving the reservoir factor too: its width, or a table's reach."""
+    width = res.width if res.tab_omega is None else np.abs(res.tab_omega - res.omega_r).max()
+    return _line_time_grid(omega_if, det, refine, width)
+
+
+def _rate_and_ladder(res: ReservoirSpectrum, omega_if: float, det: DetectorModel,
+                     rel_tol: float = RATE_REL_TOL):
+    """(decay_rate, the (refine, relative change) ladder that certified it; [] for a flat G)."""
     _check_line(omega_if)
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if res.kind == "flat":
-        return 2.0 * math.pi * res.g0 / res.hbar ** 2, 0.0
-    # the grid resolves the reservoir factor too: its width, or a table's reach
-    width = res.width if res.tab_omega is None else np.abs(res.tab_omega - res.omega_r).max()
+        return 2.0 * math.pi * res.g0 / res.hbar ** 2, []
     delta = np.array([res.omega_r - omega_if])
 
     def evaluate(refine: int) -> float:
-        t = _line_time_grid(omega_if, det, refine, width)
+        t = _reservoir_grid(res, omega_if, det, refine)
         g = _line_kernel(omega_if, det, t) * _reservoir_envelope(res, t)
         return 2.0 * float(_filon_transform(g, t, delta)[0].real) / res.hbar ** 2
 
-    rate, ladder = _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
-                            scale=lambda r: max(abs(r), 1e-300))
-    return rate, ladder[-1][1]
+    return _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
+                    scale=lambda r: max(abs(r), 1e-300))
 
 
 def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel, *,
-               rel_tol: float = 1e-4) -> float:
+               rel_tol: float = RATE_REL_TOL) -> float:
     """Measurement-modified decay rate R = (2 pi / hbar^2) int G(w) P(w) dw.
 
     Exact for a flat reservoir (the golden rule 2 pi G0 / hbar^2); otherwise
@@ -435,7 +438,7 @@ def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel, *,
     the extrapolated rate moves by at most rel_tol relative (ValueError
     unless rel_tol is finite and > 0).
     """
-    return _rate_and_error(res, omega_if, det, rel_tol)[0]
+    return _rate_and_ladder(res, omega_if, det, rel_tol)[0]
 
 
 def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel) -> float:
@@ -482,143 +485,63 @@ def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
 
 
 # ---------------------------------------------------------------------------
-# effective channel of atom + discretized reservoir
-
-@dataclass(frozen=True)
-class DecaySystem:
-    """Atom coupled to a discretized reservoir, ready for effective_channel:
-    the atom's levels, hbar and direct V (no auxiliary states, V constant), the
-    reservoir modes shared by every level, and couplings[a, beta, b] =
-    <a, mode beta| V |b, vacuum>, of shape (levels, modes, levels)."""
-
-    atom: SystemSpec
-    mode_energies: np.ndarray
-    couplings: np.ndarray
-    excited: int
-    ground: int
-    delta_e: float
-
-    def __post_init__(self):
-        couplings = np.asarray(self.couplings, dtype=complex)
-        if not (_all_finite(self.mode_energies) and np.isfinite(couplings).all()):
-            raise ValueError("mode energies and couplings must be finite")
-        modes, k = np.asarray(self.mode_energies, dtype=float), self.atom.n_levels
-        if modes.ndim != 1 or not modes.size or couplings.shape != (k, modes.size, k):
-            raise ValueError(f"couplings must have shape (levels, modes, levels), "
-                             f"got {couplings.shape} for {modes.shape} modes")
-        if self.atom.alpha_energies != ((0.0,),) * k or not self.atom.constant_v:
-            raise ValueError("the atom must have no auxiliary states and a time-independent V")
-        object.__setattr__(self, "mode_energies", modes)
-        object.__setattr__(self, "couplings", couplings)
-
-
-def build_decay_system(e_excited: float, e_ground: float, res: ReservoirSpectrum,
-                       det: DetectorModel, *, n_modes: int = 400,
-                       e_window: tuple | None = None) -> DecaySystem:
-    """Discretize the reservoir into n_modes field states.
-
-    Each mode at energy E carries |v|^2 = G(E/hbar) * dE / hbar so that the
-    mode sum reproduces the continuum integrals; the excited vacuum couples
-    to the ground level's modes.  The window defaults to the
-    overlap region of the measured line and the reservoir structure: 8 widths
-    around a peaked G's maximum, else a window holding at least 99.5% of the
-    line mass, widened to a table's grid.  Raises ValueError unless n_modes
-    is an integer >= 2 and an e_window given is two finite increasing energies.
-    """
-    n_modes = _count(n_modes, "n_modes", 2)
-    hbar = res.hbar
-    atom = SystemSpec(levels=(e_ground, e_excited), hbar=hbar)
-    if e_excited <= e_ground:
-        raise ValueError("excited level must lie above the ground level")
-    omega_if = (e_excited - e_ground) / hbar
-    if e_window is not None:
-        if not (_all_finite(e_window) and len(e_window) == 2 and e_window[0] < e_window[1]):
-            raise ValueError(f"e_window must be two finite increasing energies, got {e_window!r}")
-        lo, hi = e_window
-    elif res.kind in ("lorentzian", "gaussian_peak"):
-        lo = min(hbar * omega_if, hbar * res.omega_r) - 8.0 * hbar * res.width
-        hi = max(hbar * omega_if, hbar * res.omega_r) + 8.0 * hbar * res.width
-    else:
-        s_g = 1.0 / _line_scales(omega_if, det)[1]
-        half = hbar * max(10.0 * s_g, 130.0 / det.tau)
-        lo, hi = hbar * omega_if - half, hbar * omega_if + half
-        for _ in range(8):
-            mass = line_mass(lo / hbar - omega_if, hi / hbar - omega_if, omega_if, det)
-            if mass >= 0.995:
-                break
-            lo, hi = 1.5 * lo - 0.5 * hbar * omega_if, 1.5 * hi - 0.5 * hbar * omega_if
-        if res.tab_omega is not None:  # a table's G is nonzero only on its grid
-            lo, hi = min(lo, hbar * res.tab_omega[0]), max(hi, hbar * res.tab_omega[-1])
-    modes = np.linspace(lo, hi, n_modes)
-    de = modes[1] - modes[0]
-    couplings = np.zeros((2, n_modes, 2), dtype=complex)
-    couplings[0, :, 1] = np.sqrt(np.maximum(res.g(modes / hbar), 0.0) * de / hbar)
-    return DecaySystem(atom=atom, mode_energies=modes, couplings=couplings,
-                       excited=1, ground=0, delta_e=float(de))
-
-
-def _traced_on_grid(dsys: DecaySystem, det: DetectorModel, steps: int) -> np.ndarray:
-    """S1 + S2 of `effective_channel` on one trapezoid grid of steps + 1 points."""
-    atom, cpl = dsys.atom, dsys.couplings
-    v, w_at, w_modes = atom.v_at(0.0), atom.omega_level(), dsys.mode_energies / atom.hbar
-    t = np.linspace(0.0, det.tau, steps + 1)
-    lags = (t[1] - t[0]) * np.arange(-steps, steps + 1)
-    osc = np.exp(1j * w_at[:, :, None] * t)
-
-    def first(a, b):
-        return v[a, b] * osc[a, b] if v[a, b] != 0 else None
-
-    def path(into, out):
-        # vacuum of b -> vacuum or modes of a, then back from e to the vacuum of c; the
-        # sum over modes becomes a correlation on the lag grid, g[steps+l] = corr(l h),
-        # on top of the constant vacuum term; <c, vac| V |e, beta> = conj(cpl[e, beta, c])
-        (a, b), (c, e) = into, out
-        vacuum, coeff = v[a, b] * v[c, e], cpl[a, :, b] * cpl[e, :, c].conj()
-        if vacuum == 0 and not np.any(coeff):
-            return None
-        return osc[a, b], osc[c, e], vacuum + _phase_sums(coeff, w_modes, lags)
-
-    return _dyson_second_order(np.exp(1j * w_at.T * det.tau), w_at, det, atom.hbar, t, first, path)
-
-
-def effective_channel(dsys: DecaySystem, det: DetectorModel, t0: float = 0.0) -> MeasurementChannel:
-    """Second-order channel on the atom alone, reservoir traced out.
-
-    The reservoir starts in the vacuum; transitions back to the excited
-    atomic state are neglected, which is what makes the traced channel
-    composable.  The sums over reservoir modes collapse into correlation
-    functions on the time-difference grid (`_phase_sums`), so the mode count
-    barely enters the cost.  The time integrals climb `build_second_order`'s
-    time ladder from the fastest phase of the atom plus modes (meta: steps,
-    quad_entry_err, ladder, n_alpha = modes + 1).
-    """
-    atom, modes = dsys.atom, dsys.mode_energies
-    s12, meta = _step_ladder(atom, det, None, np.add.outer(atom.levels, (0.0, *modes)),
-                             lambda n: _traced_on_grid(dsys, det, n))
-    s_ef = build_unperturbed(atom, det).tensor + s12
-    return MeasurementChannel(tensor=s_ef, method=SECOND_ORDER, t0=t0, tau=det.tau,
-                              certified_trace_err=trace_sum_rule_defect(s_ef),
-                              meta={**meta, "n_alpha": modes.size + 1})
-
+# measured decay channel of the atom, continuum traced out
 
 def measured_decay_channel(e_excited: float, e_ground: float, res: ReservoirSpectrum,
-                           det: DetectorModel, *, n_modes: int = 400,
-                           e_window: tuple | None = None,
-                           t0: float = 0.0) -> MeasurementChannel:
-    """Discretize the reservoir and return the effective atomic channel
-    (`effective_channel`).  The same window with half the mode spacing gives
-    a second channel; ReservoirGridTooCoarse is raised when the populations
-    of the two differ by more than 1e-4."""
-    coarse = build_decay_system(e_excited, e_ground, res, det, n_modes=n_modes,
-                                e_window=e_window)
-    window = (coarse.mode_energies[0], coarse.mode_energies[-1])
-    fine = build_decay_system(e_excited, e_ground, res, det, n_modes=2 * n_modes,
-                              e_window=window)
-    channel, check = (effective_channel(d, det, t0=t0) for d in (coarse, fine))
-    pops = np.abs(np.einsum("ppnn->pn", channel.tensor - check.tensor)).max()
-    if pops > 1e-4:
-        raise ReservoirGridTooCoarse(f"halving the mode spacing moves populations by {pops:.2e}")
-    return channel
+                           det: DetectorModel, *, t0: float = 0.0,
+                           n_modes=None) -> MeasurementChannel:
+    """Second-order channel of a two-level atom (0 ground, 1 excited) decaying
+    into the continuum of res, which starts in its vacuum and is traced out;
+    returns to the excited state are neglected, so the channel composes.
+
+    The continuum enters only through G^(s) = int G(w) e^{i w s} dw (Kofman &
+    Kurizki, Nature 405, 546 (2000)).  Besides the unperturbed closed form,
+    four entries are non-zero, from J(s0) = int_0^tau (tau - s)
+    F(lambda w_if (s0 - s)) G^(s) e^{-i w_if s} ds: S[0,0,1,1] = -S[1,1,1,1]
+    = 2 Re J(0) / hbar^2 = tau R, R = `decay_rate`, and S[1,0,1,0] =
+    conj S[0,1,0,1] = -e^{-i w_if tau} conj J(tau) / hbar^2.  J(tau), the
+    Filon transform of u F(lambda w_if u) G^(tau - u) with u = tau - s, climbs
+    R's time grids until it moves by at most RATE_REL_TOL of the larger of
+    |J(tau)| and Re J(0).  A flat G^ = 2 pi g0 delta(s) weighs s = 0 by half,
+    so J(tau) = pi g0 tau F(lambda w_if tau).
+
+    meta: rel_tol and the (refine, change) ladders "rate_ladder" and
+    "coherence_ladder", [] for a flat G.  Raises ValueError for a non-finite
+    energy or e_excited <= e_ground, and QuadratureNotConverged, carrying its
+    ladder, past the last refine.  n_modes is ignored with a DeprecationWarning.
+    """
+    if n_modes is not None:
+        warnings.warn("n_modes is ignored: the decay channel reads the continuum, not modes",
+                      DeprecationWarning, stacklevel=2)
+    atom = SystemSpec(levels=(e_ground, e_excited), hbar=res.hbar)
+    if e_excited <= e_ground:
+        raise ValueError("excited level must lie above the ground level")
+    tau, hbar2 = det.tau, res.hbar ** 2
+    omega_if = (e_excited - e_ground) / res.hbar
+    rate, rate_ladder = _rate_and_ladder(res, omega_if, det)
+    coherence_ladder = []
+    if res.kind == "flat":
+        j_tau = math.pi * res.g0 * tau * correlation(det, det.lam * omega_if * tau)
+    else:
+        delta = res.omega_r - omega_if
+
+        def evaluate(refine: int) -> complex:
+            u = _reservoir_grid(res, omega_if, det, refine)
+            f = u * correlation(det, det.lam * omega_if * u) * _reservoir_envelope(res, tau - u)
+            return np.exp(1j * delta * tau) * _filon_transform(f, u, np.array([-delta]))[0]
+
+        j_tau, coherence_ladder = _romberg(
+            evaluate, _REFINES, RATE_REL_TOL, "coherence integral at time-grid refine {}",
+            scale=lambda j: float(max(abs(j), 0.5 * hbar2 * tau * rate, 1e-300)))
+    tensor = build_unperturbed(atom, det).tensor
+    tensor[0, 0, 1, 1] += tau * rate
+    tensor[1, 1, 1, 1] -= tau * rate
+    tensor[1, 0, 1, 0] -= np.exp(-1j * omega_if * tau) * np.conj(j_tau) / hbar2
+    tensor[0, 1, 0, 1] -= np.exp(1j * omega_if * tau) * j_tau / hbar2
+    return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=tau,
+                              certified_trace_err=trace_sum_rule_defect(tensor),
+                              meta={"rel_tol": RATE_REL_TOL, "rate_ladder": rate_ladder,
+                                    "coherence_ladder": coherence_ladder})
 
 
 def population_decay_rate(channel: MeasurementChannel, excited: int) -> float:

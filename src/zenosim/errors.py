@@ -60,10 +60,6 @@ class GridTooNarrow(ZenoSimError):
     """An evaluation grid misses a non-negligible part of the line mass."""
 
 
-class ReservoirGridTooCoarse(NumericalConvergenceError):
-    """Refining the reservoir discretization still changes the result."""
-
-
 class ParseError(ZenoSimError):
     """Configuration text is not well formed."""
 

@@ -49,8 +49,9 @@ class DetectorModel:
             raise ValueError("coupling lambda must be >= 0")
         if self.tau <= 0:
             raise ValueError("measurement duration tau must be > 0")
-        if self.sigma <= 0:
-            raise ValueError("gaussian width sigma must be > 0")
+        if not (self.sigma > 0 and 0.0 < float(self.sigma) * float(self.sigma) < math.inf):
+            raise ValueError(f"gaussian width sigma must be > 0 with a finite, non-zero "
+                             f"square, got {self.sigma!r}")
 
 
 def gaussian_detector(sigma: float, lam: float, tau: float) -> DetectorModel:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -361,75 +360,66 @@ def _lag_sums(x_in: np.ndarray, x_out: np.ndarray, t: np.ndarray, weight: str) -
 
 
 def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorModel,
-                        hbar: float, t: np.ndarray, first, path) -> np.ndarray:
-    """S1 + S2 of the Dyson expansion on k outer states.
+                        hbar: float, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S1 + S2 of the Dyson expansion on k states.
 
-    phase_out[p, r] is the free output phase exp(i w_rp tau) and w_lvl the
-    level frequencies the detector sees.  first(a, b) returns the first-order
-    integrand of the jump a <- b on the grid t, or None when it vanishes.
-    path(into, out) returns (x_in, x_out, g) for a two-jump path through
-    intermediate states: x_in drives the jump into them at t_i, x_out the
-    jump out of them at t_j, and g the lag vector (length 2n - 1) that
-    correlates the intermediate states outside the k, g[n-1+l] at the lag
-    t_i - t_j = l h (None when there are none); it returns None when the path
-    carries no amplitude.
+    phase_out[p, r] is the free output phase exp(i w_rp tau), w_lvl the level
+    frequencies the detector sees and x[a, b] the integrand of the jump
+    a <- b on the grid t.  A path of two jumps goes through an intermediate
+    state: x_in drives the jump into it at t_i and x_out the jump out of it
+    at t_j; a path with a jump whose integrand is 0 throughout is skipped.
 
     The F kernel of a path depends on its frequency triple (w_rp, w_t1, w_t2)
     only.  When w_t1 == -w_t2 (exact for a transition and its reverse) it is a
-    function of the lag alone, and the path reduces to a 1-d sum over lags of
-    F times g times the `_lag_sums` of its weights; one F vector of length
-    2n - 1 serves every such path of the triple.  Any other triple gets one
-    dense n x n kernel, contracted with all its paths at once.
+    function of the lag t_i - t_j alone, and the path reduces to a 1-d sum
+    over lags of F times the `_lag_sums` of its weights; one F vector of
+    length 2n - 1 serves every such path of the triple.  Any other triple
+    gets one dense n x n kernel, contracted with all its paths at once.
     """
     lam, tau = det.lam, det.tau
     k = phase_out.shape[0]
     w1 = _trapezoid_weights(t)
+    live = x.any(axis=2)
     s = np.zeros((k,) * 4, dtype=complex)
 
     # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
     for a, b in product(range(k), repeat=2):
-        x = first(a, b)
-        if x is None:
+        if not live[a, b]:
             continue
-        wx = w1 * x
+        wx = w1 * x[a, b]
         ket = correlation(det, lam * (w_lvl[:, a][:, None] * tau + w_lvl[a, b] * t)) @ wx
         bra = correlation(det, lam * (w_lvl[b][:, None] * tau + w_lvl[a, b] * t)) @ wx
         s[a, range(k), b, range(k)] += phase_out[a] * ket / (1j * hbar)
         s[range(k), b, range(k), a] -= phase_out[:, b] * bra / (1j * hbar)
 
-    # Each two-jump path adds coef * x_in @ (W * g * F) @ x_out to the entries of its
+    # Each two-jump path adds coef * x_in @ (W * F) @ x_out to the entries of its
     # terms, W being the path's weight matrix.  Lag-only triples collect each path's lag
-    # sums times g; dense triples collect paths sharing W and g (by identity) to stack them.
+    # sums; dense triples collect the paths sharing W to stack them.
     lag, dense = {}, {}
 
-    def add(w_t1, w_t2, weight, terms, x_in, x_out, g):
+    def add(into, out, weight, terms):
+        if not (live[into] and live[out]):
+            return
+        w_t1, w_t2, x_in, x_out = w_lvl[into], w_lvl[out], x[into], x[out]
         if w_t1 == -w_t2:
             c = _lag_sums(x_in, x_out, t, weight)
-            c = c if g is None else c * g
             for w_rp, entry, coef in terms:
                 lag.setdefault((w_rp, w_t1), []).append((c, entry, coef))
             return
         for w_rp, entry, coef in terms:
-            by_weight = dense.setdefault((w_rp, w_t1, w_t2), {})
-            by_weight.setdefault((weight, id(g)), (weight, g, []))[2].append(
+            dense.setdefault((w_rp, w_t1, w_t2), {}).setdefault(weight, []).append(
                 (x_in, x_out, entry, coef))
 
     # gain: ket jump n -> p at t1, bra jump r -> m at t2
     for p, n, m, r in product(range(k), repeat=4):
-        jumps = path((p, n), (m, r))
-        if jumps is not None:
-            add(w_lvl[p, n], w_lvl[m, r], "square",
-                [(w_lvl[r, p], (p, r, n, m), phase_out[p, r])], *jumps)
+        add((p, n), (m, r), "square", [(w_lvl[r, p], (p, r, n, m), phase_out[p, r])])
     # loss along b -> q -> a: the jump into q comes at the earlier time on the
     # ket (r = m, weight "upper") and at the later time on the bra (p = n, "lower")
     for a, b, q in product(range(k), repeat=3):
-        jumps = path((q, b), (a, q))
-        if jumps is None:
-            continue
-        add(w_lvl[q, b], w_lvl[a, q], "upper",
-            [(w_lvl[c, a], (a, c, b, c), -phase_out[a, c]) for c in range(k)], *jumps)
-        add(w_lvl[q, b], w_lvl[a, q], "lower",
-            [(w_lvl[b, c], (c, b, c, a), -phase_out[c, b]) for c in range(k)], *jumps)
+        add((q, b), (a, q), "upper",
+            [(w_lvl[c, a], (a, c, b, c), -phase_out[a, c]) for c in range(k)])
+        add((q, b), (a, q), "lower",
+            [(w_lvl[b, c], (c, b, c, a), -phase_out[c, b]) for c in range(k)])
 
     def accumulate(entries, coefs, vals):
         np.add.at(s, tuple(np.array(entries).T), np.array(coefs) * vals / hbar ** 2)
@@ -448,11 +438,9 @@ def _dyson_second_order(phase_out: np.ndarray, w_lvl: np.ndarray, det: DetectorM
         for (w_rp, w_t1, w_t2), by_weight in dense.items():
             np.add.outer(lam * (w_rp * tau + w_t1 * t), lam * w_t2 * t, out=nu)
             kern = correlation(det, nu)
-            for weight, g, terms in by_weight.values():
+            for weight, terms in by_weight.items():
                 wt = weights[weight]
                 prod = kern if wt is None else np.multiply(kern, wt, out=kw)
-                if g is not None:  # the Toeplitz view g[n-1+i-j]
-                    prod = np.multiply(prod, sliding_window_view(g, nt)[:, ::-1], out=kw)
                 x_in, x_out, entries, coefs = zip(*terms)
                 x_in, x_out = np.array(x_in), np.array(x_out)
                 if wt is None:
@@ -503,28 +491,20 @@ def _second_order_on_grid(sys: SystemSpec, det: DetectorModel, t0: float,
     # x[a, b] = V(t)[a, b] e^{i w_ab t}, contiguous in t
     x = (np.ascontiguousarray(np.moveaxis(_v_samples(sys, t0, t), 0, -1))
          * np.exp(1j * w_full[:, :, None] * t))
-    live = x.any(axis=2)
-
-    def first(a, b):
-        return x[a, b] if live[a, b] else None
-
-    def path(into, out):
-        return (x[into], x[out], None) if live[into] and live[out] else None
-
     phase_out = np.exp(1j * w_full.T * det.tau)  # phase_out[p, r] = exp(i w_full[r,p] tau)
-    return _dyson_second_order(phase_out, sys.omega_level(), det, sys.hbar, t, first, path)
+    return _dyson_second_order(phase_out, sys.omega_level(), det, sys.hbar, t, x)
 
 
-def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, energies: np.ndarray, evaluate):
+def _step_ladder(sys: SystemSpec, det: DetectorModel, steps, evaluate):
     """S1 + S2 and its meta entries from evaluate(n), its value on n uniform
     time steps, extrapolated along n, 2n ... <= MAX_STEPS (`_romberg`) to
     ENTRY_TOL.  n is steps (a checked count) when given, else the least
     MIN_STEPS 2^k whose step turns the fastest phase, (max - min) tau / hbar
-    of the energies of every state, or `_phase_scale` by at most 2 rad, so
+    of the state energies e0 + e1, or `_phase_scale` by at most 2 rad, so
     that two coarse levels cannot agree by chance."""
     if steps is not None and 2 * steps > MAX_STEPS:
         raise ValueError(f"steps = {steps} leaves no second level within {MAX_STEPS}")
-    phase = max(det.tau * float(np.ptp(energies)) / sys.hbar, _phase_scale(sys, det))
+    phase = max(det.tau * float(np.ptp(sys.e0 + sys.e1)) / sys.hbar, _phase_scale(sys, det))
     levels = _doublings(steps or MIN_STEPS, 0.0 if steps else 0.5 * phase, MAX_STEPS,
                         f"phase {phase:.4g} rad needs more than {MAX_STEPS} time steps")
     s12, ladder = _romberg(evaluate, levels, ENTRY_TOL, "Dyson terms at {} time steps")
@@ -568,8 +548,7 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         s12 = _prnm(pn_rm)
         meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
     else:
-        s12, meta = _step_ladder(sys, det, steps, sys.e0 + sys.e1,
-                                 lambda n: _second_order_on_grid(sys, det, t0, n))
+        s12, meta = _step_ladder(sys, det, steps, lambda n: _second_order_on_grid(sys, det, t0, n))
     tensor = build_unperturbed(sys, det).tensor + s12
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=trace_sum_rule_defect(tensor), meta=meta)

@@ -1,15 +1,18 @@
 """Reference evaluators that the tests compare the package against, a spy
 on the node ladder that collects the values to compare, and the dense
-atom-plus-modes system behind a decay system.
+atom-plus-modes system of a decaying atom.
 
-They use scipy's special functions, which the package itself does not load.
+They use scipy's special functions and quadrature, which the package itself
+does not load.
 """
 
+import cmath
 import math
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import dawsn, roots_hermite, wofz
 
 from zenosim import superop
@@ -27,20 +30,83 @@ def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
                           weights=w[keep] / w[keep].sum())
 
 
-def atom_plus_modes(dsys) -> SystemSpec:
-    """The atom plus its reservoir modes as one SystemSpec: every level has
-    the vacuum (E1 = 0) and the modes as auxiliary states, and the dense V
-    holds the atom's V between vacua and the couplings between a vacuum and
-    the modes, <a, beta| V |b, vac> = couplings[a, beta, b] and its conjugate."""
-    cpl = dsys.couplings
+def atom_plus_modes(atom: SystemSpec, mode_energies, couplings) -> SystemSpec:
+    """The atom plus reservoir modes as one SystemSpec: every level has the
+    vacuum (E1 = 0) and the modes as auxiliary states, and the dense V holds
+    the atom's V between vacua and the couplings between a vacuum and the
+    modes, <a, beta| V |b, vac> = couplings[a, beta, b] and its conjugate."""
+    cpl = np.asarray(couplings, dtype=complex)
     k, n = cpl.shape[:2]
     v = np.zeros((k, n + 1, k, n + 1), dtype=complex)
-    v[:, 0, :, 0] = dsys.atom.v_at(0.0)
+    v[:, 0, :, 0] = atom.v_at(0.0)
     v[:, 1:, :, 0] = cpl
     v[:, 0, :, 1:] = cpl.conj().transpose(2, 0, 1)
-    alpha = (0.0, *dsys.mode_energies)
-    return SystemSpec(levels=dsys.atom.levels, alpha_energies=(alpha,) * k,
-                      v=v.reshape(k * (n + 1), -1), hbar=dsys.atom.hbar)
+    alpha = (0.0, *mode_energies)
+    return SystemSpec(levels=atom.levels, alpha_energies=(alpha,) * k,
+                      v=v.reshape(k * (n + 1), -1), hbar=atom.hbar)
+
+
+def _half_hat(theta: np.ndarray) -> np.ndarray:
+    """int_0^1 (1 - u) e^{i theta u} du for an array of theta: the Taylor
+    series sum (i theta)^k / (k + 2)!, through k = 15, below |theta| = 1/2,
+    else the closed form (e^{i theta} - 1 - i theta) / (i theta)^2."""
+    z = 1j * theta
+    small = np.abs(theta) < 0.5
+    out = np.empty(theta.shape, dtype=complex)
+    zb = z[~small]
+    out[~small] = (np.exp(zb) - 1.0 - zb) / zb ** 2
+    zs, acc = z[small], 0.0
+    for k in range(15, -1, -1):
+        acc = acc * zs + 1.0 / math.factorial(k + 2)
+    out[small] = acc
+    return out
+
+
+def reservoir_fourier(res, s: float) -> complex:
+    """G^(s) = int G(w) e^{i w s} dw of a Lorentzian, Gaussian or tabulated
+    G: closed forms for the peaks; a table is the sum over its nodes of the
+    value times the transform of the node's hat function, whose halves
+    reach the neighbouring nodes and stop at the table's ends."""
+    if res.kind == "lorentzian":
+        return res.hbar * res.b * math.exp(-res.width * abs(s)) * cmath.exp(1j * res.omega_r * s)
+    if res.kind == "gaussian_peak":
+        return (res.hbar * res.b * math.exp(-0.5 * (res.width * s) ** 2)
+                * cmath.exp(1j * res.omega_r * s))
+    w, g = res.tab_omega, res.tab_g
+    steps = np.diff(w)
+    right = np.append(steps, 0.0)  # the half toward the next node
+    left = np.insert(steps, 0, 0.0)
+    hats = right * _half_hat(right * s) + left * _half_hat(-left * s)
+    return complex(np.sum(g * np.exp(1j * w * s) * hats))
+
+
+def decay_integral(res, det, omega_if: float, s0: float) -> complex:
+    """J(s0) = int_0^tau (tau - s) F(lambda w_if (s0 - s)) G^(s) e^{-i w_if s} ds.
+
+    The factor e^{i (w_R - w_if) s} is the weight of scipy's oscillatory quad
+    (QAWO), cos and sin times the real and imaginary parts of the rest.  A
+    flat G has G^ = 2 pi g0 delta(s), whose half at s = 0 lies inside, so
+    J(s0) = pi g0 tau F(lambda w_if s0)."""
+    tau = det.tau
+
+    def f_corr(nu):
+        return math.exp(-0.5 * (nu / det.sigma) ** 2)
+
+    if res.kind == "flat":
+        return complex(math.pi * res.g0 * tau * f_corr(det.lam * omega_if * s0))
+
+    def smooth(s, part):
+        v = ((tau - s) * f_corr(det.lam * omega_if * (s0 - s)) * reservoir_fourier(res, s)
+             * cmath.exp(-1j * res.omega_r * s))
+        return v.imag if part else v.real
+
+    size = tau * tau * abs(reservoir_fourier(res, 0.0))
+
+    def weighted(part, weight):
+        return quad(smooth, 0.0, tau, args=(part,), weight=weight, wvar=res.omega_r - omega_if,
+                    limit=2000, epsabs=1e-14 * size, epsrel=1e-12)[0]
+
+    return complex(weighted(0, "cos") - weighted(1, "sin"), weighted(0, "sin") + weighted(1, "cos"))
 
 
 def unit_sum_rule_defect(s: np.ndarray) -> float:

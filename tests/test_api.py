@@ -157,9 +157,8 @@ def test_bad_tolerance_rejected_before_any_work(case, tol):
 @pytest.mark.parametrize("call", [
     lambda: zenosim.emitted_spectrum(2.0, _FIG1_DET, 0.1, 1.0, np.linspace(-900.0, 900.0, 64)),
     lambda: zenosim.decay_rate(_RES, 2.0, _FIG1_DET, 0.1),
-    lambda: zenosim.build_decay_system(1.0, -1.0, _RES, _FIG1_DET, 1.0),
     lambda: zenosim.measured_decay_channel(1.0, -1.0, _RES, _FIG1_DET, 1.0),
-], ids=["emitted_spectrum", "decay_rate", "build_decay_system", "measured_decay_channel"])
+], ids=["emitted_spectrum", "decay_rate", "measured_decay_channel"])
 def test_a_positional_tau_or_hbar_is_a_type_error(call):
     # the options after det are keyword-only, so a call written for the
     # signatures that took tau or hbar fails instead of binding it to the next

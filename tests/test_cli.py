@@ -275,7 +275,7 @@ class TestDecaySweepRunner:
         cfg = parse_config(json.dumps(decay_config()))
         ladder = [(2, 0.5), (4, 0.25), (8, 0.125)]
         failure = NumericalConvergenceError("decay rate still moving", ladder)
-        with mock.patch.object(cli._decay, "_rate_and_error", side_effect=failure), \
+        with mock.patch.object(cli._decay, "_rate_and_ladder", side_effect=failure), \
                 pytest.raises(NumericalConvergenceError, match="^Lambda = ") as info:
             run_decay_sweep(cfg, str(tmp_path / "anti.csv"))
         assert info.value.ladder == ladder
@@ -545,7 +545,7 @@ class TestMainEntry:
 
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the point cap")
-        for name in ("_rate_and_error", "emitted_spectrum", "fwhm"):
+        for name in ("_rate_and_ladder", "emitted_spectrum", "fwhm"):
             monkeypatch.setattr(cli._decay, name, refuse)
         monkeypatch.setattr(cli.np, "linspace", refuse)
         monkeypatch.setattr(cli.np, "geomspace", refuse)
@@ -605,6 +605,29 @@ class TestMainEntry:
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert f"makes {name} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("decay", decay_config(reservoir=dict(decay_config()["reservoir"], gamma=1e300)),
+         "reservoir.gamma"),
+        ("decay", decay_config(reservoir=dict(decay_config()["reservoir"], gamma=1e-300)),
+         "reservoir.gamma"),
+        ("decay", decay_config(detector={"sigma": 1e300, "tau": 2.0}), "detector.sigma"),
+        ("decay", decay_config(detector={"sigma": 1e-300, "tau": 2.0}), "detector.sigma"),
+        ("spectrum", spectrum_config(detector={"sigma": 1e300, "lambda": 0.0, "tau": 0.25}),
+         "detector.sigma"),
+        ("spectrum", spectrum_config(detector={"sigma": 1e-300, "lambda": 0.0, "tau": 0.25}),
+         "detector.sigma"),
+        ("spectrum", spectrum_config(reservoir={"kind": "gaussian_peak", "B": 1e-3,
+                                                "omega_R": 2.0, "w": 1e300}), "reservoir.w")],
+        ids=["gamma-inf", "gamma-0", "decay-sigma-inf", "decay-sigma-0", "spectrum-sigma-inf",
+             "spectrum-sigma-0", "w-inf"])
+    def test_width_square_out_of_range_exit_code(self, tmp_path, capsys, command, cfg, key):
+        # F and G square sigma, gamma and w: 1e300 raised OverflowError out of
+        # main, 1e-300 ended in exit 3 through a RuntimeWarning
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        block, name = key.split(".")
+        assert f"'{key}' = {cfg[block][name]!r} makes {name}² = " in capsys.readouterr().err
 
     def test_inhibition_time_overflow_runs(self, tmp_path):
         # (hbar omega / v)^2 overflows a float: t_inh is infinite, the run still works

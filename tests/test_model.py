@@ -109,6 +109,12 @@ class TestDetectorValidation:
             DetectorModel(lam=1.0, tau=1.0)
         assert [f.name for f in dataclasses.fields(DetectorModel)] == ["lam", "tau", "sigma"]
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e-300, pytest.param(10 ** 200, id="huge_int")])
+    def test_rejects_sigma_whose_square_leaves_the_float_range(self, sigma):
+        # F squares sigma: 1e300 raised OverflowError, 1e-300 divided by 0
+        with pytest.raises(ValueError, match="finite, non-zero square"):
+            gaussian_detector(sigma=sigma, lam=1.0, tau=1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.parametrize("field", ["sigma", "lam", "tau"])
     def test_rejects_non_finite_parameter(self, field, bad):

@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import math
-import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -12,9 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zenosim import decay, superop
-from zenosim.decay import (DecaySystem, ReservoirSpectrum, build_decay_system,
-                           effective_channel, measured_decay_channel)
+from zenosim import superop
 from zenosim.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -59,7 +56,7 @@ def random_density(rng, dim):
     return rho / rho.trace()
 
 
-def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
+def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, x):
     """Reference for superop._dyson_second_order: the same Dyson terms, with
     the F kernel evaluated and contracted once per path in index order."""
     lam, tau = det.lam, det.tau
@@ -67,24 +64,19 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
     w1 = _trapezoid_weights(t)
     tri = _triangle_weights(t)
     s = np.zeros((k,) * 4, dtype=complex)
-    lag_index = t.size - 1 + np.subtract.outer(np.arange(t.size), np.arange(t.size))
+    live = x.any(axis=2)
 
-    def two_jumps(into, out):
-        # the path's lag vector g, as the n x n Toeplitz matrix g[n-1+i-j]
-        jumps = path(into, out)
-        if jumps is None or jumps[2] is None:
-            return jumps
-        return jumps[0], jumps[1], jumps[2][lag_index]
+    def path(into, out):
+        return (x[into], x[out]) if live[into] and live[out] else None
 
     def kernel(w_rp, w_t1, w_t2):
         return correlation(det, lam * (w_rp * tau + np.add.outer(w_t1 * t, w_t2 * t)))
 
     # first order: the jump a <- b on the ket (r = m) or on the bra (p = n)
     for a, b in product(range(k), repeat=2):
-        x = first(a, b)
-        if x is None:
+        if not live[a, b]:
             continue
-        wx = w1 * x
+        wx = w1 * x[a, b]
         ket = correlation(det, lam * (w_lvl[:, a][:, None] * tau + w_lvl[a, b] * t)) @ wx
         bra = correlation(det, lam * (w_lvl[b][:, None] * tau + w_lvl[a, b] * t)) @ wx
         for c in range(k):
@@ -94,35 +86,30 @@ def _dyson_second_order_per_path(phase_out, w_lvl, det, hbar, t, first, path):
     hb2 = hbar ** 2
     # gain: ket jump n -> p at t1, bra jump r -> m at t2
     for p, n, m, r in product(range(k), repeat=4):
-        jumps = two_jumps((p, n), (m, r))
+        jumps = path((p, n), (m, r))
         if jumps is None:
             continue
-        x1, x2, g = jumps
+        x1, x2 = jumps
         kern = kernel(w_lvl[r, p], w_lvl[p, n], w_lvl[m, r])
-        if g is not None:
-            kern *= g
         s[p, r, n, m] += phase_out[p, r] * ((w1 * x1) @ kern @ (w1 * x2)) / hb2
     # loss along b -> q -> a, indexed [t_in, t_out]: the jump into q comes at
     # the earlier time t2 on the ket (r = m) and at the later t1 on the bra (p = n)
     for a, b, q in product(range(k), repeat=3):
-        jumps = two_jumps((q, b), (a, q))
+        jumps = path((q, b), (a, q))
         if jumps is None:
             continue
-        x_in, x_out, g = jumps
-        ket = tri.T if g is None else tri.T * g
-        bra = tri if g is None else tri * g
+        x_in, x_out = jumps
         for c in range(k):
-            val = x_in @ (ket * kernel(w_lvl[c, a], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            val = x_in @ (tri.T * kernel(w_lvl[c, a], w_lvl[q, b], w_lvl[a, q])) @ x_out
             s[a, c, b, c] -= phase_out[a, c] * val / hb2
-            val = x_in @ (bra * kernel(w_lvl[b, c], w_lvl[q, b], w_lvl[a, q])) @ x_out
+            val = x_in @ (tri * kernel(w_lvl[b, c], w_lvl[q, b], w_lvl[a, q])) @ x_out
             s[c, b, c, a] -= phase_out[c, b] * val / hb2
     return s
 
 
 def _per_path(build, *args, **kwargs):
     """build(*args, **kwargs) with the reference Dyson kernel."""
-    with mock.patch.object(superop, "_dyson_second_order", _dyson_second_order_per_path), \
-            mock.patch.object(decay, "_dyson_second_order", _dyson_second_order_per_path):
+    with mock.patch.object(superop, "_dyson_second_order", _dyson_second_order_per_path):
         return build(*args, **kwargs)
 
 
@@ -655,23 +642,18 @@ class TestBuildSecondOrder:
     @staticmethod
     def _time_ladder_callers():
         timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * FIG1_SYS.v)
-        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
-        dsys = build_decay_system(1.0, -1.0, res, FIG1_DET, n_modes=4)
         return {"build_second_order": (superop, "_second_order_on_grid",
-                                       lambda **kw: build_second_order(timed, FIG1_DET, **kw)),
-                "effective_channel": (decay, "_traced_on_grid",
-                                      lambda **kw: effective_channel(dsys, FIG1_DET, **kw))}
+                                       lambda **kw: build_second_order(timed, FIG1_DET, **kw))}
 
-    @pytest.mark.parametrize("caller", ["build_second_order", "effective_channel"])
+    @pytest.mark.parametrize("caller", ["build_second_order"])
     def test_time_ladder_exhaustion_carries_ladder(self, caller):
         # a Dyson kernel that grows like 1 / h^2 never settles; it stands in for every
         # level, so no real 4096-step grid is built
-        def restless(phase_out, w_lvl, det, hbar, t, first, path):
+        def restless(phase_out, w_lvl, det, hbar, t, x):
             return np.full((phase_out.shape[0],) * 4, float(t.size) ** 2, dtype=complex)
 
         build = self._time_ladder_callers()[caller][2]
         with mock.patch.object(superop, "_dyson_second_order", restless), \
-                mock.patch.object(decay, "_dyson_second_order", restless), \
                 pytest.raises(QuadratureNotConverged) as info:
             build()
         ladder = info.value.ladder
@@ -680,7 +662,7 @@ class TestBuildSecondOrder:
         assert f"4096 time steps still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
     @pytest.mark.parametrize("steps", [2049, 4096, 10 ** 6])
-    @pytest.mark.parametrize("caller", ["build_second_order"])  # effective_channel takes no steps
+    @pytest.mark.parametrize("caller", ["build_second_order"])
     def test_steps_leaving_no_second_level_rejected(self, caller, steps):
         # 10^6 steps would ask for (10^6 + 1)^2 kernel buffers
         module, grid, build = self._time_ladder_callers()[caller]
@@ -703,32 +685,6 @@ class TestBuildSecondOrder:
         det = gaussian_detector(1.0, lam, 0.1)
         fast = superop._second_order_on_grid(sys, det, 0.3, 32)
         slow = _per_path(superop._second_order_on_grid, sys, det, 0.3, 32)
-        assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
-
-    @pytest.mark.parametrize("lam", [0.0, 5.0, 30.0])
-    def test_grouped_effective_channel_matches_per_path(self, lam):
-        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
-        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
-        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
-        fast = decay._traced_on_grid(dsys, det, 96)
-        slow = _per_path(decay._traced_on_grid, dsys, det, 96)
-        assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
-
-    @pytest.mark.parametrize("lam", [5.0, 30.0])
-    def test_three_level_effective_channel_matches_per_path(self, lam):
-        # transitions between different level pairs meet in one path, so some triples
-        # are not lag-only and their dense kernels take g as a Toeplitz matrix; the
-        # atom's V and the couplings are the vacuum column of a random 15 x 15 V
-        blocks = random_v(np.random.default_rng(7), 15, 0.05).reshape(3, 5, 3, 5)
-        dsys = DecaySystem(atom=SystemSpec(levels=(-1.0, 0.3, 1.5), v=blocks[:, 0, :, 0]),
-                           mode_energies=np.array([0.7, 1.1, 1.6, 2.4]),
-                           couplings=blocks[:, 1:, :, 0], excited=2, ground=0, delta_e=0.4)
-        det = gaussian_detector(sigma=1.0, lam=lam, tau=0.5)
-        steps = 96
-        with mock.patch.object(superop, "correlation", wraps=correlation) as corr:
-            fast = decay._traced_on_grid(dsys, det, steps)
-        assert any(np.shape(c.args[1]) == (steps + 1,) * 2 for c in corr.call_args_list)
-        slow = _per_path(decay._traced_on_grid, dsys, det, steps)
         assert np.abs(fast - slow).max() <= 1e-15 * np.abs(slow).max()
 
     def test_one_kernel_per_frequency_triple(self):
@@ -768,39 +724,6 @@ class TestBuildSecondOrder:
             got = superop._lag_sums(x_in, x_out, t, weight)
             assert got.shape == (2 * n - 1,)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), weight
-
-    def test_effective_channel_does_no_square_work(self):
-        det = gaussian_detector(sigma=1.0, lam=30.0, tau=0.5)
-        res = ReservoirSpectrum.lorentzian(b=0.05, omega_r=2.5, gamma=0.4)
-        dsys = build_decay_system(1.0, -1.0, res, det, n_modes=4)
-        steps = 1024
-        n = steps + 1
-        with mock.patch.object(superop, "correlation", wraps=correlation) as corr, \
-                mock.patch.object(superop, "_triangle_weights",
-                                  wraps=_triangle_weights) as tri:
-            decay._traced_on_grid(dsys, det, steps)
-            tracemalloc.start()
-            try:
-                decay._traced_on_grid(dsys, det, steps)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        tri.assert_not_called()
-        assert corr.call_count > 0
-        assert all(np.size(c.args[1]) <= 2 * n - 1 for c in corr.call_args_list)
-        assert peak < 8 * n * n  # not even one real n x n array
-
-    def test_channels_decay_channel_matches_per_path(self):
-        # the decay channel of the `channels` benchmark job: its time ladder settles
-        # at 512 steps, so the kernel sums run over 257 and 513 times
-        det = gaussian_detector(sigma=1.0, lam=50.0, tau=2.0)
-        res = ReservoirSpectrum.lorentzian(b=1e-4, omega_r=51.0, gamma=10.0)
-        fast = measured_decay_channel(0.5, -0.5, res, det, n_modes=200)
-        # the first level resolves the 420 rad the modes turn over tau at 256 steps
-        assert [n for n, _ in fast.meta["ladder"]] == [512]
-        assert fast.meta["steps"] == 512 and fast.meta["quad_entry_err"] <= 1e-8
-        slow = _per_path(measured_decay_channel, 0.5, -0.5, res, det, n_modes=200).tensor
-        assert np.abs(fast.tensor - slow).max() <= 1e-15 * np.abs(slow).max()
 
 
 class TestRepeat:
