@@ -33,7 +33,7 @@ from .errors import (
 )
 from .model import DetectorModel, TwoLevelPreset, strength
 from .qmat import _all_finite
-from .superop import build_exact, default_rule, dump_channel, repeat
+from .superop import build_exact, dump_channel, repeat
 
 # Each key maps to (required, rule).  A rule is "" (any finite number),
 # "> 0", ">= 0", an int k (an integer >= k), "string", a dict of the keys of
@@ -49,7 +49,7 @@ _SYSTEM = {"V": (True, {"omega": (True, "> 0"), "v_re": (True, ""), "v_im": (Fal
 SCHEMA = {
     "twolevel": ("twolevel", "run_twolevel", {
         "system": (False, _SYSTEM), "detector": (True, _DETECTOR),
-        "n_measurements": (False, 1), "nodes": (False, 8)}),
+        "n_measurements": (False, 1)}),
     "decay_sweep": ("decay", "run_decay_sweep", {
         "detector": (True, {"sigma": (True, "> 0"), "tau": (True, "> 0")}),
         "reservoir": (False, {}), "transition": (False, {"omega_if": (True, "> 0")}),
@@ -61,17 +61,20 @@ SCHEMA = {
         "grid": (False, {"e_min": (True, ""), "e_max": (True, ""), "points": (True, 8)})}),
     "channel_dump": ("dump-channel", "run_channel_dump", {
         "system": (False, _SYSTEM), "detector": (True, _DETECTOR),
-        "t0": (False, ""), "nodes": (False, 8)}),
+        "t0": (False, "")}),
 }
 EXPERIMENTS = tuple(SCHEMA)
 _COMMANDS = {command: experiment for experiment, (command, _, _) in SCHEMA.items()}
 # what a config with a missing or unknown experiment is still checked for
 _UNKNOWN = {"detector": (True, {**_DETECTOR, "lambda": (False, ">= 0")}),
-            "n_measurements": (False, 1), "t0": (False, ""), "nodes": (False, 8)}
+            "n_measurements": (False, 1), "t0": (False, "")}
 
 # most measurements a twolevel run composes, its trajectory holding one 2 x 2 state
 # each, and most points of a sweep or an energy grid
 MAX_MEASUREMENTS = 10 ** 6
+# largest phase |E/hbar - omega_if| t_cut of a spectrum grid edge: one ulp of the
+# time there is 1.5e-5 rad, and its phase sums would run for seconds
+MAX_LINE_PHASE = 1e11
 
 # reservoir kind -> (constructor, keys in the order of its arguments)
 _RESERVOIRS = {
@@ -108,7 +111,6 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
     n_measurements: int | None = None
     t0: float = 0.0
-    nodes: int | None = None
     output_path: str | None = None
     raw: dict = field(default_factory=dict)
 
@@ -259,13 +261,23 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"'{key}' = {values.get(key, hbar)!r} makes {name} = {scaled!r}, "
                           "which must be finite and non-zero")
 
+    if experiment == "spectrum" and not errors:
+        det = DetectorModel(lam=values["detector.lambda"], tau=values["detector.tau"],
+                            sigma=values["detector.sigma"])
+        omega_if = values["transition.omega_if"]
+        t_cut = _decay._line_scales(omega_if, det)[0]
+        for edge in ("grid.e_min", "grid.e_max"):
+            phase = abs(values[edge] / hbar - omega_if) * t_cut
+            if not phase <= MAX_LINE_PHASE:
+                errors.append(f"'{edge}' = {values[edge]!r} makes the line phase |E/hbar - "
+                              f"omega_if| t_cut = {phase:.3g} rad, above {MAX_LINE_PHASE:.0e}")
     if errors:
         raise ValidationError(errors)
     blocks = {b: _without_nulls(values.get(b, {}))
               for b in ("detector", "system", "reservoir", "transition", "sweep", "grid")}
     return ExperimentConfig(experiment=experiment, hbar=hbar,
                             n_measurements=values.get("n_measurements"),
-                            t0=values.get("t0", 0.0), nodes=values.get("nodes"),
+                            t0=values.get("t0", 0.0),
                             output_path=values.get("output_path"), raw=raw, **blocks)
 
 
@@ -327,7 +339,7 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, certified: dict):
 
 def _channel_certificate(channel) -> dict:
     """Sidecar facts of an exact channel: its trace error, node count and the
-    (nodes, max change) steps of its node ladder (empty for a fixed rule)."""
+    (nodes, max change) steps of its node ladder."""
     return {"trace_err": channel.certified_trace_err, "nodes": channel.meta["nodes"],
             "ladder": channel.meta["ladder"]}
 
@@ -336,7 +348,7 @@ def _config_echo(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
 
 
-def run_twolevel(cfg: ExperimentConfig, out: str, nodes: int | None = None) -> str:
+def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
     """Occupation trajectory of the measured two-level system.
 
     Columns: t, rho11, rho00, re_rho10, im_rho10, rho11_approx (exponential
@@ -356,8 +368,7 @@ def run_twolevel(cfg: ExperimentConfig, out: str, nodes: int | None = None) -> s
             f"{n:.6g} measurements exceed the cap of {MAX_MEASUREMENTS} (inhibition time "
             f"t_inh = {t_inh:.6g}, default 10 t_inh / tau); give a smaller 'n_measurements'"])
     n = math.ceil(n)
-    rule = None if nodes is None else default_rule(det, nodes)
-    channel = build_exact(sysspec, det, rule=rule)
+    channel = build_exact(sysspec, det)
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0
     traj = repeat(lambda t0: channel, rho0, n)
@@ -433,12 +444,11 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     return out
 
 
-def run_channel_dump(cfg: ExperimentConfig, out: str, nodes: int | None = None) -> str:
+def run_channel_dump(cfg: ExperimentConfig, out: str) -> str:
     """Binary snapshot of the exact-quadrature channel."""
     preset = _preset(cfg)
     det = _detector(cfg)
-    rule = None if nodes is None else default_rule(det, nodes)
-    channel = build_exact(preset.to_system(), det, t0=cfg.t0, rule=rule)
+    channel = build_exact(preset.to_system(), det, t0=cfg.t0)
     dump_channel(channel, det, out)
     _write_sidecar(out, cfg, _channel_certificate(channel))
     return out
@@ -453,13 +463,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(command)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--nodes", default=None)
-        p.add_argument("--seedless", action="store_true",
-                       help="assert deterministic mode (always on; kept for "
-                            "interface stability)")
     args = parser.parse_args(argv)
     experiment = _COMMANDS[args.command]
-    _, runner, keys = SCHEMA[experiment]
+    runner = SCHEMA[experiment][1]
 
     try:
         cfg = load_config(args.config)
@@ -469,18 +475,8 @@ def main(argv=None) -> int:
         out = args.out or cfg.output_path
         if out is None:
             raise ValidationError(["no output path (give --out or output_path)"])
-        kwargs = {"nodes": cfg.nodes} if "nodes" in keys else {}
-        if args.nodes is not None:  # the flag obeys the rule of the nodes key
-            errors = [] if kwargs else [f"'--nodes' is not used by experiment {experiment!r}"]
-            try:
-                nodes = int(args.nodes)
-            except ValueError:
-                nodes = args.nodes  # not an integer: reported by _value
-            kwargs["nodes"] = _value(nodes, _RULES["nodes"], "--nodes", errors)
-            if errors:
-                raise ValidationError(errors)
         # looked up by name at call time, so a rebound module attribute is called
-        globals()[runner](cfg, out, **kwargs)
+        globals()[runner](cfg, out)
     except (OSError, ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -237,11 +237,11 @@ def _filon_transform(g: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.nda
     steps = np.diff(x)
     h = (x[-1] - x[0]) / steps.size
     if np.abs(steps - h).max() <= 1e-10 * h:
-        a, b = _filon_coeffs(deltas * h)
+        a = _filon_coeffs(deltas * h)[0]
         gsum = _phase_sums(g, x, deltas)
         end = np.exp(1j * deltas * x[-1]) * g[-1]
         start = np.exp(1j * deltas * x[0]) * g[0]
-        return h * (a * (gsum - end) + b * np.exp(-1j * deltas * h) * (gsum - start))
+        return h * (a * (gsum - end) + a.conj() * (gsum - start))  # B(th) e^{-i th} = conj A(th)
     out = np.empty(deltas.size, dtype=complex)
     chunk = max(1, (1 << 18) // steps.size)
     for lo in range(0, deltas.size, chunk):
@@ -426,8 +426,11 @@ def _rate_and_ladder(res: ReservoirSpectrum, omega_if: float, det: DetectorModel
         g = _line_kernel(omega_if, det, t) * _reservoir_envelope(res, t)
         return 2.0 * float(_filon_transform(g, t, delta)[0].real) / res.hbar ** 2
 
-    return _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
-                    scale=lambda r: max(abs(r), 1e-300))
+    rate, ladder = _romberg(evaluate, _REFINES, rel_tol, "decay rate at time-grid refine {}",
+                            scale=lambda r: max(abs(r), 1e-300))
+    # R = (2 pi / hbar^2) int G P with G >= 0 and P >= 0 (the transform of F times the
+    # triangle window, both positive definite): a negative R rounds a vanishing integral
+    return (rate if rate > 0.0 else 0.0), ladder
 
 
 def decay_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel, *,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 
 import numpy as np
 
@@ -135,13 +135,16 @@ class JumpTable:
 def jump_table(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                rel_tol: float = 1e-6) -> JumpTable:
     """General jump probabilities W[source, target] for every coupled pair;
-    ValueError unless rel_tol is finite and > 0."""
+    ValueError unless rel_tol is finite and > 0.  W is symmetric: for a
+    Hermitian V the reversed jump's amplitude is the complex conjugate, so each
+    unordered pair is evaluated once."""
     rel_tol = _tolerance(rel_tol, "rel_tol")
     states = [(n, a) for n, al in enumerate(sys.alpha_energies) for a in range(len(al))]
     w = np.zeros((sys.dim, sys.dim))
-    for (js, (i, a)), (jt, (f, b)) in product(enumerate(states), repeat=2):
+    for (js, (i, a)), (jt, (f, b)) in combinations(enumerate(states), 2):
         if i != f:
-            w[js, jt] = jump_probability_general(sys, det, i, a, f, b, t0=t0, rel_tol=rel_tol)
+            w[js, jt] = w[jt, js] = jump_probability_general(sys, det, i, a, f, b, t0=t0,
+                                                             rel_tol=rel_tol)
     return JumpTable(w=w, tau=det.tau, t0=t0)
 
 

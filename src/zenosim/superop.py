@@ -187,18 +187,17 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
 
 def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
                  max_nodes: int, scale=None):
-    """Average build over trapezoid rules of doubling node counts, n -> 2n - 1,
-    until no entry moves by more than entry_tol (`_refine`, with its scale).
+    """Average build over the trapezoid rules `default_rule(det, n)` of doubling
+    node counts, n -> 2n - 1, until no entry moves by more than entry_tol
+    (`_refine`, with its scale).
 
-    The rules nest, so each node is built once: build(nodes, weights), which
-    must be linear in the weights, is called on the nodes q = y / sigma that
-    the level before lacks (every node of the first level, the n - 1
-    odd-index nodes of each later one) with their raw weights e^{-y^2/2}, and
-    must return a new value, which the ladder scales in place.  A level's
-    value is N / Z, N the sum of the calls so far and Z the sum of their
-    weights, which is build on the whole `default_rule(det, n)` up to
-    rounding.  A ladder inside build that keeps an absolute tolerance divides
-    its changes by the sum of the weights it was given.
+    The rules nest, so each node is built once: build(nodes, weights) is
+    called on the nodes that the level before lacks (every node of the first
+    level, the n - 1 odd-index nodes of each later one) with their weights
+    normalised to sum to 1, and must return a new value, their weighted
+    average A_n.  The level's value is V_n = V_{n-1} + s_n (A_n - V_{n-1}),
+    mixed in place in A_n, where s_n is the new nodes' share of the level's
+    weights: build on the whole rule up to rounding.
 
     In the detector coordinate y = sigma q every entry is an entire function
     of exponential type theta, the caller's phase scale (`_phase_scale` for a
@@ -213,21 +212,20 @@ def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
     """
     intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
                            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
-    before = []  # the value N / Z of the level before, and its Z
+    before = []  # the value of the level before
 
     def level(n: int):
-        y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, n)
+        rule = default_rule(det, n)
+        nodes, weights = rule.nodes, rule.weights
         if before:
-            y = y[1::2]  # the nodes the level before lacks
-        w = np.exp(-0.5 * y ** 2)
-        # N = build + Z * (N / Z) of the level before, turned into N / Z in place: a
-        # fresh d^4 array costs its page faults, and numpy divides complex N by Z as complex
-        value, z = build(y / det.sigma, w), w.sum()
-        if before:
-            value += before[0] * before[1]
-            z += before[1]
-        value *= 1.0 / z
-        before[:] = [value, z]
+            nodes, weights = nodes[1::2], weights[1::2]  # the nodes the level before lacks
+        share = weights.sum()
+        value = build(nodes, weights / share)
+        if before:  # in place: a fresh d^4 array costs its page faults
+            value -= before[0]
+            value *= share
+            value += before[0]
+        before[:] = [value]
         return value
 
     return _refine(level, [m + 1 for m in intervals], entry_tol, "entries at {} trapezoid nodes",
@@ -266,10 +264,9 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
             return _propagated_sum(sys, det, t0, nodes, weights, 1)
         levels = _doublings(MIN_SUBSTEPS, 0.0, MAX_SUBSTEPS,
                             f"no second substep level within {MAX_SUBSTEPS}")
-        total = weights.sum()  # the changes are those of the weighted average
         pn_rm, substep_ladder[:] = _romberg(
             lambda m: _propagated_sum(sys, det, t0, nodes, weights, m), levels, entry_tol,
-            "entries at {} substeps", lambda _: total, PropagationStepTooCoarse)
+            "entries at {} substeps", error=PropagationStepTooCoarse)
         return pn_rm
 
     if rule is not None:
@@ -437,10 +434,9 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
         memo, step_ladder = {}, []
 
         def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            total = weights.sum()  # the changes are those of the weighted average
             pn_rm, step_ladder[:] = _romberg(
                 lambda n: _dyson_sum_on_grid(sys, det, t0, nodes, weights, n, memo), levels,
-                ENTRY_TOL, "Dyson terms at {} time steps", lambda _: total)
+                ENTRY_TOL, "Dyson terms at {} time steps")
             return pn_rm
 
     pn_rm, ladder = _node_ladder(det, _phase_scale(sys, det), build, ENTRY_TOL, MAX_NODES)

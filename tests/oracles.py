@@ -1,5 +1,5 @@
-"""Reference evaluators that the tests compare the package against, a spy
-on the node ladder that collects the values to compare, the dense
+"""Reference evaluators that the tests compare the package against, spies
+on the node ladder that collect the values and weights to check, the dense
 atom-plus-modes system of a decaying atom, and the fixed-grid Dyson kernel
 that integrates the detector coordinate in closed form.
 
@@ -191,6 +191,23 @@ def spy_node_ladder(module):
     with mock.patch.object(module, "_node_ladder", spy_ladder), \
             mock.patch.object(superop, "_refine", spy_refine):
         yield seen
+
+
+@contextmanager
+def spy_build_weights(module):
+    """Record, for the node ladder that `module` calls, the sum of the weights
+    of every build call: yields the list of sums."""
+    sums = []
+    ladder = superop._node_ladder
+
+    def spy_ladder(det, theta, build, *args):
+        def recorded(nodes, weights):
+            sums.append(float(weights.sum()))
+            return build(nodes, weights)
+        return ladder(det, theta, recorded, *args)
+
+    with mock.patch.object(module, "_node_ladder", spy_ladder):
+        yield sums
 
 
 def trapezoid_weights(t: np.ndarray) -> np.ndarray:

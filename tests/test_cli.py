@@ -42,7 +42,6 @@ DUMP_CONFIG = {
     "experiment": "channel_dump",
     "system": {"V": {"omega": 2.0, "v_re": 1.0}},
     "detector": {"sigma": 1.0, "lambda": 50.0, "tau": 0.1},
-    "nodes": 256,
 }
 
 
@@ -103,7 +102,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("experiment, key", [
         ("twolevel", "t0"), ("channel_dump", "n_measurements"),
-        ("decay_sweep", "nodes"), ("spectrum", "t0"), ("spectrum", "n_measurements")])
+        ("decay_sweep", "n_measurements"), ("spectrum", "t0"), ("spectrum", "n_measurements")])
     def test_unused_top_level_key_rejected(self, experiment, key):
         cfg = {"twolevel": FIG1_CONFIG, "channel_dump": DUMP_CONFIG,
                "decay_sweep": decay_config(), "spectrum": spectrum_config()}[experiment]
@@ -116,10 +115,10 @@ class TestParseConfig:
 
     def test_null_optional_keys_take_their_defaults(self):
         cfg = json.loads(json.dumps(DUMP_CONFIG))
-        cfg.update(hbar=None, t0=None, nodes=None, output_path=None)
+        cfg.update(hbar=None, t0=None, output_path=None)
         cfg["system"]["V"]["v_im"] = None
         parsed = parse_config(json.dumps(cfg))
-        assert (parsed.hbar, parsed.t0, parsed.nodes, parsed.output_path) == (1.0, 0.0, None, None)
+        assert (parsed.hbar, parsed.t0, parsed.output_path) == (1.0, 0.0, None)
         assert parsed.system == {"V": {"omega": 2.0, "v_re": 1.0}}
         assert parsed.raw == cfg  # the echo keeps the config as given
 
@@ -504,22 +503,14 @@ class TestMainEntry:
                          gaussian_detector(1.0, 50.0, 0.1))
         assert np.abs(tensor - ch.tensor).max() < 1e-6
 
-    @pytest.mark.parametrize("command, cfg, nodes, message", [
-        ("twolevel", FIG1_CONFIG, "3", "'--nodes' must be an integer >= 8"),
-        ("twolevel", FIG1_CONFIG, "-1", "'--nodes' must be an integer >= 8"),
-        ("dump-channel", DUMP_CONFIG, "7", "'--nodes' must be an integer >= 8"),
-        ("decay", decay_config(), "64", "'--nodes' is not used by experiment 'decay_sweep'"),
-        ("spectrum", spectrum_config(), "64", "'--nodes' is not used by experiment 'spectrum'"),
-        ("twolevel", FIG1_CONFIG, "8.5", "'--nodes' must be an integer >= 8"),
-        ("twolevel", FIG1_CONFIG, "1e3", "'--nodes' must be an integer >= 8"),
-        ("dump-channel", DUMP_CONFIG, "many", "'--nodes' must be an integer >= 8"),
-        ("dump-channel", DUMP_CONFIG, "", "'--nodes' must be an integer >= 8"),
-    ])
-    def test_nodes_flag_checked(self, tmp_path, capsys, command, cfg, nodes, message):
-        path = write_config(tmp_path, cfg)
-        argv = [command, "--config", path, "--out", str(tmp_path / "x.csv"), "--nodes", nodes]
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
+    @pytest.mark.parametrize("command, cfg", [("twolevel", FIG1_CONFIG),
+                                              ("dump-channel", DUMP_CONFIG)],
+                             ids=["twolevel", "dump-channel"])
+    def test_nodes_key_rejected(self, tmp_path, capsys, command, cfg):
+        # every channel comes from the certified node ladder: no pinned rule
+        path = write_config(tmp_path, dict(cfg, nodes=256))
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key 'nodes'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, cfg, block, key, value, message", [
         ("decay", decay_config, "reservoir", "kind", [1, 2], "'reservoir.kind' must be one of"),
@@ -641,6 +632,40 @@ class TestMainEntry:
         assert main(["decay", "--config", path, "--out", out]) == 0
         columns, rows, _ = read_csv(out)
         np.testing.assert_array_equal(rows[:, columns.index("R_golden")], 0.0)
+        if key == "omega_R":
+            # G vanishes on the whole time grid: R is the rounding of a zero
+            # integral, which came out as low as -7.8e-319
+            rates = rows[:, columns.index("R")]
+            assert np.all((rates >= 0.0) & (rates < 1e-300)), rates
+            res = zenosim.ReservoirSpectrum.lorentzian(1e-4, value, 10.0)
+            for lam_big in rows[:, columns.index("Lambda")]:
+                det = zenosim.gaussian_detector(1.0, lam_big * math.sqrt(math.pi / 2.0), 2.0)
+                assert 0.0 <= zenosim.decay_rate(res, 1.0, det, rel_tol=1e-4) < 1e-300
+
+    @pytest.mark.parametrize("edge, value", [("e_min", -1e300), ("e_max", 1e300)])
+    def test_grid_edge_beyond_the_line_phase_exit_code(self, tmp_path, capsys, edge, value):
+        # the dense phase sums ran for about 9 s before the half-maximum check failed
+        cfg = json.loads((CONFIG_DIR / "spectrum_strong.json").read_text())
+        cfg["grid"][edge] = value
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert f"'grid.{edge}' = {value!r} makes the line phase" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge, sign", [("e_min", -1.0), ("e_max", 1.0)])
+    def test_line_phase_bound(self, edge, sign):
+        cfg = json.loads((CONFIG_DIR / "spectrum_strong.json").read_text())
+        det = zenosim.gaussian_detector(1.0, 50.0, 1.0)
+        t_cut = cli._decay._line_scales(2.0, det)[0]
+        for factor, accepted in ((0.99, True), (1.01, False)):
+            cfg["grid"][edge] = 2.0 + sign * factor * cli.MAX_LINE_PHASE / t_cut
+            try:
+                parse_config(json.dumps(cfg))
+            except ValidationError as err:
+                assert not accepted and len(err.violations) == 1, err.violations
+            else:
+                assert accepted
 
     def test_inhibition_time_overflow_runs(self, tmp_path):
         # (hbar omega / v)^2 overflows a float: t_inh is infinite, the run still works
@@ -659,16 +684,56 @@ class TestMainEntry:
         assert main(["twolevel", "--config", path, "--out", out]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_seedless_flag_accepted(self, tmp_path):
-        cfg = dict(FIG1_CONFIG, n_measurements=5)
-        path = write_config(tmp_path, cfg)
-        out = str(tmp_path / "out.csv")
-        assert main(["twolevel", "--config", path, "--out", out, "--seedless"]) == 0
+    @pytest.mark.parametrize("flag", [["--seedless"], ["--nodes", "64"]], ids=["seedless", "nodes"])
+    @pytest.mark.parametrize("command", ["twolevel", "dump-channel"])
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        path = write_config(tmp_path, dict(FIG1_CONFIG, n_measurements=5))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", path, "--out", str(tmp_path / "out.csv"), *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, FIG1_CONFIG)
         cfg = load_config(path)
         assert cfg.experiment == "twolevel"
+
+
+SHIPPED = [("twolevel", "fig1_twolevel"), ("twolevel", "fig3_weak"),
+           ("dump-channel", "channel_fig1"), ("decay", "decay_sweep_anti_zeno"),
+           ("spectrum", "spectrum_strong")]
+
+
+def _numeric_leaves(cfg, prefix=()):
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from _numeric_leaves(val, prefix + (key,))
+        elif isinstance(val, (int, float)) and not isinstance(val, bool):
+            yield prefix + (key,)
+
+
+class TestMainFuzz:
+    """Every numeric leaf of a shipped config set to 1e300, 1e-300 and -1e300
+    in turn: main returns 0, 2 or 3 and raises nothing, a RuntimeWarning
+    included (pyproject filterwarnings), and a decay rate is never negative."""
+
+    @pytest.mark.parametrize("command, name", SHIPPED, ids=[name for _, name in SHIPPED])
+    def test_extreme_numbers_exit_cleanly(self, tmp_path, capsys, command, name):
+        base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        out = tmp_path / "x.out"
+        for where in _numeric_leaves(base):
+            for value in (1e300, 1e-300, -1e300):
+                cfg = json.loads(json.dumps(base))
+                block = cfg
+                for key in where[:-1]:
+                    block = block[key]
+                block[where[-1]] = value
+                out.unlink(missing_ok=True)
+                code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+                assert code in (0, 2, 3), (where, value)
+                if command == "decay" and code == 0:
+                    columns, rows, _ = read_csv(out)
+                    assert np.all(rows[:, columns.index("R")] >= 0.0), (where, value)
 
 
 class TestShippedConfigs:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_shape_closed_form, spy_node_ladder, trapezoid_weights
+from oracles import (line_shape_closed_form, spy_build_weights, spy_node_ladder,
+                     trapezoid_weights)
 from zenosim import dynamics, superop
 from zenosim.errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                             ZeroStrength)
@@ -242,6 +243,17 @@ class TestJumpTable:
         # Hermitian V drives both directions with the same strength here
         assert table.w[0, 1] == pytest.approx(table.w[1, 0], rel=1e-6)
 
+    def test_constant_v_table_is_symmetric_one_call_per_pair(self):
+        rng = np.random.default_rng(31)
+        sys = SystemSpec(levels=(0.0, 1.0, 2.5), alpha_energies=((0.0, 0.3), (0.1,), (0.0,)),
+                         v=random_hermitian(rng, 4, 0.3))
+        det = gaussian_detector(sigma=1.0, lam=15.0, tau=0.1)
+        with mock.patch.object(dynamics, "jump_probability_general",
+                               wraps=jump_probability_general) as calls:
+            w = jump_table(sys, det).w
+        np.testing.assert_array_equal(w, w.T)
+        assert calls.call_count == 5  # the pairs of states on different levels
+
     def test_probability_bounds_perturbative_regime(self):
         rng = np.random.default_rng(31)
         sys = SystemSpec(levels=(0.0, 1.0, 2.5), v=random_hermitian(rng, 3, 0.3))
@@ -409,6 +421,26 @@ class TestJumpTimeDependentEveryStrength:
             for n, w in seen.items():
                 rule = superop.default_rule(det, n)
                 assert abs(w - average(rule.nodes, rule.weights)) <= 1e-12 * w
+
+    def test_every_node_average_gets_normalised_weights(self):
+        det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
+        with spy_build_weights(dynamics) as sums:
+            jump_probability_general(_turning_system(), det, *_TURNING_STATES[3],
+                                     *_TURNING_STATES[1])
+        assert len(sums) >= 2
+        assert all(abs(total - 1.0) <= 1e-15 for total in sums), sums
+
+    def test_reversed_jumps_match_direct_calls(self):
+        # the table evaluates each unordered pair once and mirrors it: the reversed
+        # amplitude of a Hermitian V(t) is the complex conjugate
+        sys = _turning_system()
+        det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
+        w = jump_table(sys, det).w
+        for j, k in _TURNING_JUMPS:
+            if j > k:
+                direct = jump_probability_general(sys, det, *_TURNING_STATES[j],
+                                                  *_TURNING_STATES[k])
+                assert abs(w[j, k] - direct) <= 1e-6 * direct
 
     @pytest.mark.parametrize("lam", [500.0, 2000.0])
     def test_converges_in_the_zeno_regime(self, lam):

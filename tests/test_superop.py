@@ -43,8 +43,8 @@ from zenosim.superop import (
 
 import oracles
 from oracles import (dyson_second_order_per_path, gauss_hermite_rule, lag_sums,
-                     second_order_on_grid, spy_node_ladder, trapezoid_weights, triangle_weights,
-                     unit_sum_rule_defect)
+                     second_order_on_grid, spy_build_weights, spy_node_ladder, trapezoid_weights,
+                     triangle_weights, unit_sum_rule_defect)
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -241,6 +241,19 @@ class TestBuildExact:
             whole = (build_exact(sys, det, rule=rule).tensor if builder is build_exact
                      else superop._prnm(build(rule.nodes, rule.weights)))
             assert np.abs(superop._prnm(value) - whole).max() <= 1e-14
+
+    @pytest.mark.parametrize("timed", [False, True], ids=["constant-v", "timed-v"])
+    @pytest.mark.parametrize("builder", [build_exact, build_second_order])
+    def test_every_build_gets_normalised_weights(self, builder, timed):
+        # the ladder owns the rule: each build averages its nodes, so the substep
+        # and Dyson time ladders inside it certify that average
+        sys, det = channels_small_system()
+        if not timed:
+            sys = SystemSpec(levels=sys.levels, v=sys.v_at(0.0))
+        with spy_build_weights(superop) as sums:
+            ch = builder(sys, det)
+        assert len(sums) == len(ch.meta["ladder"]) + 1 >= 2
+        assert all(abs(total - 1.0) <= 1e-15 for total in sums), sums
 
     @pytest.mark.parametrize("lam", [50.0, 500.0])
     def test_each_node_is_propagated_once(self, lam):
