@@ -339,9 +339,9 @@ def _write_sidecar(path: str, cfg: ExperimentConfig, certified: dict):
 
 def _channel_certificate(channel) -> dict:
     """Sidecar facts of an exact channel: its trace error, node count and the
-    (nodes, max change) steps of its node ladder."""
+    bound on its quadrature error."""
     return {"trace_err": channel.certified_trace_err, "nodes": channel.meta["nodes"],
-            "ladder": channel.meta["ladder"]}
+            "quad_bound": channel.meta["quad_bound"]}
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:

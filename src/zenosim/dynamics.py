@@ -17,16 +17,11 @@ from itertools import combinations
 import numpy as np
 
 from .decay import _REFINES, _filon_transform, _line_transform
-from .errors import NoTransitions, NotInZenoRegime, ZeroFrequency, ZeroStrength
+from .errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
+                     ZeroStrength)
 from .model import DetectorModel, SystemSpec, TwoLevelPreset, strength
-from .qmat import _romberg, _tolerance
-from .superop import _node_ladder, _v_samples
-
-
-def _relative(best) -> float:
-    """Scale of a Romberg change: the largest magnitude of the best value."""
-    return max(np.abs(best).max(), 1e-14)
-
+from .qmat import _relative, _romberg, _tolerance
+from .superop import _sized_rule, _v_integral, _v_samples
 
 V2_REL_TOL = 1e-10  # relative tolerance of the time-dependent int |V|^2 dt
 JUMP_MAX_NODES = (1 << 17) + 1  # node cap of a time-dependent jump: one amplitude per node
@@ -63,13 +58,16 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     W = (2 |V_fi|^2 tau / hbar^2) Re int_0^t_cut F(lambda w_fi t) (1 - t/tau) e^{i w_fi,full t} dt;
 
     a time-dependent V the average over the detector coordinate, on the nodes
-    (q_k, w_k) of `superop._node_ladder` (at most JUMP_MAX_NODES), the new
-    nodes of each level on one time ladder from 17 points,
+    (q_k, w_k) of `superop._sized_rule` for the pair's own phase scale theta
+    (at most JUMP_MAX_NODES), on one time ladder from 17 points,
 
-    W = sum_k w_k |(1/hbar) int_0^tau V_fi(t0 + t) e^{i (w_fi,full + lambda q_k w_fi) t} dt|^2.
+    W = sum_k w_k |(1/hbar) int_0^tau V_fi(t0 + t) e^{i (w_fi,full + lambda q_k w_fi) t} dt|^2,
+
+    whose rule errs by at most M b, M = (int |V_fi| dt / hbar)^2 on the sampled times.
 
     Raises ValueError unless rel_tol is finite and > 0, and
-    QuadratureNotConverged, carrying its ladder, when a ladder runs out.
+    QuadratureNotConverged, carrying its ladder, when a ladder runs out, or
+    with an empty ladder when the rule's bound exceeds rel_tol W.
     """
     rel_tol = _tolerance(rel_tol, "rel_tol")
     if (i, alpha) == (f, alpha1):
@@ -81,21 +79,22 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         factor = 2.0 * abs(sys.v_at(0.0)[ff, ii]) ** 2 * det.tau / sys.hbar ** 2
         return _romberg(lambda r: factor * _line_transform(w_fi, det, delta, r)[0].real,
                         _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
-    memo = {}
-
-    def average(nodes: np.ndarray, weights: np.ndarray) -> float:
-        deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * nodes
-
-        def level(nt: int) -> float:
-            t = np.linspace(0.0, det.tau, nt)
-            amp = _filon_transform(_v_samples(sys, t0, t, memo)[:, ff, ii], t, deltas) / sys.hbar
-            return float(weights @ np.abs(amp) ** 2)
-
-        return _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
-                        "jump probability at {} time points", _relative)[0]
-
     theta = det.lam * det.tau * abs(w_fi) / det.sigma  # the phase scale of this pair
-    return _node_ladder(det, theta, average, rel_tol, JUMP_MAX_NODES, _relative)[0]
+    (rule, b), memo = _sized_rule(det, theta, JUMP_MAX_NODES), {}
+    deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * rule.nodes
+
+    def level(nt: int) -> float:
+        t = np.linspace(0.0, det.tau, nt)
+        amp = _filon_transform(_v_samples(sys, t0, t, memo)[:, ff, ii], t, deltas) / sys.hbar
+        return float(rule.weights @ np.abs(amp) ** 2)
+
+    w = _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
+                 "jump probability at {} time points", _relative)[0]
+    bound = b * (_v_integral(memo, lambda v: np.abs(v[:, ff, ii])) / sys.hbar) ** 2
+    if bound > rel_tol * w:
+        raise QuadratureNotConverged(f"quadrature bound {bound:.2e} on {len(rule)} trapezoid "
+                                     f"nodes exceeds rel_tol {rel_tol:.1e} of W = {w:.3e}")
+    return w
 
 
 def jump_probability_strong(sys: SystemSpec, det: DetectorModel,

@@ -25,7 +25,7 @@ class NumericalConvergenceError(ZenoSimError):
     """Base class for failures of adaptive numerical schemes.
 
     ladder lists the (level, change) steps a refinement ladder climbed
-    (`qmat._refine`); it is empty for a failure no ladder reached."""
+    (`qmat._romberg`); it is empty for a failure no ladder reached."""
 
     def __init__(self, message, ladder=()):
         super().__init__(message)

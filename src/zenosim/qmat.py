@@ -49,46 +49,40 @@ def _tolerance(value, name: str) -> float:
     return float(value)
 
 
-def _refine(evaluate, levels, tol: float, what: str, scale=None,
-            error=QuadratureNotConverged):
-    """evaluate(level) on each of at least two levels in turn, until the change
-    max|new - old|, divided by scale(new) when given, is at most tol.
+def _relative(best) -> float:
+    """Scale of a Romberg change: the largest magnitude of the best value."""
+    return max(float(np.abs(best).max()), 1e-14)
+
+
+def _romberg(evaluate, levels, tol: float, what: str, scale=None,
+             error=QuadratureNotConverged):
+    """evaluate(level) on each of at least two levels in turn, each value
+    Richardson-extrapolated through every level before it, until the change
+    max|new - old| of the extrapolated values, divided by scale(new) when
+    given, is at most tol.  evaluate(level) is a rule of error O(h^2)
+    (trapezoid, or Filon on a piecewise-linear factor) whose step h halves
+    from each level to the next; of Romberg's table only the last row is
+    kept.
 
     Returns (value, ladder), ladder the (level, change) of each level after the
     first.  When the levels run out, raises error(message, ladder), the message
     naming the change reached and the last level, at the {} of `what`.
     """
-    ladder, old = [], None
+    ladder, row = [], []
     for level in levels:
-        new = evaluate(level)
-        if old is not None:
-            change = float(np.abs(new - old).max())
-            if scale is not None:
-                change /= scale(new)
-            ladder.append((level, change))
-            if change <= tol:
-                return new, ladder
-        old = new
-    raise error(f"{what.format(level)} still moving by {change:.2e} > {tol:.1e}", ladder)
-
-
-def _romberg(evaluate, levels, tol: float, what: str, scale=None,
-             error=QuadratureNotConverged):
-    """`_refine` on Richardson-extrapolated values: evaluate(level) is a rule
-    of error O(h^2) (trapezoid, or Filon on a piecewise-linear factor) whose
-    step h halves from each level to the next, and each new value is
-    extrapolated through every level before it (Romberg's table, of which
-    only the last row is kept, overwritten in place)."""
-    row = []
-
-    def extrapolate(level):
         value = evaluate(level)
+        old = row[-1] if row else None
         for j, prev in enumerate(row):
             row[j], value = value, value + (value - prev) / (4 ** (j + 1) - 1)
         row.append(value)
-        return value
-
-    return _refine(extrapolate, levels, tol, what, scale, error)
+        if old is not None:
+            change = float(np.abs(value - old).max())
+            if scale is not None:
+                change = float(change / scale(value))
+            ladder.append((level, change))
+            if change <= tol:
+                return value, ladder
+    raise error(f"{what.format(level)} still moving by {change:.2e} > {tol:.1e}", ladder)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

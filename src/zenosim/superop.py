@@ -6,12 +6,12 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
 * exact quadrature over the detector coordinate q (each node propagates the
   system with the level Hamiltonian rescaled by 1 + lambda*q and the results
   are averaged over the detector's Gaussian position distribution, by a
-  given rule or by nested trapezoid rules whose node count doubles until
-  the entries settle, each node propagated once),
+  given rule or by one trapezoid rule sized in advance from the phase scale,
+  whose error bound the channel reports),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
 * second-order perturbation theory in V: the V-linear and V-quadratic
-  terms averaged over the same node ladder, each node taking the Dyson
+  terms averaged over the same sized rule, each node taking the Dyson
   blocks of one Van Loan block exponential for a constant V, or those of
   its interaction-picture V(t) on doubling trapezoid time grids.
 
@@ -36,7 +36,7 @@ from .errors import (
     TraceDrift,
 )
 from .model import DetectorModel, SystemSpec, correlation
-from .qmat import (EIG_FLOOR, _count, _refine, _romberg, _tolerance, apply_super,
+from .qmat import (EIG_FLOOR, _count, _relative, _romberg, _tolerance, apply_super,
                    check_density_matrix, trace_sum_rule_defect, unitary_exp_stack)
 
 EXACT_QUADRATURE = "exact_quadrature"
@@ -74,19 +74,16 @@ class QuadratureRule:
         return self.nodes.size
 
 
-# Half-width of the default rule in detector widths: the Gaussian mass beyond
-# it, 2e-19, is left out.
+# Half-width c of the default rule in detector widths, whose Gaussian mass
+# beyond it, 2e-19, is left out, and the margin by which a sized rule's step
+# resolves the phase scale (`_sized_rule`)
 RULE_HALF_WIDTH = 9.0
 
 
 def default_rule(det: DetectorModel, n: int) -> QuadratureRule:
     """Normalized n-point trapezoid rule for the position distribution of a
     Gaussian detector: nodes y_j / sigma for y_j equally spaced on [-9, 9],
-    weights e^{-y_j^2 / 2}.
-
-    The rule converges geometrically once its step resolves the oscillation
-    of the integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); an odd
-    n nests under the doubling n -> 2n - 1.
+    weights e^{-y_j^2 / 2}; `_sized_rule` takes n from the phase scale.
     """
     y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, _count(n, "n"))
     w = np.exp(-0.5 * y ** 2)
@@ -131,7 +128,7 @@ def _propagators(sys: SystemSpec, det: DetectorModel, t0: float,
     exponentials composed in order.
     """
     h0 = _node_levels(sys, det, nodes)[:, :, None] * np.eye(sys.dim)
-    if sys.constant_v or sys.v is None:
+    if sys.constant_v:
         return unitary_exp_stack(h0 + sys.v_at(0.0), det.tau / sys.hbar)
     dt = det.tau / substeps
     u = np.broadcast_to(np.eye(sys.dim, dtype=complex), h0.shape).copy()
@@ -165,11 +162,7 @@ def _propagated_sum(sys: SystemSpec, det: DetectorModel, t0: float, nodes: np.nd
 
 ENTRY_TOL, MAX_NODES = 1e-8, 8193
 MIN_SUBSTEPS, MAX_SUBSTEPS = 8, 1024  # of a midpoint propagation (`build_exact`)
-MIN_STEPS, MAX_STEPS = 16, 4096  # of a Dyson time grid (`build_second_order`)
-# Margin c of the first ladder level, whose step h <= 2 pi / (theta + c): the
-# trapezoid rule's error is then the Gaussian's Fourier transform at c beyond the
-# band of the entries, about e^{-c^2 / 2} = 2.6e-18 at c = 9.
-ALIAS_MARGIN = 9.0
+MIN_STEPS, MAX_STEPS = 16, 8192  # of a Dyson time grid (`build_second_order`)
 
 
 def _phase_scale(sys: SystemSpec, det: DetectorModel) -> float:
@@ -185,51 +178,44 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
     return [first << k for k in range((cap // first).bit_length())]
 
 
-def _node_ladder(det: DetectorModel, theta: float, build, entry_tol: float,
-                 max_nodes: int, scale=None):
-    """Average build over the trapezoid rules `default_rule(det, n)` of doubling
-    node counts, n -> 2n - 1, until no entry moves by more than entry_tol
-    (`_refine`, with its scale).
+def _sized_rule(det: DetectorModel, theta: float,
+                max_nodes: int) -> tuple[QuadratureRule, float]:
+    """`default_rule` of n = ceil(c (theta + c) / pi) + 1 nodes, c =
+    RULE_HALF_WIDTH, whose step h resolves theta, the caller's phase scale,
+    with the margin c (2 pi / h >= theta + c), and its error bound b per unit
+    of M (Trefethen & Weideman, SIAM Rev. 56, 385 (2014), Sec. 5).
 
-    The rules nest, so each node is built once: build(nodes, weights) is
-    called on the nodes that the level before lacks (every node of the first
-    level, the n - 1 odd-index nodes of each later one) with their weights
-    normalised to sum to 1, and must return a new value, their weighted
-    average A_n.  The level's value is V_n = V_{n-1} + s_n (A_n - V_{n-1}),
-    mixed in place in A_n, where s_n is the new nodes' share of the level's
-    weights: build on the whole rule up to rounding.
-
-    In the detector coordinate y = sigma q every entry is an entire function
-    of exponential type theta, the caller's phase scale (`_phase_scale` for a
-    tensor: lambda tau max|omega_level| / sigma), so the first level is the
-    smallest 2^k + 1 >= 65 nodes whose step resolves theta with the margin
-    ALIAS_MARGIN; every level after it resolves theta too, so two levels
-    cannot agree by chance.
-
-    Returns the last level's value and the ladder, a list of (nodes, max
-    change against the level before).  Raises QuadratureNotConverged, carrying
-    the ladder, once the next level would exceed max_nodes.
+    In the detector coordinate y = sigma q every entry f the rule averages is
+    entire of exponential type theta (`_phase_scale` for a tensor) and at most
+    M on the real line.  Shifting the contour bounds the Gaussian-weighted
+    Fourier transform of f - I, I its average, by 2M e^{-(omega - theta)^2 / 2}:
+    the rule aliases by at most 2Ma, a = 2 e^{-c^2 / 2} / (1 - e^{-3 c^2 / 2})
+    over every alias, drops at most 2Mt, t = erfc(c / sqrt 2), beyond c, and
+    its weights sum to at least 1 - a - t, so it errs by 2 (a + t) / (1 - a - t)
+    per unit, 1.1e-17 at c = 9.  To that b adds eps (theta + n) for rounding,
+    an estimate rather than a proof: the node phases, about theta |y|, are
+    rounded to eps of their size, and the sum of n node values to about n eps;
+    between the rule and that of 2n - 1 nodes rounding stayed below a quarter
+    of it (d <= 6, theta <= 2700).  Returns (rule, b); raises
+    QuadratureNotConverged, with an empty ladder, when n > max_nodes.
     """
-    intervals = _doublings(64, RULE_HALF_WIDTH * (theta + ALIAS_MARGIN) / math.pi, max_nodes - 1,
-                           f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
-    before = []  # the value of the level before
+    c = RULE_HALF_WIDTH
+    n = c * (theta + c) / math.pi + 1.0
+    if not n <= max_nodes:  # also for an infinite or NaN theta
+        raise QuadratureNotConverged(
+            f"phase scale {theta:.4g} needs more than {max_nodes} trapezoid nodes")
+    n = math.ceil(n)
+    a = -2.0 * math.exp(-0.5 * c * c) / math.expm1(-1.5 * c * c)
+    t = math.erfc(c / math.sqrt(2.0))
+    rounding = float(np.finfo(float).eps) * (theta + n)
+    return default_rule(det, n), 2.0 * (a + t) / (1.0 - a - t) + rounding
 
-    def level(n: int):
-        rule = default_rule(det, n)
-        nodes, weights = rule.nodes, rule.weights
-        if before:
-            nodes, weights = nodes[1::2], weights[1::2]  # the nodes the level before lacks
-        share = weights.sum()
-        value = build(nodes, weights / share)
-        if before:  # in place: a fresh d^4 array costs its page faults
-            value -= before[0]
-            value *= share
-            value += before[0]
-        before[:] = [value]
-        return value
 
-    return _refine(level, [m + 1 for m in intervals], entry_tol, "entries at {} trapezoid nodes",
-                   scale)
+def _v_integral(memo: dict, norm) -> float:
+    """Trapezoid integral of norm(V) over the times a `_v_samples` memo holds,
+    norm taking a stack of V and giving one number per time."""
+    t = sorted(memo)
+    return float(np.trapezoid(norm(np.stack([memo[x] for x in t])), t))
 
 
 def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
@@ -237,48 +223,40 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                 entry_tol: float = ENTRY_TOL) -> MeasurementChannel:
     """Exact-quadrature measurement channel.
 
-    With an explicit rule the tensor is built on that rule.  With rule=None
-    it is built on `default_rule` trapezoid rules along `_node_ladder`, until
-    no tensor entry moves by more than entry_tol; meta["ladder"] lists the
-    (nodes, max change) steps.  Each node is propagated once: a level adds
-    only the nodes the level before lacks.  A time-dependent V is propagated
-    on the rule, or on each level's new nodes, with MIN_SUBSTEPS,
+    With an explicit rule the tensor is built on that rule, else on
+    `_sized_rule` (at most MAX_NODES nodes), whose entries, of modulus at most
+    1, err by at most meta["quad_bound"] = b, None on a given rule.  Each node
+    is propagated once; a time-dependent V with MIN_SUBSTEPS,
     2 MIN_SUBSTEPS ... <= MAX_SUBSTEPS midpoint substeps, and their average
     extrapolated to entry_tol (`_romberg`): the exponential midpoint rule is
     symmetric, so its error expands in even powers of the step (Hairer,
     Lubich & Wanner, Geometric Numerical Integration, 2nd ed. 2006,
     Sec. II.3).  meta["substep_ladder"] lists the (substeps, max change)
-    steps of the rule or of the last level's new nodes, [] for a constant V.
+    steps, [] for a constant V.
 
-    Raises ValueError unless entry_tol is finite and > 0,
-    PropagationStepTooCoarse past MAX_SUBSTEPS and QuadratureNotConverged
-    past MAX_NODES, each carrying its ladder.
+    Raises ValueError unless entry_tol is finite and > 0, and
+    PropagationStepTooCoarse, carrying its ladder, past MAX_SUBSTEPS.
     """
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
     entry_tol = _tolerance(entry_tol, "entry_tol")
+    bound = None
+    if rule is None:
+        rule, bound = _sized_rule(det, _phase_scale(sys, det), MAX_NODES)
     substep_ladder = []
-
-    def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if sys.constant_v or sys.v is None:
-            return _propagated_sum(sys, det, t0, nodes, weights, 1)
+    if sys.constant_v:
+        pn_rm = _propagated_sum(sys, det, t0, rule.nodes, rule.weights, 1)
+    else:
         levels = _doublings(MIN_SUBSTEPS, 0.0, MAX_SUBSTEPS,
                             f"no second substep level within {MAX_SUBSTEPS}")
-        pn_rm, substep_ladder[:] = _romberg(
-            lambda m: _propagated_sum(sys, det, t0, nodes, weights, m), levels, entry_tol,
-            "entries at {} substeps", error=PropagationStepTooCoarse)
-        return pn_rm
-
-    if rule is not None:
-        pn_rm, ladder, nodes, quad_err = build(rule.nodes, rule.weights), [], len(rule), None
-    else:
-        pn_rm, ladder = _node_ladder(det, _phase_scale(sys, det), build, entry_tol, MAX_NODES)
-        nodes, quad_err = ladder[-1]
+        pn_rm, substep_ladder = _romberg(
+            lambda m: _propagated_sum(sys, det, t0, rule.nodes, rule.weights, m), levels,
+            entry_tol, "entries at {} substeps", error=PropagationStepTooCoarse)
     tensor = _prnm(pn_rm)
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
                               certified_trace_err=err,
-                              meta={"nodes": nodes, "quad_entry_err": quad_err, "ladder": ladder,
+                              meta={"nodes": len(rule), "quad_bound": bound,
                                     "substeps": substep_ladder[-1][0] if substep_ladder else 1,
                                     "substep_ladder": substep_ladder})
 
@@ -406,43 +384,40 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     S = S0 + S1 + S2 with S0 the unperturbed closed form, S1 linear and S2
     quadratic in V; valid when the action of V over one measurement is small
     (||V|| tau / hbar << 1, not enforced here).  S1 + S2 is the V-linear and
-    V-quadratic part of the exact quadrature, averaged over the nodes of
-    `_node_ladder` to build_exact's default entry_tol (meta: nodes,
-    quad_entry_err, ladder; QuadratureNotConverged, naming the phase scale,
-    beyond MAX_NODES nodes).  Each node takes its Dyson blocks from one block
-    exponential for a constant V (`_dyson_blocks`), and for a time-dependent V
-    on n, 2n ... <= MAX_STEPS time steps (`_dyson_sum_on_grid`), extrapolated
-    to the same tolerance (`_romberg`; meta: steps and the step_ladder of the
-    last level's new nodes; QuadratureNotConverged past MAX_STEPS).  n is the
-    least MIN_STEPS 2^k whose step turns the fastest phase, (max - min) tau /
-    hbar of the state energies or `_phase_scale`, by at most 2 rad.  steps is
+    V-quadratic part of the exact quadrature, averaged over `_sized_rule`
+    (QuadratureNotConverged, naming the phase scale, beyond MAX_NODES nodes).
+    Its entries are at most M = 2x + 2x^2, from ||U1|| <= x and ||U2|| <= x^2 / 2
+    for x = int ||V(t)||_2 dt / hbar (on the sampled times for a time-dependent
+    V), so the rule errs by at most meta["quad_bound"] = M b.
+    Each node takes its Dyson blocks from one block exponential for a constant
+    V (`_dyson_blocks`), and for a time-dependent V on n, 2n ... <= MAX_STEPS
+    time steps (`_dyson_sum_on_grid`), extrapolated until the entries move by
+    at most ENTRY_TOL of their largest (`_romberg`; meta: steps and
+    step_ladder; QuadratureNotConverged past MAX_STEPS).  n is the least
+    MIN_STEPS 2^k whose step turns the fastest phase, (max - min) tau / hbar
+    of the state energies or `_phase_scale`, by at most 2 rad.  steps is
     ignored with a DeprecationWarning.
     """
     if steps is not None:
         warnings.warn("steps is ignored: the time steps climb their own ladder",
                       DeprecationWarning, stacklevel=2)
+    (rule, b), time_ladder = _sized_rule(det, _phase_scale(sys, det), MAX_NODES), {}
     if sys.constant_v:
         s = det.tau / sys.hbar
-
-        def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return _dyson_sum(weights, *_dyson_blocks(s * _node_levels(sys, det, nodes),
-                                                      s * sys.v_at(0.0)))
+        pn_rm = _dyson_sum(rule.weights, *_dyson_blocks(s * _node_levels(sys, det, rule.nodes),
+                                                        s * sys.v_at(0.0)))
+        x = s * float(np.linalg.norm(sys.v_at(0.0), 2))
     else:
         phase = max(det.tau * float(np.ptp(sys.e0 + sys.e1)) / sys.hbar, _phase_scale(sys, det))
         levels = _doublings(MIN_STEPS, 0.5 * phase, MAX_STEPS,
                             f"phase {phase:.4g} rad needs more than {MAX_STEPS} time steps")
-        memo, step_ladder = {}, []
-
-        def build(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            pn_rm, step_ladder[:] = _romberg(
-                lambda n: _dyson_sum_on_grid(sys, det, t0, nodes, weights, n, memo), levels,
-                ENTRY_TOL, "Dyson terms at {} time steps")
-            return pn_rm
-
-    pn_rm, ladder = _node_ladder(det, _phase_scale(sys, det), build, ENTRY_TOL, MAX_NODES)
-    meta = {"nodes": ladder[-1][0], "quad_entry_err": ladder[-1][1], "ladder": ladder}
-    if not sys.constant_v:
-        meta.update(steps=step_ladder[-1][0], step_ladder=step_ladder)
+        memo = {}
+        pn_rm, step_ladder = _romberg(
+            lambda n: _dyson_sum_on_grid(sys, det, t0, rule.nodes, rule.weights, n, memo),
+            levels, ENTRY_TOL, "Dyson terms at {} time steps", _relative)
+        x = _v_integral(memo, lambda v: np.abs(np.linalg.eigvalsh(v)).max(axis=1)) / sys.hbar
+        time_ladder = {"steps": step_ladder[-1][0], "step_ladder": step_ladder}
+    meta = {"nodes": len(rule), "quad_bound": 2.0 * x * (1.0 + x) * b, **time_ladder}
     tensor = build_unperturbed(sys, det).tensor + _prnm(pn_rm)
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=trace_sum_rule_defect(tensor), meta=meta)

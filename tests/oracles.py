@@ -1,7 +1,7 @@
-"""Reference evaluators that the tests compare the package against, spies
-on the node ladder that collect the values and weights to check, the dense
-atom-plus-modes system of a decaying atom, and the fixed-grid Dyson kernel
-that integrates the detector coordinate in closed form.
+"""Reference evaluators that the tests compare the package against, a spy
+on the detector rules the package sizes, the dense atom-plus-modes system
+of a decaying atom, and the fixed-grid Dyson kernel that integrates the
+detector coordinate in closed form.
 
 They use scipy's special functions and quadrature, which the package itself
 does not load.
@@ -174,40 +174,19 @@ def line_mass_by_sampling(omega_if: float, det, mass_tol: float = 1e-4) -> float
 
 
 @contextmanager
-def spy_node_ladder(module):
-    """Record the node ladder that `module` calls: yields a dict that receives
-    the build callback the ladder is given, under "build", and the value of
-    each level, under its node count."""
-    seen = {}
-    ladder, refine = superop._node_ladder, superop._refine
+def spy_sized_rules(module):
+    """Record every rule that `module` sizes (`superop._sized_rule`): yields
+    the list of rules."""
+    rules = []
+    sized = superop._sized_rule
 
-    def spy_ladder(det, theta, build, *args):
-        seen["build"] = build
-        return ladder(det, theta, build, *args)
+    def spy(*args):
+        rule, bound = sized(*args)
+        rules.append(rule)
+        return rule, bound
 
-    def spy_refine(evaluate, levels, *args):
-        return refine(lambda n: seen.setdefault(n, evaluate(n)), levels, *args)
-
-    with mock.patch.object(module, "_node_ladder", spy_ladder), \
-            mock.patch.object(superop, "_refine", spy_refine):
-        yield seen
-
-
-@contextmanager
-def spy_build_weights(module):
-    """Record, for the node ladder that `module` calls, the sum of the weights
-    of every build call: yields the list of sums."""
-    sums = []
-    ladder = superop._node_ladder
-
-    def spy_ladder(det, theta, build, *args):
-        def recorded(nodes, weights):
-            sums.append(float(weights.sum()))
-            return build(nodes, weights)
-        return ladder(det, theta, recorded, *args)
-
-    with mock.patch.object(module, "_node_ladder", spy_ladder):
-        yield sums
+    with mock.patch.object(module, "_sized_rule", spy):
+        yield rules
 
 
 def trapezoid_weights(t: np.ndarray) -> np.ndarray:

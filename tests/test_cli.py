@@ -183,7 +183,7 @@ class TestTwoLevelRunner:
 
     def test_strong_measurement_reaches_inhibition_time(self, tmp_path):
         # lambda = 1500 puts the phase scale lambda tau omega / sigma at 300, where the
-        # node ladder needs 2049 nodes; t_inh = 1197 is 11969 measurements
+        # sized rule needs 887 nodes; t_inh = 1197 is 11969 measurements
         import pathlib
         cfg = json.loads((pathlib.Path(__file__).resolve().parent.parent / "configs"
                           / "fig1_twolevel.json").read_text())
@@ -198,7 +198,7 @@ class TestTwoLevelRunner:
         assert rows[-1, 0] >= t_inh
         approx = zenosim.measured_exponential(preset, det, rows[:, 0])[0]
         assert np.abs(rows[:, columns.index("rho11")] - approx).max() < 0.05
-        assert json.load(open(out + ".meta.json"))["certified"]["nodes"] == 2049
+        assert json.load(open(out + ".meta.json"))["certified"]["nodes"] == 887
 
     def test_deterministic_output(self, tmp_path):
         cfg_dict = json.loads(json.dumps(FIG1_CONFIG))
@@ -218,8 +218,7 @@ class TestTwoLevelRunner:
         meta = json.load(open(out + ".meta.json"))
         assert meta["config"]["detector"]["lambda"] == 50.0
         assert meta["certified"]["trace_err"] < 1e-8
-        ladder = meta["certified"]["ladder"]
-        assert ladder[-1][0] == meta["certified"]["nodes"] and ladder[-1][1] <= 1e-8
+        assert meta["certified"]["quad_bound"] <= 1e-8 and meta["certified"]["nodes"] > 0
         assert meta["versions"] == {"numpy": np.__version__, "zenosim": zenosim.__version__}
 
 
@@ -507,7 +506,7 @@ class TestMainEntry:
                                               ("dump-channel", DUMP_CONFIG)],
                              ids=["twolevel", "dump-channel"])
     def test_nodes_key_rejected(self, tmp_path, capsys, command, cfg):
-        # every channel comes from the certified node ladder: no pinned rule
+        # every channel comes from the rule sized from its phase scale: no pinned rule
         path = write_config(tmp_path, dict(cfg, nodes=256))
         assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown key 'nodes'" in capsys.readouterr().err

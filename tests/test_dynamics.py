@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (line_shape_closed_form, spy_build_weights, spy_node_ladder,
-                     trapezoid_weights)
+from oracles import line_shape_closed_form, spy_sized_rules, trapezoid_weights
 from zenosim import dynamics, superop
 from zenosim.errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                             ZeroStrength)
@@ -54,12 +53,13 @@ class TestJumpGeneral:
             assert abs(w - ref) <= 1e-7 * ref
 
     def test_not_converged_carries_ladder_time_dependent(self):
-        # the time ladder of the first node level, from 17 points; no two
-        # Richardson values agree to 1e-300 relative
+        # the time ladder from 17 points on a V(t) with a kink between grid points,
+        # where no Richardson step gains an order: it still moves by 9e-9 at 8193
         vmat = FIG1_SYS.v_at(0.0)
-        sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: vmat)
+        kink = FIG1_DET.tau / math.sqrt(2.0)
+        sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: abs(t - kink) * vmat)
         with pytest.raises(QuadratureNotConverged) as info:
-            jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-300)
+            jump_probability_general(sys, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-10)
         ladder = info.value.ladder
         assert [nt for nt, _ in ladder] == [(16 << k) + 1 for k in range(1, 10)]
         assert f"at 8193 time points still moving by {ladder[-1][1]:.2e}" in str(info.value)
@@ -409,26 +409,25 @@ class TestJumpTimeDependentEveryStrength:
 
     @pytest.mark.parametrize("lam", [50.0, 200.0])
     def test_every_node_level_is_its_whole_rule(self, lam):
-        # each level after the first averages only its new nodes, each on its own
-        # time ladder; both levels match the amplitude average over their whole rule
+        # one rule per jump, sized from the pair's phase scale; the rule of 2n - 1
+        # nodes moves W by less than the time ladder's tolerance
         det = gaussian_detector(sigma=1.0, lam=lam, tau=0.3)
         for j, k in [(3, 1), (2, 0)]:
-            with spy_node_ladder(dynamics) as seen:
-                jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
-                                         *_TURNING_STATES[k])
-            average = seen.pop("build")
-            assert len(seen) == 2
-            for n, w in seen.items():
-                rule = superop.default_rule(det, n)
-                assert abs(w - average(rule.nodes, rule.weights)) <= 1e-12 * w
+            states = (*_TURNING_STATES[j], *_TURNING_STATES[k])
+            with spy_sized_rules(dynamics) as rules:
+                w = jump_probability_general(_turning_system(), det, *states, rel_tol=1e-9)
+            assert len(rules) == 1
+            finer = superop.default_rule(det, 2 * len(rules[0]) - 1)
+            with mock.patch.object(dynamics, "_sized_rule", return_value=(finer, 0.0)):
+                w_finer = jump_probability_general(_turning_system(), det, *states, rel_tol=1e-9)
+            assert abs(w - w_finer) <= 1e-9 * w
 
     def test_every_node_average_gets_normalised_weights(self):
         det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
-        with spy_build_weights(dynamics) as sums:
+        with spy_sized_rules(dynamics) as rules:
             jump_probability_general(_turning_system(), det, *_TURNING_STATES[3],
                                      *_TURNING_STATES[1])
-        assert len(sums) >= 2
-        assert all(abs(total - 1.0) <= 1e-15 for total in sums), sums
+        assert len(rules) == 1 and abs(rules[0].weights.sum() - 1.0) <= 1e-15
 
     def test_reversed_jumps_match_direct_calls(self):
         # the table evaluates each unordered pair once and mirrors it: the reversed
@@ -452,33 +451,42 @@ class TestJumpTimeDependentEveryStrength:
             assert 0.5 <= _gap_to_strong(sys, det, w[j, k], j, k) <= 2.0
 
     def test_approaches_strong_formula_at_the_node_cap(self):
-        # lambda = 2e4 puts the phase scale at 1.8e4, on 65537 and 131073 nodes
+        # lambda = 2e4 puts the phase scale at 1.8e4, on 51593 nodes
         sys = _turning_system()
         det = gaussian_detector(sigma=1.0, lam=2e4, tau=0.3)
         w = jump_probability_general(sys, det, 2, 0, 0, 1)
         assert 0.5 <= _gap_to_strong(sys, det, w, 3, 1) <= 2.0
 
     def test_past_the_node_cap_raises_naming_the_phase_scale(self):
-        # lambda = 3e4 puts it at 2.7e4, whose first node level would already
-        # pass half of JUMP_MAX_NODES
-        det = gaussian_detector(sigma=1.0, lam=3e4, tau=0.3)
-        with pytest.raises(QuadratureNotConverged, match="phase scale 2.7e[+]04 needs more than "
+        # lambda = 6e4 puts it at 5.4e4, whose rule would pass JUMP_MAX_NODES
+        det = gaussian_detector(sigma=1.0, lam=6e4, tau=0.3)
+        with pytest.raises(QuadratureNotConverged, match="phase scale 5.4e[+]04 needs more than "
                            f"{dynamics.JUMP_MAX_NODES} trapezoid nodes") as info:
             jump_probability_general(_turning_system(), det, 2, 0, 0, 1)
         assert info.value.ladder == []
 
-    def test_node_ladder_starts_at_the_pair_phase_scale(self):
+    def test_rule_is_sized_from_the_pair_phase_scale(self):
         # theta = lambda tau |w_fi| / sigma of the pair itself: 90 for the |w_fi| = 1.5
-        # jump (first level 513 nodes), 180 for the |w_fi| = 3 jump (1025 nodes)
+        # jump (285 nodes), 180 for the |w_fi| = 3 jump (543 nodes)
         det = gaussian_detector(sigma=1.0, lam=200.0, tau=0.3)
-        for (j, k), first in [((2, 0), 513), ((3, 1), 1025)]:
-            with mock.patch.object(superop, "_refine", wraps=superop._refine) as ladder:
+        for (j, k), nodes in [((2, 0), 285), ((3, 1), 543)]:
+            with spy_sized_rules(dynamics) as rules:
                 jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
                                          *_TURNING_STATES[k])
-            assert ladder.call_count == 1 and ladder.call_args.args[1][0] == first
+            assert [len(rule) for rule in rules] == [nodes]
+
+    def test_rule_bound_above_rel_tol_raises(self):
+        # the rule's bound b (int |V_fi| dt / hbar)^2 is checked against rel_tol W
+        det = gaussian_detector(sigma=1.0, lam=50.0, tau=0.3)
+        rule, _ = superop._sized_rule(det, 10.0, dynamics.JUMP_MAX_NODES)
+        with mock.patch.object(dynamics, "_sized_rule", return_value=(rule, 1e-3)), \
+                pytest.raises(QuadratureNotConverged,
+                              match=f"on {len(rule)} trapezoid nodes exceeds rel_tol 1.0e-06") as info:
+            jump_probability_general(_turning_system(), det, 2, 0, 0, 1)
+        assert info.value.ladder == []
 
     def test_samples_each_time_once(self):
-        # nested time levels and node levels reuse the samples they share
+        # nested time levels reuse the samples they share
         sys = _turning_system()
         times = []
         spy = SystemSpec(levels=sys.levels, alpha_energies=sys.alpha_energies,

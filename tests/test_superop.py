@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import superop
@@ -43,8 +43,8 @@ from zenosim.superop import (
 
 import oracles
 from oracles import (dyson_second_order_per_path, gauss_hermite_rule, lag_sums,
-                     second_order_on_grid, spy_build_weights, spy_node_ladder, trapezoid_weights,
-                     triangle_weights, unit_sum_rule_defect)
+                     second_order_on_grid, spy_sized_rules, trapezoid_weights, triangle_weights,
+                     unit_sum_rule_defect)
 
 FIG1_DET = gaussian_detector(sigma=1.0, lam=50.0, tau=0.1)
 FIG1_SYS = TwoLevelPreset(omega=2.0, v=1.0).to_system()
@@ -126,10 +126,10 @@ class TestQuadratureRule:
     @pytest.mark.parametrize("n", [65, 129, 1025, 8193])
     def test_default_rule_error_within_alias_margin(self, n):
         # a step h integrates e^{i nu y} against the Gaussian to about
-        # e^{-(2 pi / h - nu)^2 / 2}: rounding at the margin the ladder starts with
+        # e^{-(2 pi / h - nu)^2 / 2}: rounding at the margin a sized rule leaves
         rule = default_rule(gaussian_detector(sigma=1.0, lam=1.0, tau=0.1), n)
         band = 2.0 * np.pi * (n - 1) / (2.0 * superop.RULE_HALF_WIDTH)
-        for nu in np.linspace(0.0, band - superop.ALIAS_MARGIN, 7):
+        for nu in np.linspace(0.0, band - superop.RULE_HALF_WIDTH, 7):
             got = rule.weights @ np.exp(1j * nu * rule.nodes)
             assert abs(got - np.exp(-nu ** 2 / 2.0)) <= 1e-15 * n ** 0.5
         nu = band - 4.0
@@ -151,6 +151,71 @@ class TestQuadratureRule:
         nodes[3] = bad
         with pytest.raises(ValueError):
             QuadratureRule(nodes=nodes, weights=np.full(8, 0.125))
+
+
+class TestSizedRule:
+    @pytest.mark.parametrize("c", [2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_bound_covers_gaussian_averages_of_type_theta(self, c):
+        # entries of type theta bounded by 1 whose Gaussian averages are closed
+        # forms: e^{i theta y}, cos(theta y + phi) and cos(a y) cos((theta - a) y);
+        # at these margins the error is far above rounding.  theta runs over a grid
+        # and over the values where the step is exactly 2 pi / (theta + c), from
+        # the least theta that gives the 8 nodes of a QuadratureRule
+        det = gaussian_detector(sigma=1.0, lam=1.0, tau=0.1)
+        worst = 0.0
+        lo = max(0.0, 7.0 * math.pi / c - c)
+        exact = [math.pi * m / c - c for m in range(1, int(49.0 * c / math.pi) + 1)]
+        with mock.patch.object(superop, "RULE_HALF_WIDTH", c):
+            for theta in [*np.linspace(lo, 40.0, 41), *(t for t in exact if lo <= t <= 40.0)]:
+                rule, bound = superop._sized_rule(det, theta, superop.MAX_NODES)
+                y, w = rule.nodes, rule.weights
+                cases = [(np.exp(1j * theta * y), math.exp(-theta ** 2 / 2.0))]
+                cases += [(np.cos(theta * y + phi), math.cos(phi) * math.exp(-theta ** 2 / 2.0))
+                          for phi in np.linspace(0.0, math.pi, 5)]
+                cases += [(np.cos(a * y) * np.cos((theta - a) * y),
+                           0.5 * (math.exp(-(2.0 * a - theta) ** 2 / 2.0)
+                                  + math.exp(-theta ** 2 / 2.0)))
+                          for a in np.linspace(0.0, theta, 5)]
+                for f, average in cases:
+                    err = abs(w @ f - average)
+                    assert err <= bound, (theta, err, bound)
+                    worst = max(worst, err)
+        # and it is no empty bound: the worst case reaches a tenth of it
+        assert bound / 10.0 <= worst and worst > 1e-12
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 6), timed=st.booleans(), lam=st.floats(5.0, 300.0),
+           log_sigma=st.floats(math.log(1.0 / 30.0), 0.0), seed=st.integers(0, 2 ** 16))
+    @example(d=6, timed=False, lam=300.0, log_sigma=math.log(1.0 / 30.0), seed=0)
+    @example(d=4, timed=True, lam=300.0, log_sigma=0.0, seed=1)
+    def test_one_rule_is_within_its_bound_of_a_finer_rule(self, d, timed, lam, log_sigma, seed):
+        # the sized rule of n nodes against the rule of 2n - 1: their difference, the
+        # rounding of both (3e-14 at theta = 2700), stays within the reported bound,
+        # whose rounding estimate eps (theta + n) covers it.  A time-dependent V
+        # stays below theta = 300: at 2700 its substep ladder takes a minute
+        rng = np.random.default_rng(seed)
+        vmat = random_v(rng, d, 0.3)
+        sys = SystemSpec(levels=tuple(np.sort(rng.uniform(-1.5, 1.5, d))),
+                         v=(lambda t: np.cos(3.0 * t) * vmat) if timed else vmat)
+        det = gaussian_detector(math.exp(log_sigma), lam, 0.1)
+        theta = superop._phase_scale(sys, det)
+        assume(not timed or theta <= 300.0)
+        ch = build_exact(sys, det)
+        finer = default_rule(det, 2 * ch.meta["nodes"] - 1)
+        assert (np.abs(ch.tensor - build_exact(sys, det, rule=finer).tensor).max()
+                <= ch.meta["quad_bound"])
+        ch = build_second_order(sys, det)
+        with mock.patch.object(superop, "_sized_rule", return_value=(finer, 0.0)):
+            ref = build_second_order(sys, det)
+        assert np.abs(ch.tensor - ref.tensor).max() <= ch.meta["quad_bound"]
+
+    @pytest.mark.parametrize("theta", [float("inf"), float("nan"), 1e308])
+    def test_unbounded_phase_scale_raises_before_any_node(self, theta):
+        with mock.patch.object(superop, "default_rule") as rule, \
+                pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
+            superop._sized_rule(FIG1_DET, theta, superop.MAX_NODES)
+        assert info.value.ladder == []
+        rule.assert_not_called()
 
 
 class TestBuildExact:
@@ -209,74 +274,64 @@ class TestBuildExact:
             build_exact(FIG1_SYS, FIG1_DET, entry_tol=entry_tol)
         prop.assert_not_called()
 
-    def test_records_node_ladder(self):
-        # the first level is the smallest 2^k + 1 >= 65 nodes whose step resolves the
-        # phase scale lambda tau omega / sigma with the alias margin
-        for lam, first in [(50.0, 65), (500.0, 513), (1500.0, 1025)]:
+    def test_records_sized_rule(self):
+        # n = ceil(c (theta + c) / pi) + 1 nodes resolve the phase scale theta =
+        # lambda tau omega / sigma with the margin c = 9, and report the bound
+        # 1.0758e-17 of the quadrature plus eps (theta + n) of rounding
+        for lam, n in [(50.0, 56), (500.0, 314), (1500.0, 887)]:
             det = gaussian_detector(sigma=1.0, lam=lam, tau=0.1)
             ch = build_exact(FIG1_SYS, det)
-            ladder = ch.meta["ladder"]
-            assert [n for n, _ in ladder] == [(first - 1) * 2 ** i + 1
-                                              for i in range(1, len(ladder) + 1)]
-            assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
-            assert all(change > 1e-8 for _, change in ladder[:-1]) and ladder[-1][1] <= 1e-8
+            rounding = np.finfo(float).eps * (superop._phase_scale(FIG1_SYS, det) + n)
+            assert ch.meta["nodes"] == n
+            assert ch.meta["quad_bound"] == pytest.approx(1.0758e-17 + rounding, rel=1e-4)
         fixed = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 65))
-        assert fixed.meta["ladder"] == []
+        assert fixed.meta["nodes"] == 65 and fixed.meta["quad_bound"] is None
 
     @pytest.mark.parametrize("builder", [build_exact, build_second_order])
     def test_every_node_level_is_its_whole_rule(self, builder):
-        # each level after the first builds only its new nodes; a tolerance below
-        # rounding keeps the ladder climbing through 65, 129 and 257 nodes
+        # one rule, sized once, whose nodes each builder's one pass takes whole
         rng = np.random.default_rng(12)
         sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.8), v=random_v(rng, 4, 0.3))
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
-        with mock.patch.object(superop, "MAX_NODES", 257), \
-                mock.patch.object(superop, "ENTRY_TOL", 1e-30), \
-                spy_node_ladder(superop) as seen, pytest.raises(QuadratureNotConverged):
-            builder(sys, det, **({"entry_tol": 1e-30} if builder is build_exact else {}))
-        build = seen.pop("build")
-        assert sorted(seen) == [65, 129, 257]
-        for n, value in seen.items():
-            rule = default_rule(det, n)
-            whole = (build_exact(sys, det, rule=rule).tensor if builder is build_exact
-                     else superop._prnm(build(rule.nodes, rule.weights)))
-            assert np.abs(superop._prnm(value) - whole).max() <= 1e-14
+        with spy_sized_rules(superop) as rules, \
+                mock.patch.object(superop, "_node_levels", wraps=superop._node_levels) as levels:
+            ch = builder(sys, det)
+        assert len(rules) == 1 and len(rules[0]) == ch.meta["nodes"] == 46
+        assert levels.call_count == 1 and np.array_equal(levels.call_args.args[2], rules[0].nodes)
+        if builder is build_exact:
+            assert np.array_equal(ch.tensor, build_exact(sys, det, rule=rules[0]).tensor)
 
     @pytest.mark.parametrize("timed", [False, True], ids=["constant-v", "timed-v"])
     @pytest.mark.parametrize("builder", [build_exact, build_second_order])
     def test_every_build_gets_normalised_weights(self, builder, timed):
-        # the ladder owns the rule: each build averages its nodes, so the substep
-        # and Dyson time ladders inside it certify that average
+        # each builder averages its one rule, so the substep and Dyson time
+        # ladders on it certify that average
         sys, det = channels_small_system()
         if not timed:
             sys = SystemSpec(levels=sys.levels, v=sys.v_at(0.0))
-        with spy_build_weights(superop) as sums:
-            ch = builder(sys, det)
-        assert len(sums) == len(ch.meta["ladder"]) + 1 >= 2
-        assert all(abs(total - 1.0) <= 1e-15 for total in sums), sums
+        with spy_sized_rules(superop) as rules:
+            builder(sys, det)
+        assert len(rules) == 1 and abs(rules[0].weights.sum() - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("lam", [50.0, 500.0])
     def test_each_node_is_propagated_once(self, lam):
         with mock.patch.object(superop, "unitary_exp_stack", wraps=unitary_exp_stack) as stack:
             ch = build_exact(FIG1_SYS, gaussian_detector(sigma=1.0, lam=lam, tau=0.1))
-        assert len(ch.meta["ladder"]) == 1
         assert sum(call.args[0].shape[0] for call in stack.call_args_list) == ch.meta["nodes"]
 
     def test_not_converged_carries_ladder(self):
-        # every level resolves the phase scale, so only a tolerance below rounding
-        # keeps the ladder climbing
+        # phase scale 100 needs 314 nodes: one fewer allowed raises before any
+        # node is propagated, with an empty ladder
         det = gaussian_detector(sigma=1.0, lam=500.0, tau=0.1)
-        with mock.patch.object(superop, "MAX_NODES", 2049), \
-                pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
-            build_exact(FIG1_SYS, det, entry_tol=1e-30)
-        ladder = info.value.ladder
-        assert [n for n, _ in ladder] == [1025, 2049]
-        assert all(change > 1e-30 for _, change in ladder)
-        assert f"2049 trapezoid nodes still moving by {ladder[-1][1]:.2e}" in str(info.value)
-        with mock.patch.object(superop, "MAX_NODES", 1024), \
-                pytest.raises(QuadratureNotConverged, match="more than 1024") as info:
+        with mock.patch.object(superop, "MAX_NODES", 313), \
+                mock.patch.object(superop, "_propagators") as prop, \
+                pytest.raises(QuadratureNotConverged,
+                              match="phase scale 100 needs more than 313 trapezoid nodes") as info:
             build_exact(FIG1_SYS, det)
+        prop.assert_not_called()
         assert info.value.ladder == []
+        with mock.patch.object(superop, "MAX_NODES", 314):
+            assert build_exact(FIG1_SYS, det).meta["nodes"] == 314
 
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @given(shape=st.sampled_from([(2, False), (3, False), (4, False), (2, True)]),
@@ -318,8 +373,9 @@ class TestBuildExact:
                          v=random_v(rng, 4, 0.2))
         det = gaussian_detector(5.0 * 0.1 * (levels[1] - levels[0]) / 64.0, 5.0, 0.1)
         assert superop._phase_scale(sys, det) == pytest.approx(64.0, rel=1e-12)
-        ch = build_exact(sys, det, entry_tol=1e-14)
-        assert ch.meta["quad_entry_err"] <= 1e-14
+        ch = build_exact(sys, det)
+        finer = build_exact(sys, det, rule=default_rule(det, 2 * ch.meta["nodes"] - 1))
+        assert np.abs(ch.tensor - finer.tensor).max() <= 1e-14
 
     def test_maximally_mixed_is_fixed_point(self):
         ch = build_exact(FIG1_SYS, FIG1_DET)
@@ -386,17 +442,16 @@ class TestBuildExact:
         vmat = random_v(np.random.default_rng(0), 3, 1.0)
         sys = SystemSpec(levels=(-1.0, 0.0, 1.0), v=lambda t: np.cos(3.0 * t) * vmat)
         det = gaussian_detector(sigma=1.0, lam=20.0, tau=0.1)
-        # the 65 nodes of the first level, then the 64 new nodes of the 129-node level
+        # the 39 nodes of the rule sized for phase scale 4, propagated together
         with mock.patch.object(superop, "_propagators", wraps=superop._propagators) as prop:
             ch = build_exact(sys, det)
         climbs = {}
         for call in prop.call_args_list:
             climbs.setdefault(len(call.args[3]), []).append(call.args[4])
-        assert list(climbs) == [65, 64] and ch.meta["nodes"] == 129
-        for substeps in climbs.values():
-            assert substeps == [superop.MIN_SUBSTEPS << k for k in range(len(substeps))]
-        assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[64][1:]
-        assert ch.meta["substeps"] == climbs[64][-1]
+        assert list(climbs) == [39] and ch.meta["nodes"] == 39
+        assert climbs[39] == [superop.MIN_SUBSTEPS << k for k in range(len(climbs[39]))]
+        assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[39][1:]
+        assert ch.meta["substeps"] == climbs[39][-1]
         fixed = build_exact(sys, det, rule=default_rule(det, 129)).tensor
         assert np.abs(ch.tensor - fixed).max() <= 1e-8
 
@@ -491,7 +546,7 @@ class TestBuildSecondOrder:
     # the grid comparison at its largest phase scale
     @example(n=3, uniform=False, aux=False, lam=20.0, theta=63.9, seed=1)
     @example(n=2, uniform=False, aux=True, lam=5.0, theta=63.9, seed=2)
-    # strong measurements, near the top of the node ladder
+    # strong measurements, on 3752 nodes
     @example(n=5, uniform=False, aux=False, lam=20.0, theta=1300.0, seed=3)
     @example(n=2, uniform=False, aux=True, lam=5.0, theta=1300.0, seed=4)
     def test_node_path_matches_grid_and_exact_v2(self, n, uniform, aux, lam, theta, seed):
@@ -534,43 +589,37 @@ class TestBuildSecondOrder:
         assert superop._phase_scale(sys, det) == pytest.approx(64.0, rel=1e-14)
         det = gaussian_detector(sigma=1.0, lam=(1.0 - 1e-12) * det.lam, tau=0.1)
         ch = build_second_order(sys, det)
-        ladder = ch.meta["ladder"]
-        assert ladder[-1] == (ch.meta["nodes"], ch.meta["quad_entry_err"])
-        assert ch.meta["quad_entry_err"] <= 1e-8
-        assert 2 * ch.meta["nodes"] - 1 <= superop.MAX_NODES
+        assert ch.meta["quad_bound"] <= 1e-8
+        assert ch.meta["nodes"] <= superop.MAX_NODES
         assert ch.certified_trace_err <= 1e-12
         # what is left against the exact channel is third order in ||V|| tau
         residual = np.abs(ch.tensor - build_exact(sys, det).tensor).max()
         assert residual <= (np.linalg.norm(vmat, 2) * det.tau) ** 3
         above = gaussian_detector(sigma=1.0, lam=1.01 * det.lam, tau=0.1)
-        assert set(build_second_order(sys, above).meta) == {
-            "nodes", "quad_entry_err", "ladder"}
+        assert set(build_second_order(sys, above).meta) == {"nodes", "quad_bound"}
 
     def test_phase_scale_beyond_the_node_ladder_raises(self):
-        # theta = 2000 needs more than MAX_NODES nodes before the first level is built
+        # theta = 3000 needs 8621 > MAX_NODES nodes, found before any node is built
         sys = SystemSpec(levels=(-1.5, -0.2, 0.4, 1.5),
                          v=random_v(np.random.default_rng(11), 4, 0.2))
-        det = gaussian_detector(sigma=1.0, lam=2000.0 / 0.3, tau=0.1)
-        assert superop._phase_scale(sys, det) == pytest.approx(2000.0, rel=1e-14)
+        det = gaussian_detector(sigma=1.0, lam=3000.0 / 0.3, tau=0.1)
+        assert superop._phase_scale(sys, det) == pytest.approx(3000.0, rel=1e-14)
         for build in (lambda: build_exact(sys, det),
                       lambda: build_second_order(sys, det)):
-            with pytest.raises(QuadratureNotConverged, match="phase scale 2000") as info:
+            with pytest.raises(QuadratureNotConverged, match="phase scale 3000") as info:
                 build()
             assert info.value.ladder == []
 
     def test_node_path_meta_for_timed_v(self):
-        # phase scale 10: the time steps climb from MIN_STEPS = 16 on every level's
-        # new nodes, and the node ladder's last level is the last of its steps
+        # phase scale 10: the time steps climb from MIN_STEPS = 16 on the rule's nodes
         timed = SystemSpec(levels=FIG1_SYS.levels, v=lambda t: np.cos(t) * FIG1_SYS.v)
         meta = build_second_order(timed, FIG1_DET).meta
-        assert set(meta) == {"nodes", "quad_entry_err", "ladder", "steps", "step_ladder"}
-        assert meta["ladder"][-1] == (meta["nodes"], meta["quad_entry_err"])
-        assert meta["quad_entry_err"] <= superop.ENTRY_TOL
+        assert set(meta) == {"nodes", "quad_bound", "steps", "step_ladder"}
+        assert meta["nodes"] == 56 and meta["quad_bound"] <= superop.ENTRY_TOL
         assert meta["step_ladder"][0][0] == 2 * superop.MIN_STEPS
         assert meta["step_ladder"][-1][0] == meta["steps"]
         assert meta["step_ladder"][-1][1] <= superop.ENTRY_TOL
-        assert set(build_second_order(FIG1_SYS, FIG1_DET).meta) == {
-            "nodes", "quad_entry_err", "ladder"}
+        assert set(build_second_order(FIG1_SYS, FIG1_DET).meta) == {"nodes", "quad_bound"}
 
     def test_time_ladder_certifies_time_dependent_v_against_exact_v2(self):
         # the plain 16-step grid of the first level is 3e-6 off; the ladder's Richardson
@@ -582,7 +631,7 @@ class TestBuildSecondOrder:
             return SystemSpec(levels=(-2.5, 2.5), v=lambda t: scale * np.cos(3.0 * t) * vmat)
 
         ch = build_second_order(system(1.0), det)
-        assert ch.meta["quad_entry_err"] <= 1e-8 and ch.meta["step_ladder"][-1][1] <= 1e-8
+        assert ch.meta["quad_bound"] <= 1e-8 and ch.meta["step_ladder"][-1][1] <= 1e-8
         s12 = ch.tensor - build_unperturbed(system(1.0), det).tensor
         # +-eps V on build_exact: the difference quotient q(eps) is S1 + S2 + O(eps^2),
         # and (4 q(eps) - q(2 eps)) / 3 leaves O(eps^4), about 1e-10 here; the substep
@@ -597,10 +646,21 @@ class TestBuildSecondOrder:
         exact = (4.0 * quotient(0.5) - quotient(1.0)) / 3.0
         assert np.abs(s12 - exact).max() <= 1e-8
 
+    def test_time_ladder_is_relative_to_a_weak_perturbation(self):
+        # at g = 1e-5 the perturbation max|S - S0| is 1.2e-7: an absolute 1e-8 stopped
+        # the ladder at 32 steps, 2.4e-6 relative from the tight run
+        sys, det = channels_small_system()
+        weak = SystemSpec(levels=sys.levels, v=lambda t: 1e-5 * sys.v(t))
+        s0 = build_unperturbed(weak, det).tensor
+        got = build_second_order(weak, det).tensor - s0
+        with mock.patch.object(superop, "ENTRY_TOL", 1e-13):
+            tight = build_second_order(weak, det).tensor - s0
+        assert np.abs(got - tight).max() <= 1e-8 * np.abs(tight).max()
+
     @pytest.mark.parametrize("caller", ["build_second_order"])
     def test_time_ladder_exhaustion_carries_ladder(self, caller):
         # a node sum that grows like 1 / h^2 never settles; it stands in for every
-        # time level, so no real 4096-step grid is built
+        # time level, so no real grid of MAX_STEPS steps is built
         def restless(sys, det, t0, nodes, weights, steps, memo):
             return np.full((sys.dim ** 2,) * 2, weights.sum() * float(steps + 1) ** 2,
                            dtype=complex)
@@ -610,9 +670,9 @@ class TestBuildSecondOrder:
                 pytest.raises(QuadratureNotConverged) as info:
             build_second_order(timed, FIG1_DET)
         ladder = info.value.ladder
-        assert [n for n, _ in ladder] == [32 << k for k in range(8)]
+        assert [n for n, _ in ladder] == [32 << k for k in range(9)]
         assert ladder[-1][0] == superop.MAX_STEPS
-        assert f"4096 time steps still moving by {ladder[-1][1]:.2e}" in str(info.value)
+        assert f"8192 time steps still moving by {ladder[-1][1]:.2e}" in str(info.value)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 4), uniform=st.booleans(), aux=st.booleans(),
@@ -630,11 +690,8 @@ class TestBuildSecondOrder:
         sys = SystemSpec(levels=tuple(levels), alpha_energies=alphas, hbar=hbar,
                          v=lambda t: np.cos(3.0 * t) * v + np.sin(5.0 * t) * u)
         det = gaussian_detector(1.0, lam, 0.1)
-        memo = {}
-        pn_rm, _ = superop._node_ladder(
-            det, superop._phase_scale(sys, det),
-            lambda q, w: superop._dyson_sum_on_grid(sys, det, t0, q, w, steps, memo),
-            1e-15, superop.MAX_NODES)
+        rule, _ = superop._sized_rule(det, superop._phase_scale(sys, det), superop.MAX_NODES)
+        pn_rm = superop._dyson_sum_on_grid(sys, det, t0, rule.nodes, rule.weights, steps, {})
         grid = second_order_on_grid(sys, det, t0, steps)
         assert np.abs(superop._prnm(pn_rm) - grid).max() <= 1e-14 * np.abs(grid).max()
 
