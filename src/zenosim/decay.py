@@ -157,30 +157,39 @@ class ReservoirSpectrum:
 # ---------------------------------------------------------------------------
 # Filon transform of the damped line kernel
 
-# Taylor coefficients, highest power first, of E1(th) = int_0^1 e^{i th u} du =
-# sum (i th)^k / (k+1)! and B(th) = sum (i th)^k / (k! (k+2)), through th^12
-_E1_SERIES = [1.0 / math.factorial(k + 1) for k in range(12, -1, -1)]
-_B_SERIES = [1.0 / (math.factorial(k) * (k + 2)) for k in range(12, -1, -1)]
+# (Re A, Im A / th) = sum (-th^2)^k (1 / (2k+2)!, 1 / (2k+3)!), highest power first: rounding
+# for |th| < 0.5 in eight terms, where the closed form's Im A errs by about eps / |th|
+_SERIES = [(-1) ** k * (1 / math.factorial(2 * k + 2) + 1j / math.factorial(2 * k + 3))
+           for k in range(7, -1, -1)]
 
 
-def _filon_coeffs(theta: np.ndarray):
-    """Segment weights A(th) = int_0^1 (1-u) e^{i th u} du and
-    B(th) = int_0^1 u e^{i th u} du, to rounding for every th: the closed
-    form loses about eps / th^2 as th -> 0, so |th| < 0.25 takes the series."""
+def _filon_weight(theta) -> np.ndarray:
+    """Segment weight A(th) = int_0^1 (1-u) e^{i th u} du, to rounding for every
+    finite th, in real arithmetic: 2 sin^2(th/2) / th^2 + i (th - sin th) / th^2
+    through u = 1/th, so nothing overflows, or the series for |th| < 0.5.  The
+    weight at the segment's end is B(th) = int_0^1 u e^{i th u} du = conj A(th) e^{i th}."""
     theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 0.25
-    ith = 1j * np.where(small, 1.0, theta)
-    e1 = np.expm1(ith) / ith
-    e2 = (np.exp(ith) - e1) / ith
-    if small.any():  # both series in one Horner loop
-        ts, s1, s2 = 1j * theta[small], 0.0, 0.0
-        for c1, c2 in zip(_E1_SERIES, _B_SERIES):
-            s1, s2 = s1 * ts + c1, s2 * ts + c2
-        e1[small], e2[small] = s1, s2
-    return e1 - e2, e2
+    small = np.abs(theta) < 0.5
+    ts = theta if small.all() else np.where(small, theta, 0.0)  # no mask on fine grids
+    th2, out = ts * ts, np.full(theta.shape, _SERIES[0])
+    for c in _SERIES[1:]:  # both real series by one Horner loop in th^2, in place
+        out *= th2
+        out += c
+    out.imag *= ts
+    if not small.all():
+        u = 1.0 / np.where(small, 1.0, theta)
+        s = np.sin(0.5 * theta) * u
+        out = np.where(small, out, 2.0 * s * s + 1j * (u - np.sin(theta) * u * u))
+    return out
 
 
 CHIRP_MAX_PHASE = 1e4  # rad: the largest max|x| max|y| of the chirp path of `_phase_sums`
+
+
+def _smooth_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: an FFT length numpy transforms fast."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length()) for j in range(n.bit_length()))
+    return min(k << ((n - 1) // k).bit_length() for k in odd)
 
 
 def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,13 +197,13 @@ def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     A grid is uniform when its deviation from a progression, times the
     largest |value| of the other grid, is at most 1e-12 rad.  When both are,
-    the shorter has b >= 64 points and max|x| max|y| is at most
-    CHIRP_MAX_PHASE, the sum is a chirp-z transform (Bluestein: p q = (p^2 +
-    q^2 - (q - p)^2) / 2) on b x b blocks, one batched FFT convolution per
-    block of x; each block's start goes into the input phase, so the chirp
-    phases dx dy p^2 / 2, p < b, stay near the size of the direct ones; it
-    errs by about eps max|x| max|y| sum|c| at every output, where the dense
-    products in chunks that other pairs take err by eps |x_j y_k| per term.
+    the shorter has b >= 64 points and max|x| max|y| <= CHIRP_MAX_PHASE, the
+    sum is a chirp-z transform (Bluestein: p q = (p^2 + q^2 - (q - p)^2) / 2)
+    on b x b blocks, one batched FFT convolution of the least 5-smooth length
+    >= 2b - 1 per block of x; each block's start goes into the input phase, so
+    the chirp phases dx dy p^2 / 2, p < b, stay near the size of the direct
+    ones; it errs by about eps max|x| max|y| sum|c| at every output, where the
+    dense products in chunks that other pairs take err by eps |x_j y_k| per term.
     """
     n, m = x.size, y.size
     b = min(n, m)
@@ -205,7 +214,7 @@ def _phase_sums(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if b >= 64 and np.abs(x).max() * np.abs(y).max() <= CHIRP_MAX_PHASE \
             and max(deviation(x) * np.abs(y).max(), deviation(y) * np.abs(x).max()) <= 1e-12:
         dx, dy = (x[-1] - x[0]) / (n - 1), (y[-1] - y[0]) / (m - 1)
-        size = 1 << (2 * b - 2).bit_length()
+        size = _smooth_length(2 * b - 1)
         p = np.arange(b)
         chirp = np.exp(-0.5j * (dx * dy) * p ** 2)
         kernel = np.fft.fft(np.concatenate([chirp, np.zeros(size - 2 * b + 1), chirp[:0:-1]]))
@@ -237,17 +246,18 @@ def _filon_transform(g: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.nda
     steps = np.diff(x)
     h = (x[-1] - x[0]) / steps.size
     if np.abs(steps - h).max() <= 1e-10 * h:
-        a = _filon_coeffs(deltas * h)[0]
+        a = _filon_weight(deltas * h)
         gsum = _phase_sums(g, x, deltas)
         end = np.exp(1j * deltas * x[-1]) * g[-1]
-        start = np.exp(1j * deltas * x[0]) * g[0]
+        start = np.exp(1j * deltas * x[0]) * g[0] if x[0] else g[0]
         return h * (a * (gsum - end) + a.conj() * (gsum - start))  # B(th) e^{-i th} = conj A(th)
     out = np.empty(deltas.size, dtype=complex)
     chunk = max(1, (1 << 18) // steps.size)
     for lo in range(0, deltas.size, chunk):
         d = deltas[lo:lo + chunk, None]
-        a, b = _filon_coeffs(steps * d)
-        out[lo:lo + chunk] = (np.exp(1j * d * x[:-1]) * (a * g[:-1] + b * g[1:])) @ steps
+        a = _filon_weight(steps * d)
+        phase = np.exp(1j * d * x)  # e^{i d x_j} B_j = conj A_j e^{i d x_{j+1}}
+        out[lo:lo + chunk] = (phase[:, :-1] * a * g[:-1] + phase[:, 1:] * a.conj() * g[1:]) @ steps
     return out
 
 

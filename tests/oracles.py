@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn, roots_hermite, wofz
 
 from zenosim import superop
-from zenosim.decay import _filon_coeffs, _line_scales, line_mass, line_shape
+from zenosim.decay import _filon_weight, _line_scales, line_mass, line_shape
 from zenosim.model import DetectorModel, SystemSpec, correlation
 from zenosim.superop import QuadratureRule, _v_samples
 
@@ -117,6 +117,13 @@ def unit_sum_rule_defect(s: np.ndarray) -> float:
     return float(np.abs(np.einsum("prnn->pr", s) - np.eye(d)).max())
 
 
+def filon_coeffs(theta):
+    """(A(th), B(th)): the Filon weights of g at a segment's start and end, B from
+    the production A by B(th) = int_0^1 u e^{i th u} du = conj A(th) e^{i th}."""
+    a = _filon_weight(theta)
+    return a, a.conj() * np.exp(1j * np.asarray(theta, dtype=float))
+
+
 def filon_segments(g, x, deltas):
     """int g(x) e^{i delta x} dx over the increasing nodes x, with g linear on
     each segment: the exact segment integrals summed one delta at a time,
@@ -124,7 +131,7 @@ def filon_segments(g, x, deltas):
     h = np.diff(x)
     out = np.empty(np.size(deltas), dtype=complex)
     for k, delta in enumerate(np.atleast_1d(deltas)):
-        a, b = _filon_coeffs(h * delta)
+        a, b = filon_coeffs(h * delta)
         out[k] = (np.exp(1j * delta * x[:-1]) * (a * g[:-1] + b * g[1:])) @ h
     return out
 

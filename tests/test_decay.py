@@ -24,7 +24,6 @@ from zenosim.errors import (
 from zenosim.model import SystemSpec, correlation, gaussian_detector, strength
 from zenosim.decay import (
     ReservoirSpectrum,
-    _filon_coeffs,
     _filon_transform,
     _line_kernel,
     _line_scales,
@@ -32,6 +31,7 @@ from zenosim.decay import (
     _phase_sums,
     _reservoir_envelope,
     _si,
+    _smooth_length,
     decay_rate,
     emitted_spectrum,
     fwhm,
@@ -43,8 +43,8 @@ from zenosim.decay import (
     zeno_limit_rate,
 )
 
-from oracles import (atom_plus_modes, decay_integral, filon_segments, line_mass_by_sampling,
-                     line_shape_closed_form)
+from oracles import (atom_plus_modes, decay_integral, filon_coeffs, filon_segments,
+                     line_mass_by_sampling, line_shape_closed_form)
 
 HBAR = 1.0
 SQRT_PI_OVER_2 = 1.2533141373155003
@@ -202,9 +202,9 @@ class TestLineShape:
 
 
 def test_filon_coeffs_match_segment_integrals():
-    # a 2-d theta mixing the series branch (|theta| < 0.25) and the closed form
+    # a 2-d theta mixing the series branch (|theta| < 0.5) and the closed form
     theta = np.array([[0.0, 3e-5, -9e-5, 0.02], [0.3, -2.0, 40.0, -300.0]])
-    a, b = _filon_coeffs(theta)
+    a, b = filon_coeffs(theta)
     u = np.linspace(0.0, 1.0, 400001)
     phase = np.exp(1j * theta[..., None] * u)
     np.testing.assert_allclose(a, np.trapezoid((1.0 - u) * phase, u), rtol=0, atol=1e-9)
@@ -214,7 +214,7 @@ def test_filon_coeffs_match_segment_integrals():
 def test_filon_coeffs_exact_to_rounding_across_the_branch_switch():
     # A = sum (i th)^k / (k! (k+1) (k+2)) and B = sum (i th)^k / (k! (k+2)), 60 terms
     theta = np.concatenate((np.logspace(-8.0, 0.0, 401), -np.logspace(-8.0, 0.0, 401)))
-    a, b = _filon_coeffs(theta)
+    a, b = filon_coeffs(theta)
     z = 1j * theta
     a_ref, b_ref = np.zeros_like(z), np.zeros_like(z)
     for k in range(60):
@@ -223,6 +223,51 @@ def test_filon_coeffs_exact_to_rounding_across_the_branch_switch():
         b_ref += term / (k + 2)
     assert np.abs(a - a_ref).max() <= 1e-15
     assert np.abs(b - b_ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_filon_weight_matches_references_over_the_float_range(seed):
+    # zeros, |theta| from 1e-300 to 1e6 with a band around the series switch
+    # at 0.5, 1e300 and 1.7e308, of both signs: A and B = conj A e^{i theta}
+    # within 1e-15 of a 60-term series (|theta| < 1) or long-double closed
+    # forms, without a RuntimeWarning (a weight that formed theta^2 overflowed)
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(-300.0, 6.0, size=(40, 50))
+    pick = rng.uniform(size=mag.shape)
+    mag[pick < 0.3] = 10.0 ** rng.uniform(-2.0, 1.0, size=mag.shape)[pick < 0.3]
+    mag[(0.3 <= pick) & (pick < 0.35)] = 0.0
+    mag[(0.35 <= pick) & (pick < 0.4)] = 1e300
+    mag[(0.4 <= pick) & (pick < 0.45)] = 1.7e308
+    theta = mag * rng.choice([-1.0, 1.0], size=mag.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = filon_coeffs(theta)
+    a_ref, b_ref = np.empty_like(a), np.empty_like(b)
+    series = np.abs(theta) < 1.0
+    z = 1j * theta[series]
+    a_ref[series], b_ref[series] = 0.0, 0.0
+    for k in range(60):
+        term = z ** k / math.factorial(k)
+        a_ref[series] += term / ((k + 1) * (k + 2))
+        b_ref[series] += term / (k + 2)
+    th = theta[~series].astype(np.longdouble)
+    cos, sin, th2 = np.cos(th), np.sin(th), th * th
+    a_ref[~series] = ((1.0 - cos) + 1j * (th - sin)) / th2
+    b_ref[~series] = ((cos + th * sin - 1.0) + 1j * (sin - th * cos)) / th2
+    assert np.abs(a - a_ref).max() <= 1e-15
+    assert np.abs(b - b_ref).max() <= 1e-15
+
+
+def test_smooth_length_is_the_least_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [k for k in range(1, 20481) if smooth(k)]
+    for n in range(1, 20001):
+        assert _smooth_length(n) == lengths[np.searchsorted(lengths, n)], n
 
 
 class TestFilonChirp:
@@ -342,6 +387,24 @@ class TestPhaseSums:
         want = np.exp(1j * np.outer(deltas[::97].astype(np.longdouble),
                                     t.astype(np.longdouble))) @ g.astype(np.clongdouble)
         assert np.abs(got - want).max() <= 5e-15 * abs(g.sum())
+
+    @pytest.mark.parametrize("refine, length", [(1, 2250), (2, 4500), (4, 9000)])
+    def test_spectrum_strong_levels_within_the_chirp_bound(self, refine, length):
+        # each time grid of the Romberg ladder of configs/spectrum_strong.json
+        # with its 30001 deltas: convolutions of the least 5-smooth length
+        # >= 2b - 1 (b time nodes), within eps max|t| max|delta| sum|g| of a
+        # long-double dense sum
+        det = gaussian_detector(1.0, 50.0, 1.0)
+        t = _line_time_grid(2.0, det, refine)
+        g = _line_kernel(2.0, det, t)
+        deltas = np.linspace(-1400.0, 1404.0, 30001) - 2.0
+        with fft_spy() as fft:
+            got = _phase_sums(g, t, deltas)[::97]
+        assert {call.args[1] for call in fft.call_args_list if len(call.args) > 1} == {length}
+        want = np.exp(1j * np.outer(deltas[::97].astype(np.longdouble),
+                                    t.astype(np.longdouble))) @ g.astype(np.clongdouble)
+        bound = np.finfo(float).eps * t[-1] * np.abs(deltas).max() * np.abs(g).sum()
+        assert np.abs(got - want).max() <= bound
 
 
 class TestFilonTransform:
