@@ -44,11 +44,9 @@ from .model import (
 from .qmat import apply_super, check_density_matrix, herm_eig, unitary_exp
 from .superop import (
     MeasurementChannel,
-    QuadratureRule,
     build_exact,
     build_second_order,
     build_unperturbed,
-    default_rule,
     dump_channel,
     load_channel,
     repeat,
@@ -67,6 +65,6 @@ __all__ = [
     "DetectorModel", "MeasurementStrength", "SystemSpec", "TwoLevelPreset",
     "correlation", "gaussian_detector", "required_duration", "strength",
     "apply_super", "check_density_matrix", "herm_eig", "unitary_exp",
-    "MeasurementChannel", "QuadratureRule", "build_exact", "build_second_order",
-    "build_unperturbed", "default_rule", "dump_channel", "load_channel", "repeat",
+    "MeasurementChannel", "build_exact", "build_second_order", "build_unperturbed",
+    "dump_channel", "load_channel", "repeat",
 ]

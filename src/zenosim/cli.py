@@ -41,8 +41,7 @@ from .superop import build_exact, dump_channel, repeat
 _COMMON = {"experiment": (True, None), "hbar": (False, "> 0"),
            "output_path": (False, "string")}
 _DETECTOR = {"sigma": (True, "> 0"), "lambda": (True, ">= 0"), "tau": (True, "> 0")}
-_SYSTEM = {"V": (True, {"omega": (True, "> 0"), "v_re": (True, ""), "v_im": (False, "")}),
-           "levels": (False, None)}
+_SYSTEM = {"V": (True, {"omega": (True, "> 0"), "v_re": (True, ""), "v_im": (False, "")})}
 
 # experiment -> (subcommand, runner, the keys it reads besides _COMMON); the
 # reservoir block ({}) takes the keys of its kind from _RESERVOIRS
@@ -230,16 +229,6 @@ def parse_config(text: str) -> ExperimentConfig:
     _walk(raw, {**_COMMON, **keys}, "", experiment, errors, values)
     hbar = values.get("hbar", 1.0)
 
-    levels = values.get("system", {}).get("levels")
-    omega = values.get("system.V.omega")
-    if levels is not None:
-        if (not isinstance(levels, list) or len(levels) != 2
-                or not all(isinstance(x, (int, float)) and _all_finite(x) for x in levels)):
-            errors.append("'system.levels' must be a list of two finite numbers")
-        elif omega is not None:
-            want = [-hbar * omega / 2.0, hbar * omega / 2.0]
-            if any(abs(a - b) > 1e-12 * max(1.0, abs(b)) for a, b in zip(sorted(levels), want)):
-                errors.append("'system.levels' inconsistent with system.V.omega")
     for lo, hi in (("sweep.Lambda_min", "sweep.Lambda_max"), ("grid.e_min", "grid.e_max")):
         if values.get(lo) is not None and values.get(hi) is not None and values[hi] <= values[lo]:
             errors.append(f"'{hi}' must exceed '{lo}'")
@@ -400,12 +389,11 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
                            int(cfg.sweep["points"]))
     c_const = strength(_detector(cfg, lam=0.0)).C
     r_golden = 2.0 * math.pi * res.g(omega_if) / hbar ** 2
-    rel_tol = 1e-4
     rows, errors = [], []
     for lam_big in lambdas:
         det = _detector(cfg, lam=lam_big * c_const)
         try:
-            rate, ladder = _decay._rate_and_ladder(res, omega_if, det, rel_tol)
+            rate, ladder = _decay._rate_and_ladder(res, omega_if, det, _decay.RATE_REL_TOL)
         except NumericalConvergenceError as exc:
             raise NumericalConvergenceError(
                 f"Lambda = {lam_big:.6g}: {exc}", exc.ladder) from exc
@@ -417,7 +405,7 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     header = ["zeno-sim decay", f"config: {_config_echo(cfg)}",
               f"golden_rule: {_fmt(r_golden)}"]
     _write_csv(out, header, ["Lambda", "R", "R_golden", "R_zeno_limit"], rows)
-    _write_sidecar(out, cfg, {"rel_tol": rel_tol, "rel_err_reached": errors})
+    _write_sidecar(out, cfg, {"rel_tol": _decay.RATE_REL_TOL, "rel_err_reached": errors})
     return out
 
 

@@ -49,9 +49,9 @@ from .superop import SECOND_ORDER, MeasurementChannel, build_unperturbed
 # reservoir coupling spectrum
 
 def _check_grid(x: np.ndarray, name: str) -> None:
-    """ValueError unless x is finite, 1-d and strictly increasing."""
-    if x.ndim != 1 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
-        raise ValueError(f"{name} must be finite, 1-d and strictly increasing")
+    """ValueError unless x is finite, 1-d, strictly increasing and of length >= 2."""
+    if x.ndim != 1 or x.size < 2 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{name} must be finite, 1-d and strictly increasing, length >= 2")
 
 
 def _checked_table(omega, g):
@@ -301,7 +301,8 @@ def _line_transform(omega_if: float, det: DetectorModel, deltas: np.ndarray,
 
 
 def line_shape(omega, omega_if: float, det: DetectorModel):
-    """Measurement-modified line shape P(w); scalar or array omega.
+    """Measurement-modified line shape P(w): a float for a scalar omega,
+    else an array of omega's shape.
 
     Evaluated by Filon quadrature on a grid resolving both the decay of
     F(lambda w_if t) and the window (1 - t/tau), tau = det.tau; the result
@@ -309,11 +310,14 @@ def line_shape(omega, omega_if: float, det: DetectorModel):
     moves by at most 1e-6 of max(max|P|, 1e-3 tau).
     """
     _check_line(omega, omega_if)
-    deltas = np.atleast_1d(np.asarray(omega, dtype=float)) - omega_if
+    omega = np.asarray(omega, dtype=float)
+    if omega.size == 0:
+        return np.empty(omega.shape)
+    deltas = omega.ravel() - omega_if
     p, _ = _romberg(lambda r: _line_transform(omega_if, det, deltas, r).real / math.pi,
                     _REFINES, 1e-6, "line shape at time-grid refine {}",
                     scale=lambda p: max(float(np.abs(p).max()), 1e-3 * det.tau))
-    return float(p[0]) if np.ndim(omega) == 0 else p
+    return float(p[0]) if omega.ndim == 0 else p.reshape(omega.shape)
 
 
 def _si(x: float) -> float:
@@ -372,7 +376,7 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of a sampled single peak, with linear
     interpolation of the half-height crossings; ValueError unless x and y are
-    matching 1-d arrays, x is strictly increasing and the maximum is > 0."""
+    matching 1-d arrays of length >= 2, x strictly increasing, and max y > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -484,7 +488,7 @@ def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
     e_grid, and ValueError unless v2 is finite and >= 0 and e_grid is finite,
-    1-d and strictly increasing."""
+    1-d, strictly increasing and of length >= 2."""
     if not (_all_finite(v2) and v2 >= 0):
         raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
     e_grid = np.asarray(e_grid, dtype=float)

@@ -80,19 +80,19 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
         return _romberg(lambda r: factor * _line_transform(w_fi, det, delta, r)[0].real,
                         _REFINES, rel_tol, "jump probability at time-grid refine {}", _relative)[0]
     theta = det.lam * det.tau * abs(w_fi) / det.sigma  # the phase scale of this pair
-    (rule, b), memo = _sized_rule(det, theta, JUMP_MAX_NODES), {}
-    deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * rule.nodes
+    (nodes, weights, b), memo = _sized_rule(det, theta, JUMP_MAX_NODES), {}
+    deltas = sys.omega_full()[ff, ii] + det.lam * w_fi * nodes
 
     def level(nt: int) -> float:
         t = np.linspace(0.0, det.tau, nt)
         amp = _filon_transform(_v_samples(sys, t0, t, memo)[:, ff, ii], t, deltas) / sys.hbar
-        return float(rule.weights @ np.abs(amp) ** 2)
+        return float(weights @ np.abs(amp) ** 2)
 
     w = _romberg(level, [(16 << k) + 1 for k in range(10)], rel_tol,
                  "jump probability at {} time points", _relative)[0]
     bound = b * (_v_integral(memo, lambda v: np.abs(v[:, ff, ii])) / sys.hbar) ** 2
     if bound > rel_tol * w:
-        raise QuadratureNotConverged(f"quadrature bound {bound:.2e} on {len(rule)} trapezoid "
+        raise QuadratureNotConverged(f"quadrature bound {bound:.2e} on {nodes.size} trapezoid "
                                      f"nodes exceeds rel_tol {rel_tol:.1e} of W = {w:.3e}")
     return w
 

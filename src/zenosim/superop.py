@@ -5,9 +5,9 @@ rho'_pr = sum_nm S[p,r,n,m] rho_nm.  The tensor S is built three ways:
 
 * exact quadrature over the detector coordinate q (each node propagates the
   system with the level Hamiltonian rescaled by 1 + lambda*q and the results
-  are averaged over the detector's Gaussian position distribution, by a
-  given rule or by one trapezoid rule sized in advance from the phase scale,
-  whose error bound the channel reports),
+  are averaged over the detector's Gaussian position distribution by one
+  trapezoid rule sized in advance from the phase scale, whose error bound
+  the channel reports),
 * the closed form for an unperturbed system (V = 0), where each coherence
   picks up its free phase and a damping factor F(lambda*tau*omega),
 * second-order perturbation theory in V: the V-linear and V-quadratic
@@ -47,47 +47,19 @@ _METHOD_TAGS = {EXACT_QUADRATURE: 0, UNPERTURBED: 1, SECOND_ORDER: 2}
 _TAG_METHODS = {v: k for k, v in _METHOD_TAGS.items()}
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Discretization of the detector position distribution |<q|Phi>|^2."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise DimensionMismatch("nodes and weights must be matching 1-d arrays")
-        if nodes.size < 8:
-            raise ValueError("quadrature rule needs at least 8 nodes")
-        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-            raise ValueError("quadrature nodes and weights must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"quadrature weights must sum to 1, got {weights.sum()!r}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self):
-        return self.nodes.size
-
-
-# Half-width c of the default rule in detector widths, whose Gaussian mass
-# beyond it, 2e-19, is left out, and the margin by which a sized rule's step
-# resolves the phase scale (`_sized_rule`)
+# Half-width c of the detector rule in detector widths, whose Gaussian mass
+# beyond it, 2e-19, is left out, and the margin by which its step resolves the
+# phase scale (`_sized_rule`)
 RULE_HALF_WIDTH = 9.0
 
 
-def default_rule(det: DetectorModel, n: int) -> QuadratureRule:
-    """Normalized n-point trapezoid rule for the position distribution of a
-    Gaussian detector: nodes y_j / sigma for y_j equally spaced on [-9, 9],
-    weights e^{-y_j^2 / 2}; `_sized_rule` takes n from the phase scale.
-    """
-    y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, _count(n, "n"))
+def _trapezoid_rule(det: DetectorModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point trapezoid rule for the position distribution of a Gaussian
+    detector: nodes q_j = y_j / sigma for y_j equally spaced on [-c, c], c =
+    RULE_HALF_WIDTH, and the weights e^{-y_j^2 / 2}, normalised."""
+    y = np.linspace(-RULE_HALF_WIDTH, RULE_HALF_WIDTH, n)
     w = np.exp(-0.5 * y ** 2)
-    return QuadratureRule(nodes=y / det.sigma, weights=w / w.sum())
+    return y / det.sigma, w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -179,11 +151,12 @@ def _doublings(first: int, need: float, cap: int, message: str) -> list[int]:
 
 
 def _sized_rule(det: DetectorModel, theta: float,
-                max_nodes: int) -> tuple[QuadratureRule, float]:
-    """`default_rule` of n = ceil(c (theta + c) / pi) + 1 nodes, c =
-    RULE_HALF_WIDTH, whose step h resolves theta, the caller's phase scale,
-    with the margin c (2 pi / h >= theta + c), and its error bound b per unit
-    of M (Trefethen & Weideman, SIAM Rev. 56, 385 (2014), Sec. 5).
+                max_nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The detector rule of every channel and jump: `_trapezoid_rule` of n =
+    ceil(c (theta + c) / pi) + 1 nodes, c = RULE_HALF_WIDTH, whose step h
+    resolves theta, the caller's phase scale, with the margin c (2 pi / h >=
+    theta + c), and its error bound b per unit of M (Trefethen & Weideman,
+    SIAM Rev. 56, 385 (2014), Sec. 5).
 
     In the detector coordinate y = sigma q every entry f the rule averages is
     entire of exponential type theta (`_phase_scale` for a tensor) and at most
@@ -196,7 +169,7 @@ def _sized_rule(det: DetectorModel, theta: float,
     an estimate rather than a proof: the node phases, about theta |y|, are
     rounded to eps of their size, and the sum of n node values to about n eps;
     between the rule and that of 2n - 1 nodes rounding stayed below a quarter
-    of it (d <= 6, theta <= 2700).  Returns (rule, b); raises
+    of it (d <= 6, theta <= 2700).  Returns (nodes, weights, b); raises
     QuadratureNotConverged, with an empty ladder, when n > max_nodes.
     """
     c = RULE_HALF_WIDTH
@@ -208,7 +181,7 @@ def _sized_rule(det: DetectorModel, theta: float,
     a = -2.0 * math.exp(-0.5 * c * c) / math.expm1(-1.5 * c * c)
     t = math.erfc(c / math.sqrt(2.0))
     rounding = float(np.finfo(float).eps) * (theta + n)
-    return default_rule(det, n), 2.0 * (a + t) / (1.0 - a - t) + rounding
+    return (*_trapezoid_rule(det, n), 2.0 * (a + t) / (1.0 - a - t) + rounding)
 
 
 def _v_integral(memo: dict, norm) -> float:
@@ -218,15 +191,14 @@ def _v_integral(memo: dict, norm) -> float:
     return float(np.trapezoid(norm(np.stack([memo[x] for x in t])), t))
 
 
-def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
-                rule: QuadratureRule | None = None, *,
+def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0, *,
                 entry_tol: float = ENTRY_TOL) -> MeasurementChannel:
     """Exact-quadrature measurement channel.
 
-    With an explicit rule the tensor is built on that rule, else on
-    `_sized_rule` (at most MAX_NODES nodes), whose entries, of modulus at most
-    1, err by at most meta["quad_bound"] = b, None on a given rule.  Each node
-    is propagated once; a time-dependent V with MIN_SUBSTEPS,
+    The tensor is averaged over `_sized_rule` (QuadratureNotConverged, naming
+    the phase scale, beyond MAX_NODES nodes), and its entries, of modulus at
+    most 1, err by at most meta["quad_bound"] = b.  Each node is propagated
+    once; a time-dependent V with MIN_SUBSTEPS,
     2 MIN_SUBSTEPS ... <= MAX_SUBSTEPS midpoint substeps, and their average
     extrapolated to entry_tol (`_romberg`): the exponential midpoint rule is
     symmetric, so its error expands in even powers of the step (Hairer,
@@ -240,23 +212,21 @@ def build_exact(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     if sys.dim > 64:
         raise DimensionMismatch(f"system dimension {sys.dim} exceeds the supported 64")
     entry_tol = _tolerance(entry_tol, "entry_tol")
-    bound = None
-    if rule is None:
-        rule, bound = _sized_rule(det, _phase_scale(sys, det), MAX_NODES)
+    nodes, weights, bound = _sized_rule(det, _phase_scale(sys, det), MAX_NODES)
     substep_ladder = []
     if sys.constant_v:
-        pn_rm = _propagated_sum(sys, det, t0, rule.nodes, rule.weights, 1)
+        pn_rm = _propagated_sum(sys, det, t0, nodes, weights, 1)
     else:
         levels = _doublings(MIN_SUBSTEPS, 0.0, MAX_SUBSTEPS,
                             f"no second substep level within {MAX_SUBSTEPS}")
         pn_rm, substep_ladder = _romberg(
-            lambda m: _propagated_sum(sys, det, t0, rule.nodes, rule.weights, m), levels,
+            lambda m: _propagated_sum(sys, det, t0, nodes, weights, m), levels,
             entry_tol, "entries at {} substeps", error=PropagationStepTooCoarse)
     tensor = _prnm(pn_rm)
     err = trace_sum_rule_defect(tensor)
     return MeasurementChannel(tensor=tensor, method=EXACT_QUADRATURE, t0=t0, tau=det.tau,
                               certified_trace_err=err,
-                              meta={"nodes": len(rule), "quad_bound": bound,
+                              meta={"nodes": nodes.size, "quad_bound": bound,
                                     "substeps": substep_ladder[-1][0] if substep_ladder else 1,
                                     "substep_ladder": substep_ladder})
 
@@ -401,11 +371,11 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
     if steps is not None:
         warnings.warn("steps is ignored: the time steps climb their own ladder",
                       DeprecationWarning, stacklevel=2)
-    (rule, b), time_ladder = _sized_rule(det, _phase_scale(sys, det), MAX_NODES), {}
+    (nodes, weights, b), time_ladder = _sized_rule(det, _phase_scale(sys, det), MAX_NODES), {}
     if sys.constant_v:
         s = det.tau / sys.hbar
-        pn_rm = _dyson_sum(rule.weights, *_dyson_blocks(s * _node_levels(sys, det, rule.nodes),
-                                                        s * sys.v_at(0.0)))
+        pn_rm = _dyson_sum(weights, *_dyson_blocks(s * _node_levels(sys, det, nodes),
+                                                   s * sys.v_at(0.0)))
         x = s * float(np.linalg.norm(sys.v_at(0.0), 2))
     else:
         phase = max(det.tau * float(np.ptp(sys.e0 + sys.e1)) / sys.hbar, _phase_scale(sys, det))
@@ -413,11 +383,11 @@ def build_second_order(sys: SystemSpec, det: DetectorModel, t0: float = 0.0,
                             f"phase {phase:.4g} rad needs more than {MAX_STEPS} time steps")
         memo = {}
         pn_rm, step_ladder = _romberg(
-            lambda n: _dyson_sum_on_grid(sys, det, t0, rule.nodes, rule.weights, n, memo),
+            lambda n: _dyson_sum_on_grid(sys, det, t0, nodes, weights, n, memo),
             levels, ENTRY_TOL, "Dyson terms at {} time steps", _relative)
         x = _v_integral(memo, lambda v: np.abs(np.linalg.eigvalsh(v)).max(axis=1)) / sys.hbar
         time_ladder = {"steps": step_ladder[-1][0], "step_ladder": step_ladder}
-    meta = {"nodes": len(rule), "quad_bound": 2.0 * x * (1.0 + x) * b, **time_ladder}
+    meta = {"nodes": nodes.size, "quad_bound": 2.0 * x * (1.0 + x) * b, **time_ladder}
     tensor = build_unperturbed(sys, det).tensor + _prnm(pn_rm)
     return MeasurementChannel(tensor=tensor, method=SECOND_ORDER, t0=t0, tau=det.tau,
                               certified_trace_err=trace_sum_rule_defect(tensor), meta=meta)
@@ -575,6 +545,8 @@ def load_channel(path):
     magic, version, tag, _, dim, _, tau, t0, lam, sigma = _HEADER.unpack_from(raw)
     if version != 1:
         raise ValueError(f"unsupported snapshot version {version}")
+    if dim == 0:
+        raise ValueError("snapshot header gives dimension 0")
     body = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size)
     if body.size != dim ** 4:
         raise ValueError("snapshot body size does not match the header dimension")

@@ -1,5 +1,5 @@
-"""Reference evaluators that the tests compare the package against, a spy
-on the detector rules the package sizes, the dense atom-plus-modes system
+"""Reference evaluators that the tests compare the package against, the
+exact channel on a given detector rule, a spy on the rules the package sizes, the dense atom-plus-modes system
 of a decaying atom, and the fixed-grid Dyson kernel that integrates the
 detector coordinate in closed form.
 
@@ -19,17 +19,34 @@ from scipy.special import dawsn, roots_hermite, wofz
 
 from zenosim import superop
 from zenosim.decay import _filon_weight, _line_scales, line_mass, line_shape
+from zenosim.errors import PropagationStepTooCoarse
 from zenosim.model import DetectorModel, SystemSpec, correlation
-from zenosim.superop import QuadratureRule, _v_samples
+from zenosim.qmat import _romberg
+from zenosim.superop import ENTRY_TOL, _v_samples
 
 
-def gauss_hermite_rule(n: int, q_std: float) -> QuadratureRule:
-    """n-point Gauss-Hermite rule for a centered Gaussian q-distribution of
-    std q_std, without the outer nodes whose weights underflow to zero."""
+def gauss_hermite_rule(n: int, q_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Hermite rule for a centered
+    Gaussian q-distribution of std q_std, without the outer nodes whose
+    weights underflow to zero."""
     x, w = roots_hermite(n)
     keep = w > 0.0
-    return QuadratureRule(nodes=math.sqrt(2.0) * q_std * x[keep],
-                          weights=w[keep] / w[keep].sum())
+    return math.sqrt(2.0) * q_std * x[keep], w[keep] / w[keep].sum()
+
+
+def exact_on_rule(sys: SystemSpec, det: DetectorModel, nodes: np.ndarray, weights: np.ndarray,
+                  t0: float = 0.0, entry_tol: float = ENTRY_TOL) -> np.ndarray:
+    """The tensor of `superop.build_exact` averaged over the given detector rule
+    instead of the sized one: each node propagated once, a time-dependent V on
+    the same Romberg ladder of midpoint substeps."""
+    if sys.constant_v:
+        pn_rm = superop._propagated_sum(sys, det, t0, nodes, weights, 1)
+    else:
+        levels = superop._doublings(superop.MIN_SUBSTEPS, 0.0, superop.MAX_SUBSTEPS, "")
+        pn_rm, _ = _romberg(
+            lambda m: superop._propagated_sum(sys, det, t0, nodes, weights, m), levels,
+            entry_tol, "entries at {} substeps", error=PropagationStepTooCoarse)
+    return superop._prnm(pn_rm)
 
 
 def atom_plus_modes(atom: SystemSpec, mode_energies, couplings) -> SystemSpec:
@@ -183,14 +200,14 @@ def line_mass_by_sampling(omega_if: float, det, mass_tol: float = 1e-4) -> float
 @contextmanager
 def spy_sized_rules(module):
     """Record every rule that `module` sizes (`superop._sized_rule`): yields
-    the list of rules."""
+    the list of (nodes, weights) pairs."""
     rules = []
     sized = superop._sized_rule
 
     def spy(*args):
-        rule, bound = sized(*args)
-        rules.append(rule)
-        return rule, bound
+        nodes, weights, bound = sized(*args)
+        rules.append((nodes, weights))
+        return nodes, weights, bound
 
     with mock.patch.object(module, "_sized_rule", spy):
         yield rules

@@ -165,3 +165,17 @@ def test_a_positional_tau_or_hbar_is_a_type_error(call):
     # parameter
     with pytest.raises(TypeError):
         call()
+
+
+def test_detector_rule_is_not_an_option():
+    # every exact channel takes the one rule sized from its phase scale, so no
+    # rule is public, none can be passed, and every channel reports its bound
+    public = {name for name in vars(superop) if not name.startswith("_")}
+    for name in ("QuadratureRule", "default_rule"):
+        assert name not in zenosim.__all__ and not hasattr(zenosim, name)
+        assert name not in public
+    with pytest.raises(TypeError):
+        zenosim.build_exact(_FIG1_SYS, _FIG1_DET, rule=None)
+    for sys_ in (_FIG1_SYS, _FIG1_TIME_SYS):
+        bound = zenosim.build_exact(sys_, _FIG1_DET).meta["quad_bound"]
+        assert isinstance(bound, float) and 0.0 < bound <= 1e-8

@@ -129,14 +129,6 @@ class TestParseConfig:
             parse_config(json.dumps(cfg))
         assert any(v.startswith("'experiment' must be one of") for v in err.value.violations)
 
-    def test_levels_consistency(self):
-        cfg = json.loads(json.dumps(FIG1_CONFIG))
-        cfg["system"]["levels"] = [-1.0, 1.0]
-        parse_config(json.dumps(cfg))
-        cfg["system"]["levels"] = [-1.0, 1.5]
-        with pytest.raises(ValidationError):
-            parse_config(json.dumps(cfg))
-
 
 class TestTwoLevelRunner:
     def test_free_limit_matches_rabi(self, tmp_path):
@@ -405,7 +397,6 @@ NON_FINITE_CASES = [
     ("twolevel", FIG1_CONFIG, ("system", "V", "omega")),
     ("twolevel", FIG1_CONFIG, ("system", "V", "v_re")),
     ("twolevel", FIG1_CONFIG, ("system", "V", "v_im")),
-    ("twolevel", FIG1_CONFIG, ("system", "levels", 1)),
     ("decay", decay_config(), ("reservoir", "B")),
     ("decay", decay_config(), ("reservoir", "omega_R")),
     ("decay", decay_config(), ("reservoir", "gamma")),
@@ -458,8 +449,6 @@ class TestMainEntry:
                              ids=[".".join(map(str, w)) for _, _, w in NON_FINITE_CASES])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, command, cfg, where, token):
         cfg = json.loads(json.dumps(cfg))
-        if "levels" in where:
-            cfg["system"]["levels"] = [-1.0, 1.0]
         block = cfg
         for key in where[:-1]:
             block = block[key]
@@ -510,6 +499,17 @@ class TestMainEntry:
         path = write_config(tmp_path, dict(cfg, nodes=256))
         assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
         assert "unknown key 'nodes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg", [("twolevel", FIG1_CONFIG),
+                                              ("dump-channel", DUMP_CONFIG)],
+                             ids=["twolevel", "dump-channel"])
+    def test_levels_key_rejected(self, tmp_path, capsys, command, cfg):
+        # the two levels follow from system.V.omega alone
+        cfg = json.loads(json.dumps(cfg))
+        cfg["system"]["levels"] = [-1.0, 1.0]
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key 'system.levels'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, cfg, block, key, value, message", [
         ("decay", decay_config, "reservoir", "kind", [1, 2], "'reservoir.kind' must be one of"),

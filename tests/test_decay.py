@@ -136,6 +136,19 @@ class TestLineShape:
         assert p.dtype.kind == "f"
         assert np.all(np.isfinite(p))
 
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 4)],
+                             ids=["scalar", "empty", "1-d", "2-d"])
+    def test_result_has_the_shape_of_omega(self, shape):
+        # an empty omega hit the ladder's scale on a zero-size maximum, and a
+        # 2-d one failed to broadcast
+        det = gaussian_detector(1.0, 50.0, 0.1)
+        omega = np.linspace(-30.0, 30.0, math.prod(shape)).reshape(shape)
+        p = line_shape(omega, 2.0, det)
+        flat = line_shape(omega.ravel(), 2.0, det)
+        assert np.shape(p) == shape and flat.shape == (omega.size,)
+        assert isinstance(p, float) if shape == () else p.dtype == float
+        assert np.array_equal(np.ravel(p), flat)
+
     def test_fejer_limit_analytic(self):
         # lambda -> 0 turns P into the triangular-window kernel
         det = gaussian_detector(1.0, 0.0, 0.2)
@@ -815,14 +828,22 @@ class TestEmittedSpectrum:
 
     @pytest.mark.parametrize("e_grid", [np.linspace(44.0, -40.0, 64), np.zeros((8, 8)),
                                         np.concatenate([np.linspace(-40.0, 2.0, 32),
-                                                        np.linspace(2.0, 44.0, 32)])],
-                             ids=["decreasing", "2-d", "repeated"])
+                                                        np.linspace(2.0, 44.0, 32)]),
+                                        np.array([]), np.array([2.0])],
+                             ids=["decreasing", "2-d", "repeated", "empty", "one-point"])
     def test_emitted_spectrum_needs_an_increasing_grid(self, e_grid):
-        # a decreasing grid raised GridTooNarrow, "covers only -0.9997 of the line mass"
+        # a decreasing grid raised GridTooNarrow, "covers only -0.9997 of the line mass",
+        # and an empty one IndexError
         with mock.patch.object(decay, "_romberg") as ladder, \
                 pytest.raises(ValueError, match="e_grid must be finite, 1-d and strictly increasing"):
             emitted_spectrum(2.0, det_for(40.0, 0.5), 1.0, e_grid)
         ladder.assert_not_called()
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_fwhm_needs_two_points(self, points):
+        # an empty x raised numpy's "attempt to get argmax of an empty sequence"
+        with pytest.raises(ValueError, match="x must be .* length >= 2"):
+            fwhm(np.linspace(-1.0, 1.0, points), np.ones(points))
 
     def test_strong_measurement_width_tracks_lambda(self):
         ratios = []

@@ -417,8 +417,8 @@ class TestJumpTimeDependentEveryStrength:
             with spy_sized_rules(dynamics) as rules:
                 w = jump_probability_general(_turning_system(), det, *states, rel_tol=1e-9)
             assert len(rules) == 1
-            finer = superop.default_rule(det, 2 * len(rules[0]) - 1)
-            with mock.patch.object(dynamics, "_sized_rule", return_value=(finer, 0.0)):
+            finer = superop._trapezoid_rule(det, 2 * rules[0][0].size - 1)
+            with mock.patch.object(dynamics, "_sized_rule", return_value=(*finer, 0.0)):
                 w_finer = jump_probability_general(_turning_system(), det, *states, rel_tol=1e-9)
             assert abs(w - w_finer) <= 1e-9 * w
 
@@ -427,7 +427,7 @@ class TestJumpTimeDependentEveryStrength:
         with spy_sized_rules(dynamics) as rules:
             jump_probability_general(_turning_system(), det, *_TURNING_STATES[3],
                                      *_TURNING_STATES[1])
-        assert len(rules) == 1 and abs(rules[0].weights.sum() - 1.0) <= 1e-15
+        assert len(rules) == 1 and abs(rules[0][1].sum() - 1.0) <= 1e-15
 
     def test_reversed_jumps_match_direct_calls(self):
         # the table evaluates each unordered pair once and mirrors it: the reversed
@@ -473,15 +473,15 @@ class TestJumpTimeDependentEveryStrength:
             with spy_sized_rules(dynamics) as rules:
                 jump_probability_general(_turning_system(), det, *_TURNING_STATES[j],
                                          *_TURNING_STATES[k])
-            assert [len(rule) for rule in rules] == [nodes]
+            assert [q.size for q, _ in rules] == [nodes]
 
     def test_rule_bound_above_rel_tol_raises(self):
         # the rule's bound b (int |V_fi| dt / hbar)^2 is checked against rel_tol W
         det = gaussian_detector(sigma=1.0, lam=50.0, tau=0.3)
-        rule, _ = superop._sized_rule(det, 10.0, dynamics.JUMP_MAX_NODES)
-        with mock.patch.object(dynamics, "_sized_rule", return_value=(rule, 1e-3)), \
+        nodes, weights, _ = superop._sized_rule(det, 10.0, dynamics.JUMP_MAX_NODES)
+        with mock.patch.object(dynamics, "_sized_rule", return_value=(nodes, weights, 1e-3)), \
                 pytest.raises(QuadratureNotConverged,
-                              match=f"on {len(rule)} trapezoid nodes exceeds rel_tol 1.0e-06") as info:
+                              match=f"on {nodes.size} trapezoid nodes exceeds rel_tol 1.0e-06") as info:
             jump_probability_general(_turning_system(), det, 2, 0, 0, 1)
         assert info.value.ladder == []
 

@@ -31,18 +31,16 @@ from zenosim.qmat import (apply_super, check_density_matrix, trace_sum_rule_defe
 from zenosim.superop import (
     EXACT_QUADRATURE,
     MeasurementChannel,
-    QuadratureRule,
     build_exact,
     build_second_order,
     build_unperturbed,
-    default_rule,
     dump_channel,
     load_channel,
     repeat,
 )
 
 import oracles
-from oracles import (dyson_second_order_per_path, gauss_hermite_rule, lag_sums,
+from oracles import (dyson_second_order_per_path, exact_on_rule, gauss_hermite_rule, lag_sums,
                      second_order_on_grid, spy_sized_rules, trapezoid_weights, triangle_weights,
                      unit_sum_rule_defect)
 
@@ -111,46 +109,30 @@ def _at_blocking_threshold(test):
 
 class TestQuadratureRule:
     def test_default_rule_normalized(self):
-        rule = default_rule(gaussian_detector(sigma=2.0, lam=1.0, tau=0.1), 129)
-        assert abs(rule.weights.sum() - 1.0) < 1e-12
-        assert np.all(rule.weights > 0)
+        nodes, weights = superop._trapezoid_rule(gaussian_detector(sigma=2.0, lam=1.0, tau=0.1),
+                                                 129)
+        assert abs(weights.sum() - 1.0) < 1e-12
+        assert np.all(weights > 0)
         # second moment of the node distribution reproduces the q variance 1 / sigma^2
-        assert np.sum(rule.weights * rule.nodes ** 2) == pytest.approx(0.25, rel=1e-14)
-
-    def test_requires_eight_nodes(self):
-        with pytest.raises(ValueError):
-            default_rule(FIG1_DET, 4)
-        with pytest.raises(ValueError):
-            default_rule(FIG1_DET, 0)
+        assert np.sum(weights * nodes ** 2) == pytest.approx(0.25, rel=1e-14)
 
     @pytest.mark.parametrize("n", [65, 129, 1025, 8193])
     def test_default_rule_error_within_alias_margin(self, n):
         # a step h integrates e^{i nu y} against the Gaussian to about
         # e^{-(2 pi / h - nu)^2 / 2}: rounding at the margin a sized rule leaves
-        rule = default_rule(gaussian_detector(sigma=1.0, lam=1.0, tau=0.1), n)
+        nodes, weights = superop._trapezoid_rule(gaussian_detector(sigma=1.0, lam=1.0, tau=0.1), n)
         band = 2.0 * np.pi * (n - 1) / (2.0 * superop.RULE_HALF_WIDTH)
         for nu in np.linspace(0.0, band - superop.RULE_HALF_WIDTH, 7):
-            got = rule.weights @ np.exp(1j * nu * rule.nodes)
+            got = weights @ np.exp(1j * nu * nodes)
             assert abs(got - np.exp(-nu ** 2 / 2.0)) <= 1e-15 * n ** 0.5
         nu = band - 4.0
-        assert abs(rule.weights @ np.exp(1j * nu * rule.nodes) - np.exp(-nu ** 2 / 2.0)) > 1e-5
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.arange(8.0), weights=np.full(8, 0.2))
+        assert abs(weights @ np.exp(1j * nu * nodes) - np.exp(-nu ** 2 / 2.0)) > 1e-5
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_width(self, sigma):
-        # the default rule's width 1 / sigma is checked where the detector is made
+        # the rule's width 1 / sigma is checked where the detector is made
         with pytest.raises(ValueError):
-            default_rule(gaussian_detector(sigma=sigma, lam=1.0, tau=0.1), 65)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_nodes(self, bad):
-        nodes = np.arange(8.0)
-        nodes[3] = bad
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=nodes, weights=np.full(8, 0.125))
+            superop._trapezoid_rule(gaussian_detector(sigma=sigma, lam=1.0, tau=0.1), 65)
 
 
 class TestSizedRule:
@@ -160,15 +142,14 @@ class TestSizedRule:
         # forms: e^{i theta y}, cos(theta y + phi) and cos(a y) cos((theta - a) y);
         # at these margins the error is far above rounding.  theta runs over a grid
         # and over the values where the step is exactly 2 pi / (theta + c), from
-        # the least theta that gives the 8 nodes of a QuadratureRule
+        # the least theta that gives 8 nodes
         det = gaussian_detector(sigma=1.0, lam=1.0, tau=0.1)
         worst = 0.0
         lo = max(0.0, 7.0 * math.pi / c - c)
         exact = [math.pi * m / c - c for m in range(1, int(49.0 * c / math.pi) + 1)]
         with mock.patch.object(superop, "RULE_HALF_WIDTH", c):
             for theta in [*np.linspace(lo, 40.0, 41), *(t for t in exact if lo <= t <= 40.0)]:
-                rule, bound = superop._sized_rule(det, theta, superop.MAX_NODES)
-                y, w = rule.nodes, rule.weights
+                y, w, bound = superop._sized_rule(det, theta, superop.MAX_NODES)
                 cases = [(np.exp(1j * theta * y), math.exp(-theta ** 2 / 2.0))]
                 cases += [(np.cos(theta * y + phi), math.cos(phi) * math.exp(-theta ** 2 / 2.0))
                           for phi in np.linspace(0.0, math.pi, 5)]
@@ -201,17 +182,16 @@ class TestSizedRule:
         theta = superop._phase_scale(sys, det)
         assume(not timed or theta <= 300.0)
         ch = build_exact(sys, det)
-        finer = default_rule(det, 2 * ch.meta["nodes"] - 1)
-        assert (np.abs(ch.tensor - build_exact(sys, det, rule=finer).tensor).max()
-                <= ch.meta["quad_bound"])
+        finer = superop._trapezoid_rule(det, 2 * ch.meta["nodes"] - 1)
+        assert np.abs(ch.tensor - exact_on_rule(sys, det, *finer)).max() <= ch.meta["quad_bound"]
         ch = build_second_order(sys, det)
-        with mock.patch.object(superop, "_sized_rule", return_value=(finer, 0.0)):
+        with mock.patch.object(superop, "_sized_rule", return_value=(*finer, 0.0)):
             ref = build_second_order(sys, det)
         assert np.abs(ch.tensor - ref.tensor).max() <= ch.meta["quad_bound"]
 
     @pytest.mark.parametrize("theta", [float("inf"), float("nan"), 1e308])
     def test_unbounded_phase_scale_raises_before_any_node(self, theta):
-        with mock.patch.object(superop, "default_rule") as rule, \
+        with mock.patch.object(superop, "_trapezoid_rule") as rule, \
                 pytest.raises(QuadratureNotConverged, match="trapezoid nodes") as info:
             superop._sized_rule(FIG1_DET, theta, superop.MAX_NODES)
         assert info.value.ladder == []
@@ -264,8 +244,8 @@ class TestBuildExact:
     def test_quadrature_doubling_stable_at_certified_nodes(self):
         ch = build_exact(FIG1_SYS, FIG1_DET)
         n = ch.meta["nodes"]
-        t1 = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, n)).tensor
-        t2 = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 2 * n)).tensor
+        t1 = exact_on_rule(FIG1_SYS, FIG1_DET, *superop._trapezoid_rule(FIG1_DET, n))
+        t2 = exact_on_rule(FIG1_SYS, FIG1_DET, *superop._trapezoid_rule(FIG1_DET, 2 * n))
         assert np.abs(t2 - t1).max() <= 1e-8
 
     @pytest.mark.parametrize("entry_tol", [float("nan"), float("inf"), 0.0, -1.0])
@@ -284,8 +264,6 @@ class TestBuildExact:
             rounding = np.finfo(float).eps * (superop._phase_scale(FIG1_SYS, det) + n)
             assert ch.meta["nodes"] == n
             assert ch.meta["quad_bound"] == pytest.approx(1.0758e-17 + rounding, rel=1e-4)
-        fixed = build_exact(FIG1_SYS, FIG1_DET, rule=default_rule(FIG1_DET, 65))
-        assert fixed.meta["nodes"] == 65 and fixed.meta["quad_bound"] is None
 
     @pytest.mark.parametrize("builder", [build_exact, build_second_order])
     def test_every_node_level_is_its_whole_rule(self, builder):
@@ -296,10 +274,11 @@ class TestBuildExact:
         with spy_sized_rules(superop) as rules, \
                 mock.patch.object(superop, "_node_levels", wraps=superop._node_levels) as levels:
             ch = builder(sys, det)
-        assert len(rules) == 1 and len(rules[0]) == ch.meta["nodes"] == 46
-        assert levels.call_count == 1 and np.array_equal(levels.call_args.args[2], rules[0].nodes)
+        (nodes, weights), = rules
+        assert nodes.size == ch.meta["nodes"] == 46
+        assert levels.call_count == 1 and np.array_equal(levels.call_args.args[2], nodes)
         if builder is build_exact:
-            assert np.array_equal(ch.tensor, build_exact(sys, det, rule=rules[0]).tensor)
+            assert np.array_equal(ch.tensor, exact_on_rule(sys, det, nodes, weights))
 
     @pytest.mark.parametrize("timed", [False, True], ids=["constant-v", "timed-v"])
     @pytest.mark.parametrize("builder", [build_exact, build_second_order])
@@ -311,7 +290,7 @@ class TestBuildExact:
             sys = SystemSpec(levels=sys.levels, v=sys.v_at(0.0))
         with spy_sized_rules(superop) as rules:
             builder(sys, det)
-        assert len(rules) == 1 and abs(rules[0].weights.sum() - 1.0) <= 1e-15
+        assert len(rules) == 1 and abs(rules[0][1].sum() - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("lam", [50.0, 500.0])
     def test_each_node_is_propagated_once(self, lam):
@@ -351,10 +330,10 @@ class TestBuildExact:
         # scipy's Gauss-Hermite rules carry 1e-14 to 1e-13 errors of their own beyond
         # 150 nodes, so the oracle's doublings settle at 1e-13, not at 1e-14
         gh = 64
-        oracle = build_exact(sys, det, rule=gauss_hermite_rule(gh, 1.0 / det.sigma)).tensor
+        oracle = exact_on_rule(sys, det, *gauss_hermite_rule(gh, 1.0 / det.sigma))
         while True:
             gh *= 2
-            finer = build_exact(sys, det, rule=gauss_hermite_rule(gh, 1.0 / det.sigma)).tensor
+            finer = exact_on_rule(sys, det, *gauss_hermite_rule(gh, 1.0 / det.sigma))
             settled = np.abs(finer - oracle).max() <= 1e-12
             oracle = finer
             if settled or gh >= 32768:
@@ -374,8 +353,8 @@ class TestBuildExact:
         det = gaussian_detector(5.0 * 0.1 * (levels[1] - levels[0]) / 64.0, 5.0, 0.1)
         assert superop._phase_scale(sys, det) == pytest.approx(64.0, rel=1e-12)
         ch = build_exact(sys, det)
-        finer = build_exact(sys, det, rule=default_rule(det, 2 * ch.meta["nodes"] - 1))
-        assert np.abs(ch.tensor - finer.tensor).max() <= 1e-14
+        finer = exact_on_rule(sys, det, *superop._trapezoid_rule(det, 2 * ch.meta["nodes"] - 1))
+        assert np.abs(ch.tensor - finer).max() <= 1e-14
 
     def test_maximally_mixed_is_fixed_point(self):
         ch = build_exact(FIG1_SYS, FIG1_DET)
@@ -399,15 +378,14 @@ class TestBuildExact:
     def test_contraction_matches_einsum_on_random_unitaries(self):
         # the (d^2, K) @ (K, d^2) product against the index contraction it replaces
         rng = np.random.default_rng(8)
-        rule = gauss_hermite_rule(24, q_std=1.0)
+        nodes, weights = gauss_hermite_rule(24, q_std=1.0)
         for d in (2, 5):
-            a = rng.normal(size=(len(rule), d, d)) + 1j * rng.normal(size=(len(rule), d, d))
+            a = rng.normal(size=(nodes.size, d, d)) + 1j * rng.normal(size=(nodes.size, d, d))
             u = np.linalg.qr(a)[0]
             sys = SystemSpec(levels=tuple(float(e) for e in range(d)), v=np.zeros((d, d)))
             with mock.patch.object(superop, "_propagators", return_value=u):
-                got = superop._prnm(superop._propagated_sum(sys, FIG1_DET, 0.0, rule.nodes,
-                                                            rule.weights, 1))
-            want = np.einsum("k,kpn,krm->prnm", rule.weights, u, u.conj())
+                got = superop._prnm(superop._propagated_sum(sys, FIG1_DET, 0.0, nodes, weights, 1))
+            want = np.einsum("k,kpn,krm->prnm", weights, u, u.conj())
             assert got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-15
 
@@ -428,10 +406,9 @@ class TestBuildExact:
         # midpoint substeps to pin the entries to 1e-8
         vmat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(-1.0, 1.0), v=lambda t: np.cos(200.0 * t) * vmat)
-        rule = default_rule(FIG1_DET, 65)
         with mock.patch.object(superop, "MAX_SUBSTEPS", 32), \
                 pytest.raises(PropagationStepTooCoarse) as info:
-            build_exact(sys, FIG1_DET, rule=rule)
+            build_exact(sys, FIG1_DET)
         assert isinstance(info.value, NumericalConvergenceError)
         ladder = info.value.ladder
         assert [m for m, _ in ladder] == [16, 32]
@@ -452,7 +429,7 @@ class TestBuildExact:
         assert climbs[39] == [superop.MIN_SUBSTEPS << k for k in range(len(climbs[39]))]
         assert [m for m, _ in ch.meta["substep_ladder"]] == climbs[39][1:]
         assert ch.meta["substeps"] == climbs[39][-1]
-        fixed = build_exact(sys, det, rule=default_rule(det, 129)).tensor
+        fixed = exact_on_rule(sys, det, *superop._trapezoid_rule(det, 129))
         assert np.abs(ch.tensor - fixed).max() <= 1e-8
 
     def test_tight_entry_tol_converges_on_the_benchmark_system(self):
@@ -468,9 +445,8 @@ class TestBuildExact:
         # where plain midpoint doubling to 1e-8 (256 substeps) was 2e-9 off
         sys, det = channels_small_system()
         ch = build_exact(sys, det)
-        rule = default_rule(det, ch.meta["nodes"])
-        coarse, fine = (superop._prnm(superop._propagated_sum(sys, det, 0.0, rule.nodes,
-                                                              rule.weights, m))
+        nodes, weights = superop._trapezoid_rule(det, ch.meta["nodes"])
+        coarse, fine = (superop._prnm(superop._propagated_sum(sys, det, 0.0, nodes, weights, m))
                         for m in (1024, 2048))
         assert np.abs(ch.tensor - (4.0 * fine - coarse) / 3.0).max() <= 1e-10
 
@@ -690,8 +666,9 @@ class TestBuildSecondOrder:
         sys = SystemSpec(levels=tuple(levels), alpha_energies=alphas, hbar=hbar,
                          v=lambda t: np.cos(3.0 * t) * v + np.sin(5.0 * t) * u)
         det = gaussian_detector(1.0, lam, 0.1)
-        rule, _ = superop._sized_rule(det, superop._phase_scale(sys, det), superop.MAX_NODES)
-        pn_rm = superop._dyson_sum_on_grid(sys, det, t0, rule.nodes, rule.weights, steps, {})
+        nodes, weights, _ = superop._sized_rule(det, superop._phase_scale(sys, det),
+                                                superop.MAX_NODES)
+        pn_rm = superop._dyson_sum_on_grid(sys, det, t0, nodes, weights, steps, {})
         grid = second_order_on_grid(sys, det, t0, steps)
         assert np.abs(superop._prnm(pn_rm) - grid).max() <= 1e-14 * np.abs(grid).max()
 
@@ -996,6 +973,12 @@ class TestChannelSnapshot:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_channel(io.BytesIO(b"not a snapshot"))
+
+    def test_rejects_dimension_zero(self):
+        # a header of dimension 0 with an empty body was read as a (0, 0, 0, 0) tensor
+        raw = superop._HEADER.pack(superop._MAGIC, 1, 1, 0, 0, 0, 0.1, 0.0, 50.0, 1.0)
+        with pytest.raises(ValueError, match="dimension 0"):
+            load_channel(io.BytesIO(raw))
 
     def test_rejects_unknown_method_tag(self):
         buf = io.BytesIO()
