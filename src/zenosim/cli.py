@@ -4,6 +4,9 @@ Configs are JSON (documented in the README): a top-level experiment name,
 `system` / `detector` blocks, and per-experiment blocks for the reservoir,
 sweep or output grid.  `SCHEMA` is the one description of every config:
 keys an experiment does not read are rejected so typos fail loudly.
+`parse_config` returns an `ExperimentConfig` whose `values` maps the dotted
+path of every given, non-null key ("detector.tau"; "hbar" is 1.0 unless
+given) to its checked float, int or string: all that the runners read.
 Runners write `#`-commented CSV plus a JSON sidecar echoing the config, the
 certified numerical tolerances and the zenosim and numpy versions,
 so every figure is reproducible from the artifacts alone.  Output is
@@ -17,7 +20,7 @@ import json
 import math
 import sys as _sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,17 +104,8 @@ _RULES = {name: rule for _, _, keys in SCHEMA.values()
 @dataclass
 class ExperimentConfig:
     experiment: str
-    hbar: float
-    detector: dict
-    system: dict = field(default_factory=dict)
-    reservoir: dict = field(default_factory=dict)
-    transition: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    n_measurements: int | None = None
-    t0: float = 0.0
-    output_path: str | None = None
-    raw: dict = field(default_factory=dict)
+    values: dict  # dotted path of every given, non-null key -> its checked value
+    raw: dict  # the JSON as given, echoed in the CSV header and the sidecar
 
 
 def _value(val, rule, name: str, errors: list, required: bool = True):
@@ -137,7 +131,7 @@ def _value(val, rule, name: str, errors: list, required: bool = True):
 
 def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: dict):
     """Check one block against the keys the experiment reads there, storing
-    every block and valid value in values under its dotted path."""
+    every valid value in values under its dotted path."""
     for key, val in block.items():
         if key in keys:
             continue
@@ -162,7 +156,6 @@ def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: 
             if not isinstance(sub, dict):
                 errors.append(f"'{name}' must be an object")
                 sub = {}
-            values[name] = sub
             if rule:
                 _walk(sub, rule, name + ".", experiment, errors, values)
         elif key in block and rule is not None:
@@ -171,19 +164,13 @@ def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: 
                 values[name] = val
 
 
-def _without_nulls(block: dict) -> dict:
-    """block without its null entries at any depth: null means absent (a
-    clean walk leaves nulls only at optional keys)."""
-    return {key: _without_nulls(val) if isinstance(val, dict) else val
-            for key, val in block.items() if val is not None}
-
-
 def _scaled(experiment, hbar: float, values: dict):
     """(key, name, unscaled value, scaled value) of each quantity the
     experiment forms by scaling the config value of key: hbar² where it
     divides by it, the level energy hbar·omega/2 and the frequency |V|/hbar
     of the two-level system (squared in the Rabi frequency of twolevel), the
-    grid edges E/hbar of a spectrum, and the squares of the widths of F and G
+    grid edges E/hbar of a spectrum and 2π·v2·tau²/hbar², which bounds 2π
+    times its peak W (P <= tau / 2π), and the squares of the widths of F and G
     (sigma, gamma, w).  Quantities of invalid values are left out: those
     values are reported already."""
     if experiment in ("twolevel", "decay_sweep", "spectrum"):
@@ -202,6 +189,10 @@ def _scaled(experiment, hbar: float, values: dict):
             if values.get(f"grid.{edge}") is not None:
                 energy = values[f"grid.{edge}"]
                 yield "hbar", f"{edge}/hbar", energy, energy / hbar
+        v2, tau = values.get("transition.v2"), values.get("detector.tau")
+        if v2 is not None and tau is not None:
+            yield ("transition.v2", "2π·v2·tau²/hbar²", v2,
+                   2.0 * math.pi * v2 * tau * tau / hbar / hbar)
     for key in ("detector.sigma", "reservoir.gamma", "reservoir.w"):
         if values.get(key) is not None:
             yield key, key.split(".")[1] + "²", values[key], values[key] * values[key]
@@ -227,7 +218,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"'experiment' must be one of {EXPERIMENTS}, got {experiment!r}")
     keys = SCHEMA[experiment][2] if experiment in EXPERIMENTS else _UNKNOWN
     _walk(raw, {**_COMMON, **keys}, "", experiment, errors, values)
-    hbar = values.get("hbar", 1.0)
+    hbar = values.setdefault("hbar", 1.0)
 
     for lo, hi in (("sweep.Lambda_min", "sweep.Lambda_max"), ("grid.e_min", "grid.e_max")):
         if values.get(lo) is not None and values.get(hi) is not None and values[hi] <= values[lo]:
@@ -235,26 +226,25 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("sweep.points", "grid.points"):
         if values.get(name, 0) > MAX_MEASUREMENTS:
             errors.append(f"'{name}' must be at most {MAX_MEASUREMENTS}")
-    reservoir = values.get("reservoir")
-    if reservoir is not None:
+    if "reservoir" in keys:
+        reservoir = raw.get("reservoir", {})
+        reservoir = reservoir if isinstance(reservoir, dict) else {}  # reported by _walk
         kind = reservoir.get("kind")
         if not reservoir:
             errors.append("missing 'reservoir' block")
         elif not isinstance(kind, str) or kind not in _RESERVOIRS:
             errors.append(f"'reservoir.kind' must be one of {tuple(_RESERVOIRS)}, got {kind!r}")
         else:
-            _walk(reservoir, {"kind": (True, None), **_RESERVOIRS[kind][1]},
+            _walk(reservoir, {"kind": (True, "string"), **_RESERVOIRS[kind][1]},
                   "reservoir.", experiment, errors, values)
     for key, name, unscaled, scaled in _scaled(experiment, hbar, values):
         if not (math.isfinite(scaled) and (scaled != 0.0 or unscaled == 0.0)):
-            errors.append(f"'{key}' = {values.get(key, hbar)!r} makes {name} = {scaled!r}, "
+            errors.append(f"'{key}' = {values[key]!r} makes {name} = {scaled!r}, "
                           "which must be finite and non-zero")
 
     if experiment == "spectrum" and not errors:
-        det = DetectorModel(lam=values["detector.lambda"], tau=values["detector.tau"],
-                            sigma=values["detector.sigma"])
         omega_if = values["transition.omega_if"]
-        t_cut = _decay._line_scales(omega_if, det)[0]
+        t_cut = _decay._line_scales(omega_if, _detector(values))[0]
         for edge in ("grid.e_min", "grid.e_max"):
             phase = abs(values[edge] / hbar - omega_if) * t_cut
             if not phase <= MAX_LINE_PHASE:
@@ -262,12 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
                               f"omega_if| t_cut = {phase:.3g} rad, above {MAX_LINE_PHASE:.0e}")
     if errors:
         raise ValidationError(errors)
-    blocks = {b: _without_nulls(values.get(b, {}))
-              for b in ("detector", "system", "reservoir", "transition", "sweep", "grid")}
-    return ExperimentConfig(experiment=experiment, hbar=hbar,
-                            n_measurements=values.get("n_measurements"),
-                            t0=values.get("t0", 0.0),
-                            output_path=values.get("output_path"), raw=raw, **blocks)
+    return ExperimentConfig(experiment=experiment, values=values, raw=raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -275,22 +260,19 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _detector(cfg: ExperimentConfig, lam: float | None = None) -> DetectorModel:
-    block = cfg.detector
-    lam_val = block["lambda"] if lam is None else lam
-    return DetectorModel(lam=float(lam_val), tau=float(block["tau"]),
-                         sigma=float(block["sigma"]))
+def _detector(values: dict, lam: float | None = None) -> DetectorModel:
+    return DetectorModel(lam=values["detector.lambda"] if lam is None else lam,
+                         tau=values["detector.tau"], sigma=values["detector.sigma"])
 
 
-def _preset(cfg: ExperimentConfig) -> TwoLevelPreset:
-    vb = cfg.system["V"]
-    v = complex(vb["v_re"], vb.get("v_im", 0.0))
-    return TwoLevelPreset(omega=float(vb["omega"]), v=v, hbar=cfg.hbar)
+def _preset(values: dict) -> TwoLevelPreset:
+    v = complex(values["system.V.v_re"], values.get("system.V.v_im", 0.0))
+    return TwoLevelPreset(omega=values["system.V.omega"], v=v, hbar=values["hbar"])
 
 
-def _reservoir(cfg: ExperimentConfig) -> _decay.ReservoirSpectrum:
-    make, keys = _RESERVOIRS[cfg.reservoir["kind"]]
-    return make(*(cfg.reservoir[key] for key in keys), hbar=cfg.hbar)
+def _reservoir(values: dict) -> _decay.ReservoirSpectrum:
+    make, keys = _RESERVOIRS[values["reservoir.kind"]]
+    return make(*(values["reservoir." + key] for key in keys), hbar=values["hbar"])
 
 
 # rows formatted per write: bounds the text held at once for long trajectories
@@ -342,11 +324,10 @@ def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
 
     Columns: t, rho11, rho00, re_rho10, im_rho10, rho11_approx (exponential
     approximation) and rho11_free (unmeasured Rabi reference)."""
-    preset = _preset(cfg)
-    det = _detector(cfg)
-    sysspec = preset.to_system()
+    preset = _preset(cfg.values)
+    det = _detector(cfg.values)
     t_inh = two_level_inhibition_time(preset, det)
-    n = cfg.n_measurements
+    n = cfg.values.get("n_measurements")
     if n is None:
         if not math.isfinite(t_inh) or t_inh <= 0:
             raise ValidationError(
@@ -357,7 +338,7 @@ def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
             f"{n:.6g} measurements exceed the cap of {MAX_MEASUREMENTS} (inhibition time "
             f"t_inh = {t_inh:.6g}, default 10 t_inh / tau); give a smaller 'n_measurements'"])
     n = math.ceil(n)
-    channel = build_exact(sysspec, det)
+    channel = build_exact(preset.to_system(), det)
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0
     traj = repeat(lambda t0: channel, rho0, n)
@@ -382,16 +363,16 @@ def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
 
 def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     """Decay rate against measurement strength, with both baselines."""
-    res = _reservoir(cfg)
-    omega_if = float(cfg.transition["omega_if"])
-    hbar = cfg.hbar
-    lambdas = np.geomspace(cfg.sweep["Lambda_min"], cfg.sweep["Lambda_max"],
-                           int(cfg.sweep["points"]))
-    c_const = strength(_detector(cfg, lam=0.0)).C
+    values = cfg.values
+    res = _reservoir(values)
+    omega_if, hbar = values["transition.omega_if"], values["hbar"]
+    lambdas = np.geomspace(values["sweep.Lambda_min"], values["sweep.Lambda_max"],
+                           values["sweep.points"])
+    c_const = strength(_detector(values, lam=0.0)).C
     r_golden = 2.0 * math.pi * res.g(omega_if) / hbar ** 2
     rows, errors = [], []
-    for lam_big in lambdas:
-        det = _detector(cfg, lam=lam_big * c_const)
+    for lam_big in lambdas.tolist():  # Python floats, like the config values
+        det = _detector(values, lam=lam_big * c_const)
         try:
             rate, ladder = _decay._rate_and_ladder(res, omega_if, det, _decay.RATE_REL_TOL)
         except NumericalConvergenceError as exc:
@@ -411,12 +392,11 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
 
 def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     """Emitted-field energy distribution; FWHM recorded as a footer."""
-    res = _reservoir(cfg)
-    det = _detector(cfg)
-    omega_if = float(cfg.transition["omega_if"])
-    v2 = float(cfg.transition["v2"])
-    hbar = cfg.hbar
-    e_grid = np.linspace(cfg.grid["e_min"], cfg.grid["e_max"], int(cfg.grid["points"]))
+    values = cfg.values
+    res = _reservoir(values)
+    det = _detector(values)
+    omega_if, v2, hbar = values["transition.omega_if"], values["transition.v2"], values["hbar"]
+    e_grid = np.linspace(values["grid.e_min"], values["grid.e_max"], values["grid.points"])
     w = _decay.emitted_spectrum(omega_if, det, v2, e_grid, hbar=hbar)
     width = _decay.fwhm(e_grid, w)
     total = float(np.trapezoid(res.g(e_grid / hbar) * (w / (hbar * v2)), e_grid))
@@ -434,9 +414,9 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
 
 def run_channel_dump(cfg: ExperimentConfig, out: str) -> str:
     """Binary snapshot of the exact-quadrature channel."""
-    preset = _preset(cfg)
-    det = _detector(cfg)
-    channel = build_exact(preset.to_system(), det, t0=cfg.t0)
+    preset = _preset(cfg.values)
+    det = _detector(cfg.values)
+    channel = build_exact(preset.to_system(), det, t0=cfg.values.get("t0", 0.0))
     dump_channel(channel, det, out)
     _write_sidecar(out, cfg, _channel_certificate(channel))
     return out
@@ -460,7 +440,7 @@ def main(argv=None) -> int:
         if cfg.experiment != experiment:
             raise ValidationError([f"experiment {cfg.experiment!r} does not match "
                                    f"command {args.command!r}"])
-        out = args.out or cfg.output_path
+        out = args.out or cfg.values.get("output_path")
         if out is None:
             raise ValidationError(["no output path (give --out or output_path)"])
         # looked up by name at call time, so a rebound module attribute is called

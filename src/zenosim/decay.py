@@ -28,7 +28,8 @@ products otherwise.  The line mass over a
 window adds the sine integral Si at its edges, evaluated with `math` alone
 (`_si`).  Every line function raises ValueError before any ladder runs for
 a non-finite frequency or window edge; tau comes from the detector and hbar
-from the reservoir, which reject a value not finite and > 0 when built.
+from the reservoir, which reject a value not finite and > 0 when built, or
+is checked where it is an argument (`golden_rule`, `emitted_spectrum`).
 """
 
 from __future__ import annotations
@@ -293,6 +294,12 @@ def _check_line(*freqs) -> None:
         raise ValueError("frequencies and window edges must be finite")
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """ValueError unless value is finite and >= 0."""
+    if not (_all_finite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _line_transform(omega_if: float, det: DetectorModel, deltas: np.ndarray,
                     refine: int) -> np.ndarray:
     """int_0^t_cut g(t) e^{i delta t} dt at each delta, on the time grid of `refine`."""
@@ -376,12 +383,15 @@ def line_mass(delta_lo: float, delta_hi: float, omega_if: float,
 def fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """Full width at half maximum of a sampled single peak, with linear
     interpolation of the half-height crossings; ValueError unless x and y are
-    matching 1-d arrays of length >= 2, x strictly increasing, and max y > 0."""
+    matching 1-d arrays of length >= 2, x strictly increasing, y without an
+    infinite sample, and max y > 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x and y must be matching 1-d arrays, got shapes {x.shape}, {y.shape}")
     _check_grid(x, "x")
+    if np.isinf(y).any():
+        raise ValueError("y has an infinite sample, so no half maximum")
     k = int(np.argmax(y))
     if not y[k] > 0:
         raise ValueError(f"no peak: the curve's maximum {y[k]!r} is not > 0")
@@ -400,9 +410,15 @@ def fwhm(x: np.ndarray, y: np.ndarray) -> float:
 # decay rates
 
 def golden_rule(v2: float, rho_of_e, omega_if: float, hbar: float) -> float:
-    """Unmeasured decay rate R = (2 pi / hbar) |V|^2 rho(hbar w_if)."""
-    rho = rho_of_e(hbar * omega_if) if callable(rho_of_e) else float(rho_of_e)
-    return 2.0 * math.pi * v2 * rho / hbar
+    """Unmeasured decay rate R = (2 pi / hbar) |V|^2 rho(hbar w_if); ValueError
+    unless v2 and rho (given, or returned by a callable) are finite and >= 0,
+    hbar is finite and > 0, and omega_if is finite."""
+    _check_nonnegative(v2, "v2")
+    hbar = _tolerance(hbar, "hbar")
+    _check_line(omega_if)
+    rho = rho_of_e(hbar * omega_if) if callable(rho_of_e) else rho_of_e
+    _check_nonnegative(rho, "rho")
+    return 2.0 * math.pi * v2 * float(rho) / hbar
 
 
 def _reservoir_envelope(res: ReservoirSpectrum, t: np.ndarray):
@@ -487,10 +503,10 @@ def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,
     W(E) = (2 pi / hbar^2) |V|^2 tau P(E / hbar), tau = det.tau.
 
     Raises GridTooNarrow when more than 1% of the line mass falls outside
-    e_grid, and ValueError unless v2 is finite and >= 0 and e_grid is finite,
-    1-d, strictly increasing and of length >= 2."""
-    if not (_all_finite(v2) and v2 >= 0):
-        raise ValueError(f"v2 must be finite and >= 0, got {v2!r}")
+    e_grid, and ValueError unless v2 is finite and >= 0, hbar finite and > 0,
+    and e_grid finite, 1-d, strictly increasing and of length >= 2."""
+    _check_nonnegative(v2, "v2")
+    hbar = _tolerance(hbar, "hbar")
     e_grid = np.asarray(e_grid, dtype=float)
     _check_grid(e_grid, "e_grid")
     covered = line_mass(e_grid[0] / hbar - omega_if, e_grid[-1] / hbar - omega_if,

@@ -1,6 +1,7 @@
 """Config parsing, experiment runners, CSV output, exit codes."""
 
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -69,8 +70,8 @@ class TestParseConfig:
     def test_fig1_accepted(self):
         cfg = parse_config(json.dumps(FIG1_CONFIG))
         assert cfg.experiment == "twolevel"
-        assert cfg.detector["lambda"] == 50.0
-        assert cfg.n_measurements == 400
+        assert cfg.values["detector.lambda"] == 50.0
+        assert cfg.values["n_measurements"] == 400
 
     def test_zero_tau_rejected(self):
         bad = json.loads(json.dumps(FIG1_CONFIG))
@@ -118,8 +119,11 @@ class TestParseConfig:
         cfg.update(hbar=None, t0=None, output_path=None)
         cfg["system"]["V"]["v_im"] = None
         parsed = parse_config(json.dumps(cfg))
-        assert (parsed.hbar, parsed.t0, parsed.output_path) == (1.0, 0.0, None)
-        assert parsed.system == {"V": {"omega": 2.0, "v_re": 1.0}}
+        values = parsed.values
+        assert (values["hbar"], values.get("t0", 0.0), values.get("output_path")) == \
+            (1.0, 0.0, None)
+        assert {k: v for k, v in values.items() if k.startswith("system.")} == \
+            {"system.V.omega": 2.0, "system.V.v_re": 1.0}
         assert parsed.raw == cfg  # the echo keeps the config as given
 
     def test_null_experiment_rejected(self):
@@ -258,7 +262,7 @@ class TestDecaySweepRunner:
         certified = json.load(open(out + ".meta.json"))["certified"]
         reached = certified["rel_err_reached"]
         # one entry per Lambda point, each within the tolerance asked for
-        assert len(reached) == cfg.sweep["points"]
+        assert len(reached) == cfg.values["sweep.points"]
         assert all(0.0 <= err <= certified["rel_tol"] for err in reached)
 
     def test_failed_point_keeps_its_ladder(self, tmp_path):
@@ -589,7 +593,11 @@ class TestMainEntry:
         ("dump-channel", dict(DUMP_CONFIG, hbar=1e-320), "|V|/hbar"),
         ("spectrum", spectrum_config(hbar=1e-150, grid={
             "e_min": -1e160, "e_max": 1.0, "points": 64}), "e_min/hbar"),
-    ], ids=["spectrum-covering-grid", "twolevel-rabi", "dump-channel", "spectrum-grid-edge"])
+        # W overflowed to inf, and fwhm's ValueError left main
+        ("spectrum", spectrum_config(transition={"omega_if": 2.0, "v2": 1.7976931348623157e308}),
+         "2π·v2·tau²/hbar²"),
+    ], ids=["spectrum-covering-grid", "twolevel-rabi", "dump-channel", "spectrum-grid-edge",
+            "spectrum-coupling"])
     def test_hbar_scaled_quantity_out_of_range_exit_code(self, tmp_path, capsys,
                                                          command, cfg, name):
         path = write_config(tmp_path, cfg)
@@ -770,6 +778,43 @@ def _key_paths(cfg, prefix=()):
             yield from _key_paths(val, prefix + (key,))
 
 
+def _mutated(base, path, op, key, value):
+    """base with the key at path dropped, a key added next to it (inside it
+    for a block) or its value set to value."""
+    cfg = json.loads(json.dumps(base))
+    block = cfg
+    for k in path[:-1]:
+        block = block[k]
+    if op == "drop":
+        del block[path[-1]]
+    elif op == "set":
+        block[path[-1]] = value
+    else:
+        target = block[path[-1]]
+        (target if isinstance(target, dict) else block)[key] = value
+    return cfg
+
+
+def _fuzz_mutations(base, check, max_examples, counts_capped=False):
+    """check(config) on max_examples mutations of every key of base; with
+    counts_capped, an integer set at a count key is at most base's value, so
+    that no run composes more measurements or points than base's."""
+    for path in _key_paths(base):
+        values = _JSON_VALUES
+        if counts_capped and path[-1] in ("n_measurements", "points"):
+            cap = functools.reduce(dict.get, path, base)
+            values = values.map(lambda v, cap=cap: min(v, cap) if type(v) is int else v)
+
+        @settings(max_examples=max_examples, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(op=st.sampled_from(["drop", "add", "set"]), key=st.text(max_size=8),
+               value=values)
+        def mutate_and_check(op, key, value):
+            check(_mutated(base, path, op, key, value))
+
+        mutate_and_check()
+
+
 class TestConfigFuzz:
     """A reference config with one key dropped, a key added next to it or its
     value set to any JSON value is parsed or rejected; the parser raises
@@ -778,29 +823,27 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("name, base", _reference_configs(),
                              ids=[name for name, _ in _reference_configs()])
     def test_parse_config_only_raises_config_errors(self, name, base):
-        for path in _key_paths(base):
-            @settings(max_examples=20, deadline=None, derandomize=True, database=None,
-                      suppress_health_check=[HealthCheck.too_slow])
-            @given(path=st.just(path), op=st.sampled_from(["drop", "add", "set"]),
-                   key=st.text(max_size=8), value=_JSON_VALUES)
-            def mutate_and_parse(path, op, key, value):
-                cfg = json.loads(json.dumps(base))
-                block = cfg
-                for k in path[:-1]:
-                    block = block[k]
-                if op == "drop":
-                    del block[path[-1]]
-                elif op == "set":
-                    block[path[-1]] = value
-                else:  # a new key inside the block at path, or next to the key
-                    target = block[path[-1]]
-                    (target if isinstance(target, dict) else block)[key] = value
-                try:
-                    parse_config(json.dumps(cfg))
-                except (ParseError, ValidationError):
-                    pass
+        def parse(cfg):
+            try:
+                parse_config(json.dumps(cfg))
+            except (ParseError, ValidationError):
+                pass
 
-            mutate_and_parse()
+        _fuzz_mutations(base, parse, max_examples=20)
+
+    @pytest.mark.parametrize("command, name", SHIPPED, ids=[name for _, name in SHIPPED])
+    def test_main_exits_cleanly(self, tmp_path, command, name):
+        # the runners read only the values parse_config checked: whatever it
+        # accepts runs to exit 0 or ends in exit 2 or 3, without a RuntimeWarning
+        # (pyproject filterwarnings)
+        base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        out = str(tmp_path / "x.out")
+
+        def run(cfg):
+            code = main([command, "--config", write_config(tmp_path, cfg), "--out", out])
+            assert code in (0, 2, 3), cfg
+
+        _fuzz_mutations(base, run, max_examples=25, counts_capped=True)
 
     @pytest.mark.parametrize("name, base", _reference_configs(),
                              ids=[name for name, _ in _reference_configs()])

@@ -608,6 +608,21 @@ class TestGoldenRule:
         assert golden_rule(0.01, rho, 2.0, HBAR) == pytest.approx(
             golden_rule(0.01, 0.5, 2.0, HBAR))
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1.0, 2.0, HBAR), "v2"), ((-1.0, 1.0, 2.0, HBAR), "v2"),
+        ((math.inf, 1.0, 2.0, HBAR), "v2"), ((0.01, -3.0, 2.0, HBAR), "rho"),
+        ((0.01, math.nan, 2.0, HBAR), "rho"), ((0.01, lambda e: -1.0, 2.0, HBAR), "rho"),
+        ((0.01, lambda e: math.inf, 2.0, HBAR), "rho"), ((0.01, 1.0, 2.0, 0.0), "hbar"),
+        ((0.01, 1.0, 2.0, -1.0), "hbar"), ((0.01, 1.0, 2.0, math.inf), "hbar"),
+        ((0.01, 1.0, math.nan, HBAR), "frequencies"), ((0.01, 1.0, math.inf, HBAR), "frequencies")],
+        ids=["v2-nan", "v2-neg", "v2-inf", "rho-neg", "rho-nan", "rho-callable-neg",
+             "rho-callable-inf", "hbar-0", "hbar-neg", "hbar-inf", "omega-nan", "omega-inf"])
+    def test_bad_input_rejected(self, args, name):
+        # v2 = nan returned nan, v2 = -1 and rho = -3 negative rates, hbar = 0
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match=f"^{name} "):
+            golden_rule(*args)
+
 
 class TestDecayRate:
     def test_flat_equals_golden_rule(self):
@@ -837,6 +852,24 @@ class TestEmittedSpectrum:
         with mock.patch.object(decay, "_romberg") as ladder, \
                 pytest.raises(ValueError, match="e_grid must be finite, 1-d and strictly increasing"):
             emitted_spectrum(2.0, det_for(40.0, 0.5), 1.0, e_grid)
+        ladder.assert_not_called()
+
+    @pytest.mark.parametrize("sample", [math.inf, -math.inf])
+    def test_fwhm_rejects_an_infinite_sample(self, sample):
+        # +inf gave a RuntimeWarning and nan, -inf a silent width of 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infinite sample"):
+                fwhm(np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.5, sample, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.nan, math.inf])
+    def test_emitted_spectrum_needs_a_positive_hbar(self, hbar):
+        # hbar = -1 and inf raised GridTooNarrow, hbar = 0 a divide-by-zero RuntimeWarning
+        with warnings.catch_warnings(), mock.patch.object(decay, "_romberg") as ladder:
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hbar must be finite and > 0"):
+                emitted_spectrum(2.0, det_for(40.0, 0.5), 1.0, np.linspace(-900.0, 900.0, 64),
+                                 hbar=hbar)
         ladder.assert_not_called()
 
     @pytest.mark.parametrize("points", [0, 1])
