@@ -24,24 +24,18 @@ from .dynamics import (
     RateMatrix,
     inhibition_time,
     jump_probability_general,
-    jump_probability_strong,
     jump_table,
-    measured_exponential,
     rabi_unmeasured,
     rate_matrix,
-    two_level_inhibition_time,
 )
 from .model import (
     DetectorModel,
-    MeasurementStrength,
     SystemSpec,
     TwoLevelPreset,
     correlation,
     gaussian_detector,
-    required_duration,
-    strength,
 )
-from .qmat import apply_super, check_density_matrix, herm_eig, unitary_exp
+from .qmat import apply_super, check_density_matrix
 from .superop import (
     MeasurementChannel,
     build_exact,
@@ -59,12 +53,9 @@ __all__ = [
     "line_mass", "line_shape", "measured_decay_channel",
     "population_decay_rate", "zeno_limit_rate",
     "JumpTable", "RateMatrix", "inhibition_time", "jump_probability_general",
-    "jump_probability_strong", "jump_table",
-    "measured_exponential", "rabi_unmeasured", "rate_matrix",
-    "two_level_inhibition_time",
-    "DetectorModel", "MeasurementStrength", "SystemSpec", "TwoLevelPreset",
-    "correlation", "gaussian_detector", "required_duration", "strength",
-    "apply_super", "check_density_matrix", "herm_eig", "unitary_exp",
+    "jump_table", "rabi_unmeasured", "rate_matrix",
+    "DetectorModel", "SystemSpec", "TwoLevelPreset", "correlation", "gaussian_detector",
+    "apply_super", "check_density_matrix",
     "MeasurementChannel", "build_exact", "build_second_order", "build_unperturbed",
     "dump_channel", "load_channel", "repeat",
 ]

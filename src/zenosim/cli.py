@@ -26,15 +26,16 @@ import numpy as np
 
 from . import __version__
 from . import decay as _decay
-from .dynamics import measured_exponential, rabi_unmeasured, two_level_inhibition_time
+from .dynamics import inhibition_time, rabi_unmeasured, rate_matrix
 from .errors import (
+    NoTransitions,
     NotInZenoRegime,
     NumericalConvergenceError,
     ParseError,
     ValidationError,
     ZenoSimError,
 )
-from .model import DetectorModel, TwoLevelPreset, strength
+from .model import DetectorModel, TwoLevelPreset
 from .qmat import _all_finite
 from .superop import build_exact, dump_channel, repeat
 
@@ -166,13 +167,20 @@ def _walk(block: dict, keys: dict, path: str, experiment, errors: list, values: 
 
 def _scaled(experiment, hbar: float, values: dict):
     """(key, name, unscaled value, scaled value) of each quantity the
-    experiment forms by scaling the config value of key: hbar² where it
+    experiment forms by scaling the config value of key, which must be
+    finite, and non-zero unless its unscaled value is 0 or None: hbar² where it
     divides by it, the level energy hbar·omega/2 and the frequency |V|/hbar
-    of the two-level system (squared in the Rabi frequency of twolevel), the
-    grid edges E/hbar of a spectrum and 2π·v2·tau²/hbar², which bounds 2π
-    times its peak W (P <= tau / 2π), and the squares of the widths of F and G
-    (sigma, gamma, w).  Quantities of invalid values are left out: those
-    values are reported already."""
+    of the two-level system (squared in the Rabi frequency of twolevel, and
+    in its rate equation's gain 2·tau·|V|²/(hbar²·omega) and its factors), the
+    grid edges E/hbar of a spectrum, 2π·v2·tau²/hbar², which bounds 2π
+    times its peak W (P <= tau / 2π), and 2π·g0·tau/hbar², which bounds its
+    integrated jump probability (line mass <= 1), hbar·B·2^18, which bounds a
+    decay rate's sum of |G^(t)| <= hbar·B over its at most 2^17 + 1 time
+    samples, the reservoir detuning phase |omega_R - omega_if|·tau of a
+    sweep, and the squares of the widths of F and G (sigma, gamma, w).
+    Quantities of invalid values are left out: those values are reported
+    already."""
+    tau, g0, b = (values.get(key) for key in ("detector.tau", "reservoir.g0", "reservoir.B"))
     if experiment in ("twolevel", "decay_sweep", "spectrum"):
         yield "hbar", "hbar²", 1.0, hbar * hbar
     if experiment in ("twolevel", "channel_dump"):
@@ -184,15 +192,28 @@ def _scaled(experiment, hbar: float, values: dict):
             yield "hbar", "|V|/hbar", v, v / hbar
             if experiment == "twolevel":
                 yield "hbar", "|V|²/hbar²", v * v, (v / hbar) * (v / hbar)
+                if omega is not None and tau is not None:  # the factors of the gain
+                    yield "detector.tau", "tau·|V|²", None, tau * v * v
+                    yield "hbar", "hbar²·omega", None, hbar * hbar * omega
+                    yield ("system.V.omega", "2·tau·|V|²/(hbar²·omega)", None,
+                           2.0 * tau * (v / hbar) * (v / hbar) / omega)
     if experiment == "spectrum":
         for edge in ("e_min", "e_max"):
             if values.get(f"grid.{edge}") is not None:
                 energy = values[f"grid.{edge}"]
                 yield "hbar", f"{edge}/hbar", energy, energy / hbar
-        v2, tau = values.get("transition.v2"), values.get("detector.tau")
+        v2 = values.get("transition.v2")
         if v2 is not None and tau is not None:
             yield ("transition.v2", "2π·v2·tau²/hbar²", v2,
                    2.0 * math.pi * v2 * tau * tau / hbar / hbar)
+        if g0 is not None and tau is not None:
+            yield "reservoir.g0", "2π·g0·tau/hbar²", None, 2.0 * math.pi * g0 * tau / hbar / hbar
+    if b is not None:
+        yield "reservoir.B", "hbar·B·2^18", None, hbar * b * 2.0 ** 18
+    omega_r, omega_if = values.get("reservoir.omega_R"), values.get("transition.omega_if")
+    if experiment == "decay_sweep" and None not in (omega_r, omega_if, tau):
+        yield ("reservoir.omega_R", "|omega_R - omega_if|·tau", None,
+               abs(omega_r - omega_if) * tau)
     for key in ("detector.sigma", "reservoir.gamma", "reservoir.w"):
         if values.get(key) is not None:
             yield key, key.split(".")[1] + "²", values[key], values[key] * values[key]
@@ -238,18 +259,24 @@ def parse_config(text: str) -> ExperimentConfig:
             _walk(reservoir, {"kind": (True, "string"), **_RESERVOIRS[kind][1]},
                   "reservoir.", experiment, errors, values)
     for key, name, unscaled, scaled in _scaled(experiment, hbar, values):
-        if not (math.isfinite(scaled) and (scaled != 0.0 or unscaled == 0.0)):
-            errors.append(f"'{key}' = {values[key]!r} makes {name} = {scaled!r}, "
-                          "which must be finite and non-zero")
+        if not (math.isfinite(scaled) and (scaled != 0.0 or not unscaled)):
+            errors.append(f"'{key}' = {values[key]!r} makes {name} = {scaled!r}, which must "
+                          "be finite" + (" and non-zero" if unscaled is not None else ""))
 
-    if experiment == "spectrum" and not errors:
-        omega_if = values["transition.omega_if"]
-        t_cut = _decay._line_scales(omega_if, _detector(values))[0]
-        for edge in ("grid.e_min", "grid.e_max"):
-            phase = abs(values[edge] / hbar - omega_if) * t_cut
-            if not phase <= MAX_LINE_PHASE:
-                errors.append(f"'{edge}' = {values[edge]!r} makes the line phase |E/hbar - "
-                              f"omega_if| t_cut = {phase:.3g} rad, above {MAX_LINE_PHASE:.0e}")
+    if experiment in ("spectrum", "decay_sweep") and not errors:
+        spectrum, omega_if = experiment == "spectrum", values["transition.omega_if"]
+        key = "detector.lambda" if spectrum else "sweep.Lambda_max"
+        lam = values[key] if spectrum else values[key] * _detector(values, 0.0).C
+        if not math.isfinite(lam * omega_if):  # the line width, largest in a sweep
+            errors.append(f"'{key}' = {values[key]!r} makes lambda·|omega_if| = "
+                          f"{lam * omega_if!r}, which must be finite")
+        elif spectrum:
+            t_cut = _decay._line_scales(omega_if, _detector(values))[0]
+            for edge in ("grid.e_min", "grid.e_max"):
+                phase = abs(values[edge] / hbar - omega_if) * t_cut
+                if not phase <= MAX_LINE_PHASE:
+                    errors.append(f"'{edge}' = {values[edge]!r} makes the line phase |E/hbar - "
+                                  f"omega_if| t_cut = {phase:.3g} rad, above {MAX_LINE_PHASE:.0e}")
     if errors:
         raise ValidationError(errors)
     return ExperimentConfig(experiment=experiment, values=values, raw=raw)
@@ -322,11 +349,16 @@ def _config_echo(cfg: ExperimentConfig) -> str:
 def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
     """Occupation trajectory of the measured two-level system.
 
-    Columns: t, rho11, rho00, re_rho10, im_rho10, rho11_approx (exponential
-    approximation) and rho11_free (unmeasured Rabi reference)."""
+    Columns: t, rho11, rho00, re_rho10, im_rho10, rho11_approx (the
+    strong-measurement rate equation) and rho11_free (unmeasured Rabi
+    reference)."""
     preset = _preset(cfg.values)
+    system = preset.to_system()
     det = _detector(cfg.values)
-    t_inh = two_level_inhibition_time(preset, det)
+    try:
+        t_inh = inhibition_time(system, det)
+    except NoTransitions:  # V = 0 leaves the populations as they are
+        t_inh = math.inf
     n = cfg.values.get("n_measurements")
     if n is None:
         if not math.isfinite(t_inh) or t_inh <= 0:
@@ -338,13 +370,18 @@ def run_twolevel(cfg: ExperimentConfig, out: str) -> str:
             f"{n:.6g} measurements exceed the cap of {MAX_MEASUREMENTS} (inhibition time "
             f"t_inh = {t_inh:.6g}, default 10 t_inh / tau); give a smaller 'n_measurements'"])
     n = math.ceil(n)
-    channel = build_exact(preset.to_system(), det)
+    channel = build_exact(system, det)
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[1, 1] = 1.0
     traj = repeat(lambda t0: channel, rho0, n)
     times = det.tau * np.arange(0, n + 1)
     states = np.concatenate([rho0[None], traj])
-    approx = measured_exponential(preset, det, times)[0]
+    if det.lam == 0.0:  # t_inh = 0: equal occupation right after t = 0
+        approx = np.where(times == 0.0, 1.0, 0.5)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotInZenoRegime)
+            approx = rate_matrix(system, det).evolve([0.0, 1.0], times)[:, 1]
     free = rabi_unmeasured(preset, times)[0]
     rows = np.column_stack([times, states[:, 1, 1].real, states[:, 0, 0].real,
                             states[:, 1, 0].real, states[:, 1, 0].imag, approx, free])
@@ -366,9 +403,10 @@ def run_decay_sweep(cfg: ExperimentConfig, out: str) -> str:
     values = cfg.values
     res = _reservoir(values)
     omega_if, hbar = values["transition.omega_if"], values["hbar"]
-    lambdas = np.geomspace(values["sweep.Lambda_min"], values["sweep.Lambda_max"],
-                           values["sweep.points"])
-    c_const = strength(_detector(values, lam=0.0)).C
+    with np.errstate(over="ignore"):  # 10^log10(Lambda_max) may round to inf; the ends are exact
+        lambdas = np.geomspace(values["sweep.Lambda_min"], values["sweep.Lambda_max"],
+                               values["sweep.points"])
+    c_const = _detector(values, lam=0.0).C
     r_golden = 2.0 * math.pi * res.g(omega_if) / hbar ** 2
     rows, errors = [], []
     for lam_big in lambdas.tolist():  # Python floats, like the config values
@@ -398,10 +436,12 @@ def run_spectrum(cfg: ExperimentConfig, out: str) -> str:
     omega_if, v2, hbar = values["transition.omega_if"], values["transition.v2"], values["hbar"]
     e_grid = np.linspace(values["grid.e_min"], values["grid.e_max"], values["grid.points"])
     w = _decay.emitted_spectrum(omega_if, det, v2, e_grid, hbar=hbar)
+    if not w.max() > 0.0:
+        raise ZenoSimError(f"W underflows to 0 on the whole grid: 'transition.v2' = {v2!r}")
     width = _decay.fwhm(e_grid, w)
     total = float(np.trapezoid(res.g(e_grid / hbar) * (w / (hbar * v2)), e_grid))
-    lam_big = strength(det).Lambda
-    ratio = width / (lam_big * hbar * omega_if) if lam_big > 0 else float("nan")
+    line_width = det.Lambda * hbar * omega_if  # 0 at lambda = 0, or when it underflows
+    ratio = width / line_width if line_width > 0 else float("nan")
     rows = np.column_stack([e_grid, w])
     header = ["zeno-sim spectrum", f"config: {_config_echo(cfg)}"]
     footer = [f"fwhm: {_fmt(width)}",

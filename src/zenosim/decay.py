@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooNarrow, NotInZenoRegime, ZeroFrequency, ZeroStrength
-from .model import DetectorModel, SystemSpec, correlation, strength
+from .model import DetectorModel, SystemSpec, correlation
 from .qmat import _all_finite, _romberg, _tolerance, trace_sum_rule_defect
 from .superop import SECOND_ORDER, MeasurementChannel, build_unperturbed
 
@@ -263,8 +263,11 @@ def _filon_transform(g: np.ndarray, x: np.ndarray, deltas: np.ndarray) -> np.nda
 
 
 def _line_scales(omega_if: float, det: DetectorModel):
-    """(t_cut, t_f): extent of the damped kernel and its decay time scale."""
-    lw = det.lam * abs(omega_if)
+    """(t_cut, t_f): extent of the damped kernel and its decay time scale;
+    ValueError when the line width lambda |w_if| overflows."""
+    lw = float(det.lam) * abs(float(omega_if))
+    if not math.isfinite(lw):
+        raise ValueError(f"lambda*|omega_if| = {lw!r} is not finite")
     if lw == 0.0:
         return det.tau, float("inf")
     t_f = det.sigma / lw
@@ -485,16 +488,15 @@ def zeno_limit_rate(res: ReservoirSpectrum, omega_if: float, det: DetectorModel)
     _check_line(omega_if)
     if omega_if == 0:
         raise ZeroFrequency("the Zeno limit is singular at w_if = 0")
-    s = strength(det)
-    if s.Lambda == 0.0:
+    if det.Lambda == 0.0:
         raise ZeroStrength("Zeno limit needs a nonzero measurement strength")
     b = res.b_total()
-    line_w = s.Lambda * abs(omega_if)
+    line_w = det.Lambda * abs(omega_if)
     if not math.isfinite(b):
         warnings.warn("flat reservoir has no narrow-reservoir limit", NotInZenoRegime)
     elif line_w < 10.0 * max(res.width, abs(res.omega_r - omega_if)):
         warnings.warn("measured line is not much wider than the reservoir", NotInZenoRegime)
-    return 2.0 * b / (s.Lambda * res.hbar * abs(omega_if))
+    return 2.0 * b / (det.Lambda * res.hbar * abs(omega_if))
 
 
 def emitted_spectrum(omega_if: float, det: DetectorModel, v2: float,

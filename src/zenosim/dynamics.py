@@ -1,11 +1,10 @@
 """Discrete-spectrum dynamics under repeated measurements.
 
 Jump probabilities during a single measurement (one certified evaluator at
-every measurement strength, and the strong-measurement approximation), the
-inhibition time over which repeated measurements freeze the populations, the
-diagonal rate equation of the strong-measurement regime, and the analytic
-two-level references (free Rabi oscillation and the measured exponential
-approach to equal occupation).
+every measurement strength), the strong-measurement limit W ~ 2 int |V_fi|^2
+dt / (hbar^2 Lambda |w_fi|) as the one rate equation of the populations and
+its inhibition time, and the free Rabi oscillation of the unmeasured
+two-level system.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 from .decay import _REFINES, _filon_transform, _line_transform
 from .errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                      ZeroStrength)
-from .model import DetectorModel, SystemSpec, TwoLevelPreset, strength
+from .model import DetectorModel, SystemSpec, TwoLevelPreset
 from .qmat import _relative, _romberg, _tolerance
 from .superop import _sized_rule, _v_integral, _v_samples
 
@@ -97,31 +96,6 @@ def jump_probability_general(sys: SystemSpec, det: DetectorModel,
     return w
 
 
-def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
-                            i: int, alpha: int, f: int, alpha1: int,
-                            t0: float = 0.0) -> float:
-    """Strong-measurement jump probability, proportional to 1/Lambda.
-
-    Replaces the correlation kernel by its delta-function weight, giving
-    W ~ (2 / (hbar^2 Lambda |w_if|)) int_0^tau |V(t + t0)_fi|^2 dt.
-    Requires Lambda tau |w_if| >> 1; warns below 10.  Raises ZeroStrength
-    at lambda = 0.
-    """
-    s = strength(det)
-    if s.Lambda == 0.0:
-        raise ZeroStrength("strong-measurement formula needs a nonzero measurement strength")
-    ii = sys.flat_index(i, alpha)
-    ff = sys.flat_index(f, alpha1)
-    w_if = sys.omega_level()[ii, ff]
-    if w_if == 0.0:
-        raise ZeroFrequency("strong-measurement formula is singular at w_if = 0")
-    if s.Lambda * det.tau * abs(w_if) < 10.0:
-        warnings.warn("Lambda*tau*|w_if| < 10: outside the strong-measurement window",
-                      NotInZenoRegime)
-    integral = _v2_integral(sys, det.tau, t0)[ff, ii]
-    return 2.0 * integral / (sys.hbar ** 2 * s.Lambda * abs(w_if))
-
-
 @dataclass(frozen=True)
 class JumpTable:
     """Jump probabilities between all coupled flattened states."""
@@ -152,17 +126,18 @@ def inhibition_time(sys: SystemSpec, det: DetectorModel) -> float:
 
     t_inh = Lambda hbar^2 |w_min| / (2 |V_max|^2), with w_min the smallest
     transition frequency among pairs the perturbation actually couples and
-    V_max the largest coupled matrix element.
+    V_max the largest coupled matrix element; infinite when (hbar / |V_max|)^2
+    overflows, 0 at lambda = 0.
     """
     v = np.abs(sys.v_at(0.0))
     coupled = (v > 0.0) & (sys.state_level[:, None] != sys.state_level[None, :])
     if not coupled.any():
         raise NoTransitions("V couples no pair of levels")
-    w_min = np.abs(sys.omega_level())[coupled].min()
+    w_min = float(np.abs(sys.omega_level())[coupled].min())
     if w_min == 0.0:
         raise ZeroFrequency("coupled pair with zero transition frequency")
-    lam = strength(det).Lambda
-    return float(lam * sys.hbar ** 2 * w_min / (2.0 * v[coupled].max() ** 2))
+    r = sys.hbar / float(v[coupled].max())  # float products overflow to inf, ** raises
+    return det.Lambda * w_min / 2.0 * r * r if det.Lambda > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -174,22 +149,28 @@ class RateMatrix:
     tau: float
 
     def evolve(self, p0: np.ndarray, t) -> np.ndarray:
-        """Populations at time(s) t from initial populations p0."""
+        """Populations at time(s) t from initial populations p0; where t over
+        the time unit Lambda tau overflows, every decaying mode is gone."""
         w, u = np.linalg.eigh(self.a)
         t = np.asarray(t, dtype=float)
         coef = u.T @ np.asarray(p0, dtype=float)
-        return np.einsum("jk,...k,k->...j", u, np.exp(np.multiply.outer(t / (self.Lambda * self.tau), w)), coef)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = np.multiply.outer(t / (self.Lambda * self.tau), w)
+        x[np.isnan(x)] = 0.0  # a steady mode (w = 0), or t = 0 over a unit of 0
+        return np.einsum("jk,...k,k->...j", u, np.exp(x), coef)
 
 
 def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMatrix:
     """Strong-measurement rate tensor restricted to the populations.
 
-    Gain into state j from state k is 2 * int |V_jk|^2 dt / (hbar^2 |w_jk|);
-    the diagonal collects the two loss sums over intermediate states, so
-    columns sum to zero (probability conservation).  Raises ZeroStrength at
-    lambda = 0.
+    Gain into state j from state k is 2 * int |V_jk|^2 dt / (hbar^2 |w_jk|),
+    Lambda times the jump probability of one measurement in the limit
+    Lambda tau |w_jk| >> 1; the diagonal collects the two loss sums over
+    intermediate states, so columns sum to zero (probability conservation).
+    Warns NotInZenoRegime when Lambda tau |w_jk| < 10 for a coupled pair.
+    Raises ZeroStrength at lambda = 0.
     """
-    lam = strength(det).Lambda
+    lam = det.Lambda
     if lam == 0.0:
         raise ZeroStrength("rate equation needs a nonzero measurement strength")
     lv = sys.state_level
@@ -202,6 +183,9 @@ def rate_matrix(sys: SystemSpec, det: DetectorModel, t0: float = 0.0) -> RateMat
         raise ZeroFrequency("degenerate coupled pair: use the general jump integral")
     if np.any(coupled & same_level):
         raise ZeroFrequency("V couples states within one level (w = 0)")
+    if coupled.any() and lam * det.tau * float(np.abs(w_lvl[coupled]).min()) < 10.0:
+        warnings.warn("Lambda*tau*|w_if| < 10: outside the strong-measurement window",
+                      NotInZenoRegime)
 
     a = np.zeros_like(iv)
     np.divide(2.0 * iv, sys.hbar ** 2 * np.abs(w_lvl), out=a, where=coupled)
@@ -220,38 +204,4 @@ def rabi_unmeasured(preset: TwoLevelPreset, t):
     s2 = np.sin(0.5 * big * t) ** 2
     rho11 = np.cos(0.5 * big * t) ** 2 + ratio2 * s2
     rho00 = (1.0 - ratio2) * s2
-    return rho11, rho00
-
-
-def two_level_inhibition_time(preset: TwoLevelPreset, det: DetectorModel) -> float:
-    """t_inh = (Lambda / 2 omega) |hbar omega / v|^2 for the two-level system;
-    infinite for v = 0, ZeroFrequency for omega = 0 with v != 0."""
-    lam = strength(det).Lambda
-    v = abs(preset.v)
-    if v == 0.0:
-        return float("inf")
-    if preset.omega == 0.0:
-        raise ZeroFrequency("two-level system with zero splitting")
-    try:
-        return (lam / (2.0 * preset.omega)) * (preset.hbar * preset.omega / v) ** 2
-    except OverflowError:  # a float ** raises where * would give inf
-        return float("inf")
-
-
-def measured_exponential(preset: TwoLevelPreset, det: DetectorModel, t):
-    """Exponential approach of the measured populations to equal occupation.
-
-    rho11(t) = (1 + exp(-2 t / t_inh)) / 2 from the diagonal rate equation;
-    valid in the strong-measurement regime.
-    """
-    t = np.asarray(t, dtype=float)
-    t_inh = two_level_inhibition_time(preset, det)
-    if t_inh == float("inf"):
-        decay = np.ones_like(t)
-    elif t_inh == 0.0:
-        decay = np.where(t == 0.0, 1.0, 0.0)
-    else:
-        decay = np.exp(-2.0 * t / t_inh)
-    rho11 = 0.5 * (1.0 + decay)
-    rho00 = 0.5 * (1.0 - decay)
     return rho11, rho00

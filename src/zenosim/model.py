@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroStrength
-from .qmat import _all_finite, _tolerance, require_hermitian
-
-
-@dataclass(frozen=True)
-class MeasurementStrength:
-    """Width constant C of the correlation function and Lambda = lambda / C."""
-
-    C: float
-    Lambda: float
+from .errors import DimensionMismatch
+from .qmat import _all_finite, require_hermitian
 
 
 @dataclass(frozen=True)
@@ -53,6 +45,17 @@ class DetectorModel:
             raise ValueError(f"gaussian width sigma must be > 0 with a finite, non-zero "
                              f"square, got {self.sigma!r}")
 
+    @property
+    def C(self) -> float:
+        """Width constant of F, defined by integral F(nu) d nu = 2 C:
+        C = sigma * sqrt(pi/2) for the Gaussian."""
+        return self.sigma * math.sqrt(math.pi / 2.0)
+
+    @property
+    def Lambda(self) -> float:
+        """Dimensionless measurement strength Lambda = lambda / C."""
+        return self.lam / self.C
+
 
 def gaussian_detector(sigma: float, lam: float, tau: float) -> DetectorModel:
     return DetectorModel(lam=lam, tau=tau, sigma=sigma)
@@ -68,31 +71,6 @@ def correlation(d: DetectorModel, nu):
     if out.ndim == 0:
         return complex(out)
     return out
-
-
-def strength(d: DetectorModel) -> MeasurementStrength:
-    """C from the normalization integral of F and Lambda = lambda / C.
-
-    C is defined through integral F(nu) d nu = 2 C, which for the Gaussian is
-    C = sigma * sqrt(pi/2).
-    """
-    c = d.sigma * math.sqrt(math.pi / 2.0)
-    return MeasurementStrength(C=c, Lambda=d.lam / c)
-
-
-def required_duration(d: DetectorModel, delta_e: float, hbar: float) -> float:
-    """Lower bound on the duration needed to resolve an energy splitting.
-
-    tau must be at least hbar / (Lambda * delta_e) for the pointer states of
-    energies separated by delta_e to become distinguishable.  Raises
-    ValueError unless delta_e and hbar are finite and > 0.
-    """
-    delta_e = _tolerance(delta_e, "delta_e")
-    hbar = _tolerance(hbar, "hbar")
-    s = strength(d)
-    if s.Lambda == 0:
-        raise ZeroStrength("measurement strength Lambda is zero (lambda = 0)")
-    return hbar / (s.Lambda * delta_e)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Dense complex linear-algebra kernel for small Hilbert spaces.
 
-Hermitian eigendecomposition, unitary exponentials of Hermitian generators,
-application of rank-4 superoperator tensors to density matrices, and the
-validity diagnostics (hermiticity, trace, positivity) used throughout the
-package.  Everything here is a pure function of ndarrays.
+Unitary exponentials of stacks of Hermitian generators, application of
+rank-4 superoperator tensors to density matrices, and the validity
+diagnostics (hermiticity, trace, positivity) used throughout the package.  Everything here is a pure function of ndarrays.
 """
 
 from __future__ import annotations
@@ -100,23 +99,6 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "matrix"
     if defect > tol:
         raise NonHermitianInput(f"{what} is not Hermitian: defect {defect:.3e} > {tol:.1e}")
     return m
-
-
-def herm_eig(h: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, u) with w real ascending and h = u @ diag(w) @ u†.
-    Raises NonHermitianInput if the input fails the hermiticity check.
-    """
-    h = require_hermitian(h)
-    w, u = np.linalg.eigh(h)
-    return w, u
-
-
-def unitary_exp(h: np.ndarray, angle_scale: float) -> np.ndarray:
-    """exp(-1j * angle_scale * h) for Hermitian h, via eigendecomposition."""
-    w, u = herm_eig(h)
-    return (u * np.exp(-1j * angle_scale * w)) @ u.conj().T
 
 
 def unitary_exp_stack(hs: np.ndarray, angle_scale: float) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Reference evaluators that the tests compare the package against, the
-exact channel on a given detector rule, a spy on the rules the package sizes, the dense atom-plus-modes system
-of a decaying atom, and the fixed-grid Dyson kernel that integrates the
-detector coordinate in closed form.
+closed forms of the strong-measurement limit pair by pair and for the
+two-level system, the exact channel on a given detector rule, a spy on the
+rules the package sizes, the dense atom-plus-modes system of a decaying
+atom, and the fixed-grid Dyson kernel that integrates the detector
+coordinate in closed form.
 
 They use scipy's special functions and quadrature, which the package itself
 does not load.
@@ -19,10 +21,35 @@ from scipy.special import dawsn, roots_hermite, wofz
 
 from zenosim import superop
 from zenosim.decay import _filon_weight, _line_scales, line_mass, line_shape
+from zenosim.dynamics import _v2_integral
 from zenosim.errors import PropagationStepTooCoarse
-from zenosim.model import DetectorModel, SystemSpec, correlation
+from zenosim.model import DetectorModel, SystemSpec, TwoLevelPreset, correlation
 from zenosim.qmat import _romberg
 from zenosim.superop import ENTRY_TOL, _v_samples
+
+
+def jump_probability_strong(sys: SystemSpec, det: DetectorModel,
+                            i: int, alpha: int, f: int, alpha1: int,
+                            t0: float = 0.0) -> float:
+    """Strong-measurement jump probability (i, alpha) -> (f, alpha1), the
+    correlation kernel replaced by its delta-function weight:
+    W = (2 / (hbar^2 Lambda |w_if|)) int_0^tau |V(t + t0)_fi|^2 dt."""
+    ii, ff = sys.flat_index(i, alpha), sys.flat_index(f, alpha1)
+    w_if = sys.omega_level()[ii, ff]
+    integral = _v2_integral(sys, det.tau, t0)[ff, ii]
+    return 2.0 * integral / (sys.hbar ** 2 * det.Lambda * abs(w_if))
+
+
+def two_level_inhibition_time(preset: TwoLevelPreset, det: DetectorModel) -> float:
+    """t_inh = (Lambda / 2 omega) |hbar omega / v|^2 of the two-level system."""
+    return (det.Lambda / (2.0 * preset.omega)) * (preset.hbar * preset.omega / abs(preset.v)) ** 2
+
+
+def measured_exponential(preset: TwoLevelPreset, det: DetectorModel, t):
+    """Populations (rho11, rho00) of the measured two-level system started in
+    |1>, from the diagonal rate equation: rho11(t) = (1 + exp(-2 t / t_inh)) / 2."""
+    decay = np.exp(-2.0 * np.asarray(t, dtype=float) / two_level_inhibition_time(preset, det))
+    return 0.5 * (1.0 + decay), 0.5 * (1.0 - decay)
 
 
 def gauss_hermite_rule(n: int, q_std: float) -> tuple[np.ndarray, np.ndarray]:

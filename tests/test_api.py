@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import decay, dynamics, qmat, superop
+from zenosim import decay, dynamics, model, qmat, superop
 
 
 def test_all_names_resolve():
@@ -167,13 +167,26 @@ def test_a_positional_tau_or_hbar_is_a_type_error(call):
         call()
 
 
+# removed public names and the module each lived in: the detector rule, which
+# every exact channel sizes from its phase scale; the closed forms of the
+# strong-measurement limit, whose one evaluator is rate_matrix with
+# inhibition_time; DetectorModel.C and .Lambda, which replace strength; and
+# helpers no module called
+_REMOVED = {"QuadratureRule": superop, "default_rule": superop,
+            "jump_probability_strong": dynamics, "two_level_inhibition_time": dynamics,
+            "measured_exponential": dynamics, "herm_eig": qmat, "unitary_exp": qmat,
+            "required_duration": model, "MeasurementStrength": model, "strength": model}
+
+
+@pytest.mark.parametrize("name", sorted(_REMOVED))
+def test_removed_name_is_gone(name):
+    assert name not in zenosim.__all__ and not hasattr(zenosim, name)
+    assert not hasattr(_REMOVED[name], name)
+
+
 def test_detector_rule_is_not_an_option():
     # every exact channel takes the one rule sized from its phase scale, so no
-    # rule is public, none can be passed, and every channel reports its bound
-    public = {name for name in vars(superop) if not name.startswith("_")}
-    for name in ("QuadratureRule", "default_rule"):
-        assert name not in zenosim.__all__ and not hasattr(zenosim, name)
-        assert name not in public
+    # rule can be passed, and every channel reports its bound
     with pytest.raises(TypeError):
         zenosim.build_exact(_FIG1_SYS, _FIG1_DET, rule=None)
     for sys_ in (_FIG1_SYS, _FIG1_TIME_SYS):

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import pathlib
+import sys
 import time
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zenosim
+from oracles import measured_exponential, two_level_inhibition_time
 from zenosim import cli
 from zenosim.cli import (
     load_config,
@@ -28,6 +30,7 @@ from zenosim.superop import load_channel
 
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+_MAX = sys.float_info.max
 
 FIG1_CONFIG = {
     "experiment": "twolevel",
@@ -146,6 +149,9 @@ class TestTwoLevelRunner:
         rho11 = rows[:, columns.index("rho11")]
         free = rows[:, columns.index("rho11_free")]
         np.testing.assert_allclose(rho11, free, atol=1e-8)
+        # t_inh = 0: the rate equation is at equal occupation right after t = 0
+        approx = rows[:, columns.index("rho11_approx")]
+        assert approx[0] == 1.0 and np.all(approx[1:] == 0.5)
 
     def test_fig1_reaches_equal_occupation(self, tmp_path):
         cfg_dict = json.loads(json.dumps(FIG1_CONFIG))
@@ -186,13 +192,13 @@ class TestTwoLevelRunner:
         cfg["detector"]["lambda"] = 1500.0
         preset = zenosim.TwoLevelPreset(omega=2.0, v=1.0)
         det = zenosim.gaussian_detector(1.0, 1500.0, 0.1)
-        t_inh = zenosim.two_level_inhibition_time(preset, det)
+        t_inh = two_level_inhibition_time(preset, det)
         cfg["n_measurements"] = math.ceil(t_inh / 0.1)
         out = str(tmp_path / "strong.csv")
         assert main(["twolevel", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
         columns, rows, _ = read_csv(out)
         assert rows[-1, 0] >= t_inh
-        approx = zenosim.measured_exponential(preset, det, rows[:, 0])[0]
+        approx = measured_exponential(preset, det, rows[:, 0])[0]
         assert np.abs(rows[:, columns.index("rho11")] - approx).max() < 0.05
         assert json.load(open(out + ".meta.json"))["certified"]["nodes"] == 887
 
@@ -674,16 +680,70 @@ class TestMainEntry:
             else:
                 assert accepted
 
-    def test_inhibition_time_overflow_runs(self, tmp_path):
-        # (hbar omega / v)^2 overflows a float: t_inh is infinite, the run still works
-        cfg = json.loads(json.dumps(FIG1_CONFIG))
-        cfg["system"]["V"]["v_re"] = 1e-200
-        cfg["n_measurements"] = 3
+    def test_inhibition_time_overflow_runs(self, tmp_path, capsys):
+        # |v|^2 underflows to 0 for v = 1e-200, and v = 0 couples nothing: t_inh is
+        # infinite, so n_measurements is required, and the populations stay put
+        for v_re in (1e-200, 0.0):
+            cfg = json.loads(json.dumps(FIG1_CONFIG))
+            cfg["system"]["V"]["v_re"] = v_re
+            del cfg["n_measurements"]
+            out = str(tmp_path / "x.csv")
+            assert main(["twolevel", "--config", write_config(tmp_path, cfg), "--out", out]) == 2
+            assert "'n_measurements' is required" in capsys.readouterr().err
+            cfg["n_measurements"] = 3
+            assert main(["twolevel", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+            columns, rows, _ = read_csv(out)
+            np.testing.assert_array_equal(rows[:, columns.index("rho11_approx")], 1.0)
+
+    @pytest.mark.parametrize("command, cfg, key, quantity", [
+        ("decay", decay_config(sweep={"Lambda_min": 2.0, "Lambda_max": _MAX, "points": 7}),
+         "sweep.Lambda_max", "lambda·|omega_if| = inf"),
+        ("decay", decay_config(transition={"omega_if": _MAX},
+                               reservoir={"kind": "flat", "g0": 0.01}),
+         "sweep.Lambda_max", "lambda·|omega_if| = inf"),
+        ("spectrum", spectrum_config(detector={"sigma": 1.0, "lambda": 50.0, "tau": 0.25},
+                                     transition={"omega_if": _MAX, "v2": 1.0}),
+         "detector.lambda", "lambda·|omega_if| = inf"),
+        ("spectrum", spectrum_config(detector={"sigma": 1.0, "lambda": _MAX, "tau": 0.25}),
+         "detector.lambda", "lambda·|omega_if| = inf"),
+        ("decay", decay_config(reservoir={"kind": "lorentzian", "B": 1e-4, "omega_R": _MAX,
+                                          "gamma": 10.0}),
+         "reservoir.omega_R", "|omega_R - omega_if|·tau = inf"),
+        ("decay", decay_config(reservoir={"kind": "lorentzian", "B": 1e-4, "omega_R": -_MAX,
+                                          "gamma": 10.0}),
+         "reservoir.omega_R", "|omega_R - omega_if|·tau = inf"),
+        ("decay", decay_config(reservoir={"kind": "lorentzian", "B": _MAX, "omega_R": 51.0,
+                                          "gamma": 10.0}),
+         "reservoir.B", "hbar·B·2^18 = inf"),
+        ("spectrum", spectrum_config(reservoir={"kind": "flat", "g0": _MAX}),
+         "reservoir.g0", "2π·g0·tau/hbar² = inf")],
+        ids=["Lambda_max", "decay-omega_if", "spectrum-omega_if", "spectrum-lambda", "omega_R",
+             "omega_R-neg", "B", "g0"])
+    def test_overflow_at_the_largest_float_exit_code(self, tmp_path, capsys, command, cfg, key,
+                                                     quantity):
+        # lambda |omega_if| = inf cut the line at t_cut = 0, whose time grid divided by
+        # zero; the others overflowed a product or a sum under error::RuntimeWarning
         path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"'{key}' = " in (err := capsys.readouterr().err) and quantity in err, err
+
+    def test_largest_lambda_max_of_a_narrow_detector_runs(self, tmp_path):
+        # Lambda_max C |omega_if| is finite at sigma = 0.5: np.geomspace overflowed
+        # on 10^log10(Lambda_max) before setting its end to Lambda_max
+        cfg = decay_config(detector={"sigma": 0.5, "tau": 2.0},
+                           sweep={"Lambda_min": 2.0, "Lambda_max": _MAX, "points": 7})
         out = str(tmp_path / "x.csv")
-        assert main(["twolevel", "--config", path, "--out", out]) == 0
+        assert main(["decay", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
         columns, rows, _ = read_csv(out)
-        np.testing.assert_array_equal(rows[:, columns.index("rho11_approx")], 1.0)
+        assert rows[-1, columns.index("Lambda")] == float(f"{_MAX:.12g}")
+
+    def test_underflowing_spectrum_exit_code(self, tmp_path, capsys):
+        # v2 = 5e-324 rounds W to 0 on the whole grid, where fwhm raised ValueError
+        cfg = json.loads((CONFIG_DIR / "spectrum_strong.json").read_text())
+        cfg["transition"]["v2"] = 5e-324
+        path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "x.csv")]) == 3
+        assert "W underflows to 0 on the whole grid" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(FIG1_CONFIG, n_measurements=5))
@@ -720,16 +780,17 @@ def _numeric_leaves(cfg, prefix=()):
 
 
 class TestMainFuzz:
-    """Every numeric leaf of a shipped config set to 1e300, 1e-300 and -1e300
-    in turn: main returns 0, 2 or 3 and raises nothing, a RuntimeWarning
-    included (pyproject filterwarnings), and a decay rate is never negative."""
+    """Every numeric leaf of a shipped config set to 1e300, 1e-300, -1e300, the
+    largest float, its negative and the smallest subnormal in turn: main
+    returns 0, 2 or 3 and raises nothing, a RuntimeWarning included (pyproject
+    filterwarnings), and a decay rate is never negative."""
 
     @pytest.mark.parametrize("command, name", SHIPPED, ids=[name for _, name in SHIPPED])
     def test_extreme_numbers_exit_cleanly(self, tmp_path, capsys, command, name):
         base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         out = tmp_path / "x.out"
         for where in _numeric_leaves(base):
-            for value in (1e300, 1e-300, -1e300):
+            for value in (1e300, 1e-300, -1e300, _MAX, -_MAX, 5e-324):
                 cfg = json.loads(json.dumps(base))
                 block = cfg
                 for key in where[:-1]:

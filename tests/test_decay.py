@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -21,7 +22,7 @@ from zenosim.errors import (
     QuadratureNotConverged,
     ZeroFrequency,
 )
-from zenosim.model import SystemSpec, correlation, gaussian_detector, strength
+from zenosim.model import SystemSpec, correlation, gaussian_detector
 from zenosim.decay import (
     ReservoirSpectrum,
     _filon_transform,
@@ -164,8 +165,7 @@ class TestLineShape:
         # P(w_if) = 1 / (pi Lambda w_if) for Lambda tau w_if >> 1
         det = det_for(40.0, 2.5)
         peak = line_shape(2.0, 2.0, det)
-        lam_big = strength(det).Lambda
-        assert peak == pytest.approx(1.0 / (math.pi * lam_big * 2.0), rel=0.02)
+        assert peak == pytest.approx(1.0 / (math.pi * det.Lambda * 2.0), rel=0.02)
 
     def test_closed_form_cross_validation(self):
         near = np.linspace(-200.0, 200.0, 801)
@@ -948,6 +948,13 @@ class TestLineBoundary:
                 pytest.raises(ValueError, match="must be finite"):
             _LINE_CALLS[call](freq)
         ladder.assert_not_called()
+
+    @pytest.mark.parametrize("call", [c for c in _LINE_CALLS if c.endswith(("omega_if", "rate"))])
+    def test_overflowing_line_width_rejected(self, call):
+        # lambda |w_if| = inf cut the kernel at t_cut = 0, and its time grid
+        # divided by zero
+        with pytest.raises(ValueError, match=r"lambda\*\|omega_if\| = inf is not finite"):
+            _LINE_CALLS[call](sys.float_info.max)
 
 
 def _identity_channel():

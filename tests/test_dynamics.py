@@ -1,6 +1,7 @@
 """Jump probabilities, rate equation, two-level references."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,20 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_shape_closed_form, spy_sized_rules, trapezoid_weights
+from oracles import (jump_probability_strong, line_shape_closed_form, measured_exponential,
+                     spy_sized_rules, trapezoid_weights, two_level_inhibition_time)
 from zenosim import dynamics, superop
 from zenosim.errors import (NoTransitions, NotInZenoRegime, QuadratureNotConverged, ZeroFrequency,
                             ZeroStrength)
-from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector, strength
+from zenosim.model import SystemSpec, TwoLevelPreset, correlation, gaussian_detector
 from zenosim.dynamics import (
     inhibition_time,
     jump_probability_general,
-    jump_probability_strong,
     jump_table,
-    measured_exponential,
     rabi_unmeasured,
     rate_matrix,
-    two_level_inhibition_time,
 )
 from zenosim.superop import _v_samples, build_exact, build_second_order, repeat
 
@@ -164,23 +163,34 @@ class TestJumpTimeIndependent:
 
 
 class TestJumpStrong:
+    """The strong-measurement limit W = 2 int |V_fi|^2 dt / (hbar^2 Lambda |w_fi|)
+    is Lambda^-1 times the gain A[f, i] of `rate_matrix`, here against the
+    closed form pair by pair (oracles.jump_probability_strong)."""
+
     def test_fig1_value(self):
         with pytest.warns(NotInZenoRegime):
-            w = jump_probability_strong(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
-        lam_big = strength(FIG1_DET).Lambda
-        assert w == pytest.approx(2.0 * 0.1 / (lam_big * 2.0), rel=1e-12)
+            w = rate_matrix(FIG1_SYS, FIG1_DET).a[0, 1] / FIG1_DET.Lambda
+        assert w == pytest.approx(2.0 * 0.1 / (FIG1_DET.Lambda * 2.0), rel=1e-12)
         assert w == pytest.approx(2.5066282746310007e-3, rel=1e-10)
+        assert w == pytest.approx(jump_probability_strong(FIG1_SYS, FIG1_DET, 1, 0, 0, 0),
+                                  rel=1e-15)
 
     def test_doubling_lambda_halves(self):
+        # W ~ 1/Lambda: the generator A / (Lambda tau) halves, so the populations
+        # take twice as long
         det2 = gaussian_detector(sigma=1.0, lam=100.0, tau=0.1)
         with pytest.warns(NotInZenoRegime):
-            w1 = jump_probability_strong(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
-        w2 = jump_probability_strong(FIG1_SYS, det2, 1, 0, 0, 0)
-        assert w1 / w2 == pytest.approx(2.0, rel=1e-12)
+            rm1 = rate_matrix(FIG1_SYS, FIG1_DET)
+        rm2 = rate_matrix(FIG1_SYS, det2)
+        np.testing.assert_array_equal(rm1.a, rm2.a)
+        assert rm2.Lambda / rm1.Lambda == pytest.approx(2.0, rel=1e-15)
+        times = np.linspace(0.0, 30.0, 7)
+        np.testing.assert_allclose(rm2.evolve([0.0, 1.0], 2.0 * times),
+                                   rm1.evolve([0.0, 1.0], times), rtol=1e-13)
 
     def test_agrees_with_full_integral_within_ten_percent(self):
         with pytest.warns(NotInZenoRegime):
-            w_strong = jump_probability_strong(FIG1_SYS, FIG1_DET, 1, 0, 0, 0)
+            w_strong = rate_matrix(FIG1_SYS, FIG1_DET).a[0, 1] / FIG1_DET.Lambda
         w_full = jump_probability_general(FIG1_SYS, FIG1_DET, 1, 0, 0, 0, rel_tol=1e-9)
         assert abs(w_strong - w_full) / w_full < 0.10
 
@@ -188,13 +198,17 @@ class TestJumpStrong:
         v = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(1.0, 1.0), v=v)
         with pytest.raises(ZeroFrequency):
-            jump_probability_strong(sys, FIG1_DET, 0, 0, 1, 0)
+            inhibition_time(sys, FIG1_DET)
+        with pytest.raises(ZeroFrequency):
+            rate_matrix(sys, FIG1_DET)
 
     def test_zero_strength_rejected_before_any_work(self):
-        # W ~ 1/Lambda: lambda = 0 divided by zero
+        # W ~ 1/Lambda: lambda = 0 divided by zero; nothing is left to inhibit
+        det = gaussian_detector(1.0, 0.0, 0.1)
         with mock.patch.object(dynamics, "_v2_integral") as spy, pytest.raises(ZeroStrength):
-            jump_probability_strong(FIG1_SYS, gaussian_detector(1.0, 0.0, 0.1), 1, 0, 0, 0)
+            rate_matrix(FIG1_SYS, det)
         spy.assert_not_called()
+        assert inhibition_time(FIG1_SYS, det) == 0.0
 
     def test_full_probability_approaches_it_as_one_over_theta(self):
         # the (tau - t) window leaves W / W_strong - 1 = -sqrt(2/pi) / theta,
@@ -203,7 +217,7 @@ class TestJumpStrong:
         for lam in (2e3, 2e5, 2e7):
             det = gaussian_detector(sigma=1.0, lam=lam, tau=tau)
             w = jump_probability_general(FIG1_SYS, det, 1, 0, 0, 0, rel_tol=1e-10)
-            w_strong = jump_probability_strong(FIG1_SYS, det, 1, 0, 0, 0)
+            w_strong = rate_matrix(FIG1_SYS, det).a[0, 1] / det.Lambda
             assert w > 0.0
             assert (w / w_strong - 1.0) * lam * tau * omega == pytest.approx(
                 -math.sqrt(2.0 / math.pi), rel=1e-3)
@@ -216,7 +230,7 @@ class TestJumpStrong:
         sys = SystemSpec(levels=(-1.0, 1.0),
                          v=lambda t: times.append(t) or math.cos(1000.0 * t) * 0.4 * sx)
         times.clear()  # the check of V(0) when the system was built
-        jump_probability_strong(sys, gaussian_detector(1.0, 50.0, 0.3), 1, 0, 0, 0)
+        rate_matrix(sys, gaussian_detector(1.0, 50.0, 0.3))
         assert len(times) == len(set(times)) == 4097
 
     @pytest.mark.parametrize("omega", [5.0, 50.0, 200.0, 1000.0])
@@ -229,8 +243,7 @@ class TestJumpStrong:
         t0 = 0.3
         exact = 0.16 * (det.tau / 2.0 + (math.sin(2.0 * omega * (t0 + det.tau))
                                          - math.sin(2.0 * omega * t0)) / (4.0 * omega))
-        w = jump_probability_strong(sys, det, 1, 0, 0, 0, t0=t0)
-        integral = 0.5 * w * strength(det).Lambda * 2.0  # W = 2 I / (Lambda |w_if|), |w_if| = 2
+        integral = rate_matrix(sys, det, t0=t0).a[0, 1]  # A = 2 I / (hbar^2 |w_if|), |w_if| = 2
         assert abs(integral - exact) <= 1e-9 * exact
 
 
@@ -516,24 +529,30 @@ class TestInhibitionTime:
         v[0, 2] = v[2, 0] = 0.5
         sys = SystemSpec(levels=(0.0, 0.3, 3.0), v=v)
         t_inh = inhibition_time(sys, FIG1_DET)
-        lam_big = strength(FIG1_DET).Lambda
-        assert t_inh == pytest.approx(lam_big * 3.0 / (2.0 * 0.25), rel=1e-12)
+        assert t_inh == pytest.approx(FIG1_DET.Lambda * 3.0 / (2.0 * 0.25), rel=1e-12)
 
     def test_no_transitions(self):
         sys = TwoLevelPreset(omega=2.0, v=0.0).to_system()
         with pytest.raises(NoTransitions):
             inhibition_time(sys, FIG1_DET)
 
+    def test_underflowing_coupling_is_infinite(self):
+        # |V|^2 = 1e-400 is 0 in floats: t_inh divided by zero, with a RuntimeWarning
+        sys = TwoLevelPreset(omega=2.0, v=1e-200).to_system()
+        assert inhibition_time(sys, FIG1_DET) == math.inf
+
 
 class TestRateMatrix:
     def test_two_level_structure(self):
-        rm = rate_matrix(FIG1_SYS, FIG1_DET)
+        with pytest.warns(NotInZenoRegime):
+            rm = rate_matrix(FIG1_SYS, FIG1_DET)
         coeff = 2.0 * FIG1_DET.tau * 1.0 / 2.0  # 2 tau v^2 / (hbar^2 omega)
         np.testing.assert_allclose(rm.a, coeff * np.array([[-1.0, 1.0], [1.0, -1.0]]),
                                    rtol=1e-12)
 
     def test_rate_equation_reproduces_exponential(self):
-        rm = rate_matrix(FIG1_SYS, FIG1_DET)
+        with pytest.warns(NotInZenoRegime):
+            rm = rate_matrix(FIG1_SYS, FIG1_DET)
         times = np.linspace(0.0, 30.0, 7)
         pops = rm.evolve(np.array([0.0, 1.0]), times)
         approx = measured_exponential(FIG1_PRESET, FIG1_DET, times)[0]
@@ -549,7 +568,8 @@ class TestRateMatrix:
         levels = (0.0, 1.0, 2.5, 4.0)
         v = random_hermitian(rng, 4, 0.4)
         sys = SystemSpec(levels=levels, v=v)
-        rm = rate_matrix(sys, FIG1_DET)
+        with pytest.warns(NotInZenoRegime):
+            rm = rate_matrix(sys, FIG1_DET)
         np.testing.assert_allclose(rm.a.sum(axis=0), np.zeros(4), atol=1e-10)
         off = rm.a - np.diag(np.diag(rm.a))
         assert np.all(off >= 0.0)
@@ -573,13 +593,35 @@ class TestRateMatrix:
             for s in range(5):
                 loss += ref[s, j]
             ref[j, j] = -loss
-        np.testing.assert_array_equal(rate_matrix(sys, FIG1_DET).a, ref)
+        with pytest.warns(NotInZenoRegime):
+            np.testing.assert_array_equal(rate_matrix(sys, FIG1_DET).a, ref)
+
+    def test_warns_only_outside_the_strong_window(self):
+        # Lambda tau |w| = 7.98 for Fig. 1, and 15.96 at twice its lambda or for
+        # the coupled pair 4 apart; a pair V leaves uncoupled does not count
+        with pytest.warns(NotInZenoRegime, match="outside the strong-measurement window"):
+            rate_matrix(FIG1_SYS, FIG1_DET)
+        v = np.zeros((3, 3), dtype=complex)
+        v[0, 2] = v[2, 0] = 0.5
+        for sys, lam in ((FIG1_SYS, 100.0), (SystemSpec(levels=(0.0, 0.01, 4.0), v=v), 50.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NotInZenoRegime)
+                rate_matrix(sys, gaussian_detector(sigma=1.0, lam=lam, tau=0.1))
 
     def test_degenerate_coupled_pair_rejected(self):
         v = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex)
         sys = SystemSpec(levels=(1.0, 1.0), v=v)
         with pytest.raises(ZeroFrequency):
             rate_matrix(sys, FIG1_DET)
+
+    def test_time_unit_underflow_leaves_the_fixed_point(self):
+        # Lambda tau = 4e-324 * 0.1 rounds to 0, and t / (Lambda tau) divided by
+        # zero: every decaying mode is gone after t = 0
+        with pytest.warns(NotInZenoRegime):
+            rm = rate_matrix(FIG1_SYS, gaussian_detector(sigma=1.0, lam=5e-324, tau=0.1))
+        assert rm.Lambda * rm.tau == 0.0
+        pops = rm.evolve([0.0, 1.0], [0.0, 0.1, 1e300])
+        np.testing.assert_allclose(pops, [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_zero_strength_rejected_before_any_work(self):
         # the generator is A / (Lambda tau): lambda = 0 evolved to NaN
@@ -596,12 +638,11 @@ class TestRateMatrix:
                          v=lambda t: h1 * np.cos(3.0 * t) + h2 * np.sin(1.7 * t))
         det = gaussian_detector(sigma=0.7, lam=300.0, tau=0.9)
         rm = rate_matrix(sys, det, t0=0.37)
-        lam_big = strength(det).Lambda
         for i in range(3):
             for f in range(3):
                 if i != f:
                     w = jump_probability_strong(sys, det, i, 0, f, 0, t0=0.37)
-                    assert w * lam_big == pytest.approx(rm.a[f, i], rel=1e-13)
+                    assert w * det.Lambda == pytest.approx(rm.a[f, i], rel=1e-13)
         np.testing.assert_allclose(rm.a.sum(axis=0), np.zeros(3), atol=1e-14)
 
 
@@ -628,24 +669,30 @@ class TestTwoLevelReferences:
         np.testing.assert_allclose(r11 + r00, 1.0, atol=1e-12)
 
     def test_measured_exponential_endpoints(self):
-        r11, r00 = measured_exponential(FIG1_PRESET, FIG1_DET, 0.0)
-        assert r11 == 1.0 and r00 == 0.0
-        r11_inf, _ = measured_exponential(FIG1_PRESET, FIG1_DET, 1e9)
+        # the rate equation of the measured system started in |1> approaches
+        # equal occupation
+        with pytest.warns(NotInZenoRegime):
+            rm = rate_matrix(FIG1_SYS, FIG1_DET)
+        (r00, r11), (_, r11_inf) = rm.evolve([0.0, 1.0], [0.0, 1e9])
+        assert r11 == pytest.approx(1.0, abs=1e-15) and r00 == pytest.approx(0.0, abs=1e-15)
         assert r11_inf == pytest.approx(0.5, abs=1e-12)
 
     def test_measured_exponential_half_inhibition_time(self):
-        t_inh = two_level_inhibition_time(FIG1_PRESET, FIG1_DET)
-        r11, _ = measured_exponential(FIG1_PRESET, FIG1_DET, t_inh / 2.0)
+        t_inh = inhibition_time(FIG1_SYS, FIG1_DET)
+        with pytest.warns(NotInZenoRegime):
+            r11 = rate_matrix(FIG1_SYS, FIG1_DET).evolve([0.0, 1.0], t_inh / 2.0)[1]
         assert r11 == pytest.approx((1.0 + math.exp(-1.0)) / 2.0, rel=1e-12)
         assert r11 == pytest.approx(0.6839397205857212, rel=1e-12)
+        assert t_inh == pytest.approx(two_level_inhibition_time(FIG1_PRESET, FIG1_DET),
+                                      rel=1e-15)
 
     def test_zero_splitting_rejected(self):
-        # a coupled pair at omega = 0 has no inhibition time, as in inhibition_time
-        preset = TwoLevelPreset(omega=0.0, v=1.0)
+        # a coupled pair at omega = 0 has no inhibition time and no rate
+        sys = TwoLevelPreset(omega=0.0, v=1.0).to_system()
         with pytest.raises(ZeroFrequency):
-            two_level_inhibition_time(preset, FIG1_DET)
+            inhibition_time(sys, FIG1_DET)
         with pytest.raises(ZeroFrequency):
-            measured_exponential(preset, FIG1_DET, 1.0)
+            rate_matrix(sys, FIG1_DET)
 
 
 class TestRegimeInvariants:
@@ -656,7 +703,7 @@ class TestRegimeInvariants:
         products = []
         for lam in (20.0, 40.0, 80.0):
             det = gaussian_detector(sigma=1.0, lam=lam, tau=tau)
-            lam_big = strength(det).Lambda
+            lam_big = det.Lambda
             assert lam_big * tau * omega >= 20.0
             w = jump_probability_general(sys, det, 1, 0, 0, 0, rel_tol=1e-9)
             products.append(w * lam_big)

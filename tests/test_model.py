@@ -6,15 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from zenosim.errors import DimensionMismatch, NonHermitianInput, ZeroStrength
+from zenosim.errors import DimensionMismatch, NonHermitianInput
 from zenosim.model import (
     DetectorModel,
     SystemSpec,
     TwoLevelPreset,
     correlation,
     gaussian_detector,
-    required_duration,
-    strength,
 )
 
 SQRT_PI_OVER_2 = 1.2533141373155003
@@ -47,17 +45,16 @@ class TestCorrelation:
 
 class TestStrength:
     def test_gaussian_c(self):
-        s = strength(gaussian_detector(sigma=1.0, lam=1.0, tau=1.0))
-        assert s.C == pytest.approx(SQRT_PI_OVER_2, rel=1e-12)
+        det = gaussian_detector(sigma=1.0, lam=1.0, tau=1.0)
+        assert det.C == pytest.approx(SQRT_PI_OVER_2, rel=1e-12)
 
     def test_fig1_lambda(self):
-        s = strength(fig1_detector())
-        assert s.Lambda == pytest.approx(50.0 / SQRT_PI_OVER_2, rel=1e-12)
-        assert s.Lambda == pytest.approx(39.89422804014327, rel=1e-10)
+        det = fig1_detector()
+        assert det.Lambda == pytest.approx(50.0 / SQRT_PI_OVER_2, rel=1e-12)
+        assert det.Lambda == pytest.approx(39.89422804014327, rel=1e-10)
 
     def test_zero_coupling(self):
-        s = strength(gaussian_detector(sigma=2.0, lam=0.0, tau=1.0))
-        assert s.Lambda == 0.0
+        assert gaussian_detector(sigma=2.0, lam=0.0, tau=1.0).Lambda == 0.0
 
     def test_integral_consistency_with_correlation(self):
         # numerically integrating F over [-12 sigma, 12 sigma] reproduces 2C
@@ -65,37 +62,7 @@ class TestStrength:
             det = gaussian_detector(sigma=sigma, lam=3.0, tau=0.2)
             nu = np.linspace(-12 * sigma, 12 * sigma, 4001)
             integral = np.trapezoid(correlation(det, nu).real, nu)
-            assert abs(integral - 2.0 * strength(det).C) < 1e-8
-
-
-class TestRequiredDuration:
-    def test_fig1_bound(self):
-        det = fig1_detector()
-        bound = required_duration(det, delta_e=2.0, hbar=1.0)
-        assert bound == pytest.approx(0.012533141373155003, rel=1e-10)
-        assert det.tau > bound  # Fig. 1's tau = 0.1 satisfies the bound
-
-    def test_inverse_proportionality(self):
-        det = fig1_detector()
-        assert required_duration(det, 4.0, 1.0) == pytest.approx(
-            required_duration(det, 2.0, 1.0) / 2.0)
-
-    def test_unit_case(self):
-        det = gaussian_detector(sigma=math.sqrt(2.0 / math.pi), lam=1.0, tau=1.0)
-        # C = sigma sqrt(pi / 2) = 1, so hbar/(Lambda dE) = 1
-        assert required_duration(det, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_zero_strength(self):
-        with pytest.raises(ZeroStrength):
-            required_duration(gaussian_detector(1.0, 0.0, 1.0), 1.0, 1.0)
-
-    @pytest.mark.parametrize("delta_e, hbar", [
-        (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-2.0, 1.0),
-        (2.0, math.nan), (2.0, math.inf), (2.0, 0.0), (2.0, -1.0)])
-    def test_rejects_non_finite_or_non_positive_input(self, delta_e, hbar):
-        # delta_e = nan returned NaN and hbar = 0 returned 0.0
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            required_duration(fig1_detector(), delta_e, hbar)
+            assert abs(integral - 2.0 * det.C) < 1e-8
 
 
 class TestDetectorValidation:

@@ -1,4 +1,4 @@
-"""Linear-algebra kernel: eigendecomposition, unitary exponentials, tensors."""
+"""Linear-algebra kernel: hermiticity checks, unitary exponentials, tensors."""
 
 import math
 from unittest import mock
@@ -11,9 +11,9 @@ from zenosim.errors import DimensionMismatch, InvalidDensityMatrix, NonHermitian
 from zenosim.qmat import (
     apply_super,
     check_density_matrix,
-    herm_eig,
+    require_hermitian,
     trace_sum_rule_defect,
-    unitary_exp,
+    unitary_exp_stack,
 )
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,39 +31,19 @@ def random_density(rng, dim):
     return rho / rho.trace()
 
 
-class TestHermEig:
-    def test_identity(self):
-        w, u = herm_eig(np.eye(2, dtype=complex))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+def unitary_exp(h, angle_scale):
+    """exp(-1j * angle_scale * h) of one Hermitian matrix, as a stack of one."""
+    return unitary_exp_stack(np.asarray(h, dtype=complex)[None], angle_scale)[0]
 
-    def test_already_diagonal(self):
-        w, _ = herm_eig(np.diag([-1.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(w, [-1.0, 1.0])
 
-    def test_reconstruction_random_4x4(self):
-        rng = np.random.default_rng(7)
-        h = random_hermitian(rng, 4)
-        w, u = herm_eig(h)
-        np.testing.assert_allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-10)
-
-    def test_reconstruction_and_unitarity_100_trials(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            dim = rng.integers(2, 9)
-            h = random_hermitian(rng, dim)
-            w, u = herm_eig(h)
-            assert np.all(np.diff(w) >= -1e-12)
-            assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-10
-            assert np.abs(u @ np.diag(w) @ u.conj().T - h).max() < 1e-10
-
+class TestRequireHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            herm_eig(np.zeros((2, 3), dtype=complex))
+            require_hermitian(np.zeros((2, 3), dtype=complex))
 
 
 class TestUnitaryExp:
@@ -94,10 +74,6 @@ class TestUnitaryExp:
             dim = rng.integers(2, 9)
             u = unitary_exp(random_hermitian(rng, dim), rng.uniform(0.1, 3.0))
             assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            unitary_exp(np.array([[0.0, 2.0], [0.0, 0.0]]), 1.0)
 
 
 class TestApplySuper:
